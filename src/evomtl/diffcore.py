@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DimensionError, NumericError, StateError
 
@@ -48,6 +48,15 @@ def softmax(v: Tensor) -> Tensor:
     shifted = v - np.max(v)
     e = np.exp(shifted)
     return e / e.sum()
+
+
+def predicted_class(logits: Tensor) -> int:
+    """Index of the largest logit. NaN logits raise: argmax would return
+    the first NaN's index and score it as a prediction."""
+    i = int(np.argmax(logits))
+    if math.isnan(logits[i]):
+        raise NumericError("NaN logits")
+    return i
 
 
 class Param:
@@ -363,15 +372,23 @@ class CompGraph:
 
 def _conv_same(x: Tensor, w: Tensor):
     """Same-padded stride-1 convolution; returns output and the im2col
-    matrix (saved for the weight gradient)."""
+    matrix (saved for the weight gradient).
+
+    The maps are small (4x4 to 28x28), so per-call overhead outweighs the
+    arithmetic: the padding is one zero buffer with `x` copied into its
+    interior, and the (H, W, k, k, Cin) window view is built directly on
+    that buffer's strides. `cols` rows are (dy, dx, cin) in C order, the
+    layout `w.reshape(k * k * cin, cout)` expects."""
     k = w.shape[0]
     cin, cout = w.shape[2], w.shape[3]
     h, wd = x.shape[:2]
     pad = k // 2
-    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
-    win = sliding_window_view(xp, (k, k), axis=(0, 1))  # (H, W, Cin, k, k)
-    cols = np.ascontiguousarray(win.transpose(0, 1, 3, 4, 2)).reshape(
-        h * wd, k * k * cin)
+    xp = np.zeros((h + 2 * pad, wd + 2 * pad, cin), dtype=x.dtype)
+    xp[pad:pad + h, pad:pad + wd] = x
+    sh, sw, sc = xp.strides
+    win = as_strided(xp, shape=(h, wd, k, k, cin),
+                     strides=(sh, sw, sh, sw, sc), writeable=False)
+    cols = win.reshape(h * wd, k * k * cin)
     out = (cols @ w.reshape(k * k * cin, cout)).reshape(h, wd, cout)
     return out, cols
 

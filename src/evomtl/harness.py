@@ -37,6 +37,11 @@ from .training import evaluate_accuracy, train_network
 HEARTBEAT_S = 10.0
 LIVENESS_TIMEOUT_S = 30.0
 ADDR_ENV_VAR = "EVOMTL_COORDINATOR_ADDR"
+# Largest frame a peer may announce. A desk cm run over loopback sends 42
+# frames of 33 kB in all, so real frames sit far below this; the cap stops
+# one corrupt or hostile header from making the receiver wait for, and
+# allocate, up to 4 GiB.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 @dataclass
@@ -177,10 +182,14 @@ def send_frame(sock: socket.socket, obj: dict, lock=None) -> None:
 
 
 def recv_frame(sock: socket.socket):
+    """Next message, or None on a closed, broken or truncated connection
+    or a header announcing more than MAX_FRAME_BYTES."""
     header = _recv_exact(sock, 4)
     if header is None:
         return None
     (length,) = struct.unpack(">I", header)
+    if length > MAX_FRAME_BYTES:
+        return None
     data = _recv_exact(sock, length)
     if data is None:
         return None
@@ -188,15 +197,17 @@ def recv_frame(sock: socket.socket):
 
 
 def _recv_exact(sock: socket.socket, n: int):
-    buf = b""
-    while len(buf) < n:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
         try:
-            chunk = sock.recv(n - len(buf))
+            chunk = sock.recv_into(view[got:])
         except OSError:
             return None
         if not chunk:
             return None
-        buf += chunk
+        got += chunk
     return buf
 
 

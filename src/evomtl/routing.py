@@ -22,7 +22,7 @@ import numpy as np
 
 from .diffcore import (
     CGNode, CompGraph, Param, ScaleGroup, adam_step, backward, init_weight,
-    zero_grads,
+    predicted_class, zero_grads,
 )
 from .errors import AssemblyError, ConfigError, NumericError, StateError
 from .genome import GlobalHyper, LayerGene, ModuleGenome, SINK, SOURCE
@@ -416,21 +416,31 @@ def joint_train(state: CtrState, spec: MultitaskSpec, m_iters: int, lr: float,
 
 def evaluate_individual(ind: RoutingIndividual, modules,
                         spec: MultitaskSpec, task, split: str = "val",
-                        subsample: int | None = None,
-                        rng: np.random.Generator | None = None) -> float:
-    examples = spec.examples_for(task, split)
-    if subsample is not None and rng is not None and subsample < len(examples):
-        idx = rng.choice(len(examples), size=subsample, replace=False)
-        examples = [examples[i] for i in idx]
+                        examples: list | None = None) -> float:
+    """Accuracy of `ind` on `task`'s split, or on `examples` when given
+    (a subset drawn by the caller, see `eval_subset`)."""
+    if examples is None:
+        examples = spec.examples_for(task, split)
     if not examples:
         return 0.0
     correct = 0
     for img, label in examples:
         g = CompGraph("eval")
         logits = ind.forward(g, modules, g.leaf(img))
-        if int(np.argmax(logits.value)) == label:
+        if predicted_class(logits.value) == label:
             correct += 1
     return correct / len(examples)
+
+
+def eval_subset(spec: MultitaskSpec, task, subsample: int | None,
+                rng: np.random.Generator):
+    """The validation examples one selection round scores on: all of them,
+    or `subsample` drawn without replacement."""
+    examples = spec.examples_for(task, "val")
+    if subsample is not None and subsample < len(examples):
+        idx = rng.choice(len(examples), size=subsample, replace=False)
+        examples = [examples[i] for i in idx]
+    return examples
 
 
 def select_and_checkpoint(state: CtrState, accuracies: dict) -> None:
@@ -475,13 +485,16 @@ def run_ctr(modules, spec: MultitaskSpec, meta_iters: int, m_iters: int,
         accs = {}
         for task in spec.tasks:
             tid = task.task_id
+            # Both sides score the same examples, so the strictly-greater
+            # rule compares the individuals, not two random subsets.
+            examples = eval_subset(spec, task, eval_subsample, rng)
             accs[tid] = {
                 "champion": evaluate_individual(
                     state.champions[tid], state.modules, spec, task,
-                    subsample=eval_subsample, rng=rng),
+                    examples=examples),
                 "challenger": evaluate_individual(
                     state.challengers[tid], state.modules, spec, task,
-                    subsample=eval_subsample, rng=rng),
+                    examples=examples),
             }
         replaced = sum(1 for tid in accs
                        if accs[tid]["challenger"] > accs[tid]["champion"])

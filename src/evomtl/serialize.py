@@ -20,7 +20,7 @@ def canon_dumps(obj) -> str:
 
 
 def canon_loads(data):
-    if isinstance(data, bytes):
+    if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8", errors="replace")
     try:
         return json.loads(data)

@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import MultitaskSpec, sample_iteration
-from .diffcore import CompGraph, adam_step, backward, zero_grads
+from .diffcore import (
+    CompGraph, adam_step, backward, predicted_class, zero_grads,
+)
 
 
 def train_network(net, spec: MultitaskSpec, iters: int, lr: float,
@@ -82,7 +84,7 @@ def evaluate_accuracy(net, spec: MultitaskSpec, split: str):
         for img, label in examples:
             g = CompGraph("eval")
             logits = net.forward(g, ti, g.leaf(img))
-            if int(np.argmax(logits.value)) == label:
+            if predicted_class(logits.value) == label:
                 correct += 1
         per_task[task.task_id] = correct / len(examples) if examples else 0.0
     mean = float(np.mean(list(per_task.values()))) if per_task else 0.0

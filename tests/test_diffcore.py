@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from evomtl.diffcore import (
-    CompGraph, Param, ScaleGroup, adam_step, apply_layer,
-    backward, grad_check, softmax, zero_grads,
+    CompGraph, Param, ScaleGroup, _conv_same, adam_step, apply_layer,
+    backward, grad_check, predicted_class, softmax, zero_grads,
 )
 from evomtl.errors import (
     ConfigError, DataError, DimensionError, NumericError, StateError,
@@ -33,6 +34,52 @@ def test_conv2d_same_padding_counts_overlap():
     out = g.conv2d(g.leaf(np.ones((3, 3, 1))), w, b)
     assert out.value[1, 1, 0] == 9.0
     assert out.value[0, 0, 0] == 4.0
+
+
+def _conv_same_reference(x, w):
+    """The np.pad + sliding_window_view im2col that `_conv_same` replaced."""
+    k = w.shape[0]
+    cin, cout = w.shape[2], w.shape[3]
+    h, wd = x.shape[:2]
+    pad = k // 2
+    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
+    win = sliding_window_view(xp, (k, k), axis=(0, 1))  # (H, W, Cin, k, k)
+    cols = np.ascontiguousarray(win.transpose(0, 1, 3, 4, 2)).reshape(
+        h * wd, k * k * cin)
+    out = (cols @ w.reshape(k * k * cin, cout)).reshape(h, wd, cout)
+    return out, cols
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("cin", [1, 16])
+@pytest.mark.parametrize("hw", [(8, 8), (4, 4), (5, 7), (9, 3)])
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_conv_same_bit_identical_to_reference(k, cin, hw, layout):
+    r = rng(k * 100 + cin)
+    h, wd = hw
+    cout = 6
+    if layout == "contiguous":
+        x = r.normal(size=(h, wd, cin))
+        w = r.normal(size=(k, k, cin, cout))
+    else:
+        # a channel slice, like the g a pad_channels vjp hands to the
+        # conv vjp, and the flipped, channel-swapped kernel of the dx conv
+        x = r.normal(size=(h, wd, cin + 3))[:, :, :cin]
+        w = np.flip(r.normal(size=(k, k, cout, cin)),
+                    axis=(0, 1)).transpose(0, 1, 3, 2)
+        assert not x.flags.c_contiguous
+    out, cols = _conv_same(x, w)
+    ref_out, ref_cols = _conv_same_reference(x, w)
+    assert cols.flags.c_contiguous
+    assert np.array_equal(cols, ref_cols)
+    assert np.array_equal(out, ref_out)
+
+
+def test_predicted_class_raises_on_nan_logits():
+    assert predicted_class(np.array([0.1, 2.0, -1.0])) == 1
+    for logits in ([np.nan, 1.0, 0.0], [0.0, 1.0, np.nan]):
+        with pytest.raises(NumericError):
+            predicted_class(np.array(logits))
 
 
 def test_maxpool_block_and_truncation():

@@ -1,4 +1,5 @@
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -9,8 +10,8 @@ import pytest
 
 from evomtl.errors import HarnessError
 from evomtl.harness import (
-    Job, JobResult, evaluate_local, local_evaluator, run_worker,
-    serve_coordinator,
+    MAX_FRAME_BYTES, Job, JobResult, evaluate_local, local_evaluator,
+    recv_frame, run_worker, send_frame, serve_coordinator,
 )
 from evomtl.genome import (
     GlobalHyper, genome_to_obj, hyper_to_obj, init_module_population,
@@ -192,7 +193,6 @@ def test_worker_gives_up_backoff():
 def test_deadline_expiry_reassigns():
     # a worker that accepts the job and then stalls: the deadline passes,
     # the job is requeued, and a healthy worker completes it
-    from evomtl.harness import recv_frame, send_frame
     port = free_port()
     addr = f"127.0.0.1:{port}"
     jobs = [Job(0, make_payload(train_iters=0), deadline_s=1.5)]
@@ -232,3 +232,34 @@ def test_deadline_expiry_reassigns():
     assert len(results) == 1
     assert results[0].status == "ok"
     assert results[0].worker_id == "ok"
+
+
+def test_recv_frame_rejects_oversized_header_without_waiting():
+    a, b = socket.socketpair()
+    with a, b:
+        b.settimeout(5.0)
+        a.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1) + b"{}")
+        t0 = time.monotonic()
+        assert recv_frame(b) is None
+        assert time.monotonic() - t0 < 1.0  # did not wait for the body
+
+
+def test_recv_frame_truncated_body_is_none():
+    a, b = socket.socketpair()
+    with b:
+        b.settimeout(5.0)
+        with a:
+            a.sendall(struct.pack(">I", 100) + b'{"kind": "res')
+        assert recv_frame(b) is None
+
+
+def test_recv_frame_reassembles_a_large_frame():
+    msg = {"kind": "result", "blob": "x" * (1 << 20)}
+    a, b = socket.socketpair()
+    with a, b:
+        b.settimeout(10.0)
+        sender = threading.Thread(target=send_frame, args=(a, msg))
+        sender.start()
+        assert recv_frame(b) == msg
+        sender.join(timeout=10)
+        assert not sender.is_alive()

@@ -5,7 +5,7 @@ import pytest
 
 from evomtl.dataset import split_fixed, synth_generate
 from evomtl.diffcore import CompGraph, softmax
-from evomtl.errors import ConfigError
+from evomtl.errors import ConfigError, NumericError
 from evomtl.routing import (
     output_divergence,
     CtrState, check_routing_graph, default_ctr_modules, evaluate_individual,
@@ -216,3 +216,48 @@ def test_run_ctr_monotone_best_and_storage_identity():
     acc = evaluate_individual(final.champions[tid], final.modules, spec,
                               spec.tasks[0], "val")
     assert 0.0 <= acc <= 1.0
+
+
+def test_evaluate_individual_raises_on_nan_logits():
+    spec = make_spec()
+    modules = default_ctr_modules(2, 8, rng(40))
+    state = init_ctr(modules, spec, rng(41))
+    for m in modules:
+        for p in m.all_params():
+            p.value[...] = np.nan
+    task = spec.tasks[0]
+    with pytest.raises(NumericError):
+        evaluate_individual(state.champions[task.task_id], state.modules,
+                            spec, task, "val")
+
+
+def test_run_ctr_scores_champion_and_challenger_on_one_subset(monkeypatch):
+    from evomtl import routing
+    spec = make_spec(tasks=2)  # 18 val examples per task
+    scored = []  # per evaluate_individual call: the images it scored
+    inside = []
+    real_eval = routing.evaluate_individual
+    real_forward = routing.RoutingIndividual.forward
+
+    def recording_eval(*args, **kwargs):
+        scored.append([])
+        inside.append(True)
+        try:
+            return real_eval(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def recording_forward(self, g, modules, x):
+        if inside:
+            scored[-1].append(x.value.tobytes())
+        return real_forward(self, g, modules, x)
+
+    monkeypatch.setattr(routing, "evaluate_individual", recording_eval)
+    monkeypatch.setattr(routing.RoutingIndividual, "forward",
+                        recording_forward)
+    run_ctr(default_ctr_modules(2, 8, rng(42)), spec, 3, 2, 0.1, 3e-3,
+            rng(43), eval_subsample=5)
+    assert len(scored) == 3 * 2 * 2  # meta-iterations x tasks x sides
+    for champion, challenger in zip(scored[::2], scored[1::2]):
+        assert len(champion) == 5
+        assert sorted(champion) == sorted(challenger)
