@@ -13,16 +13,18 @@ network lies on the halving chain of the input side; merge points pool
 larger inputs down the chain until they match the smallest, then zero-pad
 channels, then soft-merge with per-merge learned scales.
 
-Four network builders: the depth-merged baseline (`assemble_soft_ordering`
-and its per-task `assemble_single_task` variant), the K x D grid
-(`assemble_cm`), and blueprint-shaped topologies (`assemble_cmsr`).
+Four network builders: the depth-merged baseline (`SoftOrderingNet` and
+its per-task `SingleTaskNet` variant), the K x D grid (`CmGridNet`), and
+blueprint-shaped topologies (`CmsrNet`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .diffcore import CGNode, CompGraph, Param, ScaleGroup, init_weight
+from .diffcore import (
+    CGNode, CompGraph, Param, ScaleGroup, _unique_params, init_weight,
+)
 from .errors import AssemblyError
 from .genome import (
     SINK, SOURCE, BlueprintGenome, GlobalHyper, LayerGene, ModuleGenome,
@@ -274,7 +276,8 @@ def _make_decoders(task_ids, class_counts, features, rng, ghyper, label="dec"):
 
 
 class AssembledNetwork:
-    """Base: task bookkeeping, decoders, and the parameter inventory."""
+    """Base: task bookkeeping, decoders, and the parameter inventory.
+    Subclasses list their layer or module instances in `units()`."""
 
     kind = "network"
 
@@ -282,6 +285,7 @@ class AssembledNetwork:
         self.task_ids = list(task_ids)
         self.class_counts = list(class_counts)
         self.image_side = image_side
+        self.scales = {}
         self.decoders = {}
 
     def _decode(self, g: CompGraph, task_index: int, y: CGNode) -> CGNode:
@@ -291,11 +295,16 @@ class AssembledNetwork:
     def forward(self, g: CompGraph, task_index: int, x: CGNode) -> CGNode:
         raise NotImplementedError
 
-    def params(self) -> list[Param]:
+    def units(self) -> list:
         raise NotImplementedError
 
-    def decoder_params(self) -> list[Param]:
-        return [p for pair in self.decoders.values() for p in pair]
+    def params(self) -> list[Param]:
+        """Every parameter once (aliased units count once): units, merge
+        scales, decoders."""
+        out = [p for unit in self.units() for p in unit.all_params()]
+        out.extend(sg.logits for sg in self.scales.values())
+        out.extend(p for pair in self.decoders.values() for p in pair)
+        return _unique_params(out)
 
 
 class SoftOrderingNet(AssembledNetwork):
@@ -317,7 +326,6 @@ class SoftOrderingNet(AssembledNetwork):
         for _ in range(d):
             side = min(layer.out_side(side) for layer in self.layers)
         self.out_features = side * side * self.width
-        self.scales = {}
         for t in range(len(self.task_ids)):
             for depth in range(d):
                 self.scales[(t, depth)] = ScaleGroup.uniform(
@@ -332,13 +340,8 @@ class SoftOrderingNet(AssembledNetwork):
             y = merge_aligned(g, self.scales[(task_index, depth)], cands)
         return self._decode(g, task_index, y)
 
-    def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.all_params())
-        out.extend(sg.logits for sg in self.scales.values())
-        out.extend(self.decoder_params())
-        return out
+    def units(self):
+        return self.layers
 
 
 class SingleTaskNet(AssembledNetwork):
@@ -360,7 +363,6 @@ class SingleTaskNet(AssembledNetwork):
             for layer in chain:
                 side = layer.out_side(side)
             self.out_features[tid] = side * side * self.width
-        self.decoders = {}
         for t, (tid, n_cls) in enumerate(zip(task_ids, class_counts)):
             self.decoders.update(
                 _make_decoders([tid], [n_cls], self.out_features[tid],
@@ -372,13 +374,8 @@ class SingleTaskNet(AssembledNetwork):
             y = layer.apply(g, y)
         return self._decode(g, task_index, y)
 
-    def params(self):
-        out = []
-        for chain in self.chains:
-            for layer in chain:
-                out.extend(layer.all_params())
-        out.extend(self.decoder_params())
-        return out
+    def units(self):
+        return [layer for chain in self.chains for layer in chain]
 
 
 def _share_eligible(mode: str, row_flag: bool, depth_flag: bool) -> bool:
@@ -420,7 +417,6 @@ class CmGridNet(AssembledNetwork):
         for d in range(depth):
             side = min(self.slots[k][d].out_side(side) for k in range(k_rows))
         self.out_features = side * side * ghyper.final_layer_filters
-        self.scales = {}
         for t in range(len(task_ids)):
             for d in range(depth):
                 self.scales[(t, d)] = ScaleGroup.uniform(f"t{t}.d{d}", k_rows)
@@ -438,17 +434,8 @@ class CmGridNet(AssembledNetwork):
     def slot_storage(self, k: int, d: int) -> str:
         return self.slots[k][d].storage_id
 
-    def params(self):
-        out = []
-        seen = set()
-        for row in self.slots:
-            for inst in row:
-                if id(inst) not in seen:
-                    seen.add(id(inst))
-                    out.extend(inst.all_params())
-        out.extend(sg.logits for sg in self.scales.values())
-        out.extend(self.decoder_params())
-        return out
+    def units(self):
+        return [inst for row in self.slots for inst in row]
 
 
 class CmsrNet(AssembledNetwork):
@@ -497,7 +484,6 @@ class CmsrNet(AssembledNetwork):
             s = min(side[p] for p in self.parents[n])
             side[n] = self.instances[n].out_side(s)
         self.out_features = (side[self.snk] ** 2) * ghyper.final_layer_filters
-        self.scales = {}
         for t in range(len(task_ids)):
             for n in self.order:
                 if len(self.parents[n]) > 1:
@@ -520,48 +506,11 @@ class CmsrNet(AssembledNetwork):
             vals[n] = self.instances[n].apply(g, vin)
         return self._decode(g, task_index, vals[self.snk])
 
-    def params(self):
-        out = []
-        seen = set()
-        for inst in self.instances.values():
-            if id(inst) not in seen:
-                seen.add(id(inst))
-                out.extend(inst.all_params())
-        out.extend(sg.logits for sg in self.scales.values())
-        out.extend(self.decoder_params())
-        return out
+    def units(self):
+        return list(self.instances.values())
 
 
-# --- spec'd convenience surfaces ---------------------------------------------
-
-
-def assemble_soft_ordering(genes, task_ids, class_counts, image_side,
-                           ghyper: GlobalHyper, rng) -> SoftOrderingNet:
-    return SoftOrderingNet(genes, task_ids, class_counts, image_side,
-                           ghyper, rng)
-
-
-def assemble_single_task(genes, task_ids, class_counts, image_side,
-                         ghyper: GlobalHyper, rng) -> SingleTaskNet:
-    return SingleTaskNet(genes, task_ids, class_counts, image_side,
-                         ghyper, rng)
-
-
-def assemble_cm(module_set, ghyper: GlobalHyper, task_ids, class_counts,
-                image_side, rng) -> CmGridNet:
-    return CmGridNet(module_set, ghyper, task_ids, class_counts,
-                     image_side, rng)
-
-
-def assemble_cmsr(blueprint, module_choice, ghyper: GlobalHyper, task_ids,
-                  class_counts, image_side, rng) -> CmsrNet:
-    return CmsrNet(blueprint, module_choice, ghyper, task_ids, class_counts,
-                   image_side, rng)
-
-
-def count_parameters(net: AssembledNetwork) -> int:
-    """Number of scalar parameters over distinct storages (aliases once)."""
-    seen = {}
-    for p in net.params():
-        seen.setdefault(id(p), p)
-    return sum(p.value.size for p in seen.values())
+def count_parameters(net) -> int:
+    """Number of scalar parameters over distinct storages (aliases once);
+    `net.params()` lists each storage once."""
+    return sum(p.value.size for p in net.params())

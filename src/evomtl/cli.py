@@ -20,6 +20,7 @@ import sys
 
 import numpy as np
 
+from .assembly import SingleTaskNet, SoftOrderingNet, count_parameters
 from .config import ALGORITHMS, ExperimentConfig, resolve_config
 from .coevolve import (
     GenerationPlan, HyperPopulation, retrain_top, run_generation_loop,
@@ -33,11 +34,9 @@ from .genome import (
 )
 from .harness import build_dataset, distributed_evaluator, local_evaluator, \
     run_worker
-from .routing import (
-    default_ctr_modules, evaluate_individual, restore_ctr_state, run_ctr,
-)
+from .routing import default_ctr_modules, restore_ctr_state, run_ctr
 from .serialize import atomic_write_text, canon_dumps, canon_loads
-from .training import evaluate_accuracy, train_network
+from .training import evaluate_accuracy, final_report, train_network
 
 
 def main(argv=None) -> int:
@@ -162,14 +161,17 @@ def _echo_plan(cfg: ExperimentConfig) -> None:
 
 
 def _hash_inputs(cfg: ExperimentConfig) -> str:
+    """sha256 of the config and of every data file's relative path and
+    bytes."""
     h = hashlib.sha256(canon_dumps(cfg.to_obj()).encode())
     if cfg.data_dir and os.path.isdir(cfg.data_dir):
         for root, dirs, files in sorted(os.walk(cfg.data_dir)):
             dirs.sort()
             for f in sorted(files):
                 path = os.path.join(root, f)
-                h.update(path.encode())
-                h.update(str(os.path.getsize(path)).encode())
+                h.update(os.path.relpath(path, cfg.data_dir).encode())
+                with open(path, "rb") as fh:
+                    h.update(hashlib.sha256(fh.read()).digest())
     return h.hexdigest()
 
 
@@ -229,31 +231,26 @@ def _print_report(report: dict) -> None:
 
 
 def _run_baseline(cfg: ExperimentConfig, spec, out_dir: str) -> dict:
-    from .assembly import (
-        assemble_single_task, assemble_soft_ordering, count_parameters,
-    )
     rng = np.random.default_rng(cfg.seed)
     genes = _default_genes(cfg)
     hyper = GlobalHyper(final_layer_filters=cfg.filters, weight_init="he",
                         sharing_mode=cfg.sharing_mode)
     tids = [t.task_id for t in spec.tasks]
     cls = [t.class_count for t in spec.tasks]
-    assemble = (assemble_soft_ordering if cfg.algorithm == "baseline-soft"
-                else assemble_single_task)
-    net = assemble(genes, tids, cls, spec.image_side, hyper, rng)
+    net_cls = (SoftOrderingNet if cfg.algorithm == "baseline-soft"
+               else SingleTaskNet)
+    net = net_cls(genes, tids, cls, spec.image_side, hyper, rng)
     epoch = max(1, sum(len(t.split.train) for t in spec.tasks)
                 // max(1, len(spec.tasks)))
     train_network(net, spec, cfg.train_iters, cfg.lr, rng,
                   snapshot_every=max(1, min(epoch, cfg.train_iters // 4 or 1)))
-    val_per_task, val_mean = evaluate_accuracy(net, spec, "val")
-    spec.unlock_test()
-    test_per_task, test_mean = evaluate_accuracy(net, spec, "test")
+    report = final_report(net, spec)
+    val_mean = report["val_accuracy"]
     history = [{"generation": 1, "best_fitness": val_mean,
                 "mean_fitness": val_mean, "best_genome_id": 0}]
     _write_history(os.path.join(out_dir, "history.jsonl"), history)
-    return {"algorithm": cfg.algorithm, "val_per_task": val_per_task,
-            "val_accuracy": val_mean, "test_per_task": test_per_task,
-            "test_accuracy": test_mean, "param_count": count_parameters(net)}
+    return {"algorithm": cfg.algorithm, **report,
+            "param_count": count_parameters(net)}
 
 
 def _run_ctr_experiment(cfg: ExperimentConfig, spec, out_dir: str) -> dict:
@@ -269,28 +266,9 @@ def _run_ctr_experiment(cfg: ExperimentConfig, spec, out_dir: str) -> dict:
     ckpt = canon_loads(open(ckpt_path).read())
     ckpt["dataset"] = cfg.dataset_ref()
     atomic_write_text(ckpt_path, canon_dumps(ckpt))
-    val_per_task = {}
-    for task in spec.tasks:
-        val_per_task[task.task_id] = evaluate_individual(
-            final.champions[task.task_id], final.modules, spec, task, "val")
-    spec.unlock_test()
-    test_per_task = {}
-    for task in spec.tasks:
-        test_per_task[task.task_id] = evaluate_individual(
-            final.champions[task.task_id], final.modules, spec, task, "test")
-    params = {}
-    for m in final.modules:
-        for p in m.all_params():
-            params[id(p)] = p
-    for ind in final.champions.values():
-        for p in ind.params():
-            params[id(p)] = p
     return {"algorithm": "ctr", "best_avg_val": best,
-            "val_per_task": val_per_task,
-            "val_accuracy": float(np.mean(list(val_per_task.values()))),
-            "test_per_task": test_per_task,
-            "test_accuracy": float(np.mean(list(test_per_task.values()))),
-            "param_count": sum(p.value.size for p in params.values())}
+            **final_report(final, spec),
+            "param_count": count_parameters(final)}
 
 
 def _run_coevolution(cfg: ExperimentConfig, out_dir: str) -> dict:
@@ -330,7 +308,6 @@ def _run_coevolution(cfg: ExperimentConfig, out_dir: str) -> dict:
     if cfg.algorithm == "cmtr":
         ctr_long = dict(ctr_cfg, meta_iters=cfg.retrain_meta_iters)
     report = retrain_top(out.archive, cfg.n_top, cfg.long_iters,
-                         lr_decay=cfg.algorithm in ("cm", "cmsr"), rng=rng,
                          ctr_long=ctr_long, log=print)
     report["algorithm"] = cfg.algorithm
     report["generations"] = out.generations
@@ -440,13 +417,10 @@ def cmd_eval_test(args) -> int:
     state = restore_ctr_state(canon_dumps(obj).encode())
     spec = build_dataset(obj["dataset"])
     spec.unlock_test()
-    per_task = {}
-    for task in spec.tasks:
-        per_task[task.task_id] = evaluate_individual(
-            state.champions[task.task_id], state.modules, spec, task, "test")
+    per_task, mean = evaluate_accuracy(state, spec, "test")
     for tid in sorted(per_task):
         print(f"task {tid}: test {per_task[tid]:.4f}")
-    print(f"mean test accuracy: {float(np.mean(list(per_task.values()))):.4f}")
+    print(f"mean test accuracy: {mean:.4f}")
     return 0
 
 

@@ -13,20 +13,17 @@ Global hyperparameters evolve alongside in a small elitist pool.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, StateError
 from .genome import (
-    GlobalHyper, MutationRates, SpeciesPopulation, genome_to_obj, hyper_from_obj, hyper_to_obj, mutate_global,
-    random_global_hyper, speciate_and_reproduce,
+    GlobalHyper, MutationRates, SpeciesPopulation, genome_to_obj, hyper_to_obj,
+    mutate_global, random_global_hyper, speciate_and_reproduce,
 )
-from .harness import Job, JobResult, build_dataset, build_payload_network, \
-    realize_payload_modules
-from .serialize import canon_dumps
-from .training import evaluate_accuracy, train_network
+from .harness import Job, JobResult, train_payload
+from .training import evaluate_accuracy, final_report
 
 
 @dataclass
@@ -173,19 +170,17 @@ def attribute_fitness(jobs: list[Job], results: dict[int, JobResult],
                       blueprint_pop: SpeciesPopulation | None = None,
                       hyper_pop: HyperPopulation | None = None):
     """Average each genome's successful-job fitnesses back onto it; a
-    genome seen only in failed jobs scores 0. Returns the per-genome
-    records for audit."""
+    genome in no successful job scores 0. Returns the per-genome records
+    for audit."""
     records: dict[int, FitnessRecord] = {}
-    seen: set[int] = set()
     hyper_records: dict[int, list[float]] = {}
     for job in jobs:
         result = results.get(job.job_id)
+        if result is None or result.status != "ok":
+            continue
         ids = list(job.payload["module_ids"])
         if blueprint_pop is not None and "blueprint_id" in job.payload:
             ids.append(job.payload["blueprint_id"])
-        seen.update(ids)
-        if result is None or result.status != "ok":
-            continue
         for gid in ids:
             records.setdefault(gid, FitnessRecord(gid)).samples.append(
                 result.fitness)
@@ -197,8 +192,6 @@ def attribute_fitness(jobs: list[Job], results: dict[int, JobResult],
         for g in pop.all_members():
             if g.genome_id in records:
                 g.fitness = records[g.genome_id].aggregate
-            elif g.genome_id in seen:
-                g.fitness = 0.0
             else:
                 g.fitness = 0.0
     if hyper_pop is not None:
@@ -295,27 +288,25 @@ def run_generation_loop(plan: GenerationPlan, module_pop: SpeciesPopulation,
 
 
 def retrain_top(archive: list[tuple[dict, float]], n_top: int,
-                long_iters: int, lr_decay: bool, rng: np.random.Generator,
-                ctr_long: dict | None = None, snapshot_every: int | None = None,
+                long_iters: int, ctr_long: dict | None = None,
                 log=None) -> dict:
     """Re-evaluate the highest-fitness payloads with long training, pick
     the best by validation, retrain it from scratch with peak-validation
-    snapshotting, and report its mean test accuracy."""
+    snapshotting, and report its mean test accuracy. cm/cmsr long
+    training decays the learning rate."""
     if not archive:
         raise StateError("empty archive: nothing to retrain")
     ranked = sorted(archive, key=lambda pf: -pf[1])[:max(1, n_top)]
     scored = []
     for i, (payload, short_fitness) in enumerate(ranked):
-        val = _long_eval(payload, long_iters, lr_decay, ctr_long,
-                         seed_shift=1000 + i)
+        val = _long_eval(payload, long_iters, ctr_long, seed_shift=1000 + i)
         scored.append((val, payload))
         if log:
             log(f"retrain candidate {i}: short {short_fitness:.4f} "
                 f"-> long val {val:.4f}")
     scored.sort(key=lambda vp: -vp[0])
     best_val, best_payload = scored[0]
-    report = _final_test_eval(best_payload, long_iters, lr_decay, ctr_long,
-                              snapshot_every)
+    report = _final_test_eval(best_payload, long_iters, ctr_long)
     report["selected_val_accuracy"] = best_val
     return report
 
@@ -331,80 +322,18 @@ def _with_iters(payload: dict, long_iters: int, ctr_long: dict | None,
     return p
 
 
-def _long_eval(payload, long_iters, lr_decay, ctr_long, seed_shift) -> float:
-    from .harness import evaluate_payload
+def _long_eval(payload, long_iters, ctr_long, seed_shift) -> float:
     p = _with_iters(payload, long_iters, ctr_long, seed_shift)
-    if p["algorithm"] in ("cm", "cmsr") and lr_decay:
-        return _train_with_decay(p, long_iters, snapshot_every=None)[0]
-    fitness, _ = evaluate_payload(p)
+    model, spec, fitness = train_payload(p, lr_decay=True)
+    if fitness is None:
+        fitness = evaluate_accuracy(model, spec, "val")[1]
     return fitness
 
 
-def _train_with_decay(payload, iters, snapshot_every):
-    spec = build_dataset(payload["dataset"])
-    rng = np.random.default_rng(int(payload["seed"]))
-    hyper = hyper_from_obj(payload["hyper"])
-    net = build_payload_network(payload, spec, rng)
-    train_network(net, spec, iters, hyper.learning_rate, rng,
-                  lr_decay=True, snapshot_every=snapshot_every)
-    per_task, mean = evaluate_accuracy(net, spec, "val")
-    return mean, per_task, net, spec
-
-
-def _final_test_eval(payload, long_iters, lr_decay, ctr_long,
-                     snapshot_every) -> dict:
+def _final_test_eval(payload, long_iters, ctr_long) -> dict:
     """From-scratch retraining of the winner with peak-validation
     snapshotting, then the one sanctioned test-split read."""
     p = _with_iters(payload, long_iters, ctr_long, seed_shift=2000)
-    if p["algorithm"] in ("cm", "cmsr"):
-        spec = build_dataset(p["dataset"])
-        rng = np.random.default_rng(int(p["seed"]))
-        hyper = hyper_from_obj(p["hyper"])
-        net = build_payload_network(p, spec, rng)
-        train_network(net, spec, long_iters, hyper.learning_rate, rng,
-                      lr_decay=lr_decay,
-                      snapshot_every=snapshot_every or max(1, long_iters // 10))
-        val_per_task, val_mean = evaluate_accuracy(net, spec, "val")
-        spec.unlock_test()
-        test_per_task, test_mean = evaluate_accuracy(net, spec, "test")
-    else:
-        from .routing import evaluate_individual, run_ctr
-        spec = build_dataset(p["dataset"])
-        rng = np.random.default_rng(int(p["seed"]))
-        modules = realize_payload_modules(p, rng)
-        ctr = p["ctr"]
-        hyper = hyper_from_obj(p["hyper"])
-        final, best, _ = run_ctr(
-            modules, spec, int(ctr["meta_iters"]), int(ctr["m_iters"]),
-            float(ctr["alpha"]), float(ctr.get("lr") or hyper.learning_rate),
-            rng, eval_subsample=ctr.get("eval_subsample"))
-        val_per_task = {}
-        for task in spec.tasks:
-            val_per_task[task.task_id] = evaluate_individual(
-                final.champions[task.task_id], final.modules, spec, task, "val")
-        val_mean = float(np.mean(list(val_per_task.values())))
-        spec.unlock_test()
-        test_per_task = {}
-        for task in spec.tasks:
-            test_per_task[task.task_id] = evaluate_individual(
-                final.champions[task.task_id], final.modules, spec, task,
-                "test")
-        test_mean = float(np.mean(list(test_per_task.values())))
-    return {
-        "payload": p,
-        "val_per_task": val_per_task,
-        "val_accuracy": val_mean,
-        "test_per_task": test_per_task,
-        "test_accuracy": test_mean,
-    }
-
-
-def stub_evaluator(jobs: list[Job]) -> list[JobResult]:
-    """Deterministic payload-hash fitness; for loop tests only."""
-    out = []
-    for job in jobs:
-        digest = hashlib.sha256(canon_dumps(job.payload).encode()).digest()
-        fitness = int.from_bytes(digest[:4], "big") / 2 ** 32
-        out.append(JobResult(job.job_id, "ok", fitness=fitness,
-                             per_task={}, worker_id="stub"))
-    return out
+    model, spec, _ = train_payload(
+        p, lr_decay=True, snapshot_every=max(1, long_iters // 10))
+    return {"payload": p, **final_report(model, spec)}

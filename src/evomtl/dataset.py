@@ -81,12 +81,6 @@ class MultitaskSpec:
             raise StateError("test split is locked during evolution/validation")
         return [task.examples[i] for i in task.split.indices(split)]
 
-    def task_by_id(self, task_id: str) -> TaskDataset:
-        for t in self.tasks:
-            if t.task_id == task_id:
-                return t
-        raise DataError(f"no task named {task_id!r}")
-
 
 # --- PGM ingestion ------------------------------------------------------
 

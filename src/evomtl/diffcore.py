@@ -28,7 +28,6 @@ from .errors import ConfigError, DimensionError, NumericError, StateError
 Tensor = np.ndarray
 
 ACTIVATIONS = ("relu", "elu", "sigmoid", "tanh")
-LAYER_KINDS = ("dense", "conv2d", "maxpool2x2", "dropout") + ACTIVATIONS
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999

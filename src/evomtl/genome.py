@@ -281,21 +281,6 @@ def _reachable(start: int, adj: dict[int, list[int]]) -> set[int]:
     return seen
 
 
-def _is_acyclic(node_ids: set[int], edges) -> bool:
-    succ, pred = _graph_maps(node_ids, edges)
-    indeg = {i: len(pred[i]) for i in node_ids}
-    queue = [i for i in node_ids if indeg[i] == 0]
-    done = 0
-    while queue:
-        i = queue.pop()
-        done += 1
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    return done == len(node_ids)
-
-
 def check_genome(g) -> list[str]:
     """All invariant violations (empty list means valid)."""
     errs = []
@@ -305,9 +290,10 @@ def check_genome(g) -> list[str]:
             errs.append(f"edge {innov} references missing node")
     if errs:
         return errs
-    if not _is_acyclic(node_ids, g.edges):
-        errs.append("graph has a cycle")
-        return errs
+    try:
+        topo_order(node_ids, g.edges)
+    except StateError:
+        return ["graph has a cycle"]
     succ, pred = _graph_maps(node_ids, g.edges)
     if g.kind == "module":
         src, snk = SOURCE, SINK

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble_cm, assemble_cmsr, realize_module
+from .assembly import CmGridNet, CmsrNet, realize_module
 from .dataset import load_image_dir, split_fixed, synth_generate
 from .errors import EvoMtlError, HarnessError, ParseError
 from .genome import genome_from_obj, hyper_from_obj
@@ -105,13 +105,13 @@ def build_payload_network(payload: dict, spec, rng: np.random.Generator):
     tids = [t.task_id for t in spec.tasks]
     cls = [t.class_count for t in spec.tasks]
     if payload["algorithm"] == "cm":
-        return assemble_cm(modules, hyper, tids, cls, spec.image_side, rng)
+        return CmGridNet(modules, hyper, tids, cls, spec.image_side, rng)
     if payload["algorithm"] == "cmsr":
         blueprint = genome_from_obj(payload["blueprint"])
         species_map = {int(s): modules[i]
                        for s, i in payload["species_map"].items()}
-        return assemble_cmsr(blueprint, species_map, hyper, tids, cls,
-                             spec.image_side, rng)
+        return CmsrNet(blueprint, species_map, hyper, tids, cls,
+                       spec.image_side, rng)
     raise ParseError(f"no network form for algorithm {payload['algorithm']!r}")
 
 
@@ -124,18 +124,21 @@ def realize_payload_modules(payload: dict, rng: np.random.Generator):
             for k in range(hyper.k_modules)]
 
 
-def evaluate_payload(payload: dict):
-    """Run one evaluation; returns (fitness, per_task accuracies)."""
+def train_payload(payload: dict, *, lr_decay: bool = False,
+                  snapshot_every: int | None = None):
+    """Build and train the model a payload describes, seeded by it;
+    returns (model, spec, fitness or None). A cm/cmsr network trains for
+    `train_iters`; a cmtr payload runs routing evolution, whose fitness is
+    its best checkpointed mean validation accuracy."""
     spec = build_dataset(payload["dataset"])
     rng = np.random.default_rng(int(payload["seed"]))
     hyper = hyper_from_obj(payload["hyper"])
     if payload["algorithm"] in ("cm", "cmsr"):
         net = build_payload_network(payload, spec, rng)
-        iters = int(payload["train_iters"])
-        if iters > 0:
-            train_network(net, spec, iters, hyper.learning_rate, rng)
-        per_task, mean = evaluate_accuracy(net, spec, "val")
-        return mean, per_task
+        train_network(net, spec, int(payload["train_iters"]),
+                      hyper.learning_rate, rng, lr_decay=lr_decay,
+                      snapshot_every=snapshot_every)
+        return net, spec, None
     if payload["algorithm"] == "cmtr":
         ctr = payload["ctr"]
         modules = realize_payload_modules(payload, rng)
@@ -143,13 +146,15 @@ def evaluate_payload(payload: dict):
             modules, spec, int(ctr["meta_iters"]), int(ctr["m_iters"]),
             float(ctr["alpha"]), float(ctr.get("lr") or hyper.learning_rate),
             rng, eval_subsample=ctr.get("eval_subsample"))
-        per_task = {}
-        from .routing import evaluate_individual
-        for task in spec.tasks:
-            per_task[task.task_id] = evaluate_individual(
-                final.champions[task.task_id], final.modules, spec, task, "val")
-        return best, per_task
+        return final, spec, best
     raise ParseError(f"unknown algorithm {payload['algorithm']!r}")
+
+
+def evaluate_payload(payload: dict):
+    """Run one evaluation; returns (fitness, per_task accuracies)."""
+    model, spec, fitness = train_payload(payload)
+    per_task, mean = evaluate_accuracy(model, spec, "val")
+    return (mean if fitness is None else fitness), per_task
 
 
 def evaluate_local(job: Job, worker_id: str = "local") -> JobResult:
@@ -182,8 +187,9 @@ def send_frame(sock: socket.socket, obj: dict, lock=None) -> None:
 
 
 def recv_frame(sock: socket.socket):
-    """Next message, or None on a closed, broken or truncated connection
-    or a header announcing more than MAX_FRAME_BYTES."""
+    """Next message, or None on a closed, broken or truncated connection,
+    a header announcing more than MAX_FRAME_BYTES, or a body that is not a
+    JSON object."""
     header = _recv_exact(sock, 4)
     if header is None:
         return None
@@ -193,7 +199,11 @@ def recv_frame(sock: socket.socket):
     data = _recv_exact(sock, length)
     if data is None:
         return None
-    return canon_loads(data)
+    try:
+        msg = canon_loads(data)
+    except ParseError:
+        return None
+    return msg if isinstance(msg, dict) else None
 
 
 def _recv_exact(sock: socket.socket, n: int):
@@ -290,7 +300,7 @@ def serve_coordinator(bind_addr: str, jobs: list[Job],
                         current = None
                         break
             send_frame(conn, {"kind": "shutdown"})
-        except (ConnectionError, OSError, ParseError):
+        except (ConnectionError, OSError):
             pass
         finally:
             with state.lock:

@@ -22,15 +22,18 @@ import numpy as np
 
 from .diffcore import (
     CGNode, CompGraph, Param, ScaleGroup, adam_step, backward, init_weight,
-    predicted_class, zero_grads,
+    zero_grads,
 )
-from .errors import AssemblyError, ConfigError, NumericError, StateError
-from .genome import GlobalHyper, LayerGene, ModuleGenome, SINK, SOURCE
+from .errors import AssemblyError, ConfigError, NumericError, ParseError, \
+    StateError
+from .genome import GlobalHyper, LayerGene, ModuleGenome, SINK, SOURCE, \
+    topo_order
 from .assembly import ModuleInstance, realize_module
 from .dataset import MultitaskSpec
 from .serialize import (
     array_from_obj, array_to_obj, atomic_write_text, canon_dumps, canon_loads,
 )
+from .training import accuracy
 
 NODE_KINDS = ("source", "sink", "module", "adapter")
 
@@ -76,21 +79,7 @@ class RoutingGraph:
         return out
 
     def topo_order(self) -> list[int]:
-        pending = {n: len(srcs) for n, srcs in self.inbound.items()}
-        out = self.outbound()
-        ready = sorted(n for n, c in pending.items() if c == 0)
-        order = []
-        while ready:
-            n = ready.pop(0)
-            order.append(n)
-            for m in sorted(out[n]):
-                pending[m] -= 1
-                if pending[m] == 0:
-                    ready.append(m)
-            ready.sort()
-        if len(order) != len(self.nodes):
-            raise StateError("routing graph has a cycle")
-        return order
+        return topo_order(self.nodes.keys(), dict(enumerate(self.edges())))
 
     def ancestors(self, node: int) -> set[int]:
         seen = set()
@@ -220,8 +209,12 @@ class RoutingIndividual:
 
 @dataclass
 class CtrState:
+    """Shared modules plus per-task champions; as a multitask network,
+    task i runs the champion of `task_ids[i]` (the spec's task order)."""
+
     modules: list[ModuleInstance]
     champions: dict[str, RoutingIndividual]
+    task_ids: list[str] = field(default_factory=list)
     challengers: dict[str, RoutingIndividual] = field(default_factory=dict)
     meta_iteration: int = 0
     best_avg_val: float = float("-inf")
@@ -229,14 +222,15 @@ class CtrState:
     image_side: int = 0
     class_counts: dict[str, int] = field(default_factory=dict)
 
-    def all_params(self) -> list[Param]:
-        out = []
-        for m in self.modules:
-            out.extend(m.all_params())
-        for ind in self.champions.values():
-            out.extend(ind.params())
-        for ind in self.challengers.values():
-            out.extend(ind.params())
+    def forward(self, g: CompGraph, task_index: int, x: CGNode) -> CGNode:
+        champion = self.champions[self.task_ids[task_index]]
+        return champion.forward(g, self.modules, x)
+
+    def params(self) -> list[Param]:
+        out = [p for m in self.modules for p in m.all_params()]
+        for inds in (self.champions, self.challengers):
+            for ind in inds.values():
+                out.extend(ind.params())
         return out
 
 
@@ -296,6 +290,7 @@ def init_ctr(modules: list[ModuleInstance], spec: MultitaskSpec,
         champions[task.task_id] = RoutingIndividual(graph, dec_w, dec_b)
         class_counts[task.task_id] = task.class_count
     return CtrState(modules=modules, champions=champions,
+                    task_ids=[t.task_id for t in spec.tasks],
                     image_side=spec.image_side, class_counts=class_counts)
 
 
@@ -395,7 +390,7 @@ def joint_train(state: CtrState, spec: MultitaskSpec, m_iters: int, lr: float,
     """Train champions and challengers together: per iteration, one train
     example per (task, individual), gradients accumulated into the shared
     modules, one Adam step."""
-    params = state.all_params()
+    params = state.params()
     zero_grads(params)
     for _ in range(m_iters):
         for ti, task in enumerate(spec.tasks):
@@ -421,15 +416,7 @@ def evaluate_individual(ind: RoutingIndividual, modules,
     (a subset drawn by the caller, see `eval_subset`)."""
     if examples is None:
         examples = spec.examples_for(task, split)
-    if not examples:
-        return 0.0
-    correct = 0
-    for img, label in examples:
-        g = CompGraph("eval")
-        logits = ind.forward(g, modules, g.leaf(img))
-        if predicted_class(logits.value) == label:
-            correct += 1
-    return correct / len(examples)
+    return accuracy(lambda g, x: ind.forward(g, modules, x), examples)
 
 
 def eval_subset(spec: MultitaskSpec, task, subsample: int | None,
@@ -525,14 +512,6 @@ def _param_obj(p: Param) -> dict:
             "shared_id": p.shared_id}
 
 
-def _param_load(p: Param, obj) -> None:
-    p.value[...] = array_from_obj(obj["value"])
-    p.adam_m[...] = array_from_obj(obj["adam_m"])
-    p.adam_v[...] = array_from_obj(obj["adam_v"])
-    p.step_count = int(obj["step_count"])
-    p.l2_strength = float(obj["l2_strength"])
-
-
 def _param_from_obj(obj) -> Param:
     p = Param(obj["name"], array_from_obj(obj["value"]),
               l2_strength=float(obj["l2_strength"]), shared_id=obj["shared_id"])
@@ -562,9 +541,9 @@ def module_instance_from_obj(obj) -> ModuleInstance:
                           np.random.default_rng(0), obj["label"],
                           obj["storage_id"])
     for key, pobj in obj["params"].items():
-        _param_load(inst.params[key], pobj)
+        inst.params[key] = _param_from_obj(pobj)
     for n, pobj in obj["scales"].items():
-        _param_load(inst.scale_groups[int(n)].logits, pobj)
+        inst.scale_groups[int(n)].logits = _param_from_obj(pobj)
     return inst
 
 
@@ -610,6 +589,7 @@ def serialize_ctr_state(state: CtrState) -> bytes:
         "best_avg_val": state.best_avg_val,
         "image_side": state.image_side,
         "class_counts": state.class_counts,
+        "task_ids": state.task_ids,
         "modules": [module_instance_to_obj(m) for m in state.modules],
         "champions": {tid: _individual_obj(ind)
                       for tid, ind in state.champions.items()},
@@ -619,10 +599,15 @@ def serialize_ctr_state(state: CtrState) -> bytes:
 
 def restore_ctr_state(data: bytes) -> CtrState:
     obj = canon_loads(data)
+    if "task_ids" not in obj:
+        # champions come back in sorted-key order, so the task order
+        # cannot be recovered from them
+        raise ParseError("ctr checkpoint lacks task_ids")
     return CtrState(
         modules=[module_instance_from_obj(m) for m in obj["modules"]],
         champions={tid: _individual_from_obj(io)
                    for tid, io in obj["champions"].items()},
+        task_ids=[str(t) for t in obj["task_ids"]],
         meta_iteration=int(obj["meta_iteration"]),
         best_avg_val=float(obj["best_avg_val"]),
         image_side=int(obj["image_side"]),

@@ -75,17 +75,34 @@ def train_network(net, spec: MultitaskSpec, iters: int, lr: float,
     return lr_points, best_acc
 
 
+def accuracy(forward, examples) -> float:
+    """Fraction of `examples` whose argmax class under `forward(g, x)` is
+    the label; the one eval-tape scoring loop."""
+    if not examples:
+        return 0.0
+    correct = 0
+    for img, label in examples:
+        g = CompGraph("eval")
+        if predicted_class(forward(g, g.leaf(img)).value) == label:
+            correct += 1
+    return correct / len(examples)
+
+
 def evaluate_accuracy(net, spec: MultitaskSpec, split: str):
     """Per-task and mean accuracy of argmax classification on a split."""
     per_task = {}
     for ti, task in enumerate(spec.tasks):
-        correct = 0
-        examples = spec.examples_for(task, split)
-        for img, label in examples:
-            g = CompGraph("eval")
-            logits = net.forward(g, ti, g.leaf(img))
-            if predicted_class(logits.value) == label:
-                correct += 1
-        per_task[task.task_id] = correct / len(examples) if examples else 0.0
+        per_task[task.task_id] = accuracy(
+            lambda g, x: net.forward(g, ti, x), spec.examples_for(task, split))
     mean = float(np.mean(list(per_task.values()))) if per_task else 0.0
     return per_task, mean
+
+
+def final_report(model, spec: MultitaskSpec) -> dict:
+    """Score val, then unlock and score test: the one place a run reads
+    the test split."""
+    val_per_task, val_mean = evaluate_accuracy(model, spec, "val")
+    spec.unlock_test()
+    test_per_task, test_mean = evaluate_accuracy(model, spec, "test")
+    return {"val_per_task": val_per_task, "val_accuracy": val_mean,
+            "test_per_task": test_per_task, "test_accuracy": test_mean}

@@ -13,8 +13,7 @@ import time
 
 import numpy as np
 
-from evomtl.assembly import assemble_cm, assemble_single_task, \
-    assemble_soft_ordering
+from evomtl.assembly import CmGridNet, SingleTaskNet, SoftOrderingNet
 from evomtl.coevolve import (
     GenerationPlan, HyperPopulation, attribute_fitness, run_generation_loop,
 )
@@ -228,7 +227,7 @@ def test_criterion_06_depth_merge_oracle():
     genes = [LayerGene(2, "conv2d", "relu", 3, 8, 1e-6, 0.0),
              LayerGene(3, "conv2d", "relu", 3, 8, 1e-6, 0.0)]
     h = GlobalHyper(final_layer_filters=8)
-    net = assemble_soft_ordering(genes, ["a", "b"], [3, 4], 5, h, rng(60))
+    net = SoftOrderingNet(genes, ["a", "b"], [3, 4], 5, h, rng(60))
     x = rng(61).random((5, 5, 1))
     worst = 0.0
     for t in range(2):
@@ -268,7 +267,7 @@ def test_criterion_07_grid_insertion_and_sharing():
         flags = tuple(bool(r.random() < 0.5) for _ in range(depth))
         h = GlobalHyper(depth=depth, depth_flags=flags, sharing_mode="evolved")
         h.k_modules = k_rows
-        net = assemble_cm(modules, h, ["t"], [3], 32, rng(71))
+        net = CmGridNet(modules, h, ["t"], [3], 32, rng(71))
         for k in range(k_rows):
             # 1-based statement: row k holds architecture ((k-1) mod |M|) + 1
             if net.slots[k][0].genome is not modules[k % n_mods]:
@@ -391,8 +390,8 @@ def test_criterion_11_multitask_direction():
         tids = [t.task_id for t in spec.tasks]
         cls = [t.class_count for t in spec.tasks]
         accs = {}
-        for kind, asm in (("soft", assemble_soft_ordering),
-                          ("single", assemble_single_task)):
+        for kind, asm in (("soft", SoftOrderingNet),
+                          ("single", SingleTaskNet)):
             r = rng(seed)
             net = asm(genes, tids, cls, 8, h, r)
             train_network(net, spec, 900, 3e-3, r)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from evomtl.assembly import (
-    ParamStore, assemble_cm, assemble_cmsr, assemble_single_task,
-    assemble_soft_ordering, count_parameters, realize_module,
+    CmGridNet, CmsrNet, ParamStore, SingleTaskNet, SoftOrderingNet,
+    count_parameters, realize_module,
 )
 from evomtl.diffcore import CompGraph, adam_step, backward, softmax, zero_grads
 from evomtl.errors import AssemblyError
@@ -88,7 +88,7 @@ def make_tasks(n=2, classes=3):
 def test_soft_ordering_single_layer_single_task():
     genes = [make_gene()]
     tids, cls = make_tasks(1)
-    net = assemble_soft_ordering(genes, tids, cls, 8, ghyp(), rng(5))
+    net = SoftOrderingNet(genes, tids, cls, 8, ghyp(), rng(5))
     g = CompGraph("eval")
     out = net.forward(g, 0, g.leaf(np.ones((8, 8, 1))))
     assert out.shape == (3,)
@@ -97,7 +97,7 @@ def test_soft_ordering_single_layer_single_task():
 def test_soft_ordering_scale_count():
     genes = [make_gene(innov=i) for i in (2, 3, 4)]
     tids, cls = make_tasks(4)
-    net = assemble_soft_ordering(genes, tids, cls, 8, ghyp(), rng(6))
+    net = SoftOrderingNet(genes, tids, cls, 8, ghyp(), rng(6))
     # tasks x depths groups, each holding one logit per layer
     assert len(net.scales) == 4 * 3
     assert all(sg.size == 3 for sg in net.scales.values())
@@ -133,7 +133,7 @@ def test_soft_ordering_matches_straight_line_recurrence():
     genes = [make_gene(innov=2), make_gene(innov=3)]
     tids, cls = make_tasks(2)
     r = rng(7)
-    net = assemble_soft_ordering(genes, tids, cls, 5, ghyp(), r)
+    net = SoftOrderingNet(genes, tids, cls, 5, ghyp(), r)
     x = rng(8).random((5, 5, 1))
     for t in range(2):
         for d in range(2):
@@ -156,7 +156,7 @@ def test_cm_insertion_rule_exhaustive():
             m.genome_id = 100 + i
         h = ghyp(k_modules=max(k_rows, 2), depth=2)
         h.k_modules = k_rows  # widen beyond the evolvable range for the check
-        net = assemble_cm(modules, h, tids, cls, 8, rng(9))
+        net = CmGridNet(modules, h, tids, cls, 8, rng(9))
         for k in range(k_rows):
             expected = modules[k % n_mods]
             for d in range(h.depth):
@@ -197,7 +197,7 @@ def test_cm_sharing_matches_bruteforce(mode):
         h = ghyp(depth=depth, depth_flags=depth_flags, sharing_mode=mode)
         h.k_modules = k_rows
         row_flags = [modules[k % n_mods].share_flag for k in range(k_rows)]
-        net = assemble_cm(modules, h, tids, cls, 32, rng(100 + trial))
+        net = CmGridNet(modules, h, tids, cls, 32, rng(100 + trial))
         want = brute_force_alias_groups(k_rows, depth, mode, row_flags,
                                         depth_flags)
         for (ka, da) in want:
@@ -211,7 +211,7 @@ def test_cm_disabled_all_distinct():
     tids, cls = make_tasks(1)
     modules = [make_module()]
     h = ghyp(k_modules=3, depth=2, sharing_mode="disabled")
-    net = assemble_cm(modules, h, tids, cls, 8, rng(12))
+    net = CmGridNet(modules, h, tids, cls, 8, rng(12))
     ids = {net.slot_storage(k, d) for k in range(3) for d in range(2)}
     assert len(ids) == 6
 
@@ -235,7 +235,7 @@ def test_cmsr_chain_no_merges():
     bp = make_blueprint("chain")
     choice = {1: make_module()}
     tids, cls = make_tasks(1)
-    net = assemble_cmsr(bp, choice, ghyp(), tids, cls, 16, rng(13))
+    net = CmsrNet(bp, choice, ghyp(), tids, cls, 16, rng(13))
     assert len(net.scales) == 0
     g = CompGraph("eval")
     out = net.forward(g, 0, g.leaf(np.zeros((16, 16, 1))))
@@ -247,7 +247,7 @@ def test_cmsr_diamond_soft_merges():
     choice = {1: make_module(), 2: make_module(make_gene(filters=16))}
     choice[2].genome_id = 2
     tids, cls = make_tasks(2)
-    net = assemble_cmsr(bp, choice, ghyp(), tids, cls, 16, rng(14))
+    net = CmsrNet(bp, choice, ghyp(), tids, cls, 16, rng(14))
     # node 1 (sink) has two parents -> one merge group per task
     assert set(net.scales) == {(0, 1), (1, 1)}
     g = CompGraph("eval")
@@ -258,7 +258,7 @@ def test_cmsr_diamond_soft_merges():
 def test_cmsr_unresolvable_species():
     bp = make_blueprint("chain")
     with pytest.raises(AssemblyError):
-        assemble_cmsr(bp, {}, ghyp(), ["t0"], [3], 16, rng(15))
+        CmsrNet(bp, {}, ghyp(), ["t0"], [3], 16, rng(15))
 
 
 def test_cmsr_sharing_conjunction():
@@ -269,14 +269,14 @@ def test_cmsr_sharing_conjunction():
     for n in bp.nodes.values():
         n.share_flag = True
     bp.nodes[3].share_flag = False
-    net = assemble_cmsr(bp, {1: mod}, ghyp(sharing_mode="evolved"),
-                        tids, cls, 16, rng(16))
+    net = CmsrNet(bp, {1: mod}, ghyp(sharing_mode="evolved"),
+                  tids, cls, 16, rng(16))
     sid = {n: net.instances[n].storage_id for n in (0, 2, 3, 1)}
     assert sid[0] == sid[2] == sid[1]
     assert sid[3] != sid[0]
     # disabled: nothing aliases
-    net2 = assemble_cmsr(bp, {1: mod}, ghyp(sharing_mode="disabled"),
-                         tids, cls, 16, rng(17))
+    net2 = CmsrNet(bp, {1: mod}, ghyp(sharing_mode="disabled"),
+                   tids, cls, 16, rng(17))
     ids = {net2.instances[n].storage_id for n in bp.nodes}
     assert len(ids) == 4
 
@@ -284,7 +284,7 @@ def test_cmsr_sharing_conjunction():
 def test_count_parameters_dense_case():
     tids, cls = make_tasks(1, classes=2)
     genes = [make_gene()]
-    net = assemble_soft_ordering(genes, tids, cls, 4, ghyp(), rng(18))
+    net = SoftOrderingNet(genes, tids, cls, 4, ghyp(), rng(18))
     # conv (3*3*8*8 + 8) + scales (1 group x 1 logit) + decoder (4*4*8*2 + 2)
     assert count_parameters(net) == (3 * 3 * 8 * 8 + 8) + 1 + (128 * 2 + 2)
 
@@ -294,9 +294,9 @@ def test_count_parameters_alias_counted_once():
     modules = [make_module(share_flag=True)]
     h = ghyp(k_modules=2, depth=2, depth_flags=(True, True),
              sharing_mode="enabled")
-    net = assemble_cm(modules, h, tids, cls, 8, rng(19))
+    net = CmGridNet(modules, h, tids, cls, 8, rng(19))
     h2 = ghyp(k_modules=2, depth=2, sharing_mode="disabled")
-    net2 = assemble_cm(modules, h2, tids, cls, 8, rng(19))
+    net2 = CmGridNet(modules, h2, tids, cls, 8, rng(19))
     shared = count_parameters(net)
     distinct = count_parameters(net2)
     assert distinct > shared
@@ -311,7 +311,7 @@ def test_aliasing_gradient_moves_aliases_identically():
     tids, cls = make_tasks(2)
     modules = [make_module(share_flag=True)]
     h = ghyp(k_modules=2, depth=2, sharing_mode="enabled")
-    net = assemble_cm(modules, h, tids, cls, 8, rng(20))
+    net = CmGridNet(modules, h, tids, cls, 8, rng(20))
     # rows share within themselves; slots (0,0) and (0,1) alias
     assert net.slots[0][0] is net.slots[0][1]
     assert net.slots[0][0] is not net.slots[1][0]
@@ -331,7 +331,7 @@ def test_forward_logit_width_matches_class_count():
     tids = ["a", "b", "c"]
     cls = [2, 5, 4]
     modules = [make_module()]
-    net = assemble_cm(modules, ghyp(), tids, cls, 8, rng(22))
+    net = CmGridNet(modules, ghyp(), tids, cls, 8, rng(22))
     for ti, n_cls in enumerate(cls):
         g = CompGraph("eval")
         out = net.forward(g, ti, g.leaf(np.zeros((8, 8, 1))))
@@ -341,8 +341,8 @@ def test_forward_logit_width_matches_class_count():
 def test_assembly_deterministic():
     tids, cls = make_tasks(2)
     modules = [make_module()]
-    a = assemble_cm(modules, ghyp(), tids, cls, 8, rng(23))
-    b = assemble_cm(modules, ghyp(), tids, cls, 8, rng(23))
+    a = CmGridNet(modules, ghyp(), tids, cls, 8, rng(23))
+    b = CmGridNet(modules, ghyp(), tids, cls, 8, rng(23))
     for pa, pb in zip(a.params(), b.params()):
         assert np.array_equal(pa.value, pb.value)
 
@@ -350,7 +350,7 @@ def test_assembly_deterministic():
 def test_single_task_net_independent_weights():
     genes = [make_gene()]
     tids, cls = make_tasks(2)
-    net = assemble_single_task(genes, tids, cls, 8, ghyp(), rng(24))
+    net = SingleTaskNet(genes, tids, cls, 8, ghyp(), rng(24))
     assert net.chains[0][0].w is not net.chains[1][0].w
     g = CompGraph("eval")
     out = net.forward(g, 0, g.leaf(np.zeros((8, 8, 1))))

@@ -167,14 +167,14 @@ def parse_dot(text: str):
 
 def test_dot_exports_parse(tmp_path):
     from evomtl.genome import init_module_population, GlobalHyper
-    from evomtl.assembly import assemble_cm
+    from evomtl.assembly import CmGridNet
     import numpy as np
     pop = init_module_population(2, 1, np.random.default_rng(0))
     genome = pop.all_members()[0]
     nodes, edges = parse_dot(module_dot(genome))
     assert "in" in nodes and "out" in nodes
     h = GlobalHyper(k_modules=2, depth=2)
-    net = assemble_cm([genome], h, ["t0"], [3], 12, np.random.default_rng(1))
+    net = CmGridNet([genome], h, ["t0"], [3], 12, np.random.default_rng(1))
     nodes, edges = parse_dot(network_dot(net))
     assert any("merge" in n for n in nodes)
 
@@ -188,3 +188,47 @@ def test_profile_flag_beats_config_file(tmp_path):
     assert cfg.profile == "paper"
     assert cfg.networks_per_generation == 100  # paper constants loaded
     assert cfg.seed == 3                       # file value kept
+
+
+def test_inputs_hash_covers_file_content(tmp_path):
+    from evomtl.cli import _hash_inputs
+    from evomtl.config import resolve_config
+    data = tmp_path / "data"
+    for t in range(2):
+        cdir = data / f"task{t}" / "class0"
+        cdir.mkdir(parents=True)
+        (cdir / "0.pgm").write_bytes(b"P5\n4 4\n255\n" + bytes(range(16)))
+    cfg = resolve_config(overrides={"algorithm": "cm",
+                                    "data_dir": str(data)})
+    before = _hash_inputs(cfg)
+    assert _hash_inputs(cfg) == before
+    pgm = data / "task1" / "class0" / "0.pgm"
+    raw = bytearray(pgm.read_bytes())
+    raw[-1] ^= 0xFF  # same size, one pixel changed
+    pgm.write_bytes(bytes(raw))
+    assert _hash_inputs(cfg) != before
+
+
+@pytest.mark.parametrize("argv", [
+    ["--algorithm", "ctr", "--meta-iters", "1", "--m-iters", "2",
+     "--k-modules", "2"],
+    ["--algorithm", "baseline-soft", "--train-iters", "8"],
+], ids=["ctr", "baseline-soft"])
+def test_run_reads_each_test_split_once_after_validation(
+        tmp_path, capsys, monkeypatch, argv):
+    from evomtl.dataset import MultitaskSpec
+    reads = []  # (split, task id) in read order
+    real = MultitaskSpec.examples_for
+
+    def recording(self, task, split):
+        reads.append((split, task.task_id))
+        return real(self, task, split)
+
+    monkeypatch.setattr(MultitaskSpec, "examples_for", recording)
+    code = main(["run", *argv, "--synth", "3x3x8", "--seed", "2",
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
+    tests = [i for i, (split, _) in enumerate(reads) if split == "test"]
+    vals = [i for i, (split, _) in enumerate(reads) if split == "val"]
+    assert sorted(reads[i][1] for i in tests) == ["synth0", "synth1", "synth2"]
+    assert vals and min(tests) > max(vals)

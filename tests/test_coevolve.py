@@ -1,9 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from evomtl.coevolve import (
     FitnessRecord, GenerationPlan, HyperPopulation, attribute_fitness, plan_generation, retrain_top, run_generation_loop,
-    stub_evaluator,
 )
 from evomtl.errors import ConfigError, StateError
 from evomtl.genome import init_blueprint_population, init_module_population
@@ -18,6 +19,17 @@ def rng(seed=0):
 DATASET = {"synth": {"seed": 5, "n_tasks": 2, "n_classes": 3,
                      "image_side": 8, "noise": 0.1},
            "split_seed": 5}
+
+
+def stub_evaluator(jobs: list[Job]) -> list[JobResult]:
+    """Deterministic payload-hash fitness; for loop tests only."""
+    out = []
+    for job in jobs:
+        digest = hashlib.sha256(canon_dumps(job.payload).encode()).digest()
+        fitness = int.from_bytes(digest[:4], "big") / 2 ** 32
+        out.append(JobResult(job.job_id, "ok", fitness=fitness,
+                             per_task={}, worker_id="stub"))
+    return out
 
 
 def make_plan(**kw):
@@ -216,32 +228,53 @@ def test_retrain_top_clamps_and_snapshot():
                            hpop, DATASET, rng(31))
     for i, job in enumerate(jobs):
         archive.append((job.payload, 0.4 + 0.1 * i))
-    report = retrain_top(archive, n_top=10, long_iters=5, lr_decay=False,
-                         rng=rng(32), snapshot_every=2)
+    report = retrain_top(archive, n_top=10, long_iters=5)
     assert 0.0 <= report["test_accuracy"] <= 1.0
     assert set(report["val_per_task"]) == {"synth0", "synth1"}
 
 
 def test_lr_decay_sequence():
     from evomtl.dataset import split_fixed, synth_generate
-    from evomtl.assembly import assemble_soft_ordering
+    from evomtl.assembly import SoftOrderingNet
     from evomtl.genome import GlobalHyper, LayerGene
     from evomtl.training import train_network
     spec = split_fixed(synth_generate(33, 1, 2, 6, 0.0, examples_per_class=10),
                        0)
     gene = LayerGene(2, "conv2d", "relu", 3, 8, 1e-6, 0.0)
     h = GlobalHyper()
-    net = assemble_soft_ordering([gene], ["synth0"], [2], 6, h, rng(34))
+    net = SoftOrderingNet([gene], ["synth0"], [2], 6, h, rng(34))
     # epoch_iters = 5 (train split size 5, one task): decay at 50 and 100
     lr_points, _ = train_network(net, spec, 120, 1e-3, rng(35), lr_decay=True,
                                  epoch_iters=5)
     assert lr_points == [1e-3, 1e-4, 1e-5]
 
 
-def test_snapshot_argmax_selection():
-    # snapshot keeps the weights from the highest-validation point
-    trace = [0.5, 0.9, 0.7]
-    assert int(np.argmax(trace)) == 1
+def test_snapshot_restores_peak_validation_weights(monkeypatch):
+    from evomtl import training
+    from evomtl.assembly import SoftOrderingNet
+    from evomtl.dataset import split_fixed, synth_generate
+    from evomtl.genome import GlobalHyper, LayerGene
+    spec = split_fixed(synth_generate(36, 2, 3, 6, 0.3, examples_per_class=10),
+                       36)
+    gene = LayerGene(2, "conv2d", "relu", 3, 8, 0.0, 0.0)
+    net = SoftOrderingNet([gene], [t.task_id for t in spec.tasks], [3, 3], 6,
+                          GlobalHyper(), rng(1))
+    scores = []  # every validation score train_network takes
+    real_eval = training.evaluate_accuracy
+
+    def recording_eval(*args, **kwargs):
+        per_task, mean = real_eval(*args, **kwargs)
+        scores.append(mean)
+        return per_task, mean
+
+    monkeypatch.setattr(training, "evaluate_accuracy", recording_eval)
+    _, best_acc = training.train_network(net, spec, 30, 0.05, rng(11),
+                                         snapshot_every=3)
+    monkeypatch.undo()
+    assert len(scores) == 30 // 3 + 1  # periodic scores plus the final one
+    assert max(scores) == best_acc
+    assert scores[-1] < best_acc  # the peak was earlier: weights restored
+    assert training.evaluate_accuracy(net, spec, "val")[1] == best_acc
 
 
 def test_plan_validation():

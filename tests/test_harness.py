@@ -263,3 +263,43 @@ def test_recv_frame_reassembles_a_large_frame():
         assert recv_frame(b) == msg
         sender.join(timeout=10)
         assert not sender.is_alive()
+
+
+@pytest.mark.parametrize("body", [b"[1]", b"{x"])
+def test_recv_frame_non_object_body_is_none(body):
+    a, b = socket.socketpair()
+    with a, b:
+        b.settimeout(5.0)
+        a.sendall(struct.pack(">I", len(body)) + body)
+        assert recv_frame(b) is None
+
+
+def test_worker_survives_a_garbage_frame_and_reconnects():
+    # a fake coordinator answers the first hello with a non-object frame
+    # and the second with shutdown: the worker drops the connection,
+    # reconnects and exits cleanly
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(2)
+    server.settimeout(10.0)
+    port = server.getsockname()[1]
+    hellos = []
+
+    def coordinator():
+        with server:
+            for reply in (b"[1]", b'{"kind":"shutdown"}'):
+                conn, _ = server.accept()
+                with conn:
+                    conn.settimeout(10.0)
+                    hellos.append(recv_frame(conn))
+                    conn.sendall(struct.pack(">I", len(reply)) + reply)
+                    conn.recv(1)  # wait for the worker to hang up
+
+    fake = threading.Thread(target=coordinator)
+    fake.start()
+    code = run_worker(f"127.0.0.1:{port}", worker_id="w",
+                      give_up_after_s=20.0)
+    fake.join(timeout=10)
+    assert not fake.is_alive()
+    assert code == 0
+    assert [h["kind"] for h in hellos] == ["hello", "hello"]

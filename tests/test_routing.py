@@ -261,3 +261,31 @@ def test_run_ctr_scores_champion_and_challenger_on_one_subset(monkeypatch):
     for champion, challenger in zip(scored[::2], scored[1::2]):
         assert len(champion) == 5
         assert sorted(champion) == sorted(challenger)
+
+
+def test_restored_state_scores_tasks_in_spec_order():
+    # canon_dumps sorts keys, so champions come back as synth0, synth1,
+    # synth10, ...; task index i must still mean the spec's i-th task
+    from evomtl.training import evaluate_accuracy
+    spec = make_spec(tasks=12)
+    state = init_ctr(default_ctr_modules(2, 8, rng(50)), spec, rng(51))
+    restored = restore_ctr_state(serialize_ctr_state(state))
+    assert list(restored.champions) != restored.task_ids
+    per_task, _ = evaluate_accuracy(restored, spec, "val")
+    for task in spec.tasks:
+        want = evaluate_individual(restored.champions[task.task_id],
+                                   restored.modules, spec, task, "val")
+        assert per_task[task.task_id] == want
+    # the per-task scores differ, so a misrouted index would show
+    assert len(set(per_task.values())) > 1
+
+
+def test_restore_rejects_checkpoint_without_task_order():
+    from evomtl.errors import ParseError
+    from evomtl.serialize import canon_dumps, canon_loads
+    spec = make_spec()
+    state = init_ctr(default_ctr_modules(2, 8, rng(52)), spec, rng(53))
+    obj = canon_loads(serialize_ctr_state(state))
+    del obj["task_ids"]
+    with pytest.raises(ParseError):
+        restore_ctr_state(canon_dumps(obj).encode())
