@@ -13,6 +13,10 @@ network lies on the halving chain of the input side; merge points pool
 larger inputs down the chain until they match the smallest, then zero-pad
 channels, then soft-merge with per-merge learned scales.
 
+Forward code reads sizes through `node.shape`, one example's shape, so it
+runs unchanged on a training tape (`CompGraph`) and on a batched scoring
+forward (`BatchForward`).
+
 Four network builders: the depth-merged baseline (`SoftOrderingNet` and
 its per-task `SingleTaskNet` variant), the K x D grid (`CmGridNet`), and
 blueprint-shaped topologies (`CmsrNet`).
@@ -52,11 +56,11 @@ class ParamStore:
 
 
 def _pool_to(g: CompGraph, x: CGNode, side: int) -> CGNode:
-    while x.value.shape[0] > side:
+    while x.shape[0] > side:
         x = g.maxpool2x2(x)
-    if x.value.shape[0] != side:
+    if x.shape[0] != side:
         raise AssemblyError(
-            f"cannot align spatial size {x.value.shape[0]} to {side}")
+            f"cannot align spatial size {x.shape[0]} to {side}")
     return x
 
 
@@ -66,9 +70,9 @@ def merge_aligned(g: CompGraph, group: ScaleGroup,
     zero-padding channels to the widest input."""
     if len(inputs) == 1:
         return inputs[0]
-    side = min(x.value.shape[0] for x in inputs)
+    side = min(x.shape[0] for x in inputs)
     aligned = [_pool_to(g, x, side) for x in inputs]
-    chans = max(x.value.shape[2] for x in aligned)
+    chans = max(x.shape[2] for x in aligned)
     aligned = [g.pad_channels(x, chans) for x in aligned]
     return g.softmerge(group, aligned)
 
@@ -86,13 +90,13 @@ def _apply_gene(g: CompGraph, gene: LayerGene, x: CGNode, w: Param, b: Param,
     requires the map to be at least kernel-sized; dense pools to 1x1 first
     and emits a (1, 1, filters) map."""
     if gene.kind == "conv2d":
-        if min(x.value.shape[0], x.value.shape[1]) < gene.kernel_size:
+        if min(x.shape[0], x.shape[1]) < gene.kernel_size:
             raise AssemblyError(
-                f"feature map {x.value.shape[:2]} smaller than "
+                f"feature map {x.shape[:2]} smaller than "
                 f"kernel {gene.kernel_size}")
         out = g.conv2d(x, w, b)
     else:
-        while x.value.shape[0] > 1:
+        while x.shape[0] > 1:
             x = g.maxpool2x2(x)
         out = g.dense(g.flatten(x), w, b)
         out = g.reshape(out, (1, 1, gene.filters))
@@ -170,11 +174,11 @@ class ModuleInstance:
 
     def apply(self, g: CompGraph, x: CGNode) -> CGNode:
         width = self.ghyper.final_layer_filters
-        if x.value.ndim != 3:
+        if len(x.shape) != 3:
             raise AssemblyError(f"module input must be (H, W, C), got {x.shape}")
-        if x.value.shape[2] > width:
+        if x.shape[2] > width:
             raise AssemblyError(
-                f"module input has {x.value.shape[2]} channels, contract is {width}")
+                f"module input has {x.shape[2]} channels, contract is {width}")
         vals = {SOURCE: g.pad_channels(x, width)}
         for n in self.order:
             if n == SOURCE:
@@ -186,16 +190,16 @@ class ModuleInstance:
                 v = inputs[0]
             if n == SINK:
                 tail = self.genome.final_layer
-                if min(v.value.shape[:2]) < tail.kernel_size:
+                if min(v.shape[:2]) < tail.kernel_size:
                     raise AssemblyError(
-                        f"feature map {v.value.shape[:2]} smaller than "
+                        f"feature map {v.shape[:2]} smaller than "
                         f"tail kernel {tail.kernel_size}")
                 v = g.conv2d(v, self.params["tail.w"], self.params["tail.b"])
                 if self.genome.cmtr_mode:
                     v = g.activation(v, tail.activation)
                     if tail.dropout_rate > 0:
                         v = g.dropout(v, tail.dropout_rate)
-                if min(v.value.shape[:2]) >= 4:
+                if min(v.shape[:2]) >= 4:
                     v = g.maxpool2x2(v)
                 return v
             gene = self.genome.nodes[n]

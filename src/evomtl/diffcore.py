@@ -3,6 +3,9 @@
 Tensors are plain float64 numpy arrays (C-order); they carry no graph state
 and are safe to copy or ship between processes. All bookkeeping lives in
 `CompGraph`, a forward tape owned by exactly one training job at a time.
+`BatchForward` runs the same ops over a batch of examples without a tape;
+scoring uses it. Both call one set of kernels, which take any leading
+batch shape.
 `Param` is a trainable tensor with its gradient and Adam state attached;
 aliased parameters are literally the same object, so one update reaches
 every user of the storage.
@@ -20,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DimensionError, NumericError, StateError
 
@@ -49,13 +51,13 @@ def softmax(v: Tensor) -> Tensor:
     return e / e.sum()
 
 
-def predicted_class(logits: Tensor) -> int:
-    """Index of the largest logit. NaN logits raise: argmax would return
-    the first NaN's index and score it as a prediction."""
-    i = int(np.argmax(logits))
-    if math.isnan(logits[i]):
+def predicted_class(logits: Tensor):
+    """Index of the largest logit along the last axis, for one logit
+    vector or a batch of them. NaN logits raise: argmax would return the
+    first NaN's index and score it as a prediction."""
+    if np.isnan(logits).any():
         raise NumericError("NaN logits")
-    return i
+    return np.argmax(logits, axis=-1)
 
 
 class Param:
@@ -157,7 +159,8 @@ class CompGraph:
     """Forward tape for one network evaluation.
 
     mode is fixed for the graph's lifetime: "train" enables dropout (which
-    then needs `rng`), "eval" makes dropout the identity. Nodes are
+    then needs `rng`), "eval" makes dropout the identity. Scoring runs on
+    `BatchForward`; eval mode is the per-example reference. Nodes are
     appended in execution order, which is also a topological order, so the
     reverse sweep in `backward` needs no sorting.
     """
@@ -189,11 +192,7 @@ class CompGraph:
 
     def dense(self, x: CGNode, w: Param, b: Param) -> CGNode:
         xf = x.value.reshape(-1)
-        if w.value.ndim != 2 or w.value.shape[0] != xf.size:
-            raise DimensionError(
-                f"dense: input of {xf.size} features vs weight {w.value.shape}")
-        if b.value.shape != (w.value.shape[1],):
-            raise DimensionError("dense: bias shape mismatch")
+        _check_dense(xf.size, w, b)
         self._use(w, b)
         out = xf @ w.value + b.value
         in_shape = x.value.shape
@@ -208,19 +207,11 @@ class CompGraph:
     def conv2d(self, x: CGNode, w: Param, b: Param) -> CGNode:
         """Stride-1 zero-padded "same" convolution; x is (H, W, Cin),
         w is (k, k, Cin, Cout), b is (Cout,)."""
-        if x.value.ndim != 3:
-            raise DimensionError(f"conv2d: expected (H, W, C) input, got {x.shape}")
-        k, k2, cin, cout = w.value.shape
-        if k != k2 or k % 2 != 1:
-            raise DimensionError("conv2d: kernel must be square with odd size")
-        if x.value.shape[2] != cin:
-            raise DimensionError(
-                f"conv2d: input has {x.value.shape[2]} channels, kernel expects {cin}")
-        if b.value.shape != (cout,):
-            raise DimensionError("conv2d: bias shape mismatch")
+        _check_conv(x.value.shape, w, b)
         self._use(w, b)
         out, cols = _conv_same(x.value, w.value)
-        out = out + b.value
+        out += b.value
+        cout = w.value.shape[3]
         h, wd = x.value.shape[:2]
 
         def vjp(g):
@@ -229,32 +220,25 @@ class CompGraph:
             db = gm.sum(axis=0)
             # Input gradient is the same-padded convolution of g with the
             # spatially flipped, channel-swapped kernel.
-            flipped = np.flip(w.value, axis=(0, 1)).transpose(0, 1, 3, 2)
-            dx, _ = _conv_same(g, flipped)
+            dx, _ = _conv_same(g, w.value[::-1, ::-1].transpose(0, 1, 3, 2))
             return ((x, dx), (w, dw), (b, db))
 
         return self._record("conv2d", out, (x,), vjp)
 
     def maxpool2x2(self, x: CGNode) -> CGNode:
-        squeeze = x.value.ndim == 2
+        squeeze = _check_pool(x.value.shape)
         xv = x.value[..., None] if squeeze else x.value
-        if xv.ndim != 3:
-            raise DimensionError(f"maxpool2x2: expected 2-D or 3-D input, got {x.shape}")
-        h, w, c = xv.shape
-        if h < 2 or w < 2:
-            raise DimensionError(f"maxpool2x2: input {h}x{w} smaller than the window")
-        ho, wo = h // 2, w // 2
+        out = _maxpool2x2(xv)
+        ho, wo, c = out.shape
+        # each window's four entries, (dy, dx) in C order, for the argmax
         blocks = xv[:ho * 2, :wo * 2, :].reshape(ho, 2, wo, 2, c)
-        blocks = blocks.transpose(0, 2, 4, 1, 3).reshape(ho, wo, c, 4)
-        arg = blocks.argmax(axis=3)
-        out = np.take_along_axis(blocks, arg[..., None], axis=3)[..., 0]
+        arg = blocks.transpose(0, 2, 4, 1, 3).reshape(ho, wo, c, 4).argmax(axis=3)
         if squeeze:
             out = out[..., 0]
 
         def vjp(g):
             gv = g[..., None] if squeeze else g
-            db = np.zeros((ho, wo, c, 4))
-            np.put_along_axis(db, arg[..., None], gv[..., None], axis=3)
+            db = np.where(_WINDOW == arg[..., None], gv[..., None], 0.0)
             dx = np.zeros_like(xv)
             dx[:ho * 2, :wo * 2, :] = (
                 db.reshape(ho, wo, c, 2, 2).transpose(0, 3, 1, 4, 2)
@@ -265,27 +249,21 @@ class CompGraph:
 
     def activation(self, x: CGNode, kind: str) -> CGNode:
         v = x.value
+        out = _activate(kind, v)
         if kind == "relu":
-            out = np.maximum(v, 0.0)
             dfn = lambda g: g * (v > 0)
         elif kind == "elu":
-            out = np.where(v > 0, v, np.expm1(v))
             dfn = lambda g: g * np.where(v > 0, 1.0, out + 1.0)
         elif kind == "sigmoid":
-            out = 1.0 / (1.0 + np.exp(-np.clip(v, -500, 500)))
             dfn = lambda g: g * out * (1.0 - out)
-        elif kind == "tanh":
-            out = np.tanh(v)
+        else:  # tanh
             dfn = lambda g: g * (1.0 - out * out)
-        else:
-            raise ConfigError(f"unknown activation {kind!r}")
         return self._record(kind, out, (x,), lambda g: ((x, dfn(g)),))
 
     def dropout(self, x: CGNode, rate: float) -> CGNode:
         """Inverted dropout: identity in eval mode, survivor scaling 1/(1-p)
         in train mode."""
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+        _check_rate(rate)
         if self.mode == "eval" or rate == 0.0:
             return x
         if self.rng is None:
@@ -308,36 +286,20 @@ class CompGraph:
 
     def pad_channels(self, x: CGNode, channels: int) -> CGNode:
         """Zero-pad the channel axis of an (H, W, C) tensor up to `channels`."""
-        if x.value.ndim != 3:
-            raise DimensionError("pad_channels: expected (H, W, C) input")
-        c = x.value.shape[2]
-        if c > channels:
-            raise DimensionError(f"pad_channels: cannot shrink {c} -> {channels}")
+        c = _check_pad(x.value.shape, channels)
         if c == channels:
             return x
-        out = np.zeros(x.value.shape[:2] + (channels,))
-        out[:, :, :c] = x.value
+        out = _pad_channels(x.value, channels)
         return self._record("pad_channels", out, (x,),
                             lambda g: ((x, g[:, :, :c]),))
 
     # -- merge and loss ----------------------------------------------------
 
     def softmerge(self, scales: ScaleGroup, inputs: list[CGNode]) -> CGNode:
-        m = len(inputs)
-        if m == 0:
-            raise ConfigError("softmerge of zero inputs")
-        if scales.size != m:
-            raise ConfigError(f"softmerge: {m} inputs but {scales.size} scales")
-        shape = inputs[0].value.shape
-        for node in inputs[1:]:
-            if node.value.shape != shape:
-                raise DimensionError(
-                    f"softmerge: mismatched shapes {shape} vs {node.value.shape}")
+        _check_merge(scales, inputs)
         self._use(scales.logits)
         p = softmax(scales.logits.value)
-        out = np.zeros(shape)
-        for pm, node in zip(p, inputs):
-            out += pm * node.value
+        out = _softmerge(p, [node.value for node in inputs])
 
         def vjp(g):
             dots = np.array([np.sum(g * node.value) for node in inputs])
@@ -369,27 +331,200 @@ class CompGraph:
         return self._record("cross_entropy", loss, (logits,), vjp)
 
 
+class BatchNode:
+    """A batch of values flowing through `BatchForward`: `value` stacks
+    the examples on axis 0, `shape` is one example's shape."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Tensor):
+        self.value = value
+
+    @property
+    def shape(self):
+        return self.value.shape[1:]
+
+
+class BatchForward:
+    """Tape-free eval-mode forward over a batch of examples.
+
+    It offers the op surface network code calls on a `CompGraph` and makes
+    the same checks, but runs each op once over the whole batch (axis 0)
+    and records nothing, so it cannot be differentiated. Dropout is the
+    identity, as in eval mode.
+    """
+
+    def leaf(self, value) -> BatchNode:
+        return BatchNode(as_tensor(value))
+
+    def dense(self, x: BatchNode, w: Param, b: Param) -> BatchNode:
+        xf = x.value.reshape(len(x.value), -1)
+        _check_dense(xf.shape[1], w, b)
+        return BatchNode(xf @ w.value + b.value)
+
+    def conv2d(self, x: BatchNode, w: Param, b: Param) -> BatchNode:
+        _check_conv(x.shape, w, b)
+        out, _ = _conv_same(x.value, w.value)
+        out += b.value
+        return BatchNode(out)
+
+    def maxpool2x2(self, x: BatchNode) -> BatchNode:
+        if _check_pool(x.shape):
+            return BatchNode(_maxpool2x2(x.value[..., None])[..., 0])
+        return BatchNode(_maxpool2x2(x.value))
+
+    def activation(self, x: BatchNode, kind: str) -> BatchNode:
+        return BatchNode(_activate(kind, x.value))
+
+    def dropout(self, x: BatchNode, rate: float) -> BatchNode:
+        _check_rate(rate)
+        return x
+
+    def flatten(self, x: BatchNode) -> BatchNode:
+        return BatchNode(x.value.reshape(len(x.value), -1))
+
+    def reshape(self, x: BatchNode, shape) -> BatchNode:
+        return BatchNode(x.value.reshape((len(x.value), *shape)))
+
+    def pad_channels(self, x: BatchNode, channels: int) -> BatchNode:
+        if _check_pad(x.shape, channels) == channels:
+            return x
+        return BatchNode(_pad_channels(x.value, channels))
+
+    def softmerge(self, scales: ScaleGroup, inputs: list[BatchNode]) -> BatchNode:
+        _check_merge(scales, inputs)
+        p = softmax(scales.logits.value)
+        return BatchNode(_softmerge(p, [node.value for node in inputs]))
+
+
+# --- checks shared by both forwards ---------------------------------------------
+# Shapes passed here are one example's shape.
+
+
+def _check_dense(features: int, w: Param, b: Param) -> None:
+    if w.value.ndim != 2 or w.value.shape[0] != features:
+        raise DimensionError(
+            f"dense: input of {features} features vs weight {w.value.shape}")
+    if b.value.shape != (w.value.shape[1],):
+        raise DimensionError("dense: bias shape mismatch")
+
+
+def _check_conv(shape, w: Param, b: Param) -> None:
+    if len(shape) != 3:
+        raise DimensionError(f"conv2d: expected (H, W, C) input, got {shape}")
+    k, k2, cin, cout = w.value.shape
+    if k != k2 or k % 2 != 1:
+        raise DimensionError("conv2d: kernel must be square with odd size")
+    if shape[2] != cin:
+        raise DimensionError(
+            f"conv2d: input has {shape[2]} channels, kernel expects {cin}")
+    if b.value.shape != (cout,):
+        raise DimensionError("conv2d: bias shape mismatch")
+
+
+def _check_pool(shape) -> bool:
+    """Validate a max-pool input; True for a 2-D (H, W) map, which pools
+    as one channel."""
+    if len(shape) not in (2, 3):
+        raise DimensionError(f"maxpool2x2: expected 2-D or 3-D input, got {shape}")
+    if shape[0] < 2 or shape[1] < 2:
+        raise DimensionError(
+            f"maxpool2x2: input {shape[0]}x{shape[1]} smaller than the window")
+    return len(shape) == 2
+
+
+def _check_rate(rate: float) -> None:
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+
+
+def _check_pad(shape, channels: int) -> int:
+    """Validate a channel pad; returns the input's channel count."""
+    if len(shape) != 3:
+        raise DimensionError("pad_channels: expected (H, W, C) input")
+    if shape[2] > channels:
+        raise DimensionError(f"pad_channels: cannot shrink {shape[2]} -> {channels}")
+    return shape[2]
+
+
+def _check_merge(scales: ScaleGroup, inputs: list) -> None:
+    m = len(inputs)
+    if m == 0:
+        raise ConfigError("softmerge of zero inputs")
+    if scales.size != m:
+        raise ConfigError(f"softmerge: {m} inputs but {scales.size} scales")
+    shape = inputs[0].value.shape
+    for node in inputs[1:]:
+        if node.value.shape != shape:
+            raise DimensionError(
+                f"softmerge: mismatched shapes {inputs[0].shape} vs {node.shape}")
+
+
+# --- kernels -------------------------------------------------------------------
+# Each takes any leading batch shape: maps are (..., H, W, C). The maps are
+# small (4x4 to 28x28), so per-call overhead matters as much as arithmetic.
+
+
 def _conv_same(x: Tensor, w: Tensor):
     """Same-padded stride-1 convolution; returns output and the im2col
     matrix (saved for the weight gradient).
 
-    The maps are small (4x4 to 28x28), so per-call overhead outweighs the
-    arithmetic: the padding is one zero buffer with `x` copied into its
-    interior, and the (H, W, k, k, Cin) window view is built directly on
-    that buffer's strides. `cols` rows are (dy, dx, cin) in C order, the
-    layout `w.reshape(k * k * cin, cout)` expects."""
+    The padding is one zero buffer with `x` copied into its interior, and
+    the (..., H, W, k, k, Cin) window view is built directly on that
+    buffer's strides. `cols` rows are (dy, dx, cin) in C order, the layout
+    `w.reshape(k * k * cin, cout)` expects, one row per output pixel."""
     k = w.shape[0]
     cin, cout = w.shape[2], w.shape[3]
-    h, wd = x.shape[:2]
+    lead = x.shape[:-3]
+    h, wd = x.shape[-3:-1]
     pad = k // 2
-    xp = np.zeros((h + 2 * pad, wd + 2 * pad, cin), dtype=x.dtype)
-    xp[pad:pad + h, pad:pad + wd] = x
-    sh, sw, sc = xp.strides
-    win = as_strided(xp, shape=(h, wd, k, k, cin),
-                     strides=(sh, sw, sh, sw, sc), writeable=False)
-    cols = win.reshape(h * wd, k * k * cin)
-    out = (cols @ w.reshape(k * k * cin, cout)).reshape(h, wd, cout)
+    xp = np.zeros((*lead, h + 2 * pad, wd + 2 * pad, cin))
+    xp[..., pad:pad + h, pad:pad + wd, :] = x
+    *sl, sh, sw, sc = xp.strides
+    win = np.ndarray((*lead, h, wd, k, k, cin), xp.dtype, buffer=xp,
+                     strides=(*sl, sh, sw, sh, sw, sc))
+    cols = win.reshape(-1, k * k * cin)
+    out = (cols @ w.reshape(k * k * cin, cout)).reshape(*lead, h, wd, cout)
     return out, cols
+
+
+# The four window positions (dy, dx) in C order, as the argmax numbers them.
+_WINDOW = np.arange(4)
+
+
+def _maxpool2x2(x: Tensor) -> Tensor:
+    """2x2 stride-2 max pool, odd trailing row/column truncated: the
+    elementwise max of the four window positions' strided views."""
+    h2, w2 = x.shape[-3] // 2 * 2, x.shape[-2] // 2 * 2
+    top, bottom = x[..., 0:h2:2, :, :], x[..., 1:h2:2, :, :]
+    return np.maximum(
+        np.maximum(top[..., 0:w2:2, :], top[..., 1:w2:2, :]),
+        np.maximum(bottom[..., 0:w2:2, :], bottom[..., 1:w2:2, :]))
+
+
+def _activate(kind: str, v: Tensor) -> Tensor:
+    if kind == "relu":
+        return np.maximum(v, 0.0)
+    if kind == "elu":
+        return np.where(v > 0, v, np.expm1(v))
+    if kind == "sigmoid":
+        return 1.0 / (1.0 + np.exp(-np.clip(v, -500, 500)))
+    if kind == "tanh":
+        return np.tanh(v)
+    raise ConfigError(f"unknown activation {kind!r}")
+
+
+def _pad_channels(x: Tensor, channels: int) -> Tensor:
+    out = np.zeros((*x.shape[:-1], channels))
+    out[..., :x.shape[-1]] = x
+    return out
+
+
+def _softmerge(p: Tensor, values: list) -> Tensor:
+    out = np.zeros(values[0].shape)
+    for pm, v in zip(p, values):
+        out += pm * v
+    return out
 
 
 def apply_layer(graph: CompGraph, kind: str, x: CGNode,

@@ -289,7 +289,17 @@ def serve_coordinator(bind_addr: str, jobs: list[Job],
                             state.worker_seen[worker_id] = time.monotonic()
                         continue
                     if msg.get("kind") == "result":
-                        result = JobResult.from_obj(msg["result"])
+                        # a result that does not parse, or answers another
+                        # job, is treated like a broken connection: the
+                        # finally block requeues the dispatched job
+                        try:
+                            result = JobResult.from_obj(msg["result"])
+                        except (KeyError, TypeError, ValueError) as e:
+                            raise ConnectionError("malformed result") from e
+                        if result.job_id != current.job_id:
+                            raise ConnectionError(
+                                f"result for job {result.job_id}, "
+                                f"dispatched {current.job_id}")
                         result.worker_id = worker_id
                         with state.lock:
                             state.inflight.pop(result.job_id, None)

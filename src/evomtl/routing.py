@@ -33,7 +33,7 @@ from .dataset import MultitaskSpec
 from .serialize import (
     array_from_obj, array_to_obj, atomic_write_text, canon_dumps, canon_loads,
 )
-from .training import accuracy
+from .training import accuracy, batched_forward
 
 NODE_KINDS = ("source", "sink", "module", "adapter")
 
@@ -375,14 +375,10 @@ def output_divergence(a: RoutingIndividual, b: RoutingIndividual, modules,
     inputs: sqrt(sum |a_i - b_i|^2 / sum |a_i|^2). The batch aggregate is
     used because single random inputs can land near the untrained
     decoder's null space and make a per-input ratio meaningless."""
-    num = den = 0.0
-    for x in inputs:
-        g1, g2 = CompGraph("eval"), CompGraph("eval")
-        va = a.forward(g1, modules, g1.leaf(x)).value
-        vb = b.forward(g2, modules, g2.leaf(x)).value
-        num += float(np.sum((va - vb) ** 2))
-        den += float(np.sum(va ** 2))
-    return math.sqrt(num / den) if den > 0 else 0.0
+    va = batched_forward(lambda g, x: a.forward(g, modules, x), inputs)
+    vb = batched_forward(lambda g, x: b.forward(g, modules, x), inputs)
+    den = float(np.sum(va ** 2))
+    return math.sqrt(float(np.sum((va - vb) ** 2)) / den) if den > 0 else 0.0
 
 
 def joint_train(state: CtrState, spec: MultitaskSpec, m_iters: int, lr: float,

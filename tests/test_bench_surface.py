@@ -1,0 +1,78 @@
+"""The benchmark's full tracer, installed on the live package.
+
+`bench/tracing.py` wraps evomtl functions by name and reads the arguments
+of some of them (a conv's input must be one (H, W, C) example). A rename
+or a changed argument shape would only show in a traced benchmark run;
+here it fails the tests. Nothing under bench/ is written.
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+import evomtl
+import evomtl.cli
+from evomtl import harness
+from evomtl.genome import (
+    GlobalHyper, genome_to_obj, hyper_to_obj, init_module_population,
+)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _ctr_run(out: Path) -> dict:
+    code = evomtl.cli.main([
+        "run", "--algorithm", "ctr", "--synth", "2x3x8", "--seed", "7",
+        "--meta-iters", "1", "--m-iters", "4", "--k-modules", "2",
+        "--filters", "8", "--out", str(out)])
+    assert code == 0
+    return {name: (out / name).read_bytes()
+            for name in ("report.json", "history.jsonl", "ctr_checkpoint.json")}
+
+
+def _cm_job() -> harness.Job:
+    pop = init_module_population(2, 2, np.random.default_rng(3))
+    for g in pop.all_members():
+        for gene in g.nodes.values():
+            gene.kind, gene.kernel_size = "conv2d", 3
+    return harness.Job(0, {
+        "algorithm": "cm",
+        "modules": [genome_to_obj(g) for g in pop.all_members()],
+        "module_ids": [g.genome_id for g in pop.all_members()],
+        "hyper": hyper_to_obj(GlobalHyper(k_modules=2, depth=2)),
+        "hyper_id": 0,
+        "dataset": {"synth": {"seed": 1, "n_tasks": 2, "n_classes": 3,
+                              "image_side": 8, "noise": 0.1},
+                    "split_seed": 2},
+        "seed": 9,
+        "train_iters": 3,
+    })
+
+
+def test_full_tracer_runs_ctr_and_a_cm_job(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    plain_ctr = _ctr_run(tmp_path / "plain")
+    plain_cm = harness.evaluate_local(_cm_job())
+    tr = tracing.Tracer(full=True)
+    tracing.install(tr, evomtl)
+    try:
+        traced_ctr = _ctr_run(tmp_path / "traced")
+        traced_cm = harness.evaluate_local(_cm_job())
+    finally:
+        tr.unpatch()
+    assert not hasattr(evomtl.diffcore.CompGraph.conv2d, "__wrapped__")
+    assert traced_ctr == plain_ctr
+    assert plain_cm.status == "ok"
+    assert (traced_cm.fitness, traced_cm.per_task) == \
+        (plain_cm.fitness, plain_cm.per_task)
+    names = {span[0] for span in tr.spans}
+    for name in ("diffcore.conv2d", "diffcore.conv2d.vjp", "diffcore.maxpool2x2",
+                 "diffcore.backward", "routing.joint_train",
+                 "routing.evaluate_individual", "training.train_network",
+                 "training.evaluate_accuracy", "harness.evaluate_local"):
+        assert name in names, name
+    assert tr.counts["diffcore.tape_nodes"] > 0
+    assert tr.counts["diffcore.conv2d.flops"] > 0
+    # scoring runs without a tape
+    assert tr.counts["diffcore.eval_tape_nodes"] == 0

@@ -5,8 +5,8 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from evomtl.diffcore import (
-    CompGraph, Param, ScaleGroup, _conv_same, adam_step, apply_layer,
-    backward, grad_check, predicted_class, softmax, zero_grads,
+    BatchForward, CompGraph, Param, ScaleGroup, _conv_same, adam_step,
+    apply_layer, backward, grad_check, predicted_class, softmax, zero_grads,
 )
 from evomtl.errors import (
     ConfigError, DataError, DimensionError, NumericError, StateError,
@@ -91,6 +91,110 @@ def test_maxpool_block_and_truncation():
     out = g.maxpool2x2(g.leaf(x))
     assert out.shape == (2, 1, 1)
     assert out.value[0, 0, 0] == 4.0  # max of rows 0-1, col 0-1
+
+
+def _maxpool_reference(x, g):
+    """The take_along_axis / put_along_axis max-pool the tape replaced:
+    pooled x and the input gradient for output gradient g."""
+    squeeze = x.ndim == 2
+    xv = x[..., None] if squeeze else x
+    h, w, c = xv.shape
+    ho, wo = h // 2, w // 2
+    blocks = xv[:ho * 2, :wo * 2, :].reshape(ho, 2, wo, 2, c)
+    blocks = blocks.transpose(0, 2, 4, 1, 3).reshape(ho, wo, c, 4)
+    arg = blocks.argmax(axis=3)
+    out = np.take_along_axis(blocks, arg[..., None], axis=3)[..., 0]
+    gv = g[..., None] if squeeze else g
+    db = np.zeros((ho, wo, c, 4))
+    np.put_along_axis(db, arg[..., None], gv[..., None], axis=3)
+    dx = np.zeros_like(xv)
+    dx[:ho * 2, :wo * 2, :] = (
+        db.reshape(ho, wo, c, 2, 2).transpose(0, 3, 1, 4, 2)
+        .reshape(ho * 2, wo * 2, c))
+    return (out[..., 0], dx[..., 0]) if squeeze else (out, dx)
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 16), (5, 7, 3), (2, 3, 1), (6, 4)])
+def test_maxpool_bit_identical_to_reference(shape):
+    r = rng(len(shape) * 10 + shape[0])
+    x = np.maximum(r.normal(size=shape), 0.0)  # ties at 0 after a relu
+    g = CompGraph("train", r)
+    node = g.maxpool2x2(g.leaf(x))
+    gout = r.normal(size=node.shape)
+    ((_, dx),) = node.vjp(gout)
+    ref_out, ref_dx = _maxpool_reference(x, gout)
+    assert node.value.tobytes() == ref_out.tobytes()
+    assert dx.tobytes() == ref_dx.tobytes()
+    assert dx.shape == x.shape
+    # the batched forward pools every example the same way
+    batch = np.stack([x, x[::-1].copy()])
+    pooled = BatchForward().maxpool2x2(BatchForward().leaf(batch)).value
+    assert pooled[0].tobytes() == ref_out.tobytes()
+    assert pooled[1].tobytes() == _maxpool_reference(x[::-1], gout)[0].tobytes()
+
+
+def test_predicted_class_of_a_batch():
+    logits = np.array([[0.1, 2.0, -1.0], [3.0, 0.0, 3.0], [-1.0, -2.0, -0.5]])
+    assert predicted_class(logits).tolist() == [1, 0, 2]
+    logits[2, 1] = np.nan
+    with pytest.raises(NumericError):
+        predicted_class(logits)
+
+
+def _one_example(forward, value):
+    """Input node holding one example: as is on the tape, as a batch of
+    one on the batched forward."""
+    value = np.asarray(value, dtype=np.float64)
+    if isinstance(forward, BatchForward):
+        value = value[None]
+    return forward.leaf(value)
+
+
+@pytest.mark.parametrize("make", [lambda: CompGraph("eval"), BatchForward],
+                         ids=["tape", "batched"])
+def test_both_forwards_make_the_same_checks(make):
+    f = make()
+    x = _one_example(f, np.ones((4, 4, 2)))
+    w3, b2 = Param("w", np.ones((3, 3, 2, 2))), Param("b", np.zeros(2))
+    with pytest.raises(NumericError):
+        _one_example(f, [[np.nan, 1.0]])
+    with pytest.raises(DimensionError):
+        f.conv2d(_one_example(f, np.ones((4, 4))), w3, b2)
+    with pytest.raises(DimensionError):
+        f.conv2d(x, Param("w", np.ones((2, 2, 2, 2))), b2)  # even kernel
+    with pytest.raises(DimensionError):
+        f.conv2d(x, Param("w", np.ones((3, 3, 1, 2))), b2)  # channels
+    with pytest.raises(DimensionError):
+        f.conv2d(x, w3, Param("b", np.zeros(3)))
+    with pytest.raises(DimensionError):
+        f.dense(x, Param("w", np.ones((31, 2))), b2)
+    with pytest.raises(DimensionError):
+        f.dense(x, Param("w", np.ones((32, 2))), Param("b", np.zeros(3)))
+    with pytest.raises(DimensionError):
+        f.maxpool2x2(_one_example(f, np.ones((1, 4, 2))))
+    with pytest.raises(DimensionError):
+        f.maxpool2x2(_one_example(f, np.ones((4, 4, 2, 1))))
+    with pytest.raises(DimensionError):
+        f.pad_channels(x, 1)
+    with pytest.raises(DimensionError):
+        f.pad_channels(_one_example(f, np.ones(4)), 3)
+    with pytest.raises(ConfigError):
+        f.dropout(x, 1.0)
+    with pytest.raises(ConfigError):
+        f.activation(x, "swish")
+    y = _one_example(f, np.ones((4, 4, 3)))
+    with pytest.raises(DimensionError):
+        f.softmerge(ScaleGroup.uniform("s", 2), [x, y])
+    with pytest.raises(ConfigError):
+        f.softmerge(ScaleGroup.uniform("s", 3), [x, x])
+    with pytest.raises(ConfigError):
+        f.softmerge(ScaleGroup.uniform("s", 1), [])
+    assert f.dropout(x, 0.5) is x
+    assert f.pad_channels(x, 2) is x
+    assert f.pad_channels(x, 5).shape == (4, 4, 5)
+    assert f.reshape(f.flatten(x), (2, 16)).shape == (2, 16)
+    assert f.dense(x, Param("w", np.ones((32, 3))), Param("b", np.zeros(3))
+                   ).shape == (3,)
 
 
 def test_dropout_eval_is_identity_and_train_scales():

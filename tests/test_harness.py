@@ -303,3 +303,41 @@ def test_worker_survives_a_garbage_frame_and_reconnects():
     assert not fake.is_alive()
     assert code == 0
     assert [h["kind"] for h in hellos] == ["hello", "hello"]
+
+
+@pytest.mark.parametrize("bad_result", [
+    {"kind": "result"},  # no result at all
+    {"kind": "result",  # well formed, but for a job never dispatched
+     "result": JobResult(999, "ok", fitness=1.0).to_obj()},
+], ids=["missing", "other-job"])
+def test_coordinator_drops_a_worker_with_a_bad_result(bad_result):
+    # a fake worker answers its job with a bad result frame: the
+    # coordinator drops it and requeues the job, and an honest worker
+    # finishes it; one result per job comes back
+    port = free_port()
+    addr = f"127.0.0.1:{port}"
+    jobs = [Job(1, make_payload(train_iters=0), deadline_s=60)]
+    results_box = {}
+
+    def coordinator():
+        results_box["results"] = serve_coordinator(addr, jobs,
+                                                   global_timeout_s=60)
+
+    coord = threading.Thread(target=coordinator)
+    coord.start()
+    time.sleep(0.2)
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        send_frame(sock, {"kind": "hello", "worker_id": "liar"})
+        assert recv_frame(sock)["job_id"] == 1
+        send_frame(sock, bad_result)
+        assert recv_frame(sock) is None  # dropped, no shutdown sent
+    honest = threading.Thread(
+        target=run_worker, kwargs=dict(coordinator_addr=addr,
+                                       worker_id="honest"))
+    honest.start()
+    coord.join(timeout=60)
+    honest.join(timeout=10)
+    assert not coord.is_alive() and not honest.is_alive()
+    results = results_box["results"]
+    assert [(r.job_id, r.status, r.worker_id) for r in results] == [
+        (1, "ok", "honest")]

@@ -248,8 +248,8 @@ def test_run_ctr_scores_champion_and_challenger_on_one_subset(monkeypatch):
             inside.pop()
 
     def recording_forward(self, g, modules, x):
-        if inside:
-            scored[-1].append(x.value.tobytes())
+        if inside:  # scoring forwards a batch: one row per example
+            scored[-1].extend(row.tobytes() for row in x.value)
         return real_forward(self, g, modules, x)
 
     monkeypatch.setattr(routing, "evaluate_individual", recording_eval)
