@@ -1,12 +1,14 @@
 """Genotype -> trainable network assembly.
 
 Shape discipline that makes weight sharing work everywhere a module is
-used: a module always sees `final_layer_filters` channels (thinner inputs,
-e.g. the raw 1-channel image, are zero-padded on entry), conv genes keep
-spatial size (stride-1 "same"), dense genes first pool their input down
-to 1x1 so the weight matrix is independent of spatial size, and every
-module ends in the fixed-width tail conv. Parameters therefore have the
-same shapes at every location, so aliased realizations are always legal.
+used: module weights are sized for `final_layer_filters` input channels
+(a conv reads a thinner input, e.g. the raw 1-channel image, with its
+kernel's leading channels; only merges and dense genes zero-pad), conv
+genes keep spatial size (stride-1 "same"), dense genes first pool their
+input down to 1x1 so the weight matrix is independent of spatial size,
+and every module ends in the fixed-width tail conv. Parameters therefore
+have the same shapes at every location, so aliased realizations are
+always legal.
 
 Spatial sizes only ever shrink by 2x2 max-pooling, so every size in a
 network lies on the halving chain of the input side; merge points pool
@@ -87,8 +89,9 @@ def _gene_param_shapes(gene: LayerGene, cin: int):
 def _apply_gene(g: CompGraph, gene: LayerGene, x: CGNode, w: Param, b: Param,
                 activation: bool = True) -> CGNode:
     """Run one realized layer gene. Conv keeps the spatial size and
-    requires the map to be at least kernel-sized; dense pools to 1x1 first
-    and emits a (1, 1, filters) map."""
+    requires the map to be at least kernel-sized; dense pools to 1x1,
+    zero-pads channels to its weight rows, and emits a (1, 1, filters)
+    map."""
     if gene.kind == "conv2d":
         if min(x.shape[0], x.shape[1]) < gene.kernel_size:
             raise AssemblyError(
@@ -98,6 +101,7 @@ def _apply_gene(g: CompGraph, gene: LayerGene, x: CGNode, w: Param, b: Param,
     else:
         while x.shape[0] > 1:
             x = g.maxpool2x2(x)
+        x = g.pad_channels(x, w.value.shape[0])
         out = g.dense(g.flatten(x), w, b)
         out = g.reshape(out, (1, 1, gene.filters))
     if activation:
@@ -138,7 +142,6 @@ class ModuleInstance:
                         for n in node_ids}
 
         out_width = {SOURCE: width}
-        self.in_width = {}
         self.params: dict[str, Param] = {}
         self.scale_groups: dict[int, ScaleGroup] = {}
         init = ghyper.weight_init
@@ -147,7 +150,6 @@ class ModuleInstance:
             if n == SOURCE:
                 continue
             cin = max(out_width[p] for p in self.parents[n])
-            self.in_width[n] = cin
             if len(self.parents[n]) > 1:
                 self.scale_groups[n] = ScaleGroup.uniform(
                     f"{label}.merge{n}", len(self.parents[n]))
@@ -179,7 +181,7 @@ class ModuleInstance:
         if x.shape[2] > width:
             raise AssemblyError(
                 f"module input has {x.shape[2]} channels, contract is {width}")
-        vals = {SOURCE: g.pad_channels(x, width)}
+        vals = {SOURCE: x}
         for n in self.order:
             if n == SOURCE:
                 continue
@@ -202,9 +204,7 @@ class ModuleInstance:
                 if min(v.shape[:2]) >= 4:
                     v = g.maxpool2x2(v)
                 return v
-            gene = self.genome.nodes[n]
-            v = g.pad_channels(v, self.in_width[n])
-            vals[n] = _apply_gene(g, gene, v,
+            vals[n] = _apply_gene(g, self.genome.nodes[n], v,
                                   self.params[f"n{n}.w"], self.params[f"n{n}.b"])
         raise AssemblyError("module graph has no sink")  # unreachable
 
@@ -338,11 +338,10 @@ class SoftOrderingNet(AssembledNetwork):
                                        self.out_features, rng, ghyper)
 
     def forward(self, g, task_index, x):
-        y = g.pad_channels(x, self.width)
         for depth in range(len(self.layers)):
-            cands = [layer.apply(g, y) for layer in self.layers]
-            y = merge_aligned(g, self.scales[(task_index, depth)], cands)
-        return self._decode(g, task_index, y)
+            cands = [layer.apply(g, x) for layer in self.layers]
+            x = merge_aligned(g, self.scales[(task_index, depth)], cands)
+        return self._decode(g, task_index, x)
 
     def units(self):
         return self.layers
@@ -373,10 +372,9 @@ class SingleTaskNet(AssembledNetwork):
                                rng, ghyper))
 
     def forward(self, g, task_index, x):
-        y = g.pad_channels(x, self.width)
         for layer in self.chains[task_index]:
-            y = layer.apply(g, y)
-        return self._decode(g, task_index, y)
+            x = layer.apply(g, x)
+        return self._decode(g, task_index, x)
 
     def units(self):
         return [layer for chain in self.chains for layer in chain]

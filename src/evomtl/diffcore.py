@@ -205,23 +205,26 @@ class CompGraph:
         return self._record("dense", out, (x,), vjp)
 
     def conv2d(self, x: CGNode, w: Param, b: Param) -> CGNode:
-        """Stride-1 zero-padded "same" convolution; x is (H, W, Cin),
-        w is (k, k, Cin, Cout), b is (Cout,)."""
+        """Stride-1 zero-padded "same" convolution; x is (H, W, C <= Cin),
+        w is (k, k, Cin, Cout), b is (Cout,); missing channels are zeros."""
         _check_conv(x.value.shape, w, b)
         self._use(w, b)
         out, cols = _conv_same(x.value, w.value)
         out += b.value
-        cout = w.value.shape[3]
-        h, wd = x.value.shape[:2]
+        h, wd, c = x.value.shape
+        k, cout = w.value.shape[0], w.value.shape[3]
 
         def vjp(g):
             gm = g.reshape(h * wd, cout)
-            dw = (cols.T @ gm).reshape(w.value.shape)
-            db = gm.sum(axis=0)
+            dw = np.zeros_like(w.value)  # missing channels' rows stay 0
+            dw[:, :, :c] = (cols.T @ gm).reshape(k, k, c, cout)
+            grads = ((w, dw), (b, gm.sum(axis=0)))
+            if x.vjp is None:  # a leaf, e.g. the image: no input gradient
+                return grads
             # Input gradient is the same-padded convolution of g with the
             # spatially flipped, channel-swapped kernel.
-            dx, _ = _conv_same(g, w.value[::-1, ::-1].transpose(0, 1, 3, 2))
-            return ((x, dx), (w, dw), (b, db))
+            dx, _ = _conv_same(g, w.value[::-1, ::-1, :c].transpose(0, 1, 3, 2))
+            return ((x, dx), *grads)
 
         return self._record("conv2d", out, (x,), vjp)
 
@@ -415,9 +418,9 @@ def _check_conv(shape, w: Param, b: Param) -> None:
     k, k2, cin, cout = w.value.shape
     if k != k2 or k % 2 != 1:
         raise DimensionError("conv2d: kernel must be square with odd size")
-    if shape[2] != cin:
+    if shape[2] > cin:
         raise DimensionError(
-            f"conv2d: input has {shape[2]} channels, kernel expects {cin}")
+            f"conv2d: input has {shape[2]} channels, kernel takes at most {cin}")
     if b.value.shape != (cout,):
         raise DimensionError("conv2d: bias shape mismatch")
 
@@ -466,25 +469,24 @@ def _check_merge(scales: ScaleGroup, inputs: list) -> None:
 
 
 def _conv_same(x: Tensor, w: Tensor):
-    """Same-padded stride-1 convolution; returns output and the im2col
+    """Same-padded stride-1 convolution of `x` (C <= Cin channels) with
+    the kernel's leading C input channels; returns output and the im2col
     matrix (saved for the weight gradient).
 
     The padding is one zero buffer with `x` copied into its interior, and
-    the (..., H, W, k, k, Cin) window view is built directly on that
-    buffer's strides. `cols` rows are (dy, dx, cin) in C order, the layout
-    `w.reshape(k * k * cin, cout)` expects, one row per output pixel."""
-    k = w.shape[0]
-    cin, cout = w.shape[2], w.shape[3]
-    lead = x.shape[:-3]
-    h, wd = x.shape[-3:-1]
+    the (..., H, W, k, k, C) window view is built directly on that
+    buffer's strides. `cols` rows are (dy, dx, c) in C order, one row per
+    output pixel."""
+    k, cout = w.shape[0], w.shape[3]
+    *lead, h, wd, c = x.shape
     pad = k // 2
-    xp = np.zeros((*lead, h + 2 * pad, wd + 2 * pad, cin))
+    xp = np.zeros((*lead, h + 2 * pad, wd + 2 * pad, c))
     xp[..., pad:pad + h, pad:pad + wd, :] = x
     *sl, sh, sw, sc = xp.strides
-    win = np.ndarray((*lead, h, wd, k, k, cin), xp.dtype, buffer=xp,
+    win = np.ndarray((*lead, h, wd, k, k, c), xp.dtype, buffer=xp,
                      strides=(*sl, sh, sw, sh, sw, sc))
-    cols = win.reshape(-1, k * k * cin)
-    out = (cols @ w.reshape(k * k * cin, cout)).reshape(*lead, h, wd, cout)
+    cols = win.reshape(-1, k * k * c)
+    out = (cols @ w[:, :, :c].reshape(-1, cout)).reshape(*lead, h, wd, cout)
     return out, cols
 
 

@@ -232,6 +232,8 @@ class _CoordinatorState:
         self.results: dict[int, JobResult] = {}
         self.total = len(jobs)
         self.worker_seen: dict[str, float] = {}
+        # last hello, heartbeat or result of any worker
+        self.last_progress = time.monotonic()
 
     def done(self) -> bool:
         return len(self.results) >= self.total
@@ -244,7 +246,9 @@ def serve_coordinator(bind_addr: str, jobs: list[Job],
     At-least-once semantics: a job whose worker disconnects, goes silent
     past the liveness timeout, or blows its deadline goes back in the
     queue; the first result recorded for a job_id wins and duplicates are
-    discarded.
+    discarded. Raises HarnessError once no worker has sent a hello,
+    heartbeat or result for `global_timeout_s`, so a slow but live
+    generation runs on.
     """
     host, port_s = bind_addr.rsplit(":", 1)
     state = _CoordinatorState(jobs)
@@ -266,6 +270,7 @@ def serve_coordinator(bind_addr: str, jobs: list[Job],
             worker_id = str(hello.get("worker_id", "?"))
             with state.lock:
                 state.worker_seen[worker_id] = time.monotonic()
+                state.last_progress = state.worker_seen[worker_id]
             while not stop.is_set():
                 with state.lock:
                     while (not state.pending and not state.done()
@@ -287,6 +292,7 @@ def serve_coordinator(bind_addr: str, jobs: list[Job],
                     if msg.get("kind") == "heartbeat":
                         with state.lock:
                             state.worker_seen[worker_id] = time.monotonic()
+                            state.last_progress = state.worker_seen[worker_id]
                         continue
                     if msg.get("kind") == "result":
                         # a result that does not parse, or answers another
@@ -302,6 +308,7 @@ def serve_coordinator(bind_addr: str, jobs: list[Job],
                                 f"dispatched {current.job_id}")
                         result.worker_id = worker_id
                         with state.lock:
+                            state.last_progress = time.monotonic()
                             state.inflight.pop(result.job_id, None)
                             # first result per job_id wins
                             if result.job_id not in state.results:
@@ -332,7 +339,6 @@ def serve_coordinator(bind_addr: str, jobs: list[Job],
                     st.pending.append(job)
 
     threads = []
-    start = time.monotonic()
     try:
         while True:
             with state.lock:
@@ -340,11 +346,13 @@ def serve_coordinator(bind_addr: str, jobs: list[Job],
                 if state.done():
                     break
                 any_worker = bool(state.worker_seen)
-            if not any_worker and time.monotonic() - start > global_timeout_s:
+                idle = time.monotonic() - state.last_progress
+            if idle > global_timeout_s:
+                if not any_worker:
+                    raise HarnessError(
+                        f"no workers connected within {global_timeout_s}s")
                 raise HarnessError(
-                    f"no workers connected within {global_timeout_s}s")
-            if time.monotonic() - start > global_timeout_s:
-                raise HarnessError(f"jobs unfinished after {global_timeout_s}s")
+                    f"jobs unfinished: no worker progress for {global_timeout_s}s")
             try:
                 conn, _ = server.accept()
             except socket.timeout:

@@ -257,10 +257,20 @@ def default_ctr_modules(k: int, image_side: int, rng: np.random.Generator,
     return modules
 
 
+def _chain_fits(modules, side: int) -> bool:
+    try:
+        for module in modules:
+            side = module.out_side(side)
+    except AssemblyError:
+        return False
+    return True
+
+
 def init_ctr(modules: list[ModuleInstance], spec: MultitaskSpec,
              rng: np.random.Generator) -> CtrState:
     """Champions start as the classical chain through every module, with
-    an adapter after each module whose output is at least 4x4."""
+    an adapter after each module whose output is at least 4x4, unless the
+    modules after it would no longer fit the halved map."""
     if not modules:
         raise ConfigError("need at least one shared module")
     width = modules[0].ghyper.final_layer_filters
@@ -276,7 +286,7 @@ def init_ctr(modules: list[ModuleInstance], spec: MultitaskSpec,
             graph.add_edge(prev, nid)
             prev = nid
             side = module.out_side(side)
-            if side >= 4:
+            if side >= 4 and _chain_fits(modules[k + 1:], side // 2):
                 aid = graph.add_node("adapter")
                 graph.add_edge(prev, aid)
                 prev = aid

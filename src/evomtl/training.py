@@ -16,9 +16,10 @@ from .diffcore import (
 )
 
 # Input rows (examples x H x W) one scoring forward holds at a time. A
-# batch's im2col matrices grow with it: on 28x28 images, scoring a whole
-# split at once raised a cm run's peak RSS from 60 to 97 MB, while at this
-# size it stayed where per-example scoring left it.
+# batch's im2col matrices grow with it: on the benchmark's cm-pgm28 run
+# (28x28 images, seed 1), scoring a whole split at once raised peak RSS
+# from 50 to 73 MB, while at this size it stayed where per-example
+# scoring left it (50 MB).
 SCORE_CHUNK_ROWS = 1024
 
 

@@ -3,7 +3,9 @@
 `bench/tracing.py` wraps evomtl functions by name and reads the arguments
 of some of them (a conv's input must be one (H, W, C) example). A rename
 or a changed argument shape would only show in a traced benchmark run;
-here it fails the tests. Nothing under bench/ is written.
+here it fails the tests. So would a network that pads the image up to a
+conv's kernel width again, or a tracer that counts conv flops from the
+kernel's channels instead of the input's. Nothing under bench/ is written.
 """
 
 from pathlib import Path
@@ -54,6 +56,14 @@ def test_full_tracer_runs_ctr_and_a_cm_job(tmp_path, monkeypatch):
     import tracing
     plain_ctr = _ctr_run(tmp_path / "plain")
     plain_cm = harness.evaluate_local(_cm_job())
+    shapes = []  # (input, kernel) shape of every tape conv
+    conv2d = evomtl.diffcore.CompGraph.conv2d
+
+    def counting_conv2d(graph, x, w, b):
+        shapes.append((x.value.shape, w.value.shape))
+        return conv2d(graph, x, w, b)
+
+    monkeypatch.setattr(evomtl.diffcore.CompGraph, "conv2d", counting_conv2d)
     tr = tracing.Tracer(full=True)
     tracing.install(tr, evomtl)
     try:
@@ -62,6 +72,7 @@ def test_full_tracer_runs_ctr_and_a_cm_job(tmp_path, monkeypatch):
     finally:
         tr.unpatch()
     assert not hasattr(evomtl.diffcore.CompGraph.conv2d, "__wrapped__")
+    assert evomtl.diffcore.CompGraph.conv2d is counting_conv2d
     assert traced_ctr == plain_ctr
     assert plain_cm.status == "ok"
     assert (traced_cm.fitness, traced_cm.per_task) == \
@@ -74,5 +85,10 @@ def test_full_tracer_runs_ctr_and_a_cm_job(tmp_path, monkeypatch):
         assert name in names, name
     assert tr.counts["diffcore.tape_nodes"] > 0
     assert tr.counts["diffcore.conv2d.flops"] > 0
+    # the image enters its first convs unpadded, and the tracer counts
+    # the work those convs do on the real channels
+    assert any(x[2] < w[2] for x, w in shapes)
+    assert tr.counts["diffcore.conv2d.flops"] == sum(
+        2 * h * wd * k * k * c * cout for (h, wd, c), (k, _, _, cout) in shapes)
     # scoring runs without a tape
     assert tr.counts["diffcore.eval_tape_nodes"] == 0

@@ -75,6 +75,101 @@ def test_conv_same_bit_identical_to_reference(k, cin, hw, layout):
     assert np.array_equal(out, ref_out)
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("c, cin", [(1, 8), (3, 8), (8, 8)])
+@pytest.mark.parametrize("side", [4, 7, 12, 28])
+def test_narrow_conv_matches_pad_then_conv(k, c, cin, side):
+    r = rng(k * 1000 + c * 100 + side)
+    cout = 5
+    x = r.normal(size=(side, side, c))
+    w = Param("w", r.normal(size=(k, k, cin, cout)))
+    b = Param("b", r.normal(size=cout))
+    xp = np.zeros((side, side, cin))
+    xp[:, :, :c] = x
+    ref_out, ref_cols = _conv_same_reference(xp, w.value)
+    ref_out += b.value
+    gout = r.normal(size=(side, side, cout))
+    gm = gout.reshape(-1, cout)
+    ref_dw = (ref_cols.T @ gm).reshape(w.value.shape)
+    ref_dx, _ = _conv_same_reference(
+        gout, w.value[::-1, ::-1].transpose(0, 1, 3, 2))
+
+    g = CompGraph("train", r)
+    # a non-leaf input, so the vjp computes an input gradient
+    xn = g.reshape(g.leaf(x), x.shape)
+    node = g.conv2d(xn, w, b)
+    grads = {id(t): tg for t, tg in node.vjp(gout)}
+    np.testing.assert_allclose(node.value, ref_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads[id(w)], ref_dw, rtol=0, atol=1e-12)
+    assert not grads[id(w)][:, :, c:].any()
+    np.testing.assert_allclose(grads[id(b)], gm.sum(axis=0), rtol=0, atol=1e-12)
+    assert grads[id(xn)].shape == x.shape
+    np.testing.assert_allclose(grads[id(xn)], ref_dx[:, :, :c], rtol=0,
+                               atol=1e-12)
+
+    f = BatchForward()
+    batch = np.stack([x, -x])
+    out = f.conv2d(f.leaf(batch), w, b).value
+    np.testing.assert_allclose(out[0], ref_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out[1], 2 * b.value - ref_out, rtol=0,
+                               atol=1e-12)
+
+
+def test_grad_check_narrow_convs():
+    # the image is 1 channel against a 2-channel kernel; the second conv
+    # reads a 2-channel relu against a 4-channel kernel, so its input
+    # gradient reaches w1
+    r = rng(21)
+    w1 = Param("w1", 0.5 * r.normal(size=(3, 3, 2, 2)))
+    b1 = Param("b1", 0.1 * r.normal(size=2))
+    w2 = Param("w2", 0.5 * r.normal(size=(3, 3, 4, 3)))
+    b2 = Param("b2", 0.1 * r.normal(size=3))
+    w3 = Param("w3", 0.5 * r.normal(size=(3 * 5 * 5, 3)), l2_strength=1e-3)
+    b3 = Param("b3", np.zeros(3))
+    x = r.normal(size=(5, 5, 1))
+
+    def builder():
+        g = CompGraph("train", rng(11))
+        h = g.activation(g.conv2d(g.leaf(x), w1, b1), "relu")
+        h = g.activation(g.conv2d(h, w2, b2), "tanh")
+        return g, g.cross_entropy(g.dense(g.flatten(h), w3, b3), 1)
+
+    report = grad_check(builder, 1e-4)
+    assert report.passed, report
+    g, loss = builder()
+    zero_grads([w1, w2])
+    backward(g, loss)
+    assert not w1.grad[:, :, 1:].any() and not w2.grad[:, :, 2:].any()
+
+
+def test_conv_input_gradient_only_for_non_leaf_inputs(monkeypatch):
+    import evomtl.diffcore as dc
+    calls = []
+    real = dc._conv_same
+
+    def counting(x, w):
+        calls.append(x.shape)
+        return real(x, w)
+
+    monkeypatch.setattr(dc, "_conv_same", counting)
+    w = Param("w", np.ones((3, 3, 4, 2)))
+    b = Param("b", np.zeros(2))
+    g = CompGraph("train", rng())
+    leaf = g.leaf(np.ones((4, 4, 1)))
+    node = g.conv2d(leaf, w, b)
+    assert len(calls) == 1
+    grads = node.vjp(np.ones((4, 4, 2)))
+    assert len(calls) == 1
+    assert [t for t, _ in grads] == [w, b]
+    calls.clear()
+    inner = g.activation(leaf, "relu")
+    node = g.conv2d(inner, w, b)
+    assert len(calls) == 1
+    grads = node.vjp(np.ones((4, 4, 2)))
+    assert calls == [(4, 4, 1), (4, 4, 2)]
+    assert grads[0][0] is inner and grads[0][1].shape == (4, 4, 1)
+
+
 def test_predicted_class_raises_on_nan_logits():
     assert predicted_class(np.array([0.1, 2.0, -1.0])) == 1
     for logits in ([np.nan, 1.0, 0.0], [0.0, 1.0, np.nan]):

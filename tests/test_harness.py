@@ -176,6 +176,69 @@ def test_no_worker_timeout():
         serve_coordinator(addr, [Job(0, make_payload())], global_timeout_s=1.0)
 
 
+def _fake_worker(port, work_s, heartbeat_s):
+    """Say hello, take one job, heartbeat every `heartbeat_s` (never, if
+    None) and return an ok result after `work_s`."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+    try:
+        send_frame(sock, {"kind": "hello", "worker_id": "slow"})
+        job = recv_frame(sock)
+        t_end = time.monotonic() + work_s
+        while time.monotonic() < t_end:
+            time.sleep(heartbeat_s or 0.05)
+            if heartbeat_s:
+                send_frame(sock, {"kind": "heartbeat", "worker_id": "slow"})
+        result = JobResult(job["job_id"], "ok", fitness=0.5, worker_id="slow")
+        send_frame(sock, {"kind": "result", "result": result.to_obj()})
+        recv_frame(sock)  # shutdown
+    except OSError:
+        pass
+    finally:
+        sock.close()
+
+
+@pytest.mark.parametrize("heartbeat_s", [0.2, None],
+                         ids=["heartbeating", "silent"])
+def test_global_timeout_counts_from_the_last_progress(heartbeat_s):
+    # the run takes twice the global timeout: a heartbeating worker keeps
+    # it alive, a silent one does not
+    port = free_port()
+    addr = f"127.0.0.1:{port}"
+    box = {}
+
+    def coordinator():
+        try:
+            box["results"] = serve_coordinator(
+                addr, [Job(0, {}, deadline_s=60)], global_timeout_s=0.8)
+        except HarnessError as e:
+            box["error"] = e
+
+    coord = threading.Thread(target=coordinator)
+    coord.start()
+    time.sleep(0.2)
+    worker = threading.Thread(target=_fake_worker, args=(port, 1.6, heartbeat_s),
+                              daemon=True)
+    worker.start()
+    coord.join(timeout=30)
+    worker.join(timeout=30)
+    assert not coord.is_alive() and not worker.is_alive()
+    if heartbeat_s:
+        assert "error" not in box
+        assert [(r.status, r.fitness) for r in box["results"]] == [("ok", 0.5)]
+    else:
+        assert "results" not in box and "error" in box
+
+
+def test_cmtr_payload_at_side_8_with_kernel_3_modules():
+    # the initial routing chain must leave the second module a map its
+    # kernel-3 genes fit: no adapter where the rest would not assemble
+    payload = make_payload(side=8)
+    payload["algorithm"] = "cmtr"
+    payload["ctr"] = {"meta_iters": 1, "m_iters": 2, "alpha": 0.1, "lr": 0.01}
+    result = evaluate_local(Job(0, payload))
+    assert result.status == "ok", result.message
+
+
 def test_worker_requires_address(monkeypatch):
     monkeypatch.delenv("EVOMTL_COORDINATOR_ADDR", raising=False)
     with pytest.raises(HarnessError):
