@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT_DEADLINE_S
 from .errors import ConfigError, StateError
 from .genome import (
     GlobalHyper, MutationRates, SpeciesPopulation, genome_to_obj, hyper_to_obj,
@@ -47,7 +48,7 @@ class GenerationPlan:
     stagnation_limit: int = 10
     max_generations: int | None = None
     elite_frac: float = 0.2
-    deadline_s: float = 600.0
+    deadline_s: float = DEFAULT_DEADLINE_S
     ctr: dict | None = None             # meta_iters, m_iters, alpha, lr, ...
 
     def __post_init__(self):

@@ -15,6 +15,9 @@ from dataclasses import asdict, dataclass
 
 from .errors import ConfigError, ParseError
 
+# Seconds a job may run before the coordinator requeues it.
+DEFAULT_DEADLINE_S = 600.0
+
 ALGORITHMS = ("baseline-single", "baseline-soft", "cm", "cmsr", "ctr", "cmtr")
 
 PROFILES = {
@@ -84,7 +87,7 @@ class ExperimentConfig:
 
     # execution
     serve: str | None = None
-    deadline_s: float = 600.0
+    deadline_s: float = DEFAULT_DEADLINE_S
     plan_only: bool = False
 
     def check(self) -> None:

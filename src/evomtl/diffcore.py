@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError, StateError
+from .errors import (
+    ConfigError, DataError, DimensionError, NumericError, StateError,
+)
 
 # Exposed so callers can write shape/type contracts against it.
 Tensor = np.ndarray
@@ -171,7 +173,6 @@ class CompGraph:
         self.mode = mode
         self.rng = rng
         self.nodes: list[CGNode] = []
-        self.params: dict[int, Param] = {}  # insertion-ordered, keyed by id()
 
     # -- plumbing ---------------------------------------------------------
 
@@ -179,10 +180,6 @@ class CompGraph:
         node = CGNode(value, op, parents, vjp)
         self.nodes.append(node)
         return node
-
-    def _use(self, *params: Param):
-        for p in params:
-            self.params.setdefault(id(p), p)
 
     def leaf(self, value) -> CGNode:
         """Constant input node (no gradient past it)."""
@@ -193,7 +190,6 @@ class CompGraph:
     def dense(self, x: CGNode, w: Param, b: Param) -> CGNode:
         xf = x.value.reshape(-1)
         _check_dense(xf.size, w, b)
-        self._use(w, b)
         out = xf @ w.value + b.value
         in_shape = x.value.shape
 
@@ -208,16 +204,16 @@ class CompGraph:
         """Stride-1 zero-padded "same" convolution; x is (H, W, C <= Cin),
         w is (k, k, Cin, Cout), b is (Cout,); missing channels are zeros."""
         _check_conv(x.value.shape, w, b)
-        self._use(w, b)
         out, cols = _conv_same(x.value, w.value)
         out += b.value
         h, wd, c = x.value.shape
-        k, cout = w.value.shape[0], w.value.shape[3]
+        k, _, cin, cout = w.value.shape
 
         def vjp(g):
             gm = g.reshape(h * wd, cout)
-            dw = np.zeros_like(w.value)  # missing channels' rows stay 0
-            dw[:, :, :c] = (cols.T @ gm).reshape(k, k, c, cout)
+            dw = (cols.T @ gm).reshape(k, k, c, cout)
+            if c < cin:  # missing channels' rows stay 0
+                dw = np.concatenate((dw, np.zeros((k, k, cin - c, cout))), axis=2)
             grads = ((w, dw), (b, gm.sum(axis=0)))
             if x.vjp is None:  # a leaf, e.g. the image: no input gradient
                 return grads
@@ -300,7 +296,6 @@ class CompGraph:
 
     def softmerge(self, scales: ScaleGroup, inputs: list[CGNode]) -> CGNode:
         _check_merge(scales, inputs)
-        self._use(scales.logits)
         p = softmax(scales.logits.value)
         out = _softmerge(p, [node.value for node in inputs])
 
@@ -318,13 +313,13 @@ class CompGraph:
         v = logits.value
         if v.ndim != 1 or v.size < 2:
             raise DimensionError("cross_entropy: logits must be a vector of >= 2")
-        from .errors import DataError
         if not 0 <= label < v.size:
             raise DataError(f"label {label} out of range for {v.size} classes")
         shifted = v - np.max(v)
-        logz = math.log(np.exp(shifted).sum())
-        loss = np.array(logz - shifted[label])
-        p = softmax(v)
+        e = np.exp(shifted)
+        z = e.sum()
+        loss = np.array(math.log(z) - shifted[label])
+        p = e / z  # softmax(v), sharing the exp
 
         def vjp(g):
             d = p.copy()
@@ -476,12 +471,16 @@ def _conv_same(x: Tensor, w: Tensor):
     The padding is one zero buffer with `x` copied into its interior, and
     the (..., H, W, k, k, C) window view is built directly on that
     buffer's strides. `cols` rows are (dy, dx, c) in C order, one row per
-    output pixel."""
+    output pixel. At k=1 there is no padding: the view is built on `x`
+    itself, so for a C-contiguous `x` `cols` is a view of it, not a copy."""
     k, cout = w.shape[0], w.shape[3]
     *lead, h, wd, c = x.shape
     pad = k // 2
-    xp = np.zeros((*lead, h + 2 * pad, wd + 2 * pad, c))
-    xp[..., pad:pad + h, pad:pad + wd, :] = x
+    if pad:
+        xp = np.zeros((*lead, h + 2 * pad, wd + 2 * pad, c))
+        xp[..., pad:pad + h, pad:pad + wd, :] = x
+    else:
+        xp = np.ascontiguousarray(x)
     *sl, sh, sw, sc = xp.strides
     win = np.ndarray((*lead, h, wd, k, k, c), xp.dtype, buffer=xp,
                      strides=(*sl, sh, sw, sh, sw, sc))
@@ -549,8 +548,9 @@ def apply_layer(graph: CompGraph, kind: str, x: CGNode,
     raise ConfigError(f"unknown layer kind {kind!r}")
 
 
-def backward(graph: CompGraph, loss: CGNode) -> None:
-    """Accumulate d(loss)/d(param) into every reachable Param's .grad.
+def backward(graph: CompGraph, loss: CGNode) -> list[Param]:
+    """Accumulate d(loss)/d(param) into every reachable Param's .grad and
+    return those Params.
 
     Params used at several sites (or aliased across modules) receive one
     combined contribution; the L2 term l2_strength * value is added once
@@ -558,40 +558,29 @@ def backward(graph: CompGraph, loss: CGNode) -> None:
     """
     if not graph.nodes:
         raise StateError("backward before any forward pass")
-    tape_ids = {id(n) for n in graph.nodes}
-    if id(loss) not in tape_ids:
+    if loss not in graph.nodes:  # CGNode has identity equality
         raise StateError("loss node does not belong to this graph")
     if loss.value.size != 1:
         raise StateError("loss must be scalar")
 
-    node_grads: dict[int, Tensor] = {id(loss): np.ones_like(loss.value)}
-    param_grads: dict[int, Tensor] = {}
-    params_seen: dict[int, Param] = {}
+    # Both maps are keyed by the node or Param object itself (identity hash).
+    node_grads: dict[CGNode, Tensor] = {loss: np.ones_like(loss.value)}
+    param_grads: dict[Param, Tensor] = {}
 
     for node in reversed(graph.nodes):
-        g = node_grads.pop(id(node), None)
+        g = node_grads.pop(node, None)
         if g is None or node.vjp is None:
             continue
         for target, tg in node.vjp(g):
-            if isinstance(target, Param):
-                key = id(target)
-                params_seen[key] = target
-                if key in param_grads:
-                    param_grads[key] = param_grads[key] + tg
-                else:
-                    param_grads[key] = tg
-            else:
-                key = id(target)
-                if key in node_grads:
-                    node_grads[key] = node_grads[key] + tg
-                else:
-                    node_grads[key] = tg
+            grads = param_grads if type(target) is Param else node_grads
+            prev = grads.get(target)
+            grads[target] = tg if prev is None else prev + tg
 
-    for key, g in param_grads.items():
-        p = params_seen[key]
+    for p, g in param_grads.items():
         p.grad += g
         if p.l2_strength:
             p.grad += p.l2_strength * p.value
+    return list(param_grads)
 
 
 def zero_grads(params) -> None:
@@ -615,14 +604,19 @@ def adam_step(params, learning_rate: float) -> None:
     if learning_rate <= 0:
         raise ConfigError(f"learning rate must be positive, got {learning_rate}")
     for p in _unique_params(params):
-        if not np.all(np.isfinite(p.grad)):
+        if not np.isfinite(p.grad).all():
             raise NumericError(f"NaN/Inf gradient in parameter {p.name!r}")
         p.step_count += 1
         t = p.step_count
-        p.adam_m = ADAM_BETA1 * p.adam_m + (1 - ADAM_BETA1) * p.grad
-        p.adam_v = ADAM_BETA2 * p.adam_v + (1 - ADAM_BETA2) * p.grad ** 2
-        m_hat = p.adam_m / (1 - ADAM_BETA1 ** t)
-        v_hat = p.adam_v / (1 - ADAM_BETA2 ** t)
+        # m, v and value change in place, each rounding step as in
+        # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g ** 2
+        m, v = p.adam_m, p.adam_v
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * p.grad
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * p.grad ** 2
+        m_hat = m / (1 - ADAM_BETA1 ** t)
+        v_hat = v / (1 - ADAM_BETA2 ** t)
         p.value -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         p.grad[...] = 0.0
 
@@ -648,7 +642,7 @@ def grad_check(builder, tolerance: float, epsilon: float = 1e-4) -> GradCheckRep
     if not np.array_equal(l1.value, l2.value):
         raise StateError("grad_check builder is non-deterministic")
 
-    params = _unique_params(g1.params.values())
+    params = backward(g2, l2)
     zero_grads(params)
     backward(g1, l1)
     analytic = [p.grad.copy() for p in params]

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import CmGridNet, CmsrNet, realize_module
+from .config import DEFAULT_DEADLINE_S
 from .dataset import load_image_dir, split_fixed, synth_generate
 from .errors import EvoMtlError, HarnessError, ParseError
 from .genome import genome_from_obj, hyper_from_obj
@@ -48,7 +49,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 class Job:
     job_id: int
     payload: dict
-    deadline_s: float = 300.0
+    deadline_s: float = DEFAULT_DEADLINE_S
 
 
 @dataclass
@@ -434,7 +435,7 @@ def run_worker(coordinator_addr: str | None = None,
                 if kind != "job":
                     continue
                 job = Job(int(msg["job_id"]), msg["payload"],
-                          float(msg.get("deadline_s", 300.0)))
+                          float(msg.get("deadline_s", DEFAULT_DEADLINE_S)))
                 result = evaluate_local(job, worker_id=wid)
                 send_frame(sock, {"kind": "result", "result": result.to_obj()},
                            send_lock)

@@ -46,7 +46,9 @@ class RNode:
 
 class RoutingGraph:
     """Task-routing DAG. Inbound edge order is stable per node; a node's
-    ScaleGroup logit i belongs to its i-th inbound edge."""
+    ScaleGroup logit i belongs to its i-th inbound edge. Nodes and edges
+    are added only through `add_node`/`add_edge`, which drop the cached
+    topological order."""
 
     def __init__(self, task_id: str):
         self.task_id = task_id
@@ -54,6 +56,7 @@ class RoutingGraph:
         self.inbound: dict[int, list[int]] = {}
         self.scale_groups: dict[int, ScaleGroup] = {}
         self._next = 0
+        self._order: tuple[int, ...] | None = None
         self.source_id = self.add_node("source")
         self.sink_id = self.add_node("sink")
 
@@ -62,10 +65,12 @@ class RoutingGraph:
         self._next += 1
         self.nodes[nid] = RNode(kind, module_index)
         self.inbound[nid] = []
+        self._order = None
         return nid
 
     def add_edge(self, src: int, dst: int) -> None:
         self.inbound[dst].append(src)
+        self._order = None
 
     def edges(self):
         for dst, srcs in self.inbound.items():
@@ -78,8 +83,11 @@ class RoutingGraph:
             out[src].append(dst)
         return out
 
-    def topo_order(self) -> list[int]:
-        return topo_order(self.nodes.keys(), dict(enumerate(self.edges())))
+    def topo_order(self) -> tuple[int, ...]:
+        if self._order is None:
+            self._order = tuple(topo_order(self.nodes.keys(),
+                                           dict(enumerate(self.edges()))))
+        return self._order
 
     def ancestors(self, node: int) -> set[int]:
         seen = set()
@@ -98,6 +106,7 @@ class RoutingGraph:
         g.inbound = {n: list(srcs) for n, srcs in self.inbound.items()}
         g.scale_groups = {n: sg.copy() for n, sg in self.scale_groups.items()}
         g._next = self._next
+        g._order = self._order
         g.source_id = self.source_id
         g.sink_id = self.sink_id
         return g
@@ -578,6 +587,7 @@ def _individual_from_obj(obj) -> RoutingIndividual:
     graph.inbound = {int(n): [int(s) for s in srcs]
                      for n, srcs in obj["inbound"].items()}
     graph._next = int(obj["next"])
+    graph._order = None
     graph.source_id = int(obj["source_id"])
     graph.sink_id = int(obj["sink_id"])
     graph.scale_groups = {}

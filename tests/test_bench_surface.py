@@ -92,3 +92,50 @@ def test_full_tracer_runs_ctr_and_a_cm_job(tmp_path, monkeypatch):
         2 * h * wd * k * k * c * cout for (h, wd, c), (k, _, _, cout) in shapes)
     # scoring runs without a tape
     assert tr.counts["diffcore.eval_tape_nodes"] == 0
+
+
+def test_optimiser_steps_and_tape_nodes_reach_the_tracer(tmp_path, monkeypatch):
+    # The untraced benchmark probes host speed before every PROBE_EVERY-th
+    # adam_step, found through the diffcore module attribute; the full
+    # tracer counts tape nodes in CompGraph._record. A ctr run must
+    # therefore step the optimiser once per joint-training iteration
+    # through that attribute, and record every node backward sweeps.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    dc = evomtl.diffcore
+    meta_iters, m_iters = 2, 4
+    argv = ["run", "--algorithm", "ctr", "--synth", "2x3x8", "--seed", "7",
+            "--meta-iters", str(meta_iters), "--m-iters", str(m_iters),
+            "--k-modules", "2", "--filters", "8"]
+    steps, swept = [], []
+    adam_step, backward = dc.adam_step, dc.backward
+
+    def counting_adam_step(params, lr):
+        steps.append(lr)
+        return adam_step(params, lr)
+
+    def counting_backward(graph, loss):
+        swept.append(len(graph.nodes))
+        return backward(graph, loss)
+
+    tr = tracing.Tracer(full=False)
+    tr.patch(dc, "adam_step", counting_adam_step)
+    tracing.install(tr, evomtl)
+    try:
+        assert evomtl.cli.main([*argv, "--out", str(tmp_path / "a")]) == 0
+    finally:
+        tr.unpatch()
+    assert len(steps) == meta_iters * m_iters
+    # one probe as each meta-iteration opens, one per PROBE_EVERY steps
+    assert len(tr.samples["host.probes"]) == \
+        meta_iters + len(steps) // tracing.PROBE_EVERY
+
+    tr = tracing.Tracer(full=True)
+    tr.patch(dc, "backward", counting_backward)
+    tracing.install(tr, evomtl)
+    try:
+        assert evomtl.cli.main([*argv, "--out", str(tmp_path / "b")]) == 0
+    finally:
+        tr.unpatch()
+    assert dc.adam_step is adam_step and dc.backward is backward
+    assert swept and tr.counts["diffcore.tape_nodes"] == sum(swept)

@@ -142,6 +142,46 @@ def test_grad_check_narrow_convs():
     assert not w1.grad[:, :, 1:].any() and not w2.grad[:, :, 2:].any()
 
 
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_k1_conv_cols_alias_a_contiguous_input(lead):
+    r = rng(4)
+    x = r.normal(size=(*lead, 5, 6, 4))
+    w = r.normal(size=(1, 1, 4, 3))
+    out, cols = _conv_same(x, w)
+    assert np.shares_memory(cols, x)
+    if not lead:
+        ref_out, ref_cols = _conv_same_reference(x, w)
+        assert np.array_equal(cols, ref_cols)
+        assert np.array_equal(out, ref_out)
+    # a strided input is copied, and k=3 always builds its own buffer
+    assert not np.shares_memory(_conv_same(x[..., :2], w)[1], x)
+    assert not np.shares_memory(
+        _conv_same(x, r.normal(size=(3, 3, 4, 3)))[1], x)
+
+
+def test_no_tape_op_writes_a_node_value_in_place():
+    # k=1 convs keep a view of their input for the weight gradient, so a
+    # node value written after its op ran would corrupt that gradient
+    r = rng(8)
+    w1 = Param("w1", r.normal(size=(1, 1, 3, 3)))
+    w3 = Param("w3", r.normal(size=(3, 3, 3, 3)))
+    b = Param("b", r.normal(size=3))
+    wd = Param("wd", r.normal(size=(12, 4)), l2_strength=1e-3)
+    bd = Param("bd", r.normal(size=4))
+    g = CompGraph("train", rng(1))
+    x = g.leaf(r.normal(size=(4, 4, 2)))
+    h = g.reshape(g.conv2d(x, w1, b), (4, 4, 3))
+    a = g.activation(g.conv2d(h, w1, b), "relu")
+    c = g.activation(g.conv2d(h, w3, b), "elu")
+    p = g.activation(g.pad_channels(x, 3), "sigmoid")
+    m = g.softmerge(ScaleGroup("m", Param("s", r.normal(size=3))), [a, c, p])
+    h = g.dropout(g.maxpool2x2(g.activation(m, "tanh")), 0.25)
+    loss = g.cross_entropy(g.dense(g.flatten(h), wd, bd), 2)
+    before = [n.value.copy() for n in g.nodes]
+    backward(g, loss)
+    assert all(np.array_equal(n.value, v) for n, v in zip(g.nodes, before))
+
+
 def test_conv_input_gradient_only_for_non_leaf_inputs(monkeypatch):
     import evomtl.diffcore as dc
     calls = []
@@ -538,6 +578,111 @@ def test_param_alias_bit_exact():
     adam_step(users, 0.05)
     assert users[0].value is users[1].value
     assert np.array_equal(users[0].value, users[1].value)
+
+
+def _backward_reference(graph, loss):
+    """The id-keyed backward sweep the identity-keyed one replaced."""
+    tape_ids = {id(n) for n in graph.nodes}
+    assert id(loss) in tape_ids
+    node_grads = {id(loss): np.ones_like(loss.value)}
+    param_grads = {}
+    params_seen = {}
+    for node in reversed(graph.nodes):
+        g = node_grads.pop(id(node), None)
+        if g is None or node.vjp is None:
+            continue
+        for target, tg in node.vjp(g):
+            if isinstance(target, Param):
+                key = id(target)
+                params_seen[key] = target
+                if key in param_grads:
+                    param_grads[key] = param_grads[key] + tg
+                else:
+                    param_grads[key] = tg
+            else:
+                key = id(target)
+                if key in node_grads:
+                    node_grads[key] = node_grads[key] + tg
+                else:
+                    node_grads[key] = tg
+    for key, g in param_grads.items():
+        p = params_seen[key]
+        p.grad += g
+        if p.l2_strength:
+            p.grad += p.l2_strength * p.value
+
+
+def _adam_step_reference(params, learning_rate):
+    """The expression-form Adam update the in-place one replaced."""
+    seen = {}
+    for p in params:
+        seen.setdefault(id(p), p)
+    for p in seen.values():
+        p.step_count += 1
+        t = p.step_count
+        p.adam_m = 0.9 * p.adam_m + (1 - 0.9) * p.grad
+        p.adam_v = 0.999 * p.adam_v + (1 - 0.999) * p.grad ** 2
+        m_hat = p.adam_m / (1 - 0.9 ** t)
+        v_hat = p.adam_v / (1 - 0.999 ** t)
+        p.value -= learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        p.grad[...] = 0.0
+
+
+def _bit_identity_params():
+    r = rng(31)
+    w = Param("w", 0.5 * r.normal(size=(3, 3, 2, 2)))
+    params = {
+        "w": w,
+        "w_alias": w,  # a second module's name for the same storage
+        "b": Param("b", 0.1 * r.normal(size=2)),
+        "s": Param("s", r.normal(size=3)),
+        "wd": Param("wd", 0.3 * r.normal(size=(8, 3)), l2_strength=1e-2),
+        "bd": Param("bd", np.zeros(3)),
+    }
+    params["b"].step_count = 4
+    params["s"].step_count = 1
+    return params
+
+
+def _bit_identity_tape(params, x, label):
+    g = CompGraph("train", rng(label))
+    h = g.activation(g.conv2d(g.leaf(x), params["w"], params["b"]), "relu")
+    # h has three consumers; w is used at three sites, once as its alias
+    a = g.conv2d(h, params["w"], params["b"])
+    c = g.activation(g.conv2d(h, params["w_alias"], params["b"]), "tanh")
+    m = g.softmerge(ScaleGroup("m", params["s"]), [a, c, h])
+    m = g.maxpool2x2(m)
+    return g, g.cross_entropy(g.dense(g.flatten(m), params["wd"],
+                                      params["bd"]), label)
+
+
+def test_backward_and_adam_bit_identical_to_reference():
+    new, ref = _bit_identity_params(), _bit_identity_params()
+    r = rng(32)
+    for step in range(6):
+        for _ in range(2):  # two tapes per step, as joint_train records
+            x, label = r.normal(size=(4, 4, 1)), int(r.integers(3))
+            backward(*_bit_identity_tape(new, x, label))
+            _backward_reference(*_bit_identity_tape(ref, x, label))
+        for key in new:
+            assert np.array_equal(new[key].grad, ref[key].grad), (step, key)
+        adam_step(list(new.values()), 0.05)
+        _adam_step_reference(list(ref.values()), 0.05)
+        for key in new:
+            for field in ("value", "grad", "adam_m", "adam_v"):
+                a, b = getattr(new[key], field), getattr(ref[key], field)
+                assert a.tobytes() == b.tobytes(), (step, key, field)
+            assert new[key].step_count == ref[key].step_count
+    assert new["w"].step_count == 6 and new["b"].step_count == 10
+
+
+def test_cross_entropy_gradient_is_softmax_minus_onehot_bitwise():
+    v = rng(33).normal(size=5)
+    g = CompGraph("train", rng())
+    node = g.cross_entropy(g.leaf(v), 3)
+    expect = softmax(v)
+    expect[3] -= 1.0
+    assert node.vjp(np.ones(()))[0][1].tobytes() == expect.tobytes()
 
 
 # --- invariants -------------------------------------------------------------

@@ -404,3 +404,39 @@ def test_coordinator_drops_a_worker_with_a_bad_result(bad_result):
     results = results_box["results"]
     assert [(r.job_id, r.status, r.worker_id) for r in results] == [
         (1, "ok", "honest")]
+
+
+def test_one_deadline_default_for_jobs_plans_configs_and_workers(monkeypatch):
+    # a job frame without deadline_s gets the same default on the worker
+    # as a Job built without one, a GenerationPlan and the run config
+    from evomtl import harness
+    from evomtl.coevolve import GenerationPlan
+    from evomtl.config import ExperimentConfig
+    seen = []
+    monkeypatch.setattr(harness, "evaluate_local", lambda job, worker_id: (
+        seen.append(job) or JobResult(job.job_id, "ok", fitness=0.5)))
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+    server.settimeout(10.0)
+    port = server.getsockname()[1]
+
+    def coordinator():
+        with server:
+            conn, _ = server.accept()
+            with conn:
+                conn.settimeout(10.0)
+                recv_frame(conn)  # hello
+                send_frame(conn, {"kind": "job", "job_id": 3, "payload": {}})
+                while recv_frame(conn)["kind"] != "result":
+                    pass  # heartbeats
+                send_frame(conn, {"kind": "shutdown"})
+
+    fake = threading.Thread(target=coordinator)
+    fake.start()
+    code = run_worker(f"127.0.0.1:{port}", worker_id="w", give_up_after_s=20.0)
+    fake.join(timeout=10)
+    assert not fake.is_alive() and code == 0
+    assert [j.job_id for j in seen] == [3]
+    assert seen[0].deadline_s == Job(0, {}).deadline_s == \
+        GenerationPlan("cm").deadline_s == ExperimentConfig().deadline_s

@@ -6,6 +6,7 @@ import pytest
 from evomtl.dataset import split_fixed, synth_generate
 from evomtl.diffcore import CompGraph, softmax
 from evomtl.errors import ConfigError, NumericError
+from evomtl.genome import topo_order
 from evomtl.routing import (
     output_divergence,
     CtrState, check_routing_graph, default_ctr_modules, evaluate_individual,
@@ -120,6 +121,32 @@ def test_mutation_fuzz_routing_graphs():
             ind = state.champions[spec.tasks[0].task_id]
     sides = node_sides(ind.graph, modules, 16)
     assert all(s >= 1 for s in sides.values())
+
+
+def _fresh_order(graph):
+    return topo_order(graph.nodes.keys(), dict(enumerate(graph.edges())))
+
+
+def test_cached_topo_order_follows_mutation_and_restore():
+    spec = make_spec()
+    modules = default_ctr_modules(3, 8, rng(40))
+    state = init_ctr(modules, spec, rng(41))
+    tid = spec.tasks[0].task_id
+    champ = state.champions[tid]
+    r = rng(42)
+    for _ in range(5):
+        order = champ.graph.topo_order()
+        chal = mutate_challenger(champ, modules, 0.1, r, 8)
+        assert not chal.mutation_failed
+        assert champ.graph.topo_order() is order
+        spliced = set(chal.graph.nodes) - set(champ.graph.nodes)
+        assert spliced and spliced <= set(chal.graph.topo_order())
+        assert list(chal.graph.topo_order()) == _fresh_order(chal.graph)
+        champ = chal
+    state.champions[tid] = champ
+    restored = restore_ctr_state(serialize_ctr_state(state)).champions[tid]
+    assert restored.graph._order is None  # rebuilt from the saved edges
+    assert restored.graph.topo_order() == champ.graph.topo_order()
 
 
 def test_joint_train_moves_shared_modules():
