@@ -13,6 +13,7 @@ manifest, history log, checkpoints, and the final report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -32,8 +33,10 @@ from .genome import (
     GlobalHyper, LayerGene, MutationRates, genome_from_obj,
     init_blueprint_population, init_module_population,
 )
-from .harness import build_dataset, distributed_evaluator, local_evaluator, \
-    run_worker
+from .harness import (
+    Coordinator, build_dataset, distributed_evaluator, local_evaluator,
+    run_worker,
+)
 from .routing import default_ctr_modules, restore_ctr_state, run_ctr
 from .serialize import atomic_write_text, canon_dumps, canon_loads
 from .training import evaluate_accuracy, final_report, train_network
@@ -300,9 +303,13 @@ def _run_coevolution(cfg: ExperimentConfig, out_dir: str) -> dict:
     evaluator = (distributed_evaluator(cfg.serve) if cfg.serve
                  else local_evaluator)
     rates = MutationRates(sharing_mode=cfg.sharing_mode)
-    out = run_generation_loop(plan, module_pop, evaluator, cfg.dataset_ref(),
-                              rng, blueprint_pop=blueprint_pop,
-                              hyper_pop=hyper_pop, rates=rates, log=print)
+    # one coordinator for the whole search: workers stay connected across
+    # generations and are released when the loop ends
+    with Coordinator(cfg.serve) if cfg.serve else contextlib.nullcontext():
+        out = run_generation_loop(plan, module_pop, evaluator,
+                                  cfg.dataset_ref(), rng,
+                                  blueprint_pop=blueprint_pop,
+                                  hyper_pop=hyper_pop, rates=rates, log=print)
     _write_history(os.path.join(out_dir, "history.jsonl"), out.history)
     ctr_long = None
     if cfg.algorithm == "cmtr":

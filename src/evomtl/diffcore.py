@@ -238,10 +238,11 @@ class CompGraph:
         def vjp(g):
             gv = g[..., None] if squeeze else g
             db = np.where(_WINDOW == arg[..., None], gv[..., None], 0.0)
-            dx = np.zeros_like(xv)
-            dx[:ho * 2, :wo * 2, :] = (
-                db.reshape(ho, wo, c, 2, 2).transpose(0, 3, 1, 4, 2)
-                .reshape(ho * 2, wo * 2, c))
+            dx = (db.reshape(ho, wo, c, 2, 2).transpose(0, 3, 1, 4, 2)
+                  .reshape(ho * 2, wo * 2, c))
+            if dx.shape != xv.shape:  # an odd trailing row or column: zero
+                full, dx = dx, np.zeros_like(xv)
+                dx[:ho * 2, :wo * 2, :] = full
             return ((x, dx[..., 0] if squeeze else dx),)
 
         return self._record("maxpool2x2", out, (x,), vjp)

@@ -11,17 +11,21 @@ Wire protocol: 4-byte big-endian length-prefixed JSON frames over TCP.
 Message kinds: hello, job, result, heartbeat, shutdown. Workers send a
 heartbeat every HEARTBEAT_S; the coordinator treats a worker as dead
 after LIVENESS_TIMEOUT_S of silence or on disconnect, and reassigns
-whatever that worker was running. No TLS or authentication: this is a
-trusted-network tool.
+whatever that worker was running. A Coordinator lives for a whole run:
+a worker connects once, takes jobs from every batch, and is released by
+one shutdown when the run closes its coordinator. No TLS or
+authentication: this is a trusted-network tool.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import socket
 import struct
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,153 +230,292 @@ def _recv_exact(sock: socket.socket, n: int):
 
 
 class _CoordinatorState:
-    def __init__(self, jobs: list[Job]):
+    """The bookkeeping of one run's coordinator: queued jobs, jobs in
+    flight, recorded results and when each worker was last heard from.
+
+    Job ids are unique across a run, so results are kept for the whole
+    run and the first one recorded for a job wins. Every access holds
+    `lock`, on which idle handlers wait for work and a batch waits for
+    its results.
+    """
+
+    def __init__(self, jobs: list[Job] = ()):
         self.lock = threading.Condition()
-        self.pending: list[Job] = list(jobs)
+        self.pending: deque[Job] = deque(jobs)
         self.inflight: dict[int, tuple[Job, str, float]] = {}
         self.results: dict[int, JobResult] = {}
-        self.total = len(jobs)
         self.worker_seen: dict[str, float] = {}
         # last hello, heartbeat or result of any worker
         self.last_progress = time.monotonic()
+        self.closed = False
 
-    def done(self) -> bool:
-        return len(self.results) >= self.total
+    def heard_from(self, worker_id: str) -> None:
+        self.worker_seen[worker_id] = self.last_progress = time.monotonic()
+
+    def next_job(self, worker_id: str) -> Job | None:
+        """Wait for a queued job that has no result yet and mark it in
+        flight; None once the coordinator closes. A requeued copy of a job
+        answered since is dropped here. Wakes the waiting batch, which
+        times its next wakeup to the new job's deadline."""
+        while not self.closed:
+            while self.pending:
+                job = self.pending.popleft()
+                if job.job_id not in self.results:
+                    self.inflight[job.job_id] = (job, worker_id,
+                                                 time.monotonic())
+                    self.lock.notify_all()
+                    return job
+            self.lock.wait()
+        return None
+
+    def record(self, result: JobResult) -> None:
+        self.inflight.pop(result.job_id, None)
+        self.results.setdefault(result.job_id, result)
+        self.last_progress = time.monotonic()
+        self.lock.notify_all()
+
+    def requeue(self, job: Job) -> None:
+        self.inflight.pop(job.job_id, None)
+        if job.job_id not in self.results:
+            self.pending.append(job)
+            self.lock.notify_all()
+
+    def expire(self, now: float) -> float:
+        """Requeue every in-flight job past its deadline or whose worker
+        has been silent for LIVENESS_TIMEOUT_S; returns when the next of
+        the others would expire."""
+        soonest = math.inf
+        for job, wid, started in list(self.inflight.values()):
+            heard = max(self.worker_seen.get(wid, 0.0), started)
+            expires = min(started + job.deadline_s, heard + LIVENESS_TIMEOUT_S)
+            if now >= expires:
+                self.requeue(job)
+            else:
+                soonest = min(soonest, expires)
+        return soonest
 
 
-def serve_coordinator(bind_addr: str, jobs: list[Job],
-                      global_timeout_s: float = 600.0) -> list[JobResult]:
-    """Distribute jobs to connecting workers; returns one result per job.
+# The coordinator open at each bind address. `serve_coordinator` takes an
+# address, not a Coordinator, so that is how a batch finds its run's
+# listener; a process can hold only one listener per address anyway.
+_open_coordinators: dict[str, "Coordinator"] = {}
+_open_lock = threading.Lock()
 
-    At-least-once semantics: a job whose worker disconnects, goes silent
-    past the liveness timeout, or blows its deadline goes back in the
-    queue; the first result recorded for a job_id wins and duplicates are
-    discarded. Raises HarnessError once no worker has sent a hello,
-    heartbeat or result for `global_timeout_s`, so a slow but live
-    generation runs on.
+
+class Coordinator:
+    """The listening socket and worker connections of one run.
+
+    One accept thread, and one handler thread per connected worker, live
+    from construction to `close`, so workers stay connected across the
+    run's batches; `serve_coordinator` runs each batch on the coordinator
+    open at its address. Closing, on success or on error, sends every
+    connected worker one shutdown, closes the listener and joins the
+    threads. Use it as a context manager around the run.
     """
-    host, port_s = bind_addr.rsplit(":", 1)
-    state = _CoordinatorState(jobs)
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    server.bind((host, int(port_s)))
-    server.listen(64)
-    server.settimeout(0.2)
-    stop = threading.Event()
 
-    def handle_worker(conn: socket.socket):
-        conn.settimeout(max(LIVENESS_TIMEOUT_S, 5.0))
-        worker_id = "?"
-        current: Job | None = None
+    def __init__(self, bind_addr: str):
+        host, port_s = bind_addr.rsplit(":", 1)
+        self.bind_addr = bind_addr
+        self.state = _CoordinatorState()
+        self.conns: set[socket.socket] = set()
+        self.idle: set[socket.socket] = set()  # handlers waiting for a job
+        self.handlers: list[threading.Thread] = []
+        self.server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self.server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        try:
+            self.server.bind((host, int(port_s)))
+            self.server.listen(64)
+        except OSError:
+            self.server.close()
+            raise
+        with _open_lock:
+            _open_coordinators[bind_addr] = self
+        self.acceptor = threading.Thread(
+            target=self._accept, name="evomtl-coordinator-accept", daemon=True)
+        self.acceptor.start()
+
+    def __enter__(self) -> "Coordinator":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def run_batch(self, jobs: list[Job],
+                  global_timeout_s: float | None = None) -> list[JobResult]:
+        """Queue `jobs` and wait for their results, returned in job order,
+        as soon as the last one is recorded. Raises HarnessError once no
+        worker has sent a hello, heartbeat or result for
+        `global_timeout_s`, counted from the start of the batch. By
+        default that is the longest job deadline, and never less than the
+        liveness timeout, within which a live worker always heartbeats."""
+        if global_timeout_s is None:
+            global_timeout_s = max([j.deadline_s for j in jobs]
+                                   + [LIVENESS_TIMEOUT_S])
+        st = self.state
+        with st.lock:
+            st.last_progress = time.monotonic()
+            st.pending.extend(j for j in jobs if j.job_id not in st.results)
+            st.lock.notify_all()
+            while True:
+                if st.closed:
+                    raise HarnessError("coordinator closed mid-batch")
+                now = time.monotonic()
+                next_expiry = st.expire(now)
+                if all(j.job_id in st.results for j in jobs):
+                    break
+                give_up = st.last_progress + global_timeout_s
+                if now >= give_up:
+                    if not st.worker_seen:
+                        raise HarnessError(
+                            f"no workers connected within {global_timeout_s}s")
+                    raise HarnessError(f"jobs unfinished: no worker progress "
+                                       f"for {global_timeout_s}s")
+                st.lock.wait(min(next_expiry, give_up) - now)
+            return [st.results[j.job_id] for j in jobs]
+
+    def close(self) -> None:
+        st = self.state
+        with st.lock:
+            if st.closed:
+                return
+            st.closed = True
+            st.lock.notify_all()
+            # wake every handler blocked reading its worker
+            for conn in self.conns - self.idle:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+        with _open_lock:
+            if _open_coordinators.get(self.bind_addr) is self:
+                del _open_coordinators[self.bind_addr]
+        try:
+            self.server.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        except OSError:
+            pass
+        self.server.close()
+        self.acceptor.join()
+        # the accept thread is gone, so the handler list is final
+        for t in self.handlers:
+            t.join()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                conn, _ = self.server.accept()
+            except OSError:
+                return  # the listener was shut down by close()
+            t = threading.Thread(target=self._serve_worker, args=(conn,),
+                                 name="evomtl-coordinator-worker", daemon=True)
+            with self.state.lock:
+                self.conns.add(conn)
+                self.handlers = [h for h in self.handlers if h.is_alive()]
+                self.handlers.append(t)
+                t.start()
+
+    def _serve_worker(self, conn: socket.socket) -> None:
+        """Feed one worker jobs until the coordinator closes. A job whose
+        worker disconnects or sends a bad result goes back in the queue."""
+        st = self.state
+        conn.settimeout(LIVENESS_TIMEOUT_S)
+        job = None
         try:
             hello = recv_frame(conn)
             if not hello or hello.get("kind") != "hello":
                 return
             worker_id = str(hello.get("worker_id", "?"))
-            with state.lock:
-                state.worker_seen[worker_id] = time.monotonic()
-                state.last_progress = state.worker_seen[worker_id]
-            while not stop.is_set():
-                with state.lock:
-                    while (not state.pending and not state.done()
-                           and not stop.is_set()):
-                        state.lock.wait(timeout=0.2)
-                        _requeue_expired(state)
-                    if state.done() or stop.is_set():
-                        break
-                    current = state.pending.pop(0)
-                    state.inflight[current.job_id] = (
-                        current, worker_id, time.monotonic())
-                send_frame(conn, {"kind": "job", "job_id": current.job_id,
-                                  "payload": current.payload,
-                                  "deadline_s": current.deadline_s})
-                while True:
-                    msg = recv_frame(conn)
-                    if msg is None:
-                        raise ConnectionError("worker disconnected")
-                    if msg.get("kind") == "heartbeat":
-                        with state.lock:
-                            state.worker_seen[worker_id] = time.monotonic()
-                            state.last_progress = state.worker_seen[worker_id]
-                        continue
-                    if msg.get("kind") == "result":
-                        # a result that does not parse, or answers another
-                        # job, is treated like a broken connection: the
-                        # finally block requeues the dispatched job
-                        try:
-                            result = JobResult.from_obj(msg["result"])
-                        except (KeyError, TypeError, ValueError) as e:
-                            raise ConnectionError("malformed result") from e
-                        if result.job_id != current.job_id:
-                            raise ConnectionError(
-                                f"result for job {result.job_id}, "
-                                f"dispatched {current.job_id}")
-                        result.worker_id = worker_id
-                        with state.lock:
-                            state.last_progress = time.monotonic()
-                            state.inflight.pop(result.job_id, None)
-                            # first result per job_id wins
-                            if result.job_id not in state.results:
-                                state.results[result.job_id] = result
-                            state.lock.notify_all()
-                        current = None
-                        break
-            send_frame(conn, {"kind": "shutdown"})
+            with st.lock:
+                st.heard_from(worker_id)
+            while True:
+                with st.lock:
+                    self.idle.add(conn)
+                    job = st.next_job(worker_id)
+                    self.idle.discard(conn)
+                if job is None:
+                    break
+                send_frame(conn, {"kind": "job", "job_id": job.job_id,
+                                  "payload": job.payload,
+                                  "deadline_s": job.deadline_s})
+                result = self._await_result(conn, worker_id, job)
+                with st.lock:
+                    st.record(result)
+                job = None
         except (ConnectionError, OSError):
             pass
         finally:
-            with state.lock:
-                if current is not None and current.job_id not in state.results:
-                    state.inflight.pop(current.job_id, None)
-                    state.pending.append(current)
-                state.lock.notify_all()
+            with st.lock:
+                if job is not None:
+                    st.requeue(job)
+                self.conns.discard(conn)
+                closing = st.closed
+            if closing:
+                _send_shutdown(conn)
             conn.close()
 
-    def _requeue_expired(st: _CoordinatorState):
-        # caller holds the lock
-        now = time.monotonic()
-        for job_id in list(st.inflight):
-            job, wid, started = st.inflight[job_id]
-            silent = now - st.worker_seen.get(wid, started)
-            if now - started > job.deadline_s or silent > LIVENESS_TIMEOUT_S:
-                del st.inflight[job_id]
-                if job_id not in st.results:
-                    st.pending.append(job)
-
-    threads = []
-    try:
+    def _await_result(self, conn: socket.socket, worker_id: str,
+                      job: Job) -> JobResult:
+        """The worker's result for `job`, recording its heartbeats. A
+        result that does not parse, or answers another job, is treated
+        like a broken connection."""
         while True:
-            with state.lock:
-                _requeue_expired(state)
-                if state.done():
-                    break
-                any_worker = bool(state.worker_seen)
-                idle = time.monotonic() - state.last_progress
-            if idle > global_timeout_s:
-                if not any_worker:
-                    raise HarnessError(
-                        f"no workers connected within {global_timeout_s}s")
-                raise HarnessError(
-                    f"jobs unfinished: no worker progress for {global_timeout_s}s")
-            try:
-                conn, _ = server.accept()
-            except socket.timeout:
-                continue
-            t = threading.Thread(target=handle_worker, args=(conn,), daemon=True)
-            t.start()
-            threads.append(t)
-    finally:
-        stop.set()
-        with state.lock:
-            state.lock.notify_all()
-        server.close()
-        for t in threads:
-            t.join(timeout=2.0)
-    return [state.results[j.job_id] for j in jobs]
+            msg = recv_frame(conn)
+            if msg is None:
+                raise ConnectionError("worker disconnected")
+            if msg.get("kind") == "heartbeat":
+                with self.state.lock:
+                    self.state.heard_from(worker_id)
+            elif msg.get("kind") == "result":
+                try:
+                    result = JobResult.from_obj(msg["result"])
+                except (KeyError, TypeError, ValueError) as e:
+                    raise ConnectionError("malformed result") from e
+                if result.job_id != job.job_id:
+                    raise ConnectionError(f"result for job {result.job_id}, "
+                                          f"dispatched {job.job_id}")
+                result.worker_id = worker_id
+                return result
 
 
-def distributed_evaluator(bind_addr: str, global_timeout_s: float = 600.0):
-    """Evaluator callable backed by `serve_coordinator` on a fixed address."""
+def _send_shutdown(conn: socket.socket) -> None:
+    """Release a worker, then wait briefly for it to hang up first: the
+    side that closes first keeps the connection in TIME_WAIT, and on the
+    worker's side that does not hold the coordinator's port."""
+    try:
+        send_frame(conn, {"kind": "shutdown"})
+        conn.settimeout(1.0)
+        while recv_frame(conn) is not None:
+            pass
+    except OSError:
+        pass
+
+
+def serve_coordinator(bind_addr: str, jobs: list[Job],
+                      global_timeout_s: float | None = None
+                      ) -> list[JobResult]:
+    """Distribute one batch of jobs to workers; returns one result per job,
+    in job order.
+
+    Runs on the Coordinator open at `bind_addr`, or opens one for this
+    batch and closes it after. At-least-once semantics: a job whose worker
+    disconnects, goes silent past the liveness timeout, or blows its
+    deadline goes back in the queue; the first result recorded for a
+    job_id wins and duplicates are discarded. Raises HarnessError once no
+    worker has shown progress for `global_timeout_s` (default: derived
+    from the job deadlines, see `Coordinator.run_batch`), so a slow but
+    live generation runs on.
+    """
+    with _open_lock:
+        coordinator = _open_coordinators.get(bind_addr)
+    if coordinator is not None:
+        return coordinator.run_batch(jobs, global_timeout_s)
+    with Coordinator(bind_addr) as coordinator:
+        return coordinator.run_batch(jobs, global_timeout_s)
+
+
+def distributed_evaluator(bind_addr: str,
+                          global_timeout_s: float | None = None):
+    """Evaluator callable backed by `serve_coordinator` on a fixed address;
+    each call is one batch on the coordinator open there."""
     def evaluate(jobs: list[Job]) -> list[JobResult]:
         return serve_coordinator(bind_addr, jobs, global_timeout_s)
     return evaluate
@@ -409,6 +552,10 @@ def run_worker(coordinator_addr: str | None = None,
             time.sleep(min(backoff, max_backoff_s))
             backoff = min(backoff * 2, max_backoff_s)
             continue
+        # the timeout bounds the connect only: an idle worker may wait for
+        # its next job as long as the run lasts; heartbeats expose a dead
+        # peer
+        sock.settimeout(None)
         backoff = 1.0
         send_lock = threading.Lock()
         stop_beat = threading.Event()

@@ -484,8 +484,10 @@ def test_criterion_13_harness():
                     and res.fitness == local[res.job_id].fitness
                     and res.per_task == local[res.job_id].per_task
                     for res in box["r"])
-    # (b) kill a worker mid-job: still exactly one result
-    slow = [Job(0, _cm_payload(1200, 9))]
+    # (b) kill a worker mid-job: still exactly one result. The job must
+    # outlast the 2.5 s before the kill by a wide margin (about 6 s on a
+    # 2-vCPU host), or the victim finishes it and the rescuer never stops.
+    slow = [Job(0, _cm_payload(5000, 9))]
     addr2 = f"127.0.0.1:{_free_port()}"
     box2 = {}
     coord2 = threading.Thread(

@@ -8,10 +8,12 @@ import time
 import numpy as np
 import pytest
 
+from evomtl import harness
 from evomtl.errors import HarnessError
 from evomtl.harness import (
-    MAX_FRAME_BYTES, Job, JobResult, evaluate_local, local_evaluator,
-    recv_frame, run_worker, send_frame, serve_coordinator,
+    MAX_FRAME_BYTES, Coordinator, Job, JobResult, distributed_evaluator,
+    evaluate_local, local_evaluator, recv_frame, run_worker, send_frame,
+    serve_coordinator,
 )
 from evomtl.genome import (
     GlobalHyper, genome_to_obj, hyper_to_obj, init_module_population,
@@ -126,8 +128,9 @@ def test_distributed_bit_equals_local():
 def test_worker_killed_mid_job_reassigned():
     port = free_port()
     addr = f"127.0.0.1:{port}"
-    # heavy enough that the first worker dies mid-evaluation
-    slow = make_payload(train_iters=800, n_tasks=3, side=8, seed=1)
+    # heavy enough that the first worker dies mid-evaluation: several
+    # times the 2 s before the kill (about 7 s on a 2-vCPU host)
+    slow = make_payload(train_iters=5000, n_tasks=3, side=8, seed=1)
     jobs = [Job(0, slow, deadline_s=300)]
     results_box = {}
 
@@ -440,3 +443,294 @@ def test_one_deadline_default_for_jobs_plans_configs_and_workers(monkeypatch):
     assert [j.job_id for j in seen] == [3]
     assert seen[0].deadline_s == Job(0, {}).deadline_s == \
         GenerationPlan("cm").deadline_s == ExperimentConfig().deadline_s
+
+
+# --- the run-long coordinator ---------------------------------------------------
+
+
+def _scripted_worker(port, log, work_s=0.0, worker_id="scripted"):
+    """One connection for the whole run: say hello, answer every job with
+    fitness job_id / 100 after `work_s` and stop at a shutdown. Logs each
+    frame received as (kind, job_id) and, under "sent", the time each
+    result went out."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        send_frame(sock, {"kind": "hello", "worker_id": worker_id})
+        while True:
+            msg = recv_frame(sock)
+            log.append((msg and msg["kind"], msg and msg.get("job_id")))
+            if msg is None or msg["kind"] != "job":
+                return
+            time.sleep(work_s)
+            result = JobResult(msg["job_id"], "ok",
+                               fitness=msg["job_id"] / 100)
+            send_frame(sock, {"kind": "result", "result": result.to_obj()})
+            log.append(("sent", time.monotonic()))
+
+
+def _coordinator_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("evomtl-coordinator")]
+
+
+def test_one_hello_and_one_shutdown_over_three_batches(monkeypatch):
+    # a real worker stays connected across the run's batches: the
+    # coordinator sees one hello, the worker one shutdown, and each batch
+    # comes back in job order
+    received = []
+    real_recv = harness.recv_frame
+
+    def counting_recv(sock):
+        msg = real_recv(sock)
+        if msg is not None:
+            received.append(msg["kind"])
+        return msg
+
+    monkeypatch.setattr(harness, "recv_frame", counting_recv)
+    port = free_port()
+    addr = f"127.0.0.1:{port}"
+    batches = [[2, 0, 1], [5, 3], [4]]
+    box = {}
+    with Coordinator(addr):
+        worker = threading.Thread(target=lambda: box.update(code=run_worker(
+            addr, worker_id="w", give_up_after_s=30.0)))
+        worker.start()
+        results = [serve_coordinator(
+            addr, [Job(i, make_payload(seed=i), deadline_s=30) for i in ids])
+            for ids in batches]
+    worker.join(timeout=10)
+    assert box == {"code": 0}
+    assert [[r.job_id for r in rs] for rs in results] == batches
+    assert all(r.status == "ok" and r.worker_id == "w"
+               for rs in results for r in rs)
+    assert received.count("hello") == 1
+    assert received.count("shutdown") == 1
+    assert received.count("job") == received.count("result") == 6
+
+
+def test_job_answered_after_its_requeue_is_not_dispatched_again():
+    # job 0 blows its deadline, so a copy goes back in the queue; then its
+    # first result arrives. The next batch must not hand out that copy.
+    port = free_port()
+    addr = f"127.0.0.1:{port}"
+    log = []
+    with Coordinator(addr):
+        worker = threading.Thread(target=_scripted_worker,
+                                  args=(port, log, 0.8))
+        worker.start()
+        first = serve_coordinator(addr, [Job(0, {}, deadline_s=0.3)])
+        second = serve_coordinator(addr, [Job(1, {}, deadline_s=30)])
+    worker.join(timeout=10)
+    assert [(r.job_id, r.fitness) for r in first + second] == [
+        (0, 0.0), (1, 0.01)]
+    assert [entry for entry in log if entry[0] != "sent"] == [
+        ("job", 0), ("job", 1), ("shutdown", None)]
+
+
+def test_job_requeued_at_its_deadline_goes_to_an_idle_worker():
+    # the batch wakes at the in-flight job's deadline, not at its next
+    # result: a worker idle since before the deadline takes the requeued
+    # job while the first one is still busy with it
+    port = free_port()
+    addr = f"127.0.0.1:{port}"
+    slow_log, idle_log = [], []
+    slow = threading.Thread(target=_scripted_worker,
+                            args=(port, slow_log, 2.5, "slow"))
+    idle = threading.Thread(target=_scripted_worker,
+                            args=(port, idle_log, 0.0, "idle"))
+    with Coordinator(addr):
+        slow.start()
+        threading.Timer(0.3, idle.start).start()
+        t0 = time.monotonic()
+        (result,) = serve_coordinator(addr, [Job(0, {}, deadline_s=0.6)])
+        elapsed = time.monotonic() - t0
+    slow.join(timeout=10)
+    idle.join(timeout=10)
+    assert not slow.is_alive() and not idle.is_alive()
+    assert result.worker_id == "idle"
+    assert 0.6 <= elapsed < 2.0
+    assert [k for k, _ in idle_log if k != "sent"] == ["job", "shutdown"]
+
+
+def test_worker_killed_between_batches_is_replaced():
+    port = free_port()
+    addr = f"127.0.0.1:{port}"
+    with Coordinator(addr):
+        victim = subprocess.Popen(
+            [sys.executable, "-c",
+             "from evomtl.harness import run_worker; "
+             f"run_worker({addr!r}, 'victim')"])
+        try:
+            first = serve_coordinator(
+                addr, [Job(0, make_payload(), deadline_s=60)])
+        finally:
+            victim.kill()
+            victim.wait()
+        box = {}
+        rescuer = threading.Thread(target=lambda: box.update(code=run_worker(
+            addr, worker_id="rescue", give_up_after_s=30.0)))
+        rescuer.start()
+        second = serve_coordinator(
+            addr, [Job(i, make_payload(seed=i), deadline_s=60)
+                   for i in (1, 2)])
+    rescuer.join(timeout=10)
+    assert [(r.job_id, r.worker_id) for r in first + second] == [
+        (0, "victim"), (1, "rescue"), (2, "rescue")]
+    assert box == {"code": 0}
+
+
+def test_close_leaves_no_thread_and_a_free_port():
+    port = free_port()
+    addr = f"127.0.0.1:{port}"
+    box = {}
+    with Coordinator(addr):
+        worker = threading.Thread(target=lambda: box.update(code=run_worker(
+            addr, worker_id="w", give_up_after_s=30.0)))
+        worker.start()
+        serve_coordinator(addr, [Job(0, make_payload(), deadline_s=30)])
+        assert len(_coordinator_threads()) == 2  # accept + one handler
+    worker.join(timeout=10)
+    assert box == {"code": 0}
+    assert _coordinator_threads() == []
+    with socket.socket() as s:  # no SO_REUSEADDR: nothing lingers
+        s.bind(("127.0.0.1", port))
+    # the closed coordinator is no longer found at its address: a later
+    # batch opens its own, waits for workers, and closes it again
+    with pytest.raises(HarnessError, match="no workers connected"):
+        serve_coordinator(addr, [Job(1, {})], global_timeout_s=0.2)
+    assert _coordinator_threads() == []
+
+
+def test_batch_returns_on_its_last_result():
+    # the time from a batch's last result frame to serve_coordinator
+    # returning is a wakeup, not an accept poll
+    port = free_port()
+    addr = f"127.0.0.1:{port}"
+    log = []
+    lags = []
+    with Coordinator(addr):
+        worker = threading.Thread(target=_scripted_worker, args=(port, log))
+        worker.start()
+        for i in range(5):
+            serve_coordinator(addr, [Job(i, {}, deadline_s=30)])
+            returned = time.monotonic()
+            lags.append(returned - [t for kind, t in log if kind == "sent"][-1])
+    worker.join(timeout=10)
+    assert sorted(lags)[2] < 0.05, lags
+
+
+def test_many_workers_many_batches_each_job_once():
+    # more workers than cores and a short switch interval: every job is
+    # dispatched once, every batch comes back in job order, and every
+    # worker gets exactly one shutdown
+    port = free_port()
+    addr = f"127.0.0.1:{port}"
+    logs = [[] for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with Coordinator(addr):
+            workers = [threading.Thread(target=_scripted_worker,
+                                        args=(port, log)) for log in logs]
+            for w in workers:
+                w.start()
+            batches = [list(range(8 * b + 7, 8 * b - 1, -1)) for b in range(10)]
+            results = [serve_coordinator(
+                addr, [Job(i, {}, deadline_s=30) for i in ids])
+                for ids in batches]
+        for w in workers:
+            w.join(timeout=10)
+            assert not w.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [[(r.job_id, r.fitness) for r in rs] for rs in results] == [
+        [(i, i / 100) for i in ids] for ids in batches]
+    jobs = sorted(j for log in logs for kind, j in log if kind == "job")
+    assert jobs == list(range(80))
+    assert all(log[-1] == ("shutdown", None)
+               and sum(kind == "shutdown" for kind, _ in log) == 1
+               for log in logs)
+
+
+def test_no_progress_limit_follows_the_job_deadline(monkeypatch):
+    # no worker ever connects: the batch gives up after the longest job
+    # deadline, not after a fixed ten minutes (the liveness timeout, its
+    # floor, is shortened here so the deadline is the longer)
+    monkeypatch.setattr(harness, "LIVENESS_TIMEOUT_S", 0.2)
+    port = free_port()
+    evaluate = distributed_evaluator(f"127.0.0.1:{port}")
+    box = {}
+
+    def batch():
+        try:
+            evaluate([Job(0, {}, deadline_s=0.5), Job(1, {}, deadline_s=1.0)])
+        except HarnessError as e:
+            box["error"] = e
+
+    t0 = time.monotonic()
+    runner = threading.Thread(target=batch, daemon=True)
+    runner.start()
+    runner.join(timeout=15)
+    assert not runner.is_alive()
+    assert "no workers connected within 1.0s" in str(box["error"])
+    assert time.monotonic() - t0 >= 1.0
+
+
+def test_idle_worker_outlives_its_connect_timeout(monkeypatch):
+    # the connect timeout must not bound the wait for the next job: a
+    # worker idle for longer keeps its one connection
+    real_connect = socket.create_connection
+    monkeypatch.setattr(harness.socket, "create_connection",
+                        lambda address, timeout=None: real_connect(
+                            address, timeout=0.3))
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(4)
+    server.settimeout(10.0)
+    port = server.getsockname()[1]
+    hellos = []
+
+    def coordinator():
+        with server:
+            conn, _ = server.accept()
+            with conn:
+                conn.settimeout(10.0)
+                hellos.append(recv_frame(conn))
+                time.sleep(1.0)  # idle, past the connect timeout
+                try:
+                    send_frame(conn, {"kind": "shutdown"})
+                    conn.recv(1)  # wait for the worker to hang up
+                except OSError:
+                    pass
+
+    fake = threading.Thread(target=coordinator)
+    fake.start()
+    code = run_worker(f"127.0.0.1:{port}", worker_id="w", give_up_after_s=4.0)
+    fake.join(timeout=10)
+    assert not fake.is_alive()
+    assert code == 0
+    assert [h["kind"] for h in hellos] == ["hello"]
+
+
+def test_cli_serve_run_matches_local_and_releases_its_worker(tmp_path):
+    from evomtl.cli import main
+    port = free_port()
+    addr = f"127.0.0.1:{port}"
+    argv = ["run", "--algorithm", "cm", "--seed", "5", "--networks-per-gen",
+            "3", "--modules", "4", "--species", "2", "--generations", "2",
+            "--train-iters", "2", "--long-iters", "2", "--n-top", "1",
+            "--synth", "2x3x12"]
+    assert main([*argv, "--out", str(tmp_path / "local")]) == 0
+    box = {}
+    worker = threading.Thread(target=lambda: box.update(code=run_worker(
+        addr, worker_id="w", give_up_after_s=60.0)))
+    worker.start()
+    assert main([*argv, "--out", str(tmp_path / "served"),
+                 "--serve", addr]) == 0
+    worker.join(timeout=10)
+    assert box == {"code": 0}
+    assert _coordinator_threads() == []
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", port))
+    for name in ("report.json", "history.jsonl", "best_network.json"):
+        assert ((tmp_path / "served" / name).read_bytes()
+                == (tmp_path / "local" / name).read_bytes()), name
