@@ -120,13 +120,29 @@ def _gene_out_side(gene: LayerGene, in_side: int) -> int:
     return 1
 
 
+def _saved_param(saved: dict, key, shape) -> Param:
+    p = saved.get(key)
+    if p is None or p.value.shape != tuple(shape):
+        raise AssemblyError(
+            f"saved parameter {key!r} missing or not of shape {tuple(shape)}")
+    return p
+
+
 class ModuleInstance:
     """A realized module: its parameters, internal merge scales, and the
     forward recipe. The same instance object may occupy several network
-    locations; that is what weight sharing means here."""
+    locations; that is what weight sharing means here.
+
+    Weights are drawn from `rng`, or, with `saved` (a restored
+    checkpoint's Params: `params` keyed as in `self.params`, `scales` by
+    merge node), taken as they are, with no draw. Either way the forward
+    recipe is resolved once, into `plan`: one (node, parent ids, merge
+    scales or None, gene, w, b) row per non-source node in topological
+    order."""
 
     def __init__(self, genome: ModuleGenome, ghyper: GlobalHyper,
-                 rng: np.random.Generator, label: str, storage_id: str):
+                 rng: np.random.Generator | None, label: str, storage_id: str,
+                 saved: dict | None = None):
         errs = check_genome(genome)
         if errs:
             raise AssemblyError(f"invalid module genome: {errs[0]}")
@@ -136,23 +152,23 @@ class ModuleInstance:
         self.storage_id = storage_id
         width = ghyper.final_layer_filters
 
-        node_ids = genome.node_ids()
-        self.order = topo_order(node_ids, genome.edges)
-        self.parents = {n: sorted(s for s, d in genome.edges.values() if d == n)
-                        for n in node_ids}
-
         out_width = {SOURCE: width}
         self.params: dict[str, Param] = {}
         self.scale_groups: dict[int, ScaleGroup] = {}
         init = ghyper.weight_init
+        plan = []
 
-        for n in self.order:
+        for n in topo_order(genome.node_ids(), genome.edges):
             if n == SOURCE:
                 continue
-            cin = max(out_width[p] for p in self.parents[n])
-            if len(self.parents[n]) > 1:
-                self.scale_groups[n] = ScaleGroup.uniform(
-                    f"{label}.merge{n}", len(self.parents[n]))
+            parents = sorted(s for s, d in genome.edges.values() if d == n)
+            cin = max(out_width[p] for p in parents)
+            if len(parents) > 1:
+                owner = f"{label}.merge{n}"
+                self.scale_groups[n] = (
+                    ScaleGroup.uniform(owner, len(parents)) if saved is None
+                    else ScaleGroup(owner, _saved_param(
+                        saved["scales"], n, (len(parents),))))
             gene = genome.final_layer if n == SINK else genome.nodes[n]
             if n == SINK:
                 shape = (gene.kernel_size, gene.kernel_size, cin, width)
@@ -163,11 +179,19 @@ class ModuleInstance:
                 shape, fan_in, fan_out = _gene_param_shapes(gene, cin)
                 wkey, bkey, filters = f"n{n}.w", f"n{n}.b", gene.filters
                 out_width[n] = filters
-            self.params[wkey] = Param(
-                f"{label}.{wkey}", init_weight(rng, shape, fan_in, fan_out, init),
-                l2_strength=gene.l2_strength, shared_id=storage_id)
-            self.params[bkey] = Param(f"{label}.{bkey}", np.zeros(filters),
-                                      shared_id=storage_id)
+            if saved is None:
+                w = Param(f"{label}.{wkey}",
+                          init_weight(rng, shape, fan_in, fan_out, init),
+                          l2_strength=gene.l2_strength, shared_id=storage_id)
+                b = Param(f"{label}.{bkey}", np.zeros(filters),
+                          shared_id=storage_id)
+            else:
+                w = _saved_param(saved["params"], wkey, shape)
+                b = _saved_param(saved["params"], bkey, (filters,))
+            self.params[wkey], self.params[bkey] = w, b
+            plan.append((n, tuple(parents), self.scale_groups.get(n), gene,
+                         w, b))
+        self.plan = tuple(plan)
 
     def all_params(self) -> list[Param]:
         out = list(self.params.values())
@@ -182,46 +206,39 @@ class ModuleInstance:
             raise AssemblyError(
                 f"module input has {x.shape[2]} channels, contract is {width}")
         vals = {SOURCE: x}
-        for n in self.order:
-            if n == SOURCE:
-                continue
-            inputs = [vals[p] for p in self.parents[n]]
-            if len(inputs) > 1:
-                v = merge_aligned(g, self.scale_groups[n], inputs)
+        for n, parents, group, gene, w, b in self.plan:
+            if group is None:
+                v = vals[parents[0]]
             else:
-                v = inputs[0]
+                v = merge_aligned(g, group, [vals[p] for p in parents])
             if n == SINK:
-                tail = self.genome.final_layer
-                if min(v.shape[:2]) < tail.kernel_size:
+                if min(v.shape[:2]) < gene.kernel_size:
                     raise AssemblyError(
                         f"feature map {v.shape[:2]} smaller than "
-                        f"tail kernel {tail.kernel_size}")
-                v = g.conv2d(v, self.params["tail.w"], self.params["tail.b"])
+                        f"tail kernel {gene.kernel_size}")
+                v = g.conv2d(v, w, b)
                 if self.genome.cmtr_mode:
-                    v = g.activation(v, tail.activation)
-                    if tail.dropout_rate > 0:
-                        v = g.dropout(v, tail.dropout_rate)
+                    v = g.activation(v, gene.activation)
+                    if gene.dropout_rate > 0:
+                        v = g.dropout(v, gene.dropout_rate)
                 if min(v.shape[:2]) >= 4:
                     v = g.maxpool2x2(v)
                 return v
-            vals[n] = _apply_gene(g, self.genome.nodes[n], v,
-                                  self.params[f"n{n}.w"], self.params[f"n{n}.b"])
+            vals[n] = _apply_gene(g, gene, v, w, b)
         raise AssemblyError("module graph has no sink")  # unreachable
 
     def out_side(self, in_side: int) -> int:
         """Static spatial-size propagation; raises AssemblyError where a
         conv would see a map smaller than its kernel."""
         side = {SOURCE: in_side}
-        for n in self.order:
-            if n == SOURCE:
-                continue
-            s = min(side[p] for p in self.parents[n])
+        for n, parents, _, gene, _, _ in self.plan:
+            s = min(side[p] for p in parents)
             if n == SINK:
-                if s < self.genome.final_layer.kernel_size:
+                if s < gene.kernel_size:
                     raise AssemblyError(
                         f"feature map {s} smaller than tail kernel")
                 return s // 2 if s >= 4 else s
-            side[n] = _gene_out_side(self.genome.nodes[n], s)
+            side[n] = _gene_out_side(gene, s)
         raise AssemblyError("module graph has no sink")
 
 

@@ -8,7 +8,12 @@ scoring uses it. Both call one set of kernels, which take any leading
 batch shape.
 `Param` is a trainable tensor with its gradient and Adam state attached;
 aliased parameters are literally the same object, so one update reaches
-every user of the storage.
+every user of the storage. A training call packs its unique Params into
+one `ParamBlock`: each Param's value, gradient and Adam moments become
+views of four flat buffers, so zeroing gradients, an Adam step or a
+weight snapshot is a few whole-buffer array ops. While a training call
+runs, code writes Param arrays only in place (`+=`, `[...] =`);
+rebinding one detaches that Param from the block.
 
 Layer kinds: dense, conv2d (square kernel, stride 1, zero "same" padding),
 maxpool2x2 (stride 2, odd trailing row/column truncated), the four
@@ -584,9 +589,43 @@ def backward(graph: CompGraph, loss: CGNode) -> list[Param]:
     return list(param_grads)
 
 
+class ParamBlock:
+    """The unique Params of one training call packed into four flat
+    float64 buffers (`value`, `grad`, `adam_m`, `adam_v`).
+
+    Packing copies each Param's arrays into the buffers, in list order,
+    and rebinds the Param's attributes to shaped views of them, so the
+    tape ops, `backward` and checkpoints see ordinary arrays while a
+    whole-model operation is one array op. A Param stays in the block
+    only while its arrays are written in place; rebinding one of its
+    attributes detaches it.
+    """
+
+    __slots__ = ("params", "sizes", "value", "grad", "adam_m", "adam_v")
+
+    def __init__(self, params):
+        self.params = _unique_params(params)
+        self.sizes = np.array([p.value.size for p in self.params], dtype=np.intp)
+        total = int(self.sizes.sum())
+        for field in ("value", "grad", "adam_m", "adam_v"):
+            buf = np.empty(total)
+            start = 0
+            for p, n in zip(self.params, self.sizes.tolist()):
+                view = buf[start:start + n].reshape(p.value.shape)
+                view[...] = getattr(p, field)
+                setattr(p, field, view)
+                start += n
+            setattr(self, field, buf)
+
+
+def _as_block(params) -> ParamBlock:
+    return params if isinstance(params, ParamBlock) else ParamBlock(params)
+
+
 def zero_grads(params) -> None:
-    for p in _unique_params(params):
-        p.grad[...] = 0.0
+    """Clear the gradients of a ParamBlock (other iterables are packed
+    first)."""
+    _as_block(params).grad.fill(0.0)
 
 
 def _unique_params(params) -> list[Param]:
@@ -597,29 +636,38 @@ def _unique_params(params) -> list[Param]:
 
 
 def adam_step(params, learning_rate: float) -> None:
-    """One Adam update over the unique storages in `params`.
+    """One Adam update over a ParamBlock (other iterables of Params are
+    packed first, so aliases are updated exactly once).
 
-    Aliased parameters (same object appearing several times) are updated
-    exactly once. Gradients are cleared afterwards.
+    The step is atomic: a non-finite gradient anywhere raises before any
+    value, moment or step count changes, naming the first bad Param in
+    block order. Gradients are cleared afterwards.
     """
     if learning_rate <= 0:
         raise ConfigError(f"learning rate must be positive, got {learning_rate}")
-    for p in _unique_params(params):
-        if not np.isfinite(p.grad).all():
-            raise NumericError(f"NaN/Inf gradient in parameter {p.name!r}")
+    block = _as_block(params)
+    if not np.isfinite(block.grad).all():
+        bad = next(p for p in block.params if not np.isfinite(p.grad).all())
+        raise NumericError(f"NaN/Inf gradient in parameter {bad.name!r}")
+    # Per-Param bias corrections, computed exactly as a per-Param loop
+    # would and repeated over each Param's elements.
+    c1, c2 = [], []
+    for p in block.params:
         p.step_count += 1
         t = p.step_count
-        # m, v and value change in place, each rounding step as in
-        # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g ** 2
-        m, v = p.adam_m, p.adam_v
-        m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * p.grad
-        v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * p.grad ** 2
-        m_hat = m / (1 - ADAM_BETA1 ** t)
-        v_hat = v / (1 - ADAM_BETA2 ** t)
-        p.value -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        p.grad[...] = 0.0
+        c1.append(1 - ADAM_BETA1 ** t)
+        c2.append(1 - ADAM_BETA2 ** t)
+    # m, v and value change in place, each rounding step as in
+    # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g ** 2
+    m, v, g = block.adam_m, block.adam_v, block.grad
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * g ** 2
+    m_hat = m / np.repeat(c1, block.sizes)
+    v_hat = v / np.repeat(c2, block.sizes)
+    block.value -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    g.fill(0.0)
 
 
 @dataclass
@@ -643,11 +691,12 @@ def grad_check(builder, tolerance: float, epsilon: float = 1e-4) -> GradCheckRep
     if not np.array_equal(l1.value, l2.value):
         raise StateError("grad_check builder is non-deterministic")
 
-    params = backward(g2, l2)
-    zero_grads(params)
+    block = ParamBlock(backward(g2, l2))
+    params = block.params
+    zero_grads(block)
     backward(g1, l1)
     analytic = [p.grad.copy() for p in params]
-    zero_grads(params)
+    zero_grads(block)
 
     def objective():
         # The additive-gradient L2 term corresponds to a 0.5*l2*|v|^2

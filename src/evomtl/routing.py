@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffcore import (
-    CGNode, CompGraph, Param, ScaleGroup, adam_step, backward, init_weight,
-    zero_grads,
+    CGNode, CompGraph, Param, ParamBlock, ScaleGroup, adam_step, backward,
+    init_weight, zero_grads,
 )
 from .errors import AssemblyError, ConfigError, NumericError, ParseError, \
     StateError
@@ -404,9 +404,9 @@ def joint_train(state: CtrState, spec: MultitaskSpec, m_iters: int, lr: float,
                 rng: np.random.Generator) -> None:
     """Train champions and challengers together: per iteration, one train
     example per (task, individual), gradients accumulated into the shared
-    modules, one Adam step."""
-    params = state.params()
-    zero_grads(params)
+    modules, one Adam step over one ParamBlock of every trained Param."""
+    block = ParamBlock(state.params())
+    zero_grads(block)
     for _ in range(m_iters):
         for ti, task in enumerate(spec.tasks):
             pool = task.split.train
@@ -421,7 +421,7 @@ def joint_train(state: CtrState, spec: MultitaskSpec, m_iters: int, lr: float,
                 g = CompGraph("train", rng)
                 logits = ind.forward(g, state.modules, g.leaf(img))
                 backward(g, g.cross_entropy(logits, label))
-        adam_step(params, lr)
+        adam_step(block, lr)
 
 
 def evaluate_individual(ind: RoutingIndividual, modules,
@@ -551,15 +551,13 @@ def module_instance_to_obj(inst: ModuleInstance) -> dict:
 
 def module_instance_from_obj(obj) -> ModuleInstance:
     from .genome import genome_from_obj, hyper_from_obj
-    inst = ModuleInstance(genome_from_obj(obj["genome"]),
-                          hyper_from_obj(obj["ghyper"]),
-                          np.random.default_rng(0), obj["label"],
-                          obj["storage_id"])
-    for key, pobj in obj["params"].items():
-        inst.params[key] = _param_from_obj(pobj)
-    for n, pobj in obj["scales"].items():
-        inst.scale_groups[int(n)].logits = _param_from_obj(pobj)
-    return inst
+    saved = {"params": {key: _param_from_obj(pobj)
+                        for key, pobj in obj["params"].items()},
+             "scales": {int(n): _param_from_obj(pobj)
+                        for n, pobj in obj["scales"].items()}}
+    return ModuleInstance(genome_from_obj(obj["genome"]),
+                          hyper_from_obj(obj["ghyper"]), None, obj["label"],
+                          obj["storage_id"], saved=saved)
 
 
 def _individual_obj(ind: RoutingIndividual) -> dict:

@@ -12,7 +12,8 @@ import numpy as np
 
 from .dataset import MultitaskSpec, sample_iteration
 from .diffcore import (
-    BatchForward, CompGraph, adam_step, backward, predicted_class, zero_grads,
+    BatchForward, CompGraph, ParamBlock, adam_step, backward, predicted_class,
+    zero_grads,
 )
 
 # Input rows (examples x H x W) one scoring forward holds at a time. A
@@ -35,8 +36,8 @@ def train_network(net, spec: MultitaskSpec, iters: int, lr: float,
     is measured periodically and the best parameter values are restored
     at the end (peak-validation snapshot).
     """
-    params = net.params()
-    zero_grads(params)
+    block = ParamBlock(net.params())
+    zero_grads(block)
     if epoch_iters is None:
         total_train = sum(len(t.split.train) for t in spec.tasks)
         epoch_iters = max(1, total_train // max(1, len(spec.tasks)))
@@ -64,12 +65,12 @@ def train_network(net, spec: MultitaskSpec, iters: int, lr: float,
         step_lr = current_lr(it)
         if not lr_points or lr_points[-1] != step_lr:
             lr_points.append(step_lr)
-        adam_step(params, step_lr)
+        adam_step(block, step_lr)
         if snapshot_every and (it + 1) % snapshot_every == 0:
             _, acc = evaluate_accuracy(net, spec, "val")
             if best_acc is None or acc > best_acc:
                 best_acc = acc
-                best_values = [(p, p.value.copy()) for p in params]
+                best_values = block.value.copy()
 
     if snapshot_every:
         if iters % snapshot_every or best_acc is None:
@@ -79,8 +80,7 @@ def train_network(net, spec: MultitaskSpec, iters: int, lr: float,
                 best_acc = acc
                 best_values = None  # final state is already the best
         if best_values is not None:
-            for p, v in best_values:
-                p.value[...] = v
+            block.value[...] = best_values
     return lr_points, best_acc
 
 

@@ -7,7 +7,9 @@ from evomtl.assembly import (
     CmGridNet, CmsrNet, ParamStore, SingleTaskNet, SoftOrderingNet,
     count_parameters, realize_module,
 )
-from evomtl.diffcore import CompGraph, adam_step, backward, softmax, zero_grads
+from evomtl.diffcore import (
+    CompGraph, ParamBlock, adam_step, backward, softmax, zero_grads,
+)
 from evomtl.errors import AssemblyError
 from evomtl.genome import (
     SINK, SOURCE, BlueprintGenome, BlueprintNode, GlobalHyper, LayerGene,
@@ -299,6 +301,11 @@ def test_count_parameters_alias_counted_once():
     net2 = CmGridNet(modules, h2, tids, cls, 8, rng(19))
     shared = count_parameters(net)
     distinct = count_parameters(net2)
+    # a block over every unit's Params (aliased slots listed twice) packs
+    # each storage once
+    listed = [p for unit in net.units() for p in unit.all_params()]
+    assert len(listed) > len(set(map(id, listed)))
+    assert ParamBlock(listed + net.params()).value.size == shared
     assert distinct > shared
     # brute force for the shared case: one row-storage per row + scales + decs
     module_params = (3 * 3 * 8 * 8 + 8) + (1 * 1 * 8 * 8 + 8)

@@ -260,11 +260,13 @@ def test_snapshot_restores_peak_validation_weights(monkeypatch):
     net = SoftOrderingNet([gene], [t.task_id for t in spec.tasks], [3, 3], 6,
                           GlobalHyper(), rng(1))
     scores = []  # every validation score train_network takes
+    weights = []  # the weights each score was taken on
     real_eval = training.evaluate_accuracy
 
     def recording_eval(*args, **kwargs):
         per_task, mean = real_eval(*args, **kwargs)
         scores.append(mean)
+        weights.append([p.value.tobytes() for p in net.params()])
         return per_task, mean
 
     monkeypatch.setattr(training, "evaluate_accuracy", recording_eval)
@@ -276,6 +278,9 @@ def test_snapshot_restores_peak_validation_weights(monkeypatch):
     assert max(scores) == best_acc
     assert scores[-1] < best_acc  # the peak was earlier: weights restored
     assert training.evaluate_accuracy(net, spec, "val")[1] == best_acc
+    # byte for byte the weights of the first peak score
+    assert [p.value.tobytes() for p in net.params()] == \
+        weights[scores.index(best_acc)]
 
 
 def test_plan_validation():

@@ -5,7 +5,8 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from evomtl.diffcore import (
-    BatchForward, CompGraph, Param, ScaleGroup, _conv_same, adam_step,
+    BatchForward, CompGraph, Param, ParamBlock, ScaleGroup, _conv_same,
+    adam_step,
     apply_layer, backward, grad_check, predicted_class, softmax, zero_grads,
 )
 from evomtl.errors import (
@@ -571,6 +572,52 @@ def test_adam_nan_raises():
     assert "p" in str(err.value)
 
 
+def test_adam_nan_leaves_every_param_untouched():
+    r = rng(41)
+    params = [Param(name, r.normal(size=shape))
+              for name, shape in (("a", (2, 3)), ("b", (4,)), ("c", (3,)))]
+    params[0].step_count = 2
+    for p in params:
+        p.grad[...] = r.normal(size=p.value.shape)
+        p.adam_m[...] = r.normal(size=p.value.shape)
+        p.adam_v[...] = r.random(p.value.shape)
+    params[2].grad[1] = np.nan
+    fields = ("value", "grad", "adam_m", "adam_v")
+    before = [{f: getattr(p, f).tobytes() for f in fields} for p in params]
+    with pytest.raises(NumericError) as err:
+        adam_step(params, 0.1)
+    assert "'c'" in str(err.value)
+    for p, saved in zip(params, before):
+        assert {f: getattr(p, f).tobytes() for f in fields} == saved
+    assert [p.step_count for p in params] == [2, 0, 0]
+    params[1].grad[0] = np.inf  # the first bad Param in list order is named
+    with pytest.raises(NumericError, match="'b'"):
+        adam_step(params, 0.1)
+
+
+def test_param_block_packs_each_storage_once_as_views():
+    r = rng(42)
+    w = Param("w", r.normal(size=(3, 3, 2, 2)))
+    b = Param("b", r.normal(size=2))
+    for p in (w, b):
+        p.grad[...] = r.normal(size=p.value.shape)
+        p.adam_m[...] = r.normal(size=p.value.shape)
+        p.adam_v[...] = r.random(p.value.shape)
+    fields = ("value", "grad", "adam_m", "adam_v")
+    before = {(p.name, f): getattr(p, f).copy() for p in (w, b) for f in fields}
+    block = ParamBlock([w, b, w])  # w listed again as an alias
+    assert block.params == [w, b]
+    assert block.value.size == w.value.size + b.value.size == 38
+    for p in (w, b):
+        for f in fields:
+            arr = getattr(p, f)
+            assert arr.shape == before[(p.name, f)].shape
+            assert np.shares_memory(arr, getattr(block, f))
+            assert arr.tobytes() == before[(p.name, f)].tobytes()
+    block.grad[...] = 1.0  # one buffer write reaches every Param
+    assert np.all(w.grad == 1.0) and np.all(b.grad == 1.0)
+
+
 def test_param_alias_bit_exact():
     p = Param("p", np.arange(4.0), shared_id="k")
     users = [p, p]  # one storage seen by two realizations
@@ -644,7 +691,7 @@ def _bit_identity_params():
     return params
 
 
-def _bit_identity_tape(params, x, label):
+def _bit_identity_tape(params, x, label, head="wd"):
     g = CompGraph("train", rng(label))
     h = g.activation(g.conv2d(g.leaf(x), params["w"], params["b"]), "relu")
     # h has three consumers; w is used at three sites, once as its alias
@@ -652,21 +699,29 @@ def _bit_identity_tape(params, x, label):
     c = g.activation(g.conv2d(h, params["w_alias"], params["b"]), "tanh")
     m = g.softmerge(ScaleGroup("m", params["s"]), [a, c, h])
     m = g.maxpool2x2(m)
-    return g, g.cross_entropy(g.dense(g.flatten(m), params["wd"],
+    return g, g.cross_entropy(g.dense(g.flatten(m), params[head],
                                       params["bd"]), label)
 
 
 def test_backward_and_adam_bit_identical_to_reference():
     new, ref = _bit_identity_params(), _bit_identity_params()
+    block = ParamBlock(new.values())
     r = rng(32)
     for step in range(6):
-        for _ in range(2):  # two tapes per step, as joint_train records
+        if step == 3:
+            # a second head joins, and the block is rebuilt around it, as
+            # joint_train packs a new block once its challengers exist
+            wd2 = 0.3 * rng(33).normal(size=(8, 3))
+            new["wd2"], ref["wd2"] = Param("wd2", wd2), Param("wd2", wd2)
+            block = ParamBlock(new.values())
+        for i in range(2):  # two tapes per step, as joint_train records
             x, label = r.normal(size=(4, 4, 1)), int(r.integers(3))
-            backward(*_bit_identity_tape(new, x, label))
-            _backward_reference(*_bit_identity_tape(ref, x, label))
+            head = "wd2" if i and "wd2" in new else "wd"
+            backward(*_bit_identity_tape(new, x, label, head))
+            _backward_reference(*_bit_identity_tape(ref, x, label, head))
         for key in new:
             assert np.array_equal(new[key].grad, ref[key].grad), (step, key)
-        adam_step(list(new.values()), 0.05)
+        adam_step(block, 0.05)
         _adam_step_reference(list(ref.values()), 0.05)
         for key in new:
             for field in ("value", "grad", "adam_m", "adam_v"):
@@ -674,6 +729,8 @@ def test_backward_and_adam_bit_identical_to_reference():
                 assert a.tobytes() == b.tobytes(), (step, key, field)
             assert new[key].step_count == ref[key].step_count
     assert new["w"].step_count == 6 and new["b"].step_count == 10
+    assert new["wd2"].step_count == 3
+    assert np.shares_memory(new["wd2"].value, block.value)
 
 
 def test_cross_entropy_gradient_is_softmax_minus_onehot_bitwise():

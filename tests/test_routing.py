@@ -316,3 +316,53 @@ def test_restore_rejects_checkpoint_without_task_order():
     del obj["task_ids"]
     with pytest.raises(ParseError):
         restore_ctr_state(canon_dumps(obj).encode())
+
+
+def test_restore_builds_modules_from_saved_params(monkeypatch):
+    from evomtl import assembly, routing
+    from evomtl.genome import LayerGene, ModuleGenome, SINK, SOURCE
+    from evomtl.training import batched_forward
+    spec = make_spec()
+    modules = default_ctr_modules(2, 8, rng(60))
+    # a module with an internal merge, so saved merge scales are restored too
+    # (kernel 1: it runs third in the chain, on a 2x2 map)
+    gene = LayerGene(2, "conv2d", "relu", 1, 8, 1e-6, 0.0)
+    merged = ModuleGenome(
+        genome_id=9, nodes={2: gene, 3: LayerGene(3, "conv2d", "tanh", 1, 8,
+                                                 1e-6, 0.0)},
+        edges={4: (SOURCE, 2), 5: (SOURCE, 3), 6: (2, SINK), 7: (3, SINK)},
+        share_flag=True, final_layer=modules[0].genome.final_layer)
+    modules.append(assembly.realize_module(merged, modules[0].ghyper,
+                                           rng(61), "m2"))
+    state = init_ctr(modules, spec, rng(62))
+    r = rng(63)
+    for _ in range(2):
+        state.challengers = {
+            tid: mutate_challenger(champ, modules, 0.1, r, 8)
+            for tid, champ in state.champions.items()}
+        joint_train(state, spec, 3, 1e-2, r)
+        tids = list(state.champions)
+        promoted = state.challengers[tids[0]]
+        select_and_checkpoint(state, {
+            tids[0]: {"champion": 0.1, "challenger": 0.5},
+            tids[1]: {"champion": 0.5, "challenger": 0.1}})
+        assert state.champions[tids[0]] is promoted
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("restore drew fresh weights")
+
+    monkeypatch.setattr(assembly, "init_weight", no_draw)
+    monkeypatch.setattr(routing, "init_weight", no_draw)
+    restored = restore_ctr_state(serialize_ctr_state(state))
+    monkeypatch.undo()
+    for ti, task in enumerate(spec.tasks):
+        images = [img for img, _ in spec.examples_for(task, "val")]
+        live = batched_forward(lambda g, x: state.forward(g, ti, x), images)
+        back = batched_forward(lambda g, x: restored.forward(g, ti, x), images)
+        assert live.tobytes() == back.tobytes()
+    # each plan row holds the restored instance's own Params
+    for inst in restored.modules:
+        used = {id(p) for row in inst.plan for p in row[4:]}
+        used |= {id(row[2].logits) for row in inst.plan if row[2] is not None}
+        assert used == {id(p) for p in inst.all_params()}
+    assert restored.modules[2].scale_groups
