@@ -19,9 +19,17 @@ Forward code reads sizes through `node.shape`, one example's shape, so it
 runs unchanged on a training tape (`CompGraph`) and on a batched scoring
 forward (`BatchForward`).
 
-Four network builders: the depth-merged baseline (`SoftOrderingNet` and
-its per-task `SingleTaskNet` variant), the K x D grid (`CmGridNet`), and
-blueprint-shaped topologies (`CmsrNet`).
+Weight sharing: a builder keeps a dict from share key to the module
+instance realized under it, and a later realization with the same key
+returns that instance, so the same Param objects serve every location.
+An instance's storage id is its share key, or its label when unshared.
+A merge's scales are its logit `Param`, one per merge point (per task
+where merges are per task).
+
+Network builders: the K x D grid `GridNet`, filled either by the
+depth-merged baseline (`SoftOrderingNet`: row k is layer k at every
+depth) or by CM's evolved modules (`CmGridNet`); the per-task
+`SingleTaskNet` chains; and blueprint-shaped topologies (`CmsrNet`).
 """
 
 from __future__ import annotations
@@ -29,32 +37,13 @@ from __future__ import annotations
 import numpy as np
 
 from .diffcore import (
-    CGNode, CompGraph, Param, ScaleGroup, _unique_params, init_weight,
+    CGNode, CompGraph, Param, _unique_params, init_weight, merge_scales,
 )
 from .errors import AssemblyError
 from .genome import (
     SINK, SOURCE, BlueprintGenome, GlobalHyper, LayerGene, ModuleGenome,
-    check_genome, topo_order,
+    check_genome, graph_maps, topo_order,
 )
-
-
-class ParamStore:
-    """Registry resolving storage directives: fresh ids, plus the shared
-    instances already realized under a key."""
-
-    def __init__(self):
-        self._shared: dict[str, "ModuleInstance"] = {}
-        self._count = 0
-
-    def fresh_id(self) -> str:
-        self._count += 1
-        return f"storage{self._count}"
-
-    def lookup(self, key: str):
-        return self._shared.get(key)
-
-    def register(self, key: str, inst: "ModuleInstance"):
-        self._shared[key] = inst
 
 
 def _pool_to(g: CompGraph, x: CGNode, side: int) -> CGNode:
@@ -66,7 +55,7 @@ def _pool_to(g: CompGraph, x: CGNode, side: int) -> CGNode:
     return x
 
 
-def merge_aligned(g: CompGraph, group: ScaleGroup,
+def merge_aligned(g: CompGraph, scales: Param,
                   inputs: list[CGNode]) -> CGNode:
     """Soft-merge after pooling larger inputs to the smallest side and
     zero-padding channels to the widest input."""
@@ -76,7 +65,7 @@ def merge_aligned(g: CompGraph, group: ScaleGroup,
     aligned = [_pool_to(g, x, side) for x in inputs]
     chans = max(x.shape[2] for x in aligned)
     aligned = [g.pad_channels(x, chans) for x in aligned]
-    return g.softmerge(group, aligned)
+    return g.softmerge(scales, aligned)
 
 
 def _gene_param_shapes(gene: LayerGene, cin: int):
@@ -137,8 +126,8 @@ class ModuleInstance:
     checkpoint's Params: `params` keyed as in `self.params`, `scales` by
     merge node), taken as they are, with no draw. Either way the forward
     recipe is resolved once, into `plan`: one (node, parent ids, merge
-    scales or None, gene, w, b) row per non-source node in topological
-    order."""
+    scales Param or None, gene, w, b) row per non-source node in
+    topological order."""
 
     def __init__(self, genome: ModuleGenome, ghyper: GlobalHyper,
                  rng: np.random.Generator | None, label: str, storage_id: str,
@@ -154,21 +143,21 @@ class ModuleInstance:
 
         out_width = {SOURCE: width}
         self.params: dict[str, Param] = {}
-        self.scale_groups: dict[int, ScaleGroup] = {}
+        self.scale_groups: dict[int, Param] = {}
         init = ghyper.weight_init
         plan = []
+        _, node_parents = graph_maps(genome.node_ids(), genome.edges)
 
         for n in topo_order(genome.node_ids(), genome.edges):
             if n == SOURCE:
                 continue
-            parents = sorted(s for s, d in genome.edges.values() if d == n)
+            parents = node_parents[n]
             cin = max(out_width[p] for p in parents)
             if len(parents) > 1:
-                owner = f"{label}.merge{n}"
                 self.scale_groups[n] = (
-                    ScaleGroup.uniform(owner, len(parents)) if saved is None
-                    else ScaleGroup(owner, _saved_param(
-                        saved["scales"], n, (len(parents),))))
+                    merge_scales(f"{label}.merge{n}", len(parents))
+                    if saved is None
+                    else _saved_param(saved["scales"], n, (len(parents),)))
             gene = genome.final_layer if n == SINK else genome.nodes[n]
             if n == SINK:
                 shape = (gene.kernel_size, gene.kernel_size, cin, width)
@@ -195,7 +184,7 @@ class ModuleInstance:
 
     def all_params(self) -> list[Param]:
         out = list(self.params.values())
-        out.extend(sg.logits for sg in self.scale_groups.values())
+        out.extend(self.scale_groups.values())
         return out
 
     def apply(self, g: CompGraph, x: CGNode) -> CGNode:
@@ -206,11 +195,11 @@ class ModuleInstance:
             raise AssemblyError(
                 f"module input has {x.shape[2]} channels, contract is {width}")
         vals = {SOURCE: x}
-        for n, parents, group, gene, w, b in self.plan:
-            if group is None:
+        for n, parents, scales, gene, w, b in self.plan:
+            if scales is None:
                 v = vals[parents[0]]
             else:
-                v = merge_aligned(g, group, [vals[p] for p in parents])
+                v = merge_aligned(g, scales, [vals[p] for p in parents])
             if n == SINK:
                 if min(v.shape[:2]) < gene.kernel_size:
                     raise AssemblyError(
@@ -244,20 +233,18 @@ class ModuleInstance:
 
 def realize_module(genome: ModuleGenome, ghyper: GlobalHyper,
                    rng: np.random.Generator, label: str,
-                   store: ParamStore | None = None,
+                   shared: dict | None = None,
                    share_key: str | None = None) -> ModuleInstance:
     """Create a module instance, honoring the storage directive: with a
-    share_key, the first realization registers its storage and later ones
-    alias it (same Param objects, same storage id)."""
-    if store is not None and share_key is not None:
-        existing = store.lookup(share_key)
-        if existing is not None:
-            return existing
-    storage_id = store.fresh_id() if store is not None else share_key or label
-    inst = ModuleInstance(genome, ghyper, rng, label, storage_id)
-    if store is not None and share_key is not None:
-        store.register(share_key, inst)
-    return inst
+    `shared` dict and a share_key, the first realization is stored under
+    the key and later ones alias it (same Param objects). The storage id
+    is the share key, or the label when there is none."""
+    if shared is None or share_key is None:
+        return ModuleInstance(genome, ghyper, rng, label, share_key or label)
+    if share_key not in shared:
+        shared[share_key] = ModuleInstance(genome, ghyper, rng, label,
+                                           share_key)
+    return shared[share_key]
 
 
 class LayerInstance:
@@ -323,45 +310,59 @@ class AssembledNetwork:
         """Every parameter once (aliased units count once): units, merge
         scales, decoders."""
         out = [p for unit in self.units() for p in unit.all_params()]
-        out.extend(sg.logits for sg in self.scales.values())
+        out.extend(self.scales.values())
         out.extend(p for pair in self.decoders.values() for p in pair)
         return _unique_params(out)
 
 
-class SoftOrderingNet(AssembledNetwork):
-    """Depth-merged baseline: D shared layers, each applied at every
-    depth, combined per task and depth by learned scales."""
+class GridNet(AssembledNetwork):
+    """K x D grid of units: at each depth every row's unit runs on the
+    previous depth's output, and the K outputs are soft-merged by learned
+    scales per (task, depth). Subclasses realize the units, filling
+    `slots[k][d]`; one unit object in several slots shares its weights.
+    The units' output width is `width` channels."""
 
-    kind = "soft_ordering"
-
-    def __init__(self, genes, task_ids, class_counts, image_side, ghyper, rng):
+    def __init__(self, slots, width, task_ids, class_counts, image_side,
+                 ghyper, rng):
         super().__init__(task_ids, class_counts, image_side)
-        if not genes:
-            raise AssemblyError("need at least one layer")
         self.ghyper = ghyper
-        self.width = genes[0].filters
-        self.layers = [LayerInstance(gene, self.width, ghyper, rng, f"layer{i}")
-                       for i, gene in enumerate(genes)]
-        d = len(self.layers)
+        self.slots = slots
         side = image_side
-        for _ in range(d):
-            side = min(layer.out_side(side) for layer in self.layers)
-        self.out_features = side * side * self.width
+        for column in zip(*slots):
+            side = min(unit.out_side(side) for unit in column)
+        self.out_features = side * side * width
         for t in range(len(self.task_ids)):
-            for depth in range(d):
-                self.scales[(t, depth)] = ScaleGroup.uniform(
-                    f"t{t}.d{depth}", d)
+            for d in range(len(slots[0])):
+                self.scales[(t, d)] = merge_scales(f"t{t}.d{d}", len(slots))
         self.decoders = _make_decoders(task_ids, class_counts,
                                        self.out_features, rng, ghyper)
 
     def forward(self, g, task_index, x):
-        for depth in range(len(self.layers)):
-            cands = [layer.apply(g, x) for layer in self.layers]
-            x = merge_aligned(g, self.scales[(task_index, depth)], cands)
+        for d, column in enumerate(zip(*self.slots)):
+            x = merge_aligned(g, self.scales[(task_index, d)],
+                              [unit.apply(g, x) for unit in column])
         return self._decode(g, task_index, x)
 
     def units(self):
-        return self.layers
+        return [unit for row in self.slots for unit in row]
+
+
+class SoftOrderingNet(GridNet):
+    """Depth-merged baseline: D shared layers, each applied at every
+    depth (row k is layer k in every slot), combined per task and depth
+    by learned scales."""
+
+    kind = "soft_ordering"
+
+    def __init__(self, genes, task_ids, class_counts, image_side, ghyper, rng):
+        if not genes:
+            raise AssemblyError("need at least one layer")
+        self.width = genes[0].filters
+        self.layers = [LayerInstance(gene, self.width, ghyper, rng, f"layer{i}")
+                       for i, gene in enumerate(genes)]
+        super().__init__([[layer] * len(genes) for layer in self.layers],
+                         self.width, task_ids, class_counts, image_side,
+                         ghyper, rng)
 
 
 class SingleTaskNet(AssembledNetwork):
@@ -405,56 +406,35 @@ def _share_eligible(mode: str, row_flag: bool, depth_flag: bool) -> bool:
     return row_flag and depth_flag
 
 
-class CmGridNet(AssembledNetwork):
-    """K x D grid: row k repeats one module architecture at every depth;
-    each depth's K slot outputs are soft-merged per task. Row weights are
-    shared exactly among the share-eligible slots of that row."""
+class CmGridNet(GridNet):
+    """K x D grid: row k repeats one module architecture at every depth.
+    Row weights are shared exactly among the share-eligible slots of that
+    row."""
 
     kind = "cm_grid"
 
     def __init__(self, module_set, ghyper, task_ids, class_counts,
                  image_side, rng):
-        super().__init__(task_ids, class_counts, image_side)
         if not module_set:
             raise AssemblyError("need at least one module")
-        self.ghyper = ghyper
-        k_rows, depth = ghyper.k_modules, ghyper.depth
-        self.store = ParamStore()
-        self.slots: list[list[ModuleInstance]] = []
-        for k in range(k_rows):
+        shared: dict[str, ModuleInstance] = {}
+        slots = []
+        for k in range(ghyper.k_modules):
             genome = module_set[k % len(module_set)]
             row = []
-            for d in range(depth):
+            for d in range(ghyper.depth):
                 eligible = _share_eligible(ghyper.sharing_mode,
                                            genome.share_flag,
                                            ghyper.depth_flags[d])
                 row.append(realize_module(
-                    genome, ghyper, rng, f"slot{k}x{d}", store=self.store,
+                    genome, ghyper, rng, f"slot{k}x{d}", shared=shared,
                     share_key=f"row{k}" if eligible else None))
-            self.slots.append(row)
-        side = image_side
-        for d in range(depth):
-            side = min(self.slots[k][d].out_side(side) for k in range(k_rows))
-        self.out_features = side * side * ghyper.final_layer_filters
-        for t in range(len(task_ids)):
-            for d in range(depth):
-                self.scales[(t, d)] = ScaleGroup.uniform(f"t{t}.d{d}", k_rows)
-        self.decoders = _make_decoders(task_ids, class_counts,
-                                       self.out_features, rng, ghyper)
-
-    def forward(self, g, task_index, x):
-        y = x
-        for d in range(self.ghyper.depth):
-            cands = [self.slots[k][d].apply(g, y)
-                     for k in range(self.ghyper.k_modules)]
-            y = merge_aligned(g, self.scales[(task_index, d)], cands)
-        return self._decode(g, task_index, y)
+            slots.append(row)
+        super().__init__(slots, ghyper.final_layer_filters, task_ids,
+                         class_counts, image_side, ghyper, rng)
 
     def slot_storage(self, k: int, d: int) -> str:
         return self.slots[k][d].storage_id
-
-    def units(self):
-        return [inst for row in self.slots for inst in row]
 
 
 class CmsrNet(AssembledNetwork):
@@ -472,12 +452,10 @@ class CmsrNet(AssembledNetwork):
             raise AssemblyError(f"invalid blueprint: {errs[0]}")
         self.blueprint = blueprint
         self.ghyper = ghyper
-        self.store = ParamStore()
         self.order = topo_order(blueprint.node_ids(), blueprint.edges)
         self.src, self.snk = blueprint.source(), blueprint.sink()
-        self.parents = {n: sorted(s for s, d in blueprint.edges.values()
-                                  if d == n)
-                        for n in blueprint.node_ids()}
+        _, self.parents = graph_maps(blueprint.node_ids(), blueprint.edges)
+        shared: dict[str, ModuleInstance] = {}
         self.instances: dict[int, ModuleInstance] = {}
         for n in self.order:
             node = blueprint.nodes[n]
@@ -494,7 +472,7 @@ class CmsrNet(AssembledNetwork):
             else:
                 key = None
             self.instances[n] = realize_module(
-                genome, ghyper, rng, f"node{n}", store=self.store,
+                genome, ghyper, rng, f"node{n}", shared=shared,
                 share_key=key)
         side = {self.src: self.instances[self.src].out_side(image_side)}
         for n in self.order:
@@ -506,7 +484,7 @@ class CmsrNet(AssembledNetwork):
         for t in range(len(task_ids)):
             for n in self.order:
                 if len(self.parents[n]) > 1:
-                    self.scales[(t, n)] = ScaleGroup.uniform(
+                    self.scales[(t, n)] = merge_scales(
                         f"t{t}.n{n}", len(self.parents[n]))
         self.decoders = _make_decoders(task_ids, class_counts,
                                        self.out_features, rng, ghyper)

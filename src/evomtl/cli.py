@@ -402,7 +402,7 @@ def cmd_export_dot(args) -> int:
         print(f"error: no task {args.routing!r} in checkpoint "
               f"(tasks: {sorted(champs)})", file=sys.stderr)
         return 1
-    ind = _individual_from_obj(champs[args.routing])
+    ind = _individual_from_obj(champs[args.routing], len(obj["modules"]))
     sys.stdout.write(routing_dot(ind, "routing"))
     return 0
 

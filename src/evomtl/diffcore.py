@@ -19,7 +19,9 @@ Layer kinds: dense, conv2d (square kernel, stride 1, zero "same" padding),
 maxpool2x2 (stride 2, odd trailing row/column truncated), the four
 activations relu/elu/sigmoid/tanh, and inverted dropout. Merging is done
 by `softmerge`, a learnable convex combination whose weights are the
-softmax of a logit vector.
+softmax of a logit vector. A merge's scales are that logit vector itself:
+a plain `Param` of shape (m,) for m inputs (`merge_scales` makes a
+uniform one).
 """
 
 from __future__ import annotations
@@ -116,33 +118,12 @@ def init_weight(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
     return rng.normal(0.0, std, size=shape)
 
 
-class ScaleGroup:
-    """Softmax-normalised merge scales for one merge point."""
-
-    __slots__ = ("owner", "logits")
-
-    def __init__(self, owner: str, logits: Param):
-        if logits.value.ndim != 1 or logits.value.size < 1:
-            raise ConfigError("scale logits must be a non-empty vector")
-        self.owner = owner
-        self.logits = logits
-
-    @staticmethod
-    def uniform(owner: str, m: int) -> "ScaleGroup":
-        if m < 1:
-            raise ConfigError("a merge needs at least one input")
-        return ScaleGroup(owner, Param(f"{owner}.scales", np.zeros(m)))
-
-    @property
-    def size(self) -> int:
-        return self.logits.value.size
-
-    @property
-    def weights(self) -> Tensor:
-        return softmax(self.logits.value)
-
-    def copy(self) -> "ScaleGroup":
-        return ScaleGroup(self.owner, self.logits.copy())
+def merge_scales(owner: str, m: int) -> Param:
+    """Uniform scales for an m-input merge: the logit vector, all zeros,
+    named `{owner}.scales`."""
+    if m < 1:
+        raise ConfigError("a merge needs at least one input")
+    return Param(f"{owner}.scales", np.zeros(m))
 
 
 class CGNode:
@@ -300,16 +281,16 @@ class CompGraph:
 
     # -- merge and loss ----------------------------------------------------
 
-    def softmerge(self, scales: ScaleGroup, inputs: list[CGNode]) -> CGNode:
+    def softmerge(self, scales: Param, inputs: list[CGNode]) -> CGNode:
         _check_merge(scales, inputs)
-        p = softmax(scales.logits.value)
+        p = softmax(scales.value)
         out = _softmerge(p, [node.value for node in inputs])
 
         def vjp(g):
             dots = np.array([np.sum(g * node.value) for node in inputs])
             dlogits = p * (dots - np.dot(p, dots))
             grads = [(node, pm * g) for pm, node in zip(p, inputs)]
-            grads.append((scales.logits, dlogits))
+            grads.append((scales, dlogits))
             return grads
 
         return self._record("softmerge", out, tuple(inputs), vjp)
@@ -395,9 +376,9 @@ class BatchForward:
             return x
         return BatchNode(_pad_channels(x.value, channels))
 
-    def softmerge(self, scales: ScaleGroup, inputs: list[BatchNode]) -> BatchNode:
+    def softmerge(self, scales: Param, inputs: list[BatchNode]) -> BatchNode:
         _check_merge(scales, inputs)
-        p = softmax(scales.logits.value)
+        p = softmax(scales.value)
         return BatchNode(_softmerge(p, [node.value for node in inputs]))
 
 
@@ -451,12 +432,13 @@ def _check_pad(shape, channels: int) -> int:
     return shape[2]
 
 
-def _check_merge(scales: ScaleGroup, inputs: list) -> None:
+def _check_merge(scales: Param, inputs: list) -> None:
     m = len(inputs)
     if m == 0:
         raise ConfigError("softmerge of zero inputs")
-    if scales.size != m:
-        raise ConfigError(f"softmerge: {m} inputs but {scales.size} scales")
+    if scales.value.shape != (m,):
+        raise ConfigError(
+            f"softmerge: {m} inputs but scales of shape {scales.value.shape}")
     shape = inputs[0].value.shape
     for node in inputs[1:]:
         if node.value.shape != shape:

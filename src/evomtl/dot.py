@@ -58,7 +58,7 @@ def routing_dot(individual, name: str = "routing") -> str:
         srcs = graph.inbound[dst]
         weights = None
         if len(srcs) > 1:
-            weights = softmax(graph.scale_groups[dst].logits.value)
+            weights = softmax(graph.scale_groups[dst].value)
         for i, src in enumerate(srcs):
             if weights is None:
                 lines.append(f"  {_q(src)} -> {_q(dst)};")

@@ -149,22 +149,10 @@ class BlueprintGenome:
         return set(self.nodes)
 
     def source(self) -> int:
-        indeg = {i: 0 for i in self.nodes}
-        for s, d in self.edges.values():
-            indeg[d] += 1
-        roots = [i for i, n in indeg.items() if n == 0]
-        if len(roots) != 1:
-            raise StateError(f"blueprint has {len(roots)} sources")
-        return roots[0]
+        return _only_end(graph_maps(self.nodes, self.edges)[1], "sources")
 
     def sink(self) -> int:
-        outdeg = {i: 0 for i in self.nodes}
-        for s, d in self.edges.values():
-            outdeg[s] += 1
-        sinks = [i for i, n in outdeg.items() if n == 0]
-        if len(sinks) != 1:
-            raise StateError(f"blueprint has {len(sinks)} sinks")
-        return sinks[0]
+        return _only_end(graph_maps(self.nodes, self.edges)[0], "sinks")
 
     def copy(self, genome_id: int | None = None) -> "BlueprintGenome":
         return BlueprintGenome(
@@ -174,6 +162,14 @@ class BlueprintGenome:
             species_id=self.species_id,
             fitness=None,
         )
+
+
+def _only_end(adj: dict[int, list[int]], what: str) -> int:
+    """The one node with an empty adjacency list."""
+    ends = [i for i, nbrs in adj.items() if not nbrs]
+    if len(ends) != 1:
+        raise StateError(f"blueprint has {len(ends)} {what}")
+    return ends[0]
 
 
 @dataclass
@@ -261,16 +257,21 @@ def mutate_global(h: GlobalHyper, rng: np.random.Generator) -> GlobalHyper:
 # --- structural validation -------------------------------------------------
 
 
-def _graph_maps(node_ids: set[int], edges: dict[int, tuple[int, int]]):
+def graph_maps(node_ids, edges: dict[int, tuple[int, int]]):
+    """(children, parents) adjacency lists per node; parent lists are
+    sorted by node id, the order merges take their inputs in."""
     succ = {i: [] for i in node_ids}
     pred = {i: [] for i in node_ids}
     for s, d in edges.values():
         succ[s].append(d)
         pred[d].append(s)
+    for parents in pred.values():
+        parents.sort()
     return succ, pred
 
 
-def _reachable(start: int, adj: dict[int, list[int]]) -> set[int]:
+def reachable(start: int, adj: dict[int, list[int]]) -> set[int]:
+    """`start` and every node reachable from it along `adj`."""
     seen = {start}
     stack = [start]
     while stack:
@@ -281,57 +282,47 @@ def _reachable(start: int, adj: dict[int, list[int]]) -> set[int]:
     return seen
 
 
-def check_genome(g) -> list[str]:
-    """All invariant violations (empty list means valid)."""
-    errs = []
-    node_ids = g.node_ids()
-    for innov, (s, d) in g.edges.items():
-        if s not in node_ids or d not in node_ids:
-            errs.append(f"edge {innov} references missing node")
+def dag_errors(node_ids, edges: dict[int, tuple[int, int]],
+               source: int | None = None, sink: int | None = None) -> list[str]:
+    """Structural violations of a single-source, single-sink DAG (empty
+    means valid): edges to missing nodes, a cycle, and other than one root
+    (`source`, when given) or one leaf (`sink`). With one root and one
+    leaf, every node lies on a source->sink path: in a DAG, walking
+    parents from any node ends at a root and walking children at a leaf."""
+    errs = [f"edge {innov} references missing node"
+            for innov, (s, d) in edges.items()
+            if s not in node_ids or d not in node_ids]
     if errs:
         return errs
     try:
-        topo_order(node_ids, g.edges)
+        topo_order(node_ids, edges)
     except StateError:
         return ["graph has a cycle"]
-    succ, pred = _graph_maps(node_ids, g.edges)
-    if g.kind == "module":
-        src, snk = SOURCE, SINK
-        if pred[src]:
-            errs.append("source has inbound edges")
-        if succ[snk]:
-            errs.append("sink has outbound edges")
-        roots = [i for i in node_ids if not pred[i]]
-        leaves = [i for i in node_ids if not succ[i]]
-        if roots != [src] and set(roots) != {src}:
-            errs.append(f"sources: {sorted(roots)}")
-        if set(leaves) != {snk}:
-            errs.append(f"sinks: {sorted(leaves)}")
-        if len(g.nodes) > MAX_INTERNAL_NODES:
-            errs.append(f"{len(g.nodes)} internal nodes exceeds cap")
-        for gene in list(g.nodes.values()) + [g.final_layer]:
-            errs.extend(gene.check())
-    else:
-        roots = [i for i in node_ids if not pred[i]]
-        leaves = [i for i in node_ids if not succ[i]]
-        if len(roots) != 1:
-            errs.append(f"{len(roots)} sources")
-        if len(leaves) != 1:
-            errs.append(f"{len(leaves)} sinks")
-    if not errs:
-        src = SOURCE if g.kind == "module" else g.source()
-        snk = SINK if g.kind == "module" else g.sink()
-        fwd = _reachable(src, succ)
-        bwd = _reachable(snk, pred)
-        stranded = node_ids - (fwd & bwd)
-        if stranded:
-            errs.append(f"nodes off every source->sink path: {sorted(stranded)}")
+    succ, pred = graph_maps(node_ids, edges)
+    roots = sorted(i for i in node_ids if not pred[i])
+    leaves = sorted(i for i in node_ids if not succ[i])
+    if len(roots) != 1 or source is not None and roots != [source]:
+        errs.append(f"sources: {roots}")
+    if len(leaves) != 1 or sink is not None and leaves != [sink]:
+        errs.append(f"sinks: {leaves}")
+    return errs
+
+
+def check_genome(g) -> list[str]:
+    """All invariant violations (empty list means valid)."""
+    if g.kind != "module":
+        return dag_errors(g.node_ids(), g.edges)
+    errs = dag_errors(g.node_ids(), g.edges, SOURCE, SINK)
+    if len(g.nodes) > MAX_INTERNAL_NODES:
+        errs.append(f"{len(g.nodes)} internal nodes exceeds cap")
+    for gene in [*g.nodes.values(), g.final_layer]:
+        errs.extend(gene.check())
     return errs
 
 
 def topo_order(node_ids: set[int], edges) -> list[int]:
     """Deterministic topological order (ties broken by node id)."""
-    succ, pred = _graph_maps(node_ids, edges)
+    succ, pred = graph_maps(node_ids, edges)
     indeg = {i: len(pred[i]) for i in node_ids}
     ready = sorted(i for i in node_ids if indeg[i] == 0)
     order = []
@@ -419,7 +410,7 @@ def _mutate_add_node(g, tracker: InnovationTracker, rng,
 
 def _mutate_add_edge(g, tracker: InnovationTracker, rng) -> None:
     node_ids = g.node_ids()
-    succ, _ = _graph_maps(node_ids, g.edges)
+    succ, _ = graph_maps(node_ids, g.edges)
     present = set(g.edges.values())
     if g.kind == "module":
         src, snk = SOURCE, SINK
@@ -431,7 +422,7 @@ def _mutate_add_edge(g, tracker: InnovationTracker, rng) -> None:
     for b in sorted(node_ids):
         if b == src:
             continue
-        ancestors_of_b_and_self = _reachable(b, succ)
+        ancestors_of_b_and_self = reachable(b, succ)
         for a in sorted(node_ids):
             if a == b or a == snk or (a, b) in present:
                 continue
@@ -589,12 +580,6 @@ class SpeciesPopulation:
 
     def species_ids(self) -> list[int]:
         return [s.species_id for s in self.species]
-
-    def members_of(self, species_id: int) -> list:
-        for s in self.species:
-            if s.species_id == species_id:
-                return s.members
-        raise StateError(f"no species {species_id}")
 
 
 def init_module_population(count: int, n_species: int,

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffcore import (
-    CGNode, CompGraph, Param, ParamBlock, ScaleGroup, adam_step, backward,
-    init_weight, zero_grads,
+    CGNode, CompGraph, Param, ParamBlock, adam_step, backward, init_weight,
+    zero_grads,
 )
 from .errors import AssemblyError, ConfigError, NumericError, ParseError, \
     StateError
 from .genome import GlobalHyper, LayerGene, ModuleGenome, SINK, SOURCE, \
-    topo_order
+    dag_errors, reachable, topo_order
 from .assembly import ModuleInstance, realize_module
 from .dataset import MultitaskSpec
 from .serialize import (
@@ -45,16 +45,16 @@ class RNode:
 
 
 class RoutingGraph:
-    """Task-routing DAG. Inbound edge order is stable per node; a node's
-    ScaleGroup logit i belongs to its i-th inbound edge. Nodes and edges
-    are added only through `add_node`/`add_edge`, which drop the cached
-    topological order."""
+    """Task-routing DAG. Inbound edge order is stable per node; logit i of
+    a merge node's scales belongs to its i-th inbound edge. Nodes and
+    edges are added only through `add_node`/`add_edge`, which drop the
+    cached topological order."""
 
     def __init__(self, task_id: str):
         self.task_id = task_id
         self.nodes: dict[int, RNode] = {}
         self.inbound: dict[int, list[int]] = {}
-        self.scale_groups: dict[int, ScaleGroup] = {}
+        self.scale_groups: dict[int, Param] = {}
         self._next = 0
         self._order: tuple[int, ...] | None = None
         self.source_id = self.add_node("source")
@@ -77,12 +77,6 @@ class RoutingGraph:
             for src in srcs:
                 yield (src, dst)
 
-    def outbound(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for src, dst in self.edges():
-            out[src].append(dst)
-        return out
-
     def topo_order(self) -> tuple[int, ...]:
         if self._order is None:
             self._order = tuple(topo_order(self.nodes.keys(),
@@ -90,21 +84,14 @@ class RoutingGraph:
         return self._order
 
     def ancestors(self, node: int) -> set[int]:
-        seen = set()
-        stack = list(self.inbound[node])
-        while stack:
-            n = stack.pop()
-            if n not in seen:
-                seen.add(n)
-                stack.extend(self.inbound[n])
-        return seen
+        return reachable(node, self.inbound) - {node}
 
     def copy(self) -> "RoutingGraph":
         g = RoutingGraph.__new__(RoutingGraph)
         g.task_id = self.task_id
         g.nodes = {n: RNode(r.kind, r.module_index) for n, r in self.nodes.items()}
         g.inbound = {n: list(srcs) for n, srcs in self.inbound.items()}
-        g.scale_groups = {n: sg.copy() for n, sg in self.scale_groups.items()}
+        g.scale_groups = {n: p.copy() for n, p in self.scale_groups.items()}
         g._next = self._next
         g._order = self._order
         g.source_id = self.source_id
@@ -113,41 +100,22 @@ class RoutingGraph:
 
 
 def check_routing_graph(graph: RoutingGraph, n_modules: int) -> list[str]:
-    errs = []
-    try:
-        graph.topo_order()
-    except StateError:
-        return ["cycle"]
-    sources = [n for n, srcs in graph.inbound.items() if not srcs]
-    out = graph.outbound()
-    sinks = [n for n, dsts in out.items() if not dsts]
-    if sources != [graph.source_id]:
-        errs.append(f"sources {sources}")
-    if sinks != [graph.sink_id]:
-        errs.append(f"sinks {sinks}")
-    desc = graph.ancestors(graph.sink_id) | {graph.sink_id}
+    if graph.inbound.keys() != graph.nodes.keys():
+        return ["inbound lists do not match the nodes"]
+    errs = dag_errors(graph.nodes.keys(), dict(enumerate(graph.edges())),
+                      graph.source_id, graph.sink_id)
     for n, r in graph.nodes.items():
         if r.kind == "module" and not 0 <= r.module_index < n_modules:
             errs.append(f"node {n}: module index {r.module_index}")
         if r.kind == "adapter" and len(graph.inbound[n]) != 1:
             errs.append(f"adapter {n} has in-degree {len(graph.inbound[n])}")
-        if n not in desc and n != graph.sink_id:
-            errs.append(f"node {n} cannot reach the sink")
-    reach = {graph.source_id}
-    for n in graph.topo_order():
-        if n in reach:
-            for m in out[n]:
-                reach.add(m)
-    missing = set(graph.nodes) - reach
-    if missing:
-        errs.append(f"nodes unreachable from source: {sorted(missing)}")
     for n, srcs in graph.inbound.items():
         if len(srcs) > 1:
-            sg = graph.scale_groups.get(n)
-            if sg is None or sg.size != len(srcs):
-                errs.append(f"node {n}: scale group missing or wrong size")
+            scales = graph.scale_groups.get(n)
+            if scales is None or scales.value.shape != (len(srcs),):
+                errs.append(f"node {n}: merge scales missing or wrong size")
         elif n in graph.scale_groups:
-            errs.append(f"node {n}: spurious scale group")
+            errs.append(f"node {n}: spurious merge scales")
     return errs
 
 
@@ -191,7 +159,7 @@ class RoutingIndividual:
 
     def params(self) -> list[Param]:
         out = [self.decoder_w, self.decoder_b]
-        out.extend(sg.logits for sg in self.graph.scale_groups.values())
+        out.extend(self.graph.scale_groups.values())
         return out
 
     def forward(self, g: CompGraph, modules, x: CGNode) -> CGNode:
@@ -324,22 +292,19 @@ def new_edge_logit(existing: np.ndarray, alpha: float) -> float:
 
 def _extend_scale_group(graph: RoutingGraph, v: int, alpha: float) -> None:
     """Give node v's newest inbound edge post-softmax weight alpha,
-    creating the group (incumbent weight 1 - alpha) if v just became a
+    creating its scales (incumbent weight 1 - alpha) if v just became a
     merge point."""
-    sg = graph.scale_groups.get(v)
-    if sg is None:
-        existing = np.zeros(1)
-        logits = np.array([0.0, new_edge_logit(existing, alpha)])
-        graph.scale_groups[v] = ScaleGroup(
-            f"{graph.task_id}.n{v}", Param(f"{graph.task_id}.n{v}.scales", logits))
+    old = graph.scale_groups.get(v)
+    if old is None:
+        logits = np.array([0.0, new_edge_logit(np.zeros(1), alpha)])
+        graph.scale_groups[v] = Param(f"{graph.task_id}.n{v}.scales", logits)
         return
-    old = sg.logits
     logits = np.append(old.value, new_edge_logit(old.value, alpha))
     p = Param(old.name, logits)
     p.adam_m = np.append(old.adam_m, 0.0)
     p.adam_v = np.append(old.adam_v, 0.0)
     p.step_count = old.step_count
-    graph.scale_groups[v] = ScaleGroup(sg.owner, p)
+    graph.scale_groups[v] = p
 
 
 def mutate_challenger(champion: RoutingIndividual, modules, alpha: float,
@@ -512,7 +477,7 @@ def run_ctr(modules, spec: MultitaskSpec, meta_iters: int, m_iters: int,
     if checkpoint_path is not None:
         payload = canon_loads(state.checkpoint_bytes)
         payload["history"] = history
-        payload["rng_state"] = _rng_state_obj(rng)
+        payload["rng_state"] = rng.bit_generator.state
         atomic_write_text(checkpoint_path, canon_dumps(payload))
     return final, state.best_avg_val, history
 
@@ -544,8 +509,8 @@ def module_instance_to_obj(inst: ModuleInstance) -> dict:
         "label": inst.label,
         "storage_id": inst.storage_id,
         "params": {k: _param_obj(p) for k, p in inst.params.items()},
-        "scales": {str(n): _param_obj(sg.logits)
-                   for n, sg in inst.scale_groups.items()},
+        "scales": {str(n): _param_obj(p)
+                   for n, p in inst.scale_groups.items()},
     }
 
 
@@ -570,14 +535,14 @@ def _individual_obj(ind: RoutingIndividual) -> dict:
         "next": graph._next,
         "source_id": graph.source_id,
         "sink_id": graph.sink_id,
-        "scales": {str(n): _param_obj(sg.logits)
-                   for n, sg in graph.scale_groups.items()},
+        "scales": {str(n): _param_obj(p)
+                   for n, p in graph.scale_groups.items()},
         "decoder_w": _param_obj(ind.decoder_w),
         "decoder_b": _param_obj(ind.decoder_b),
     }
 
 
-def _individual_from_obj(obj) -> RoutingIndividual:
+def _individual_from_obj(obj, n_modules: int) -> RoutingIndividual:
     graph = RoutingGraph.__new__(RoutingGraph)
     graph.task_id = obj["task_id"]
     graph.nodes = {int(n): RNode(r["kind"], r["module_index"])
@@ -588,10 +553,11 @@ def _individual_from_obj(obj) -> RoutingIndividual:
     graph._order = None
     graph.source_id = int(obj["source_id"])
     graph.sink_id = int(obj["sink_id"])
-    graph.scale_groups = {}
-    for n, pobj in obj["scales"].items():
-        p = _param_from_obj(pobj)
-        graph.scale_groups[int(n)] = ScaleGroup(f"{graph.task_id}.n{n}", p)
+    graph.scale_groups = {int(n): _param_from_obj(pobj)
+                          for n, pobj in obj["scales"].items()}
+    errs = check_routing_graph(graph, n_modules)
+    if errs:
+        raise ParseError(f"routing graph of {graph.task_id!r}: {errs[0]}")
     return RoutingIndividual(graph, _param_from_obj(obj["decoder_w"]),
                              _param_from_obj(obj["decoder_b"]))
 
@@ -617,9 +583,10 @@ def restore_ctr_state(data: bytes) -> CtrState:
         # champions come back in sorted-key order, so the task order
         # cannot be recovered from them
         raise ParseError("ctr checkpoint lacks task_ids")
+    modules = [module_instance_from_obj(m) for m in obj["modules"]]
     return CtrState(
-        modules=[module_instance_from_obj(m) for m in obj["modules"]],
-        champions={tid: _individual_from_obj(io)
+        modules=modules,
+        champions={tid: _individual_from_obj(io, len(modules))
                    for tid, io in obj["champions"].items()},
         task_ids=[str(t) for t in obj["task_ids"]],
         meta_iteration=int(obj["meta_iteration"]),
@@ -627,19 +594,3 @@ def restore_ctr_state(data: bytes) -> CtrState:
         image_side=int(obj["image_side"]),
         class_counts={k: int(v) for k, v in obj["class_counts"].items()},
     )
-
-
-def _rng_state_obj(rng: np.random.Generator) -> dict:
-    return _jsonable(rng.bit_generator.state)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj

@@ -21,7 +21,7 @@ from evomtl.dataset import (
     MultitaskSpec, Split, TaskDataset, split_fixed, synth_generate,
 )
 from evomtl.diffcore import (
-    CompGraph, Param, ScaleGroup, grad_check, softmax,
+    CompGraph, Param, grad_check, softmax,
 )
 from evomtl.errors import StateError
 from evomtl.genome import (
@@ -72,7 +72,7 @@ def test_criterion_01_gradient_correctness():
             xn = g.leaf(x)
             h1 = g.activation(g.conv2d(xn, w1, b1), act)
             h2 = g.pad_channels(xn, 2)
-            merged = g.softmerge(ScaleGroup("m", s), [h1, h2])
+            merged = g.softmerge(s, [h1, h2])
             h = g.maxpool2x2(merged)
             h = g.dropout(h, 0.2)
             h = g.dense(g.flatten(h), w2, b2)
@@ -103,7 +103,7 @@ def test_criterion_02_soft_merge_law():
         shape = (int(r.integers(1, 4)), int(r.integers(1, 3)))
         xs = [r.normal(size=shape) for _ in range(m)]
         g = CompGraph("eval")
-        out = g.softmerge(ScaleGroup("m", Param("s", logits)),
+        out = g.softmerge(Param("s", logits),
                           [g.leaf(x) for x in xs]).value
         lo, hi = np.min(xs, axis=0), np.max(xs, axis=0)
         if not (np.all(out >= lo - 1e-9) and np.all(out <= hi + 1e-9)):
@@ -232,7 +232,7 @@ def test_criterion_06_depth_merge_oracle():
     worst = 0.0
     for t in range(2):
         for d in range(2):
-            net.scales[(t, d)].logits.value[...] = rng(62 + 2 * t + d).normal(size=2)
+            net.scales[(t, d)].value[...] = rng(62 + 2 * t + d).normal(size=2)
         g = CompGraph("eval")
         got = net.forward(g, t, g.leaf(x)).value
         # independent straight-line recurrence
@@ -241,7 +241,7 @@ def test_criterion_06_depth_merge_oracle():
         params = [(l.w.value, l.b.value) for l in net.layers]
         for d in range(2):
             outs = [np.maximum(conv_same_ref(y, w, b), 0.0) for w, b in params]
-            s = softmax(net.scales[(t, d)].logits.value)
+            s = softmax(net.scales[(t, d)].value)
             y = sum(sm * o for sm, o in zip(s, outs))
         w, b = net.decoders[net.task_ids[t]]
         expect = y.reshape(-1) @ w.value + b.value

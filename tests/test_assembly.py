@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evomtl.assembly import (
-    CmGridNet, CmsrNet, ParamStore, SingleTaskNet, SoftOrderingNet,
+    CmGridNet, CmsrNet, SingleTaskNet, SoftOrderingNet,
     count_parameters, realize_module,
 )
 from evomtl.diffcore import (
@@ -54,13 +54,13 @@ def test_realize_shapes_and_tail_pool():
 
 
 def test_realize_shared_directive_aliases():
-    store = ParamStore()
+    shared = {}
     genome, h = make_module(), ghyp()
-    a = realize_module(genome, h, rng(2), "a", store=store, share_key="k")
-    b = realize_module(genome, h, rng(2), "b", store=store, share_key="k")
+    a = realize_module(genome, h, rng(2), "a", shared=shared, share_key="k")
+    b = realize_module(genome, h, rng(2), "b", shared=shared, share_key="k")
     assert a is b
     assert a.storage_id == b.storage_id
-    c = realize_module(genome, h, rng(2), "c", store=store)
+    c = realize_module(genome, h, rng(2), "c", shared=shared)
     assert c.storage_id != a.storage_id
 
 
@@ -102,7 +102,7 @@ def test_soft_ordering_scale_count():
     net = SoftOrderingNet(genes, tids, cls, 8, ghyp(), rng(6))
     # tasks x depths groups, each holding one logit per layer
     assert len(net.scales) == 4 * 3
-    assert all(sg.size == 3 for sg in net.scales.values())
+    assert all(p.value.shape == (3,) for p in net.scales.values())
 
 
 def straight_line_depth_merge(x, layer_params, scale_logits, width):
@@ -139,11 +139,11 @@ def test_soft_ordering_matches_straight_line_recurrence():
     x = rng(8).random((5, 5, 1))
     for t in range(2):
         for d in range(2):
-            net.scales[(t, d)].logits.value[...] = rng(10 + t + d).normal(size=2)
+            net.scales[(t, d)].value[...] = rng(10 + t + d).normal(size=2)
         g = CompGraph("eval")
         got = net.forward(g, t, g.leaf(x))
         layer_params = [(l.w.value, l.b.value) for l in net.layers]
-        logits = [net.scales[(t, d)].logits.value for d in range(2)]
+        logits = [net.scales[(t, d)].value for d in range(2)]
         y = straight_line_depth_merge(x, layer_params, logits, 8)
         w, b = net.decoders[tids[t]]
         expect = y.reshape(-1) @ w.value + b.value

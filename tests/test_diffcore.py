@@ -5,9 +5,9 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from evomtl.diffcore import (
-    BatchForward, CompGraph, Param, ParamBlock, ScaleGroup, _conv_same,
-    adam_step,
-    apply_layer, backward, grad_check, predicted_class, softmax, zero_grads,
+    BatchForward, CompGraph, Param, ParamBlock, _conv_same, adam_step,
+    apply_layer, backward, grad_check, merge_scales, predicted_class, softmax,
+    zero_grads,
 )
 from evomtl.errors import (
     ConfigError, DataError, DimensionError, NumericError, StateError,
@@ -175,7 +175,7 @@ def test_no_tape_op_writes_a_node_value_in_place():
     a = g.activation(g.conv2d(h, w1, b), "relu")
     c = g.activation(g.conv2d(h, w3, b), "elu")
     p = g.activation(g.pad_channels(x, 3), "sigmoid")
-    m = g.softmerge(ScaleGroup("m", Param("s", r.normal(size=3))), [a, c, p])
+    m = g.softmerge(Param("s", r.normal(size=3)), [a, c, p])
     h = g.dropout(g.maxpool2x2(g.activation(m, "tanh")), 0.25)
     loss = g.cross_entropy(g.dense(g.flatten(h), wd, bd), 2)
     before = [n.value.copy() for n in g.nodes]
@@ -320,11 +320,11 @@ def test_both_forwards_make_the_same_checks(make):
         f.activation(x, "swish")
     y = _one_example(f, np.ones((4, 4, 3)))
     with pytest.raises(DimensionError):
-        f.softmerge(ScaleGroup.uniform("s", 2), [x, y])
+        f.softmerge(merge_scales("s", 2), [x, y])
     with pytest.raises(ConfigError):
-        f.softmerge(ScaleGroup.uniform("s", 3), [x, x])
+        f.softmerge(merge_scales("s", 3), [x, x])
     with pytest.raises(ConfigError):
-        f.softmerge(ScaleGroup.uniform("s", 1), [])
+        f.softmerge(merge_scales("s", 1), [])
     assert f.dropout(x, 0.5) is x
     assert f.pad_channels(x, 2) is x
     assert f.pad_channels(x, 5).shape == (4, 4, 5)
@@ -354,14 +354,14 @@ def test_dropout_rate_validation():
 
 def test_softmerge_uniform_is_mean():
     g = CompGraph("eval")
-    sg = ScaleGroup.uniform("m", 2)
+    sg = merge_scales("m", 2)
     out = g.softmerge(sg, [g.leaf([1.0, 2.0]), g.leaf([3.0, 4.0])])
     assert np.allclose(out.value, [2.0, 3.0])
 
 
 def test_softmerge_singleton_passthrough():
     g = CompGraph("eval")
-    sg = ScaleGroup("m", Param("s", np.array([7.3])))
+    sg = Param("s", np.array([7.3]))
     t = np.array([1.5, -2.0, 0.25])
     out = g.softmerge(sg, [g.leaf(t)])
     assert np.allclose(out.value, t)
@@ -370,7 +370,7 @@ def test_softmerge_singleton_passthrough():
 def test_softmerge_hand_weights():
     # softmax(ln 3, 0) = (0.75, 0.25) so merge of [4] and [0] gives [3]
     g = CompGraph("eval")
-    sg = ScaleGroup("m", Param("s", np.array([math.log(3.0), 0.0])))
+    sg = Param("s", np.array([math.log(3.0), 0.0]))
     out = g.softmerge(sg, [g.leaf([4.0]), g.leaf([0.0])])
     assert np.allclose(out.value, [3.0])
 
@@ -378,12 +378,15 @@ def test_softmerge_hand_weights():
 def test_softmerge_errors():
     g = CompGraph("eval")
     with pytest.raises(ConfigError):
-        g.softmerge(ScaleGroup.uniform("m", 1), [])
+        g.softmerge(merge_scales("m", 1), [])
     with pytest.raises(DimensionError):
-        g.softmerge(ScaleGroup.uniform("m", 2),
+        g.softmerge(merge_scales("m", 2),
                     [g.leaf([1.0]), g.leaf([1.0, 2.0])])
     with pytest.raises(ConfigError):
-        ScaleGroup.uniform("m", 0)
+        merge_scales("m", 0)
+    # two logits, but not shaped (2,)
+    with pytest.raises(ConfigError):
+        g.softmerge(Param("s", np.zeros((2, 1))), [g.leaf([1.0]), g.leaf([2.0])])
 
 
 def test_cross_entropy_values():
@@ -481,7 +484,7 @@ def test_softmerge_logits_gradient_finite_diff():
 
     def builder():
         g = CompGraph("train", rng(9))
-        merged = g.softmerge(ScaleGroup("m", logits), [g.leaf(x) for x in xs])
+        merged = g.softmerge(logits, [g.leaf(x) for x in xs])
         return g, g.cross_entropy(g.dense(merged, w, b), 0)
 
     report = grad_check(builder, 1e-4)
@@ -697,7 +700,7 @@ def _bit_identity_tape(params, x, label, head="wd"):
     # h has three consumers; w is used at three sites, once as its alias
     a = g.conv2d(h, params["w"], params["b"])
     c = g.activation(g.conv2d(h, params["w_alias"], params["b"]), "tanh")
-    m = g.softmerge(ScaleGroup("m", params["s"]), [a, c, h])
+    m = g.softmerge(params["s"], [a, c, h])
     m = g.maxpool2x2(m)
     return g, g.cross_entropy(g.dense(g.flatten(m), params[head],
                                       params["bd"]), label)
@@ -758,7 +761,7 @@ def test_softmerge_convex_combination_property():
         shape = (int(r.integers(1, 4)), int(r.integers(1, 4)))
         xs = [r.normal(size=shape) for _ in range(m)]
         g = CompGraph("eval")
-        sg = ScaleGroup("m", Param("s", r.normal(scale=3, size=m)))
+        sg = Param("s", r.normal(scale=3, size=m))
         out = g.softmerge(sg, [g.leaf(x) for x in xs]).value
         lo = np.min(xs, axis=0)
         hi = np.max(xs, axis=0)
@@ -797,7 +800,7 @@ def test_random_networks_gradcheck_sweep():
             xn = g.leaf(x)
             h1 = g.activation(g.conv2d(xn, w1, b1), act)
             h2 = g.pad_channels(xn, 2)
-            merged = g.softmerge(ScaleGroup("m", s), [h1, h2])
+            merged = g.softmerge(s, [h1, h2])
             h = g.maxpool2x2(merged)
             h = g.dropout(h, 0.25)
             h = g.dense(g.flatten(h), w2, b2)

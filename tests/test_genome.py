@@ -3,9 +3,10 @@ import pytest
 
 from evomtl.errors import ConfigError, ParseError
 from evomtl.genome import (
-    KERNEL_SIZES, SINK, SOURCE, InnovationTracker,
-    MutationRates, check_genome, compatibility, crossover, deserialize,
-    genome_to_obj, hyper_from_obj, hyper_to_obj, init_blueprint_population,
+    KERNEL_SIZES, SINK, SOURCE, BlueprintGenome, BlueprintNode,
+    InnovationTracker, LayerGene, ModuleGenome, MutationRates, check_genome,
+    compatibility, crossover, deserialize, genome_from_obj, genome_to_obj,
+    hyper_from_obj, hyper_to_obj, init_blueprint_population,
     init_module_population, mutate, mutate_global, random_global_hyper,
     serialize, speciate_and_reproduce,
 )
@@ -234,6 +235,50 @@ def test_deserialize_handwritten_minimal():
     g = deserialize(text.encode())
     assert len(g.nodes) == 1 and len(g.edges) == 2
     assert g.nodes[2].activation == "tanh"
+
+
+def _graph_genome(kind, extra_nodes=(), extra_edges=()):
+    """The chain source -> 2 -> sink of either genome kind, plus extra
+    nodes and edges."""
+    edges = {10: (SOURCE, 2), 11: (2, SINK)}
+    edges.update((20 + i, e) for i, e in enumerate(extra_edges))
+    ids = [2, *extra_nodes]
+    if kind == "module":
+        def gene(i):
+            return LayerGene(i, "conv2d", "relu", 3, 8, 1e-5, 0.0)
+        return ModuleGenome(1, {i: gene(i) for i in ids}, edges, True,
+                            gene(-1))
+    return BlueprintGenome(
+        1, {i: BlueprintNode(1, False) for i in [SOURCE, SINK, *ids]}, edges)
+
+
+# case -> (extra nodes, extra edges), and the blueprint's own where it
+# differs. Node 3 is new; node 9 does not exist. A blueprint's source and
+# sink are its one root and one leaf, so an in-edge into its source (or an
+# out-edge from its sink) either adds a root (a leaf) or closes a cycle;
+# its rows take the cycle.
+MALFORMED_GENOMES = {
+    "cycle": (([3], [(2, 3), (3, 2)]), None),
+    "two roots": (([3], [(3, 2)]), None),
+    "two leaves": (([3], [(2, 3)]), None),
+    "source with an in-edge": (([3], [(3, SOURCE)]), ([], [(2, SOURCE)])),
+    "sink with an out-edge": (([3], [(SINK, 3)]), ([], [(SINK, 2)])),
+    "stranded node": (([3], []), None),
+    "edge to a missing node": (([], [(2, 9)]), None),
+}
+
+
+@pytest.mark.parametrize("kind", ["module", "blueprint"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_GENOMES))
+def test_check_genome_rejects_malformed_graphs(kind, case):
+    assert check_genome(_graph_genome(kind)) == []
+    module_edit, blueprint_edit = MALFORMED_GENOMES[case]
+    edit = blueprint_edit if kind == "blueprint" and blueprint_edit else \
+        module_edit
+    g = _graph_genome(kind, *edit)
+    assert check_genome(g) != []
+    with pytest.raises(ParseError):
+        genome_from_obj(genome_to_obj(g))
 
 
 def test_hyper_round_trip_and_mutation_ranges():

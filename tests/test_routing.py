@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from evomtl.dataset import split_fixed, synth_generate
-from evomtl.diffcore import CompGraph, softmax
-from evomtl.errors import ConfigError, NumericError
+from evomtl.serialize import array_from_obj, array_to_obj, canon_dumps, \
+    canon_loads
+from evomtl.diffcore import CompGraph, Param, softmax
+from evomtl.errors import ConfigError, NumericError, ParseError
 from evomtl.genome import topo_order
 from evomtl.routing import (
     output_divergence,
-    CtrState, check_routing_graph, default_ctr_modules, evaluate_individual,
+    CtrState, RoutingGraph, check_routing_graph, default_ctr_modules, evaluate_individual,
     init_ctr, joint_train, mutate_challenger, new_edge_logit, node_sides,
     restore_ctr_state, run_ctr, select_and_checkpoint, serialize_ctr_state,
 )
@@ -318,6 +320,75 @@ def test_restore_rejects_checkpoint_without_task_order():
         restore_ctr_state(canon_dumps(obj).encode())
 
 
+def _cut_off_from_sink(graph, m):
+    graph.add_edge(graph.source_id, graph.add_node("module", 1))
+
+
+def _adapter_with_two_in_edges(graph, m):
+    a = graph.add_node("adapter")
+    for src, dst in ((graph.source_id, a), (m, a), (a, graph.sink_id)):
+        graph.add_edge(src, dst)
+    # both merges carry well-formed scales: the adapter is the only fault
+    for n in (a, graph.sink_id):
+        graph.scale_groups[n] = Param(f"t.n{n}.scales", np.zeros(2))
+
+
+@pytest.mark.parametrize("edit", [_cut_off_from_sink,
+                                  _adapter_with_two_in_edges])
+def test_check_routing_graph_rejects_malformed_graphs(edit):
+    graph = RoutingGraph("t")
+    m = graph.add_node("module", 0)
+    graph.add_edge(graph.source_id, m)
+    graph.add_edge(m, graph.sink_id)
+    assert check_routing_graph(graph, 2) == []
+    edit(graph, m)
+    assert check_routing_graph(graph, 2) != []
+
+
+def _checkpoint_with_a_merge():
+    """A ctr checkpoint whose first champion has a merge node."""
+    spec = make_spec()
+    modules = default_ctr_modules(2, 8, rng(70))
+    state = init_ctr(modules, spec, rng(71))
+    tid = spec.tasks[0].task_id
+    champion = mutate_challenger(state.champions[tid], modules, 0.1, rng(72), 8)
+    assert not champion.mutation_failed
+    state.champions[tid] = champion
+    return canon_loads(serialize_ctr_state(state)), tid
+
+
+def _one_extra_logit(champion):
+    pobj = next(iter(champion["scales"].values()))
+    for field in ("value", "adam_m", "adam_v"):
+        pobj[field] = array_to_obj(np.append(array_from_obj(pobj[field]), 0.0))
+
+
+def _no_inbound_list(champion):
+    del champion["inbound"][next(iter(champion["scales"]))]
+
+
+@pytest.mark.parametrize("damage", [_one_extra_logit, _no_inbound_list])
+def test_restore_rejects_a_malformed_routing_graph(damage):
+    obj, tid = _checkpoint_with_a_merge()
+    restore_ctr_state(canon_dumps(obj).encode())  # intact: restores
+    damage(obj["champions"][tid])
+    with pytest.raises(ParseError):
+        restore_ctr_state(canon_dumps(obj).encode())
+
+
+def test_checkpoint_rng_state_resumes_the_run_generator(tmp_path):
+    spec = make_spec()
+    r = rng(80)
+    path = tmp_path / "ctr_checkpoint.json"
+    run_ctr(default_ctr_modules(2, 8, rng(81)), spec, 2, 3, 0.1, 1e-2, r,
+            checkpoint_path=str(path))
+    resumed = np.random.default_rng()
+    resumed.bit_generator.state = canon_loads(path.read_text())["rng_state"]
+    assert resumed.random(8).tobytes() == r.random(8).tobytes()
+    assert (resumed.integers(0, 2 ** 62, size=4).tolist()
+            == r.integers(0, 2 ** 62, size=4).tolist())
+
+
 def test_restore_builds_modules_from_saved_params(monkeypatch):
     from evomtl import assembly, routing
     from evomtl.genome import LayerGene, ModuleGenome, SINK, SOURCE
@@ -363,6 +434,6 @@ def test_restore_builds_modules_from_saved_params(monkeypatch):
     # each plan row holds the restored instance's own Params
     for inst in restored.modules:
         used = {id(p) for row in inst.plan for p in row[4:]}
-        used |= {id(row[2].logits) for row in inst.plan if row[2] is not None}
+        used |= {id(row[2]) for row in inst.plan if row[2] is not None}
         assert used == {id(p) for p in inst.all_params()}
     assert restored.modules[2].scale_groups
