@@ -34,8 +34,8 @@ from .genome import (
     init_blueprint_population, init_module_population,
 )
 from .harness import (
-    Coordinator, build_dataset, distributed_evaluator, local_evaluator,
-    run_worker,
+    Coordinator, build_dataset, dataset_scope, distributed_evaluator,
+    local_evaluator, run_worker,
 )
 from .routing import default_ctr_modules, restore_ctr_state, run_ctr
 from .serialize import atomic_write_text, canon_dumps, canon_loads
@@ -201,15 +201,17 @@ def cmd_run(args) -> int:
                       canon_dumps(cfg.to_obj()) + "\n")
     atomic_write_text(os.path.join(out_dir, "inputs_hash.txt"),
                       _hash_inputs(cfg) + "\n")
-    spec = build_dataset(cfg.dataset_ref())
-    write_split_manifest(spec, os.path.join(out_dir, "split_manifest.txt"))
-
-    if cfg.algorithm in ("baseline-single", "baseline-soft"):
-        report = _run_baseline(cfg, spec, out_dir)
-    elif cfg.algorithm == "ctr":
-        report = _run_ctr_experiment(cfg, spec, out_dir)
-    else:
-        report = _run_coevolution(cfg, out_dir)
+    # one corpus for the whole run: the CLI's spec, every job's and every
+    # retrain's build share it
+    with dataset_scope():
+        spec = build_dataset(cfg.dataset_ref())
+        write_split_manifest(spec, os.path.join(out_dir, "split_manifest.txt"))
+        if cfg.algorithm in ("baseline-single", "baseline-soft"):
+            report = _run_baseline(cfg, spec, out_dir)
+        elif cfg.algorithm == "ctr":
+            report = _run_ctr_experiment(cfg, spec, out_dir)
+        else:
+            report = _run_coevolution(cfg, out_dir)
     atomic_write_text(os.path.join(out_dir, "report.json"),
                       canon_dumps(report) + "\n")
     _print_report(report)

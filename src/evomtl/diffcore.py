@@ -22,6 +22,18 @@ by `softmerge`, a learnable convex combination whose weights are the
 softmax of a logit vector. A merge's scales are that logit vector itself:
 a plain `Param` of shape (m,) for m inputs (`merge_scales` makes a
 uniform one).
+
+Seeded runs are reproducible byte for byte, so a faster kernel must
+round exactly as the one it replaces. Three layout facts carry that:
+  * at k=1 a conv's im2col matrix `cols` is its input reshaped to one
+    row per pixel, a view of a C-contiguous input (the weight gradient
+    reads it, so no op writes a node value in place);
+  * a conv's kernel matrix is the view `w[:, :, :c].reshape(-1, cout)`,
+    F-ordered for the vjp's flipped, channel-swapped kernel; a contiguous
+    copy changes the matmul's rounding on 1x1 maps;
+  * the max-pool vjp sends each window's gradient to its first position,
+    (dy, dx) in C order, equal to the window's max: argmax routing, ties
+    included.
 """
 
 from __future__ import annotations
@@ -55,7 +67,7 @@ def as_tensor(x) -> Tensor:
 
 def softmax(v: Tensor) -> Tensor:
     """Stable softmax of a 1-D vector (max-subtraction)."""
-    shifted = v - np.max(v)
+    shifted = v - v.max()
     e = np.exp(shifted)
     return e / e.sum()
 
@@ -214,24 +226,13 @@ class CompGraph:
         squeeze = _check_pool(x.value.shape)
         xv = x.value[..., None] if squeeze else x.value
         out = _maxpool2x2(xv)
-        ho, wo, c = out.shape
-        # each window's four entries, (dy, dx) in C order, for the argmax
-        blocks = xv[:ho * 2, :wo * 2, :].reshape(ho, 2, wo, 2, c)
-        arg = blocks.transpose(0, 2, 4, 1, 3).reshape(ho, wo, c, 4).argmax(axis=3)
-        if squeeze:
-            out = out[..., 0]
 
         def vjp(g):
-            gv = g[..., None] if squeeze else g
-            db = np.where(_WINDOW == arg[..., None], gv[..., None], 0.0)
-            dx = (db.reshape(ho, wo, c, 2, 2).transpose(0, 3, 1, 4, 2)
-                  .reshape(ho * 2, wo * 2, c))
-            if dx.shape != xv.shape:  # an odd trailing row or column: zero
-                full, dx = dx, np.zeros_like(xv)
-                dx[:ho * 2, :wo * 2, :] = full
+            dx = _maxpool2x2_vjp(xv, out, g[..., None] if squeeze else g)
             return ((x, dx[..., 0] if squeeze else dx),)
 
-        return self._record("maxpool2x2", out, (x,), vjp)
+        return self._record("maxpool2x2", out[..., 0] if squeeze else out,
+                            (x,), vjp)
 
     def activation(self, x: CGNode, kind: str) -> CGNode:
         v = x.value
@@ -287,7 +288,7 @@ class CompGraph:
         out = _softmerge(p, [node.value for node in inputs])
 
         def vjp(g):
-            dots = np.array([np.sum(g * node.value) for node in inputs])
+            dots = np.array([(g * node.value).sum() for node in inputs])
             dlogits = p * (dots - np.dot(p, dots))
             grads = [(node, pm * g) for pm, node in zip(p, inputs)]
             grads.append((scales, dlogits))
@@ -302,7 +303,7 @@ class CompGraph:
             raise DimensionError("cross_entropy: logits must be a vector of >= 2")
         if not 0 <= label < v.size:
             raise DataError(f"label {label} out of range for {v.size} classes")
-        shifted = v - np.max(v)
+        shifted = v - v.max()
         e = np.exp(shifted)
         z = e.sum()
         loss = np.array(math.log(z) - shifted[label])
@@ -456,29 +457,26 @@ def _conv_same(x: Tensor, w: Tensor):
     the kernel's leading C input channels; returns output and the im2col
     matrix (saved for the weight gradient).
 
-    The padding is one zero buffer with `x` copied into its interior, and
-    the (..., H, W, k, k, C) window view is built directly on that
-    buffer's strides. `cols` rows are (dy, dx, c) in C order, one row per
-    output pixel. At k=1 there is no padding: the view is built on `x`
-    itself, so for a C-contiguous `x` `cols` is a view of it, not a copy."""
+    For k > 1 the padding is one zero buffer with `x` copied into its
+    interior, and the (..., H, W, k, k, C) window view is built directly
+    on that buffer's strides. `cols` rows are (dy, dx, c) in C order, one
+    row per output pixel. At k=1 there is no window: `cols` is `x` itself
+    as one row per pixel, so for a C-contiguous `x` it is a view of it,
+    not a copy."""
     k, cout = w.shape[0], w.shape[3]
     *lead, h, wd, c = x.shape
-    pad = k // 2
-    if pad:
+    if k == 1:
+        cols = np.ascontiguousarray(x).reshape(-1, c)
+    else:
+        pad = k // 2
         xp = np.zeros((*lead, h + 2 * pad, wd + 2 * pad, c))
         xp[..., pad:pad + h, pad:pad + wd, :] = x
-    else:
-        xp = np.ascontiguousarray(x)
-    *sl, sh, sw, sc = xp.strides
-    win = np.ndarray((*lead, h, wd, k, k, c), xp.dtype, buffer=xp,
-                     strides=(*sl, sh, sw, sh, sw, sc))
-    cols = win.reshape(-1, k * k * c)
+        *sl, sh, sw, sc = xp.strides
+        win = np.ndarray((*lead, h, wd, k, k, c), xp.dtype, buffer=xp,
+                         strides=(*sl, sh, sw, sh, sw, sc))
+        cols = win.reshape(-1, k * k * c)
     out = (cols @ w[:, :, :c].reshape(-1, cout)).reshape(*lead, h, wd, cout)
     return out, cols
-
-
-# The four window positions (dy, dx) in C order, as the argmax numbers them.
-_WINDOW = np.arange(4)
 
 
 def _maxpool2x2(x: Tensor) -> Tensor:
@@ -489,6 +487,30 @@ def _maxpool2x2(x: Tensor) -> Tensor:
     return np.maximum(
         np.maximum(top[..., 0:w2:2, :], top[..., 1:w2:2, :]),
         np.maximum(bottom[..., 0:w2:2, :], bottom[..., 1:w2:2, :]))
+
+
+def _window_major(a: Tensor, ho: int, wo: int) -> Tensor:
+    """(ho, wo, C, dy, dx) view of the pooled part of an (H, W, C) map."""
+    return (a[:ho * 2, :wo * 2].reshape(ho, 2, wo, 2, a.shape[2])
+            .transpose(0, 2, 4, 1, 3))
+
+
+def _maxpool2x2_vjp(x: Tensor, out: Tensor, g: Tensor) -> Tensor:
+    """Input gradient of the pool of an (H, W, C) map `x`: each window's
+    gradient goes to its first position, (dy, dx) in C order, that equals
+    the window's max, as argmax would pick it (ties included); the rest,
+    and a truncated row or column, get 0.
+
+    The four equality flags of a window are the four bytes of one
+    little-endian word, position (0, 0) lowest; `word & -word` keeps the
+    lowest set byte, the first hit."""
+    ho, wo, c = out.shape
+    hit = np.equal(_window_major(x, ho, wo), out[..., None, None], order="C")
+    word = hit.reshape(ho, wo, c, 4).view("<u4")
+    word &= -word
+    dx = np.zeros(x.shape)
+    np.copyto(_window_major(dx, ho, wo), g[..., None, None], where=hit)
+    return dx
 
 
 def _activate(kind: str, v: Tensor) -> Tensor:

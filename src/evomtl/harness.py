@@ -7,6 +7,11 @@ from scratch. Evaluations are seeded by the payload, which makes replays
 byte-identical; the coordinator therefore runs at-least-once scheduling
 with first-result-wins deduplication.
 
+A job trains from scratch but need not read its data from scratch: inside
+a `dataset_scope` each dataset reference is built once and its tasks are
+shared read-only by every later build. `evomtl run` opens one scope for
+the whole run, and a worker one per coordinator connection.
+
 Wire protocol: 4-byte big-endian length-prefixed JSON frames over TCP.
 Message kinds: hello, job, result, heartbeat, shutdown. Workers send a
 heartbeat every HEARTBEAT_S; the coordinator treats a worker as dead
@@ -19,6 +24,7 @@ authentication: this is a trusted-network tool.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import socket
@@ -32,7 +38,9 @@ import numpy as np
 
 from .assembly import CmGridNet, CmsrNet, realize_module
 from .config import DEFAULT_DEADLINE_S
-from .dataset import load_image_dir, split_fixed, synth_generate
+from .dataset import (
+    MultitaskSpec, load_image_dir, split_fixed, synth_generate,
+)
 from .errors import EvoMtlError, HarnessError, ParseError
 from .genome import genome_from_obj, hyper_from_obj
 from .routing import run_ctr
@@ -84,10 +92,51 @@ class JobResult:
 # --- payload evaluation -------------------------------------------------------
 
 
-def build_dataset(ref: dict):
+# Per thread: the corpora built inside the open `dataset_scope`, by
+# canonical dataset reference; None outside a scope.
+_scope = threading.local()
+
+
+@contextlib.contextmanager
+def dataset_scope():
+    """Build each dataset at most once until the block exits.
+
+    Inside the scope `build_dataset` keeps every corpus it builds, keyed
+    by the canonical reference, and later calls for the same reference
+    reuse it. A run opens one around all of its work, a worker one per
+    coordinator connection, so nothing outlives the run that read it: a
+    later scope reads the files again. The scope belongs to the thread
+    that opened it; a nested scope joins the open one."""
+    if getattr(_scope, "built", None) is not None:
+        yield
+        return
+    _scope.built = {}
+    try:
+        yield
+    finally:
+        _scope.built = None
+
+
+def build_dataset(ref: dict) -> MultitaskSpec:
     """Materialize the dataset a payload references and apply the fixed
     split. Pure function of the reference, so every worker sees the same
-    bytes."""
+    bytes.
+
+    Inside a `dataset_scope` the tasks are built once per reference and
+    shared read-only; each call still returns a spec of its own with the
+    test split locked, so unlocking one caller's test split reaches no
+    other caller. A build that raises is not kept."""
+    built = getattr(_scope, "built", None)
+    if built is None:
+        return _build_dataset(ref)
+    key = canon_dumps(ref)
+    spec = built.get(key)
+    if spec is None:
+        spec = built[key] = _build_dataset(ref)
+    return MultitaskSpec(spec.tasks, spec.order_seed, spec.image_side)
+
+
+def _build_dataset(ref: dict) -> MultitaskSpec:
     if "synth" in ref:
         s = ref["synth"]
         spec = synth_generate(int(s["seed"]), int(s["n_tasks"]),
@@ -569,23 +618,27 @@ def run_worker(coordinator_addr: str | None = None,
                     return
 
         beat = threading.Thread(target=heartbeat, daemon=True)
+        # one dataset scope per connection: the jobs of one run share
+        # their corpus, and a reconnect, possibly to a later run, rebuilds
         try:
-            send_frame(sock, {"kind": "hello", "worker_id": wid}, send_lock)
-            beat.start()
-            while True:
-                msg = recv_frame(sock)
-                if msg is None:
-                    break  # reconnect
-                kind = msg.get("kind")
-                if kind == "shutdown":
-                    return 0
-                if kind != "job":
-                    continue
-                job = Job(int(msg["job_id"]), msg["payload"],
-                          float(msg.get("deadline_s", DEFAULT_DEADLINE_S)))
-                result = evaluate_local(job, worker_id=wid)
-                send_frame(sock, {"kind": "result", "result": result.to_obj()},
+            with dataset_scope():
+                send_frame(sock, {"kind": "hello", "worker_id": wid},
                            send_lock)
+                beat.start()
+                while True:
+                    msg = recv_frame(sock)
+                    if msg is None:
+                        break  # reconnect
+                    kind = msg.get("kind")
+                    if kind == "shutdown":
+                        return 0
+                    if kind != "job":
+                        continue
+                    job = Job(int(msg["job_id"]), msg["payload"], float(
+                        msg.get("deadline_s", DEFAULT_DEADLINE_S)))
+                    result = evaluate_local(job, worker_id=wid)
+                    send_frame(sock, {"kind": "result",
+                                      "result": result.to_obj()}, send_lock)
         except OSError:
             pass
         finally:

@@ -15,6 +15,7 @@ to its champion before training.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -492,12 +493,24 @@ def _param_obj(p: Param) -> dict:
             "shared_id": p.shared_id}
 
 
+@contextlib.contextmanager
+def _parsing(what: str):
+    """Report a missing or mistyped field of a checkpoint object as a
+    ParseError about `what`."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise ParseError(f"bad {what}: {type(e).__name__}: {e}") from e
+
+
 def _param_from_obj(obj) -> Param:
-    p = Param(obj["name"], array_from_obj(obj["value"]),
-              l2_strength=float(obj["l2_strength"]), shared_id=obj["shared_id"])
-    p.adam_m = array_from_obj(obj["adam_m"])
-    p.adam_v = array_from_obj(obj["adam_v"])
-    p.step_count = int(obj["step_count"])
+    with _parsing("parameter"):
+        p = Param(obj["name"], array_from_obj(obj["value"]),
+                  l2_strength=float(obj["l2_strength"]),
+                  shared_id=obj["shared_id"])
+        p.adam_m = array_from_obj(obj["adam_m"])
+        p.adam_v = array_from_obj(obj["adam_v"])
+        p.step_count = int(obj["step_count"])
     return p
 
 
@@ -516,13 +529,14 @@ def module_instance_to_obj(inst: ModuleInstance) -> dict:
 
 def module_instance_from_obj(obj) -> ModuleInstance:
     from .genome import genome_from_obj, hyper_from_obj
-    saved = {"params": {key: _param_from_obj(pobj)
-                        for key, pobj in obj["params"].items()},
-             "scales": {int(n): _param_from_obj(pobj)
-                        for n, pobj in obj["scales"].items()}}
-    return ModuleInstance(genome_from_obj(obj["genome"]),
-                          hyper_from_obj(obj["ghyper"]), None, obj["label"],
-                          obj["storage_id"], saved=saved)
+    with _parsing("module instance"):
+        saved = {"params": {key: _param_from_obj(pobj)
+                            for key, pobj in obj["params"].items()},
+                 "scales": {int(n): _param_from_obj(pobj)
+                            for n, pobj in obj["scales"].items()}}
+        return ModuleInstance(genome_from_obj(obj["genome"]),
+                              hyper_from_obj(obj["ghyper"]), None,
+                              obj["label"], obj["storage_id"], saved=saved)
 
 
 def _individual_obj(ind: RoutingIndividual) -> dict:
@@ -543,23 +557,24 @@ def _individual_obj(ind: RoutingIndividual) -> dict:
 
 
 def _individual_from_obj(obj, n_modules: int) -> RoutingIndividual:
-    graph = RoutingGraph.__new__(RoutingGraph)
-    graph.task_id = obj["task_id"]
-    graph.nodes = {int(n): RNode(r["kind"], r["module_index"])
-                   for n, r in obj["nodes"].items()}
-    graph.inbound = {int(n): [int(s) for s in srcs]
-                     for n, srcs in obj["inbound"].items()}
-    graph._next = int(obj["next"])
-    graph._order = None
-    graph.source_id = int(obj["source_id"])
-    graph.sink_id = int(obj["sink_id"])
-    graph.scale_groups = {int(n): _param_from_obj(pobj)
-                          for n, pobj in obj["scales"].items()}
-    errs = check_routing_graph(graph, n_modules)
-    if errs:
-        raise ParseError(f"routing graph of {graph.task_id!r}: {errs[0]}")
-    return RoutingIndividual(graph, _param_from_obj(obj["decoder_w"]),
-                             _param_from_obj(obj["decoder_b"]))
+    with _parsing("routing individual"):
+        graph = RoutingGraph.__new__(RoutingGraph)
+        graph.task_id = obj["task_id"]
+        graph.nodes = {int(n): RNode(r["kind"], r["module_index"])
+                       for n, r in obj["nodes"].items()}
+        graph.inbound = {int(n): [int(s) for s in srcs]
+                         for n, srcs in obj["inbound"].items()}
+        graph._next = int(obj["next"])
+        graph._order = None
+        graph.source_id = int(obj["source_id"])
+        graph.sink_id = int(obj["sink_id"])
+        graph.scale_groups = {int(n): _param_from_obj(pobj)
+                              for n, pobj in obj["scales"].items()}
+        errs = check_routing_graph(graph, n_modules)
+        if errs:
+            raise ParseError(f"routing graph of {graph.task_id!r}: {errs[0]}")
+        return RoutingIndividual(graph, _param_from_obj(obj["decoder_w"]),
+                                 _param_from_obj(obj["decoder_b"]))
 
 
 def serialize_ctr_state(state: CtrState) -> bytes:
@@ -583,14 +598,15 @@ def restore_ctr_state(data: bytes) -> CtrState:
         # champions come back in sorted-key order, so the task order
         # cannot be recovered from them
         raise ParseError("ctr checkpoint lacks task_ids")
-    modules = [module_instance_from_obj(m) for m in obj["modules"]]
-    return CtrState(
-        modules=modules,
-        champions={tid: _individual_from_obj(io, len(modules))
-                   for tid, io in obj["champions"].items()},
-        task_ids=[str(t) for t in obj["task_ids"]],
-        meta_iteration=int(obj["meta_iteration"]),
-        best_avg_val=float(obj["best_avg_val"]),
-        image_side=int(obj["image_side"]),
-        class_counts={k: int(v) for k, v in obj["class_counts"].items()},
-    )
+    with _parsing("ctr checkpoint"):
+        modules = [module_instance_from_obj(m) for m in obj["modules"]]
+        return CtrState(
+            modules=modules,
+            champions={tid: _individual_from_obj(io, len(modules))
+                       for tid, io in obj["champions"].items()},
+            task_ids=[str(t) for t in obj["task_ids"]],
+            meta_iteration=int(obj["meta_iteration"]),
+            best_avg_val=float(obj["best_avg_val"]),
+            image_side=int(obj["image_side"]),
+            class_counts={k: int(v) for k, v in obj["class_counts"].items()},
+        )

@@ -120,6 +120,20 @@ def test_eval_test_from_checkpoint(tmp_path, capsys):
     assert "mean test accuracy" in printed
 
 
+def test_eval_test_rejects_a_checkpoint_missing_a_field(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "--algorithm", "ctr", "--synth", "2x3x8", "--seed",
+                 "3", "--meta-iters", "1", "--m-iters", "2", "--k-modules",
+                 "2", "--out", str(out)]) == 0
+    ckpt = out / "ctr_checkpoint.json"
+    obj = json.loads(ckpt.read_text())
+    del next(iter(obj["champions"].values()))["decoder_w"]
+    ckpt.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["eval-test", "--checkpoint", str(ckpt)]) == 1
+    assert "decoder_w" in capsys.readouterr().err
+
+
 def test_run_reproducible_history(tmp_path):
     outs = []
     for name in ("a", "b"):

@@ -269,6 +269,142 @@ def test_maxpool_bit_identical_to_reference(shape):
     assert pooled[1].tobytes() == _maxpool_reference(x[::-1], gout)[0].tobytes()
 
 
+# --- frozen references of the per-call kernels -------------------------------
+# The tape conv and max-pool as they were before k=1 convs became a reshape
+# and the max-pool forward stopped taking an argmax. The new kernels must
+# match them byte for byte, signed zeros included.
+
+
+def _conv_same_window_reference(x, w):
+    """`_conv_same` with the window view built at every k, k=1 included
+    (there on `x`'s own strides)."""
+    k, cout = w.shape[0], w.shape[3]
+    *lead, h, wd, c = x.shape
+    pad = k // 2
+    if pad:
+        xp = np.zeros((*lead, h + 2 * pad, wd + 2 * pad, c))
+        xp[..., pad:pad + h, pad:pad + wd, :] = x
+    else:
+        xp = np.ascontiguousarray(x)
+    *sl, sh, sw, sc = xp.strides
+    win = np.ndarray((*lead, h, wd, k, k, c), xp.dtype, buffer=xp,
+                     strides=(*sl, sh, sw, sh, sw, sc))
+    cols = win.reshape(-1, k * k * c)
+    out = (cols @ w[:, :, :c].reshape(-1, cout)).reshape(*lead, h, wd, cout)
+    return out, cols
+
+
+def _tape_conv_reference(x, w, b, g, leaf):
+    """out, dw, db and dx (None for a leaf input) of the tape conv2d."""
+    out, cols = _conv_same_window_reference(x, w)
+    out += b
+    h, wd, c = x.shape
+    k, _, cin, cout = w.shape
+    gm = g.reshape(h * wd, cout)
+    dw = (cols.T @ gm).reshape(k, k, c, cout)
+    if c < cin:
+        dw = np.concatenate((dw, np.zeros((k, k, cin - c, cout))), axis=2)
+    dx = None if leaf else _conv_same_window_reference(
+        g, w[::-1, ::-1, :c].transpose(0, 1, 3, 2))[0]
+    return out, dw, gm.sum(axis=0), dx
+
+
+@pytest.mark.parametrize("side", [1, 2, 4, 8, 28])
+@pytest.mark.parametrize("c, cin", [(16, 16), (8, 16)],
+                         ids=["c=cin", "c<cin"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "inner"])
+@pytest.mark.parametrize("g_layout", ["contiguous", "sliced"])
+def test_tape_conv_bit_identical_to_frozen_reference(side, c, cin, k, leaf,
+                                                     g_layout):
+    r = rng(side * 100 + c * 10 + k)
+    cout = 8
+    x = r.normal(size=(side, side, c))
+    w = Param("w", r.normal(size=(k, k, cin, cout)))
+    b = Param("b", r.normal(size=cout))
+    gout = r.normal(size=(side, side, cout + 2))[:, :, :cout]
+    if g_layout == "contiguous":
+        gout = gout.copy()
+    graph = CompGraph("train", r)
+    xn = graph.leaf(x) if leaf else graph.reshape(graph.leaf(x), x.shape)
+    node = graph.conv2d(xn, w, b)
+    grads = {id(t): tg for t, tg in node.vjp(gout)}
+    out, dw, db, dx = _tape_conv_reference(x, w.value, b.value, gout, leaf)
+    assert node.value.tobytes() == out.tobytes()
+    assert grads[id(w)].tobytes() == dw.tobytes()
+    assert grads[id(b)].tobytes() == db.tobytes()
+    if leaf:
+        assert id(xn) not in grads
+    else:
+        assert grads[id(xn)].tobytes() == dx.tobytes()
+    # the batched forward runs the same kernel over a leading batch axis
+    batch = r.normal(size=(3, side, side, c))
+    got, got_cols = _conv_same(batch, w.value)
+    ref, ref_cols = _conv_same_window_reference(batch, w.value)
+    assert got.tobytes() == ref.tobytes()
+    assert got_cols.tobytes() == ref_cols.tobytes()
+
+
+def _tape_maxpool_reference(x, g):
+    """The tape maxpool2x2 whose forward took each window's argmax:
+    pooled x and the input gradient for output gradient g."""
+    squeeze = x.ndim == 2
+    xv = x[..., None] if squeeze else x
+    h2, w2 = xv.shape[0] // 2 * 2, xv.shape[1] // 2 * 2
+    top, bottom = xv[0:h2:2], xv[1:h2:2]
+    out = np.maximum(np.maximum(top[:, 0:w2:2], top[:, 1:w2:2]),
+                     np.maximum(bottom[:, 0:w2:2], bottom[:, 1:w2:2]))
+    ho, wo, c = out.shape
+    blocks = xv[:ho * 2, :wo * 2, :].reshape(ho, 2, wo, 2, c)
+    arg = blocks.transpose(0, 2, 4, 1, 3).reshape(ho, wo, c, 4).argmax(axis=3)
+    gv = g[..., None] if squeeze else g
+    db = np.where(np.arange(4) == arg[..., None], gv[..., None], 0.0)
+    dx = np.zeros_like(xv)
+    dx[:ho * 2, :wo * 2, :] = (db.reshape(ho, wo, c, 2, 2)
+                               .transpose(0, 3, 1, 4, 2)
+                               .reshape(ho * 2, wo * 2, c))
+    return (out[..., 0], dx[..., 0]) if squeeze else (out, dx)
+
+
+def _every_window(values):
+    """A (32, 32) map whose 256 2x2 windows hold every 4-tuple of the four
+    `values`: 2-, 3- and 4-way ties at every position pattern, and
+    all-negative windows when the values allow."""
+    combos = np.array(np.meshgrid(*[values] * 4, indexing="ij"))
+    combos = combos.reshape(4, -1).T
+    return (combos.reshape(16, 16, 2, 2).transpose(0, 2, 1, 3)
+            .reshape(32, 32))
+
+
+@pytest.mark.parametrize("values", [
+    (-2.0, -1.0, 0.0, 1.0),
+    (-3.0, -2.0, -1.5, -1.0),  # every window all-negative
+    (-0.0, 0.0, 0.5, 0.5),  # signed zeros compare equal
+])
+@pytest.mark.parametrize("shape", ["3-D", "2-D", "odd-sides", "channels"])
+def test_tape_maxpool_bit_identical_to_frozen_reference(values, shape):
+    r = rng(5)
+    m = _every_window(values)
+    if shape == "3-D":
+        x = m[..., None]
+    elif shape == "2-D":
+        x = m
+    elif shape == "odd-sides":  # a trailing row and column are dropped
+        x = np.pad(m, ((0, 1), (0, 1)), constant_values=9.0)[..., None]
+    else:  # each channel a different shuffle of the windows
+        x = np.stack([m, m[::-1], m.T, m[:, ::-1]], axis=-1)
+    graph = CompGraph("train", r)
+    node = graph.maxpool2x2(graph.leaf(x))
+    gout = r.normal(size=node.shape)
+    ((_, dx),) = node.vjp(gout)
+    out, ref_dx = _tape_maxpool_reference(x, gout)
+    assert node.value.tobytes() == out.tobytes()
+    assert dx.shape == x.shape
+    assert dx.tobytes() == ref_dx.tobytes()
+    # exactly one position of each window receives its gradient
+    assert np.count_nonzero(dx) == gout.size
+
+
 def test_predicted_class_of_a_batch():
     logits = np.array([[0.1, 2.0, -1.0], [3.0, 0.0, 3.0], [-1.0, -2.0, -0.5]])
     assert predicted_class(logits).tolist() == [1, 0, 2]

@@ -451,8 +451,8 @@ def test_one_deadline_default_for_jobs_plans_configs_and_workers(monkeypatch):
 def _scripted_worker(port, log, work_s=0.0, worker_id="scripted"):
     """One connection for the whole run: say hello, answer every job with
     fitness job_id / 100 after `work_s` and stop at a shutdown. Logs each
-    frame received as (kind, job_id) and, under "sent", the time each
-    result went out."""
+    frame received as (kind, job_id) and, under "sent", the time just
+    before each result went out, once the send has returned."""
     with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
         send_frame(sock, {"kind": "hello", "worker_id": worker_id})
         while True:
@@ -463,8 +463,9 @@ def _scripted_worker(port, log, work_s=0.0, worker_id="scripted"):
             time.sleep(work_s)
             result = JobResult(msg["job_id"], "ok",
                                fitness=msg["job_id"] / 100)
+            sent = time.monotonic()
             send_frame(sock, {"kind": "result", "result": result.to_obj()})
-            log.append(("sent", time.monotonic()))
+            log.append(("sent", sent))
 
 
 def _coordinator_threads():
@@ -613,7 +614,13 @@ def test_batch_returns_on_its_last_result():
         for i in range(5):
             serve_coordinator(addr, [Job(i, {}, deadline_s=30)])
             returned = time.monotonic()
-            lags.append(returned - [t for kind, t in log if kind == "sent"][-1])
+            # the coordinator may record the result before the worker's
+            # send returns and logs it
+            give_up = returned + 5.0
+            while (len(sent := [t for kind, t in log if kind == "sent"]) <= i
+                   and time.monotonic() < give_up):
+                time.sleep(0.001)
+            lags.append(returned - sent[i])
     worker.join(timeout=10)
     assert sorted(lags)[2] < 0.05, lags
 
@@ -734,3 +741,138 @@ def test_cli_serve_run_matches_local_and_releases_its_worker(tmp_path):
     for name in ("report.json", "history.jsonl", "best_network.json"):
         assert ((tmp_path / "served" / name).read_bytes()
                 == (tmp_path / "local" / name).read_bytes()), name
+
+
+# --- the per-run dataset scope -------------------------------------------
+
+
+def _pgm_tree(root, fill=0):
+    """root/task<t>/class<c>/<i>.pgm: 2 tasks of 2 classes x 6 images at
+    side 8; `fill` shifts every pixel, so a rewrite changes the bytes."""
+    from evomtl.dataset import write_pgm
+    r = np.random.default_rng(0)
+    for t in range(2):
+        for c in range(2):
+            d = root / f"task{t}" / f"class{c}"
+            d.mkdir(parents=True, exist_ok=True)
+            for i in range(6):
+                write_pgm(str(d / f"{i}.pgm"),
+                          (r.random((8, 8)) + fill) % 1.0)
+    return {"dir": str(root), "image_side": 8, "split_seed": 3}
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_run_reads_its_pgm_tree_once(tmp_path, monkeypatch):
+    # every job, retrain and the CLI itself build the dataset; inside the
+    # run's scope only the first build reads the tree, and the next run
+    # reads it again
+    import evomtl.cli as cli
+    tree = _pgm_tree(tmp_path / "data")
+    loads = _counting(monkeypatch, harness, "load_image_dir")
+    builds = _counting(monkeypatch, harness, "build_dataset")
+    monkeypatch.setattr(cli, "build_dataset", harness.build_dataset)
+    argv = ["run", "--algorithm", "cm", "--seed", "5", "--networks-per-gen",
+            "3", "--modules", "4", "--species", "2", "--generations", "2",
+            "--train-iters", "2", "--long-iters", "2", "--n-top", "1",
+            "--data-dir", tree["dir"], "--image-side", "8"]
+    assert cli.main([*argv, "--out", str(tmp_path / "a")]) == 0
+    assert len(loads) == 1 and len(builds) > 3
+    assert cli.main([*argv, "--out", str(tmp_path / "b")]) == 0
+    assert len(loads) == 2
+    assert ((tmp_path / "a" / "report.json").read_bytes()
+            == (tmp_path / "b" / "report.json").read_bytes())
+
+
+def test_each_build_in_a_scope_locks_its_own_test_split(tmp_path):
+    from evomtl.errors import StateError
+    ref = _pgm_tree(tmp_path)
+    with harness.dataset_scope():
+        first = harness.build_dataset(ref)
+        with harness.dataset_scope():  # a nested scope joins the open one
+            second = harness.build_dataset(ref)
+        assert second.tasks is first.tasks  # one corpus, read once
+        first.unlock_test()
+        assert first.examples_for(first.tasks[0], "test")
+        for spec in (second, harness.build_dataset(ref)):
+            with pytest.raises(StateError):
+                spec.examples_for(spec.tasks[0], "test")
+    # outside a scope every call builds its own corpus, as before
+    assert harness.build_dataset(ref).tasks is not \
+        harness.build_dataset(ref).tasks
+
+
+def test_a_later_scope_reads_a_rewritten_tree(tmp_path):
+    ref = _pgm_tree(tmp_path)
+
+    def first_image():
+        spec = harness.build_dataset(ref)
+        return spec.tasks[0].examples[0][0].tobytes()
+
+    with harness.dataset_scope():
+        old = first_image()
+        _pgm_tree(tmp_path, fill=0.5)
+        assert first_image() == old  # the scope keeps what it read
+    with harness.dataset_scope():
+        assert first_image() != old
+
+
+def test_a_failed_build_is_not_kept(tmp_path):
+    from evomtl.errors import DataError
+    ref = {"dir": str(tmp_path / "data"), "image_side": 8, "split_seed": 3}
+    with harness.dataset_scope():
+        with pytest.raises(DataError):
+            harness.build_dataset(ref)
+        _pgm_tree(tmp_path / "data")
+        assert len(harness.build_dataset(ref).tasks) == 2
+
+
+def test_worker_builds_each_dataset_once_per_connection(monkeypatch):
+    # two jobs on one connection share a build; the reconnect that
+    # follows, which may be to a later run, builds again
+    builds = _counting(monkeypatch, harness, "synth_generate")
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(2)
+    server.settimeout(10.0)
+    port = server.getsockname()[1]
+    results = []
+
+    def coordinator():
+        with server:
+            for job_ids, release in (([0, 1], False), ([2], True)):
+                conn, _ = server.accept()
+                with conn:
+                    conn.settimeout(10.0)
+                    assert recv_frame(conn)["kind"] == "hello"
+                    for job_id in job_ids:
+                        send_frame(conn, {"kind": "job", "job_id": job_id,
+                                          "payload": make_payload(),
+                                          "deadline_s": 30})
+                        msg = recv_frame(conn)
+                        while msg["kind"] != "result":
+                            msg = recv_frame(conn)
+                        results.append(msg["result"])
+                    if release:
+                        send_frame(conn, {"kind": "shutdown"})
+                        conn.recv(1)  # wait for the worker to hang up
+
+    fake = threading.Thread(target=coordinator)
+    fake.start()
+    code = run_worker(f"127.0.0.1:{port}", worker_id="w",
+                      give_up_after_s=20.0)
+    fake.join(timeout=10)
+    assert not fake.is_alive() and code == 0
+    assert len(builds) == 2
+    want = evaluate_local(Job(0, make_payload())).fitness
+    assert [(r["status"], r["fitness"]) for r in results] == [("ok", want)] * 3

@@ -320,6 +320,30 @@ def test_restore_rejects_checkpoint_without_task_order():
         restore_ctr_state(canon_dumps(obj).encode())
 
 
+def _no_decoder(obj, tid):
+    del obj["champions"][tid]["decoder_w"]
+
+
+def _no_module_weight_value(obj, tid):
+    pobj = next(iter(obj["modules"][0]["params"].values()))
+    del pobj["value"]
+
+
+def _string_meta_iteration(obj, tid):
+    obj["meta_iteration"] = "two"
+
+
+@pytest.mark.parametrize("damage", [_no_decoder, _no_module_weight_value,
+                                    _string_meta_iteration])
+def test_restore_reports_a_missing_or_bad_field_as_a_parse_error(damage):
+    spec = make_spec()
+    state = init_ctr(default_ctr_modules(2, 8, rng(54)), spec, rng(55))
+    obj = canon_loads(serialize_ctr_state(state))
+    damage(obj, spec.tasks[0].task_id)
+    with pytest.raises(ParseError):
+        restore_ctr_state(canon_dumps(obj).encode())
+
+
 def _cut_off_from_sink(graph, m):
     graph.add_edge(graph.source_id, graph.add_node("module", 1))
 
