@@ -433,9 +433,6 @@ class CmGridNet(GridNet):
         super().__init__(slots, ghyper.final_layer_filters, task_ids,
                          class_counts, image_side, ghyper, rng)
 
-    def slot_storage(self, k: int, d: int) -> str:
-        return self.slots[k][d].storage_id
-
 
 class CmsrNet(AssembledNetwork):
     """Blueprint-shaped network: every blueprint node becomes the module

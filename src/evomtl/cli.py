@@ -302,12 +302,13 @@ def _run_coevolution(cfg: ExperimentConfig, out_dir: str) -> dict:
         train_iters=cfg.train_iters, stagnation_limit=cfg.stagnation_limit,
         max_generations=cfg.max_generations, elite_frac=cfg.elite_frac,
         deadline_s=cfg.deadline_s, ctr=ctr_cfg)
-    evaluator = (distributed_evaluator(cfg.serve) if cfg.serve
-                 else local_evaluator)
     rates = MutationRates(sharing_mode=cfg.sharing_mode)
     # one coordinator for the whole search: workers stay connected across
     # generations and are released when the loop ends
-    with Coordinator(cfg.serve) if cfg.serve else contextlib.nullcontext():
+    with (Coordinator(cfg.serve) if cfg.serve
+          else contextlib.nullcontext()) as coordinator:
+        evaluator = (distributed_evaluator(coordinator) if coordinator
+                     else local_evaluator)
         out = run_generation_loop(plan, module_pop, evaluator,
                                   cfg.dataset_ref(), rng,
                                   blueprint_pop=blueprint_pop,

@@ -97,7 +97,7 @@ class HyperPopulation:
             i += 1
 
 
-def _coverage_patch(picks: list[dict], species, rng: np.random.Generator):
+def _coverage_patch(picks: list[dict], species):
     """Ensure every genome appears in >= 1 job by swapping it in for a
     same-species pick that appears more than once."""
     for sp in species:
@@ -136,7 +136,7 @@ def plan_generation(plan: GenerationPlan, module_pop: SpeciesPopulation,
         picks.append({sp.species_id:
                       sp.members[rng.integers(len(sp.members))]
                       for sp in species})
-    _coverage_patch(picks, species, rng)
+    _coverage_patch(picks, species)
 
     blueprints = blueprint_pop.all_members() if blueprint_pop else None
     hypers = hyper_pop.candidates

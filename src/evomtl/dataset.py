@@ -128,18 +128,6 @@ def _read_pgm(path: str) -> np.ndarray:
     return img.astype(np.float64) / maxval
 
 
-def write_pgm(path: str, image: np.ndarray) -> None:
-    """Emit a grayscale [0, 1] image as binary PGM (useful for fixtures
-    and for converting other formats)."""
-    img = np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0)
-    if img.ndim == 3:
-        img = img[:, :, 0]
-    h, w = img.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(np.round(img * 255).astype(np.uint8).tobytes())
-
-
 def _resize_nearest(img: np.ndarray, side: int) -> np.ndarray:
     h, w = img.shape
     rows = (np.arange(side) * h) // side

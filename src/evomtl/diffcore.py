@@ -39,7 +39,6 @@ round exactly as the one it replaces. Three layout facts carry that:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -538,26 +537,6 @@ def _softmerge(p: Tensor, values: list) -> Tensor:
     return out
 
 
-def apply_layer(graph: CompGraph, kind: str, x: CGNode,
-                params: dict | None = None, rate: float | None = None) -> CGNode:
-    """Single dispatch surface over every layer kind.
-
-    dense/conv2d read params["w"] and params["b"]; dropout reads `rate`;
-    the remaining kinds take the input alone.
-    """
-    if kind == "dense":
-        return graph.dense(x, params["w"], params["b"])
-    if kind == "conv2d":
-        return graph.conv2d(x, params["w"], params["b"])
-    if kind == "maxpool2x2":
-        return graph.maxpool2x2(x)
-    if kind in ACTIVATIONS:
-        return graph.activation(x, kind)
-    if kind == "dropout":
-        return graph.dropout(x, rate)
-    raise ConfigError(f"unknown layer kind {kind!r}")
-
-
 def backward(graph: CompGraph, loss: CGNode) -> list[Param]:
     """Accumulate d(loss)/d(param) into every reachable Param's .grad and
     return those Params.
@@ -672,60 +651,3 @@ def adam_step(params, learning_rate: float) -> None:
     v_hat = v / np.repeat(c2, block.sizes)
     block.value -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     g.fill(0.0)
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    tolerance: float
-    passed: bool
-    worst_param: str
-
-
-def grad_check(builder, tolerance: float, epsilon: float = 1e-4) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    `builder()` must construct the graph from scratch and return
-    (graph, loss_node), closing over the Params it perturbs; it has to be
-    deterministic (fixed dropout seed), which is verified by building
-    twice.
-    """
-    g1, l1 = builder()
-    g2, l2 = builder()
-    if not np.array_equal(l1.value, l2.value):
-        raise StateError("grad_check builder is non-deterministic")
-
-    block = ParamBlock(backward(g2, l2))
-    params = block.params
-    zero_grads(block)
-    backward(g1, l1)
-    analytic = [p.grad.copy() for p in params]
-    zero_grads(block)
-
-    def objective():
-        # The additive-gradient L2 term corresponds to a 0.5*l2*|v|^2
-        # penalty, which the finite-difference objective must include.
-        loss = float(builder()[1].value)
-        penalty = sum(0.5 * p.l2_strength * float(np.sum(p.value ** 2))
-                      for p in params if p.l2_strength)
-        return loss + penalty
-
-    max_err = 0.0
-    worst = ""
-    for p, a in zip(params, analytic):
-        flat = p.value.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            f_plus = objective()
-            flat[i] = orig - epsilon
-            f_minus = objective()
-            flat[i] = orig
-            num = (f_plus - f_minus) / (2 * epsilon)
-            ana = float(a.reshape(-1)[i])
-            scale = max(abs(ana), abs(num))
-            err = abs(ana - num) if scale < 1e-6 else abs(ana - num) / scale
-            if err > max_err:
-                max_err = err
-                worst = p.name
-    return GradCheckReport(max_err, tolerance, max_err <= tolerance, worst)

@@ -1,5 +1,4 @@
-"""DOT (graphviz) exporters for module architectures, routing graphs, and
-assembled-network topologies."""
+"""DOT (graphviz) exporters for module architectures and routing graphs."""
 
 from __future__ import annotations
 
@@ -68,46 +67,3 @@ def routing_dot(individual, name: str = "routing") -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def network_dot(net, name: str = "network") -> str:
-    """Topology of an assembled network at module granularity."""
-    lines = [f"digraph {name} {{", "  rankdir=TB;"]
-    kind = getattr(net, "kind", "network")
-    if kind == "cm_grid":
-        lines.append(f'  {_q("in")} [shape=plaintext];')
-        prev = "in"
-        for d in range(net.ghyper.depth):
-            for k in range(net.ghyper.k_modules):
-                nid = f"slot{k}x{d}"
-                label = f"slot ({k},{d})\\n{net.slots[k][d].storage_id}"
-                lines.append(f"  {_q(nid)} [shape=box, label={_q(label)}];")
-                lines.append(f"  {_q(prev)} -> {_q(nid)};")
-            merge = f"merge{d}"
-            lines.append(f"  {_q(merge)} [shape=diamond, label={_q('soft merge')}];")
-            for k in range(net.ghyper.k_modules):
-                lines.append(f"  {_q(f'slot{k}x{d}')} -> {_q(merge)};")
-            prev = merge
-        lines.append(f'  {_q("decoders")} [shape=plaintext];')
-        lines.append(f"  {_q(prev)} -> {_q('decoders')};")
-    elif kind == "cmsr":
-        for n in net.order:
-            node = net.blueprint.nodes[n]
-            label = (f"node {n}\\nspecies {node.species_id}\\n"
-                     f"{net.instances[n].storage_id}")
-            lines.append(f"  {_q(n)} [shape=box, label={_q(label)}];")
-        for src, dst in sorted(net.blueprint.edges.values()):
-            lines.append(f"  {_q(src)} -> {_q(dst)};")
-    else:  # soft ordering / single task: layer chain view
-        lines.append(f'  {_q("in")} [shape=plaintext];')
-        layers = getattr(net, "layers", None) or net.chains[0]
-        prev = "in"
-        for i, layer in enumerate(layers):
-            lines.append(
-                f"  {_q(f'layer{i}')} [shape=box, "
-                f"label={_q(_gene_label(layer.gene))}];")
-            lines.append(f"  {_q(prev)} -> {_q(f'layer{i}')};")
-            prev = f"layer{i}"
-        lines.append(f'  {_q("decoders")} [shape=plaintext];')
-        lines.append(f"  {_q(prev)} -> {_q('decoders')};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, ParseError, StateError
-from .serialize import canon_dumps, canon_loads
 
 SOURCE = 0
 SINK = 1
@@ -818,14 +817,6 @@ def genome_from_obj(obj):
     if errs:
         raise ParseError(f"genome violates invariants: {errs[0]}")
     return g
-
-
-def serialize(genome) -> bytes:
-    return canon_dumps(genome_to_obj(genome)).encode("utf-8")
-
-
-def deserialize(data: bytes):
-    return genome_from_obj(canon_loads(data))
 
 
 def hyper_to_obj(h: GlobalHyper) -> dict:

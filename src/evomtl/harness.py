@@ -16,10 +16,11 @@ Wire protocol: 4-byte big-endian length-prefixed JSON frames over TCP.
 Message kinds: hello, job, result, heartbeat, shutdown. Workers send a
 heartbeat every HEARTBEAT_S; the coordinator treats a worker as dead
 after LIVENESS_TIMEOUT_S of silence or on disconnect, and reassigns
-whatever that worker was running. A Coordinator lives for a whole run:
-a worker connects once, takes jobs from every batch, and is released by
-one shutdown when the run closes its coordinator. No TLS or
-authentication: this is a trusted-network tool.
+whatever that worker was running. A Coordinator lives for a whole run,
+which hands it to `serve_coordinator` for every batch: a worker connects
+once, takes jobs from every batch, and is released by one shutdown when
+the run closes its coordinator. No TLS or authentication: this is a
+trusted-network tool.
 """
 
 from __future__ import annotations
@@ -344,27 +345,19 @@ class _CoordinatorState:
         return soonest
 
 
-# The coordinator open at each bind address. `serve_coordinator` takes an
-# address, not a Coordinator, so that is how a batch finds its run's
-# listener; a process can hold only one listener per address anyway.
-_open_coordinators: dict[str, "Coordinator"] = {}
-_open_lock = threading.Lock()
-
-
 class Coordinator:
     """The listening socket and worker connections of one run.
 
     One accept thread, and one handler thread per connected worker, live
     from construction to `close`, so workers stay connected across the
-    run's batches; `serve_coordinator` runs each batch on the coordinator
-    open at its address. Closing, on success or on error, sends every
-    connected worker one shutdown, closes the listener and joins the
-    threads. Use it as a context manager around the run.
+    run's batches; the run passes this object to `serve_coordinator` for
+    each batch. Closing, on success or on error, sends every connected
+    worker one shutdown, closes the listener and joins the threads. Use
+    it as a context manager around the run.
     """
 
     def __init__(self, bind_addr: str):
         host, port_s = bind_addr.rsplit(":", 1)
-        self.bind_addr = bind_addr
         self.state = _CoordinatorState()
         self.conns: set[socket.socket] = set()
         self.idle: set[socket.socket] = set()  # handlers waiting for a job
@@ -377,8 +370,6 @@ class Coordinator:
         except OSError:
             self.server.close()
             raise
-        with _open_lock:
-            _open_coordinators[bind_addr] = self
         self.acceptor = threading.Thread(
             target=self._accept, name="evomtl-coordinator-accept", daemon=True)
         self.acceptor.start()
@@ -388,39 +379,6 @@ class Coordinator:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def run_batch(self, jobs: list[Job],
-                  global_timeout_s: float | None = None) -> list[JobResult]:
-        """Queue `jobs` and wait for their results, returned in job order,
-        as soon as the last one is recorded. Raises HarnessError once no
-        worker has sent a hello, heartbeat or result for
-        `global_timeout_s`, counted from the start of the batch. By
-        default that is the longest job deadline, and never less than the
-        liveness timeout, within which a live worker always heartbeats."""
-        if global_timeout_s is None:
-            global_timeout_s = max([j.deadline_s for j in jobs]
-                                   + [LIVENESS_TIMEOUT_S])
-        st = self.state
-        with st.lock:
-            st.last_progress = time.monotonic()
-            st.pending.extend(j for j in jobs if j.job_id not in st.results)
-            st.lock.notify_all()
-            while True:
-                if st.closed:
-                    raise HarnessError("coordinator closed mid-batch")
-                now = time.monotonic()
-                next_expiry = st.expire(now)
-                if all(j.job_id in st.results for j in jobs):
-                    break
-                give_up = st.last_progress + global_timeout_s
-                if now >= give_up:
-                    if not st.worker_seen:
-                        raise HarnessError(
-                            f"no workers connected within {global_timeout_s}s")
-                    raise HarnessError(f"jobs unfinished: no worker progress "
-                                       f"for {global_timeout_s}s")
-                st.lock.wait(min(next_expiry, give_up) - now)
-            return [st.results[j.job_id] for j in jobs]
 
     def close(self) -> None:
         st = self.state
@@ -435,9 +393,6 @@ class Coordinator:
                     conn.shutdown(socket.SHUT_RD)
                 except OSError:
                     pass
-        with _open_lock:
-            if _open_coordinators.get(self.bind_addr) is self:
-                del _open_coordinators[self.bind_addr]
         try:
             self.server.shutdown(socket.SHUT_RDWR)  # wakes accept()
         except OSError:
@@ -538,35 +493,53 @@ def _send_shutdown(conn: socket.socket) -> None:
         pass
 
 
-def serve_coordinator(bind_addr: str, jobs: list[Job],
+def serve_coordinator(coordinator: Coordinator, jobs: list[Job],
                       global_timeout_s: float | None = None
                       ) -> list[JobResult]:
-    """Distribute one batch of jobs to workers; returns one result per job,
-    in job order.
+    """Distribute one batch of jobs to the workers of `coordinator`;
+    returns one result per job, in job order, as soon as the last one is
+    recorded.
 
-    Runs on the Coordinator open at `bind_addr`, or opens one for this
-    batch and closes it after. At-least-once semantics: a job whose worker
-    disconnects, goes silent past the liveness timeout, or blows its
-    deadline goes back in the queue; the first result recorded for a
-    job_id wins and duplicates are discarded. Raises HarnessError once no
-    worker has shown progress for `global_timeout_s` (default: derived
-    from the job deadlines, see `Coordinator.run_batch`), so a slow but
-    live generation runs on.
+    At-least-once semantics: a job whose worker disconnects, goes silent
+    past the liveness timeout, or blows its deadline goes back in the
+    queue; the first result recorded for a job_id wins and duplicates are
+    discarded. Raises HarnessError once no worker has sent a hello,
+    heartbeat or result for `global_timeout_s`, counted from the start of
+    the batch, so a slow but live generation runs on. By default that is
+    the longest job deadline, and never less than the liveness timeout,
+    within which a live worker always heartbeats.
     """
-    with _open_lock:
-        coordinator = _open_coordinators.get(bind_addr)
-    if coordinator is not None:
-        return coordinator.run_batch(jobs, global_timeout_s)
-    with Coordinator(bind_addr) as coordinator:
-        return coordinator.run_batch(jobs, global_timeout_s)
+    if global_timeout_s is None:
+        global_timeout_s = max([j.deadline_s for j in jobs]
+                               + [LIVENESS_TIMEOUT_S])
+    st = coordinator.state
+    with st.lock:
+        st.last_progress = time.monotonic()
+        st.pending.extend(j for j in jobs if j.job_id not in st.results)
+        st.lock.notify_all()
+        while True:
+            if st.closed:
+                raise HarnessError("coordinator closed mid-batch")
+            now = time.monotonic()
+            next_expiry = st.expire(now)
+            if all(j.job_id in st.results for j in jobs):
+                break
+            give_up = st.last_progress + global_timeout_s
+            if now >= give_up:
+                if not st.worker_seen:
+                    raise HarnessError(
+                        f"no workers connected within {global_timeout_s}s")
+                raise HarnessError(f"jobs unfinished: no worker progress "
+                                   f"for {global_timeout_s}s")
+            st.lock.wait(min(next_expiry, give_up) - now)
+        return [st.results[j.job_id] for j in jobs]
 
 
-def distributed_evaluator(bind_addr: str,
-                          global_timeout_s: float | None = None):
-    """Evaluator callable backed by `serve_coordinator` on a fixed address;
-    each call is one batch on the coordinator open there."""
+def distributed_evaluator(coordinator: Coordinator):
+    """Evaluator callable: each call is one `serve_coordinator` batch on
+    the run's `coordinator`."""
     def evaluate(jobs: list[Job]) -> list[JobResult]:
-        return serve_coordinator(bind_addr, jobs, global_timeout_s)
+        return serve_coordinator(coordinator, jobs)
     return evaluate
 
 
@@ -579,9 +552,11 @@ def run_worker(coordinator_addr: str | None = None,
                give_up_after_s: float | None = None) -> int:
     """Connect, evaluate jobs until a shutdown message, exit 0.
 
-    Evaluation errors become failed results and the worker survives;
-    connection loss triggers reconnection with exponential backoff
-    (1s doubling up to max_backoff_s).
+    Evaluation errors become failed results and the worker survives. A
+    garbage frame, or a job frame with a missing or non-integer job_id,
+    no payload or a non-numeric deadline_s, drops the connection;
+    connection loss triggers reconnection with exponential backoff (1s
+    doubling up to max_backoff_s).
     """
     addr = coordinator_addr or os.environ.get(ADDR_ENV_VAR)
     if not addr:
@@ -634,8 +609,13 @@ def run_worker(coordinator_addr: str | None = None,
                         return 0
                     if kind != "job":
                         continue
-                    job = Job(int(msg["job_id"]), msg["payload"], float(
-                        msg.get("deadline_s", DEFAULT_DEADLINE_S)))
+                    try:
+                        job = Job(int(msg["job_id"]), msg["payload"], float(
+                            msg.get("deadline_s", DEFAULT_DEADLINE_S)))
+                    except (KeyError, TypeError, ValueError):
+                        break  # a malformed job frame: reconnect
+                    if job.job_id != msg["job_id"]:
+                        break  # a job_id that is not an integer
                     result = evaluate_local(job, worker_id=wid)
                     send_frame(sock, {"kind": "result",
                                       "result": result.to_obj()}, send_lock)

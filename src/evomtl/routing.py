@@ -34,7 +34,7 @@ from .dataset import MultitaskSpec
 from .serialize import (
     array_from_obj, array_to_obj, atomic_write_text, canon_dumps, canon_loads,
 )
-from .training import accuracy, batched_forward
+from .training import accuracy
 
 NODE_KINDS = ("source", "sink", "module", "adapter")
 
@@ -352,18 +352,6 @@ def mutate_challenger(champion: RoutingIndividual, modules, alpha: float,
         return challenger
     challenger.mutation_failed = True
     return challenger
-
-
-def output_divergence(a: RoutingIndividual, b: RoutingIndividual, modules,
-                      inputs) -> float:
-    """Relative L2 divergence of two individuals' outputs over a batch of
-    inputs: sqrt(sum |a_i - b_i|^2 / sum |a_i|^2). The batch aggregate is
-    used because single random inputs can land near the untrained
-    decoder's null space and make a per-input ratio meaningless."""
-    va = batched_forward(lambda g, x: a.forward(g, modules, x), inputs)
-    vb = batched_forward(lambda g, x: b.forward(g, modules, x), inputs)
-    den = float(np.sum(va ** 2))
-    return math.sqrt(float(np.sum((va - vb) ** 2)) / den) if den > 0 else 0.0
 
 
 def joint_train(state: CtrState, spec: MultitaskSpec, m_iters: int, lr: float,

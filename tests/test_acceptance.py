@@ -21,7 +21,7 @@ from evomtl.dataset import (
     MultitaskSpec, Split, TaskDataset, split_fixed, synth_generate,
 )
 from evomtl.diffcore import (
-    CompGraph, Param, grad_check, softmax,
+    CompGraph, Param, softmax,
 )
 from evomtl.errors import StateError
 from evomtl.genome import (
@@ -29,14 +29,15 @@ from evomtl.genome import (
     init_blueprint_population, init_module_population, mutate,
 )
 from evomtl.harness import (
-    Job, JobResult, local_evaluator, run_worker,
+    Coordinator, Job, JobResult, local_evaluator, run_worker,
     serve_coordinator,
 )
 from evomtl.routing import (
     check_routing_graph, default_ctr_modules, evaluate_individual, init_ctr,
-    mutate_challenger, new_edge_logit, output_divergence, run_ctr,
+    mutate_challenger, new_edge_logit, run_ctr,
 )
 from evomtl.training import evaluate_accuracy, train_network
+from helpers import grad_check, output_divergence
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -279,7 +280,8 @@ def test_criterion_07_grid_insertion_and_sharing():
                 groups[(k, d)] = ("row", k) if eligible else ("solo", k, d)
         for a in groups:
             for b in groups:
-                same = net.slot_storage(*a) == net.slot_storage(*b)
+                same = (net.slots[a[0]][a[1]].storage_id
+                        == net.slots[b[0]][b[1]].storage_id)
                 if same != (groups[a] == groups[b]):
                     ok = False
     _report(7, "grid insertion wrap and sharing match brute force", ok)
@@ -463,6 +465,11 @@ def _cm_payload(train_iters, seed):
     }
 
 
+def _serve(addr, jobs, global_timeout_s):
+    with Coordinator(addr) as coordinator:
+        return serve_coordinator(coordinator, jobs, global_timeout_s)
+
+
 def test_criterion_13_harness():
     start = time.monotonic()
     # (a) single-worker distributed results bit-equal local results
@@ -471,7 +478,7 @@ def test_criterion_13_harness():
     addr = f"127.0.0.1:{_free_port()}"
     box = {}
     coord = threading.Thread(
-        target=lambda: box.update(r=serve_coordinator(addr, jobs, 120)))
+        target=lambda: box.update(r=_serve(addr, jobs, 120)))
     coord.start()
     time.sleep(0.2)
     worker = threading.Thread(target=run_worker,
@@ -491,7 +498,7 @@ def test_criterion_13_harness():
     addr2 = f"127.0.0.1:{_free_port()}"
     box2 = {}
     coord2 = threading.Thread(
-        target=lambda: box2.update(r=serve_coordinator(addr2, slow, 180)))
+        target=lambda: box2.update(r=_serve(addr2, slow, 180)))
     coord2.start()
     time.sleep(0.2)
     victim = subprocess.Popen(
@@ -524,6 +531,9 @@ def test_criterion_14_reproducibility(tmp_path):
              "--profile", "desk", "--seed", "11", "--out", str(out)],
             capture_output=True, text=True, timeout=1200)
         assert res.returncode == 0, res.stderr[-2000:]
-        logs.append((out / "history.jsonl").read_bytes())
+        logs.append({file: (out / file).read_bytes() for file in (
+            "history.jsonl", "report.json", "best_network.json")})
     _report(14, "desk runs with one seed are bit-identical",
-            logs[0] == logs[1], f"{len(logs[0])} bytes")
+            logs[0] == logs[1],
+            ", ".join(f"{file} {len(data)} bytes"
+                      for file, data in logs[0].items()))

@@ -204,7 +204,8 @@ def test_cm_sharing_matches_bruteforce(mode):
                                         depth_flags)
         for (ka, da) in want:
             for (kb, db) in want:
-                same_storage = net.slot_storage(ka, da) == net.slot_storage(kb, db)
+                same_storage = (net.slots[ka][da].storage_id
+                                == net.slots[kb][db].storage_id)
                 assert same_storage == (want[(ka, da)] == want[(kb, db)]), \
                     (mode, ka, da, kb, db)
 
@@ -214,7 +215,7 @@ def test_cm_disabled_all_distinct():
     modules = [make_module()]
     h = ghyp(k_modules=3, depth=2, sharing_mode="disabled")
     net = CmGridNet(modules, h, tids, cls, 8, rng(12))
-    ids = {net.slot_storage(k, d) for k in range(3) for d in range(2)}
+    ids = {net.slots[k][d].storage_id for k in range(3) for d in range(2)}
     assert len(ids) == 6
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from evomtl.cli import main
-from evomtl.dot import module_dot, network_dot
+from evomtl.dot import module_dot
 
 
 def run_cli(args, capsys=None):
@@ -180,17 +180,12 @@ def parse_dot(text: str):
 
 
 def test_dot_exports_parse(tmp_path):
-    from evomtl.genome import init_module_population, GlobalHyper
-    from evomtl.assembly import CmGridNet
+    from evomtl.genome import init_module_population
     import numpy as np
     pop = init_module_population(2, 1, np.random.default_rng(0))
     genome = pop.all_members()[0]
     nodes, edges = parse_dot(module_dot(genome))
     assert "in" in nodes and "out" in nodes
-    h = GlobalHyper(k_modules=2, depth=2)
-    net = CmGridNet([genome], h, ["t0"], [3], 12, np.random.default_rng(1))
-    nodes, edges = parse_dot(network_dot(net))
-    assert any("merge" in n for n in nodes)
 
 
 def test_profile_flag_beats_config_file(tmp_path):

@@ -3,9 +3,10 @@ import pytest
 
 from evomtl.dataset import (
     Split, load_image_dir, sample_iteration, split_fixed,
-    synth_generate, write_pgm, write_split_manifest,
+    synth_generate, write_split_manifest,
 )
 from evomtl.errors import ConfigError, DataError, StateError
+from helpers import write_pgm
 
 
 def make_tree(tmp_path, n_tasks=2, n_classes=3, n_images=20, side=105):

@@ -6,12 +6,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from evomtl.diffcore import (
     BatchForward, CompGraph, Param, ParamBlock, _conv_same, adam_step,
-    apply_layer, backward, grad_check, merge_scales, predicted_class, softmax,
-    zero_grads,
+    backward, merge_scales, predicted_class, softmax, zero_grads,
 )
 from evomtl.errors import (
     ConfigError, DataError, DimensionError, NumericError, StateError,
 )
+from helpers import grad_check
 
 
 def rng(seed=0):
@@ -24,7 +24,7 @@ def test_dense_identity():
     g = CompGraph("eval")
     w = Param("w", np.eye(2))
     b = Param("b", np.zeros(2))
-    out = apply_layer(g, "dense", g.leaf([1.0, 2.0]), {"w": w, "b": b})
+    out = g.dense(g.leaf([1.0, 2.0]), w, b)
     assert np.allclose(out.value, [1.0, 2.0])
 
 

@@ -5,12 +5,12 @@ from evomtl.errors import ConfigError, ParseError
 from evomtl.genome import (
     KERNEL_SIZES, SINK, SOURCE, BlueprintGenome, BlueprintNode,
     InnovationTracker, LayerGene, ModuleGenome, MutationRates, check_genome,
-    compatibility, crossover, deserialize, genome_from_obj, genome_to_obj,
+    compatibility, crossover, genome_from_obj, genome_to_obj,
     hyper_from_obj, hyper_to_obj, init_blueprint_population,
     init_module_population, mutate, mutate_global, random_global_hyper,
-    serialize, speciate_and_reproduce,
+    speciate_and_reproduce,
 )
-from evomtl.serialize import canon_dumps
+from evomtl.serialize import canon_dumps, canon_loads
 
 
 def rng(seed=0):
@@ -197,6 +197,15 @@ def test_reproduction_equal_fitness_allocation_counts():
     assert _allocate([2.0, 2.0, 1.0], 10) == [4, 4, 2]
     assert sum(_allocate([0.0, 0.0], 7)) == 7
     assert _allocate([9.0, 1.0], 10) == [9, 1]
+
+
+def serialize(genome) -> bytes:
+    # a genome crosses the wire as canonical JSON of its object form
+    return canon_dumps(genome_to_obj(genome)).encode("utf-8")
+
+
+def deserialize(data: bytes):
+    return genome_from_obj(canon_loads(data))
 
 
 def test_serialize_round_trip_module_and_blueprint():

@@ -82,8 +82,9 @@ def test_single_worker_serial_execution():
     results_box = {}
 
     def coordinator():
-        results_box["results"] = serve_coordinator(addr, jobs,
-                                                   global_timeout_s=60)
+        with Coordinator(addr) as c:
+            results_box["results"] = serve_coordinator(
+                c, jobs, global_timeout_s=60)
 
     coord = threading.Thread(target=coordinator)
     coord.start()
@@ -108,8 +109,9 @@ def test_distributed_bit_equals_local():
     results_box = {}
 
     def coordinator():
-        results_box["results"] = serve_coordinator(addr, jobs,
-                                                   global_timeout_s=60)
+        with Coordinator(addr) as c:
+            results_box["results"] = serve_coordinator(
+                c, jobs, global_timeout_s=60)
 
     coord = threading.Thread(target=coordinator)
     coord.start()
@@ -135,8 +137,9 @@ def test_worker_killed_mid_job_reassigned():
     results_box = {}
 
     def coordinator():
-        results_box["results"] = serve_coordinator(addr, jobs,
-                                                   global_timeout_s=120)
+        with Coordinator(addr) as c:
+            results_box["results"] = serve_coordinator(
+                c, jobs, global_timeout_s=120)
 
     coord = threading.Thread(target=coordinator)
     coord.start()
@@ -175,8 +178,9 @@ def test_duplicate_result_discarded():
 def test_no_worker_timeout():
     port = free_port()
     addr = f"127.0.0.1:{port}"
-    with pytest.raises(HarnessError):
-        serve_coordinator(addr, [Job(0, make_payload())], global_timeout_s=1.0)
+    with Coordinator(addr) as coordinator, pytest.raises(HarnessError):
+        serve_coordinator(coordinator, [Job(0, make_payload())],
+                          global_timeout_s=1.0)
 
 
 def _fake_worker(port, work_s, heartbeat_s):
@@ -211,8 +215,9 @@ def test_global_timeout_counts_from_the_last_progress(heartbeat_s):
 
     def coordinator():
         try:
-            box["results"] = serve_coordinator(
-                addr, [Job(0, {}, deadline_s=60)], global_timeout_s=0.8)
+            with Coordinator(addr) as c:
+                box["results"] = serve_coordinator(
+                    c, [Job(0, {}, deadline_s=60)], global_timeout_s=0.8)
         except HarnessError as e:
             box["error"] = e
 
@@ -265,8 +270,9 @@ def test_deadline_expiry_reassigns():
     results_box = {}
 
     def coordinator():
-        results_box["results"] = serve_coordinator(addr, jobs,
-                                                   global_timeout_s=60)
+        with Coordinator(addr) as c:
+            results_box["results"] = serve_coordinator(
+                c, jobs, global_timeout_s=60)
 
     coord = threading.Thread(target=coordinator)
     coord.start()
@@ -340,26 +346,27 @@ def test_recv_frame_non_object_body_is_none(body):
         assert recv_frame(b) is None
 
 
-def test_worker_survives_a_garbage_frame_and_reconnects():
-    # a fake coordinator answers the first hello with a non-object frame
-    # and the second with shutdown: the worker drops the connection,
-    # reconnects and exits cleanly
+def _run_worker_against(first_reply: bytes):
+    """Run a worker against a fake coordinator that answers its first
+    hello with the frame body `first_reply` and its second with shutdown.
+    Returns the worker's exit code, the hellos and, per connection, the
+    next frame after the reply (None once the worker hangs up)."""
     server = socket.socket()
     server.bind(("127.0.0.1", 0))
     server.listen(2)
     server.settimeout(10.0)
     port = server.getsockname()[1]
-    hellos = []
+    hellos, answers = [], []
 
     def coordinator():
         with server:
-            for reply in (b"[1]", b'{"kind":"shutdown"}'):
+            for reply in (first_reply, b'{"kind":"shutdown"}'):
                 conn, _ = server.accept()
                 with conn:
                     conn.settimeout(10.0)
                     hellos.append(recv_frame(conn))
                     conn.sendall(struct.pack(">I", len(reply)) + reply)
-                    conn.recv(1)  # wait for the worker to hang up
+                    answers.append(recv_frame(conn))
 
     fake = threading.Thread(target=coordinator)
     fake.start()
@@ -367,8 +374,33 @@ def test_worker_survives_a_garbage_frame_and_reconnects():
                       give_up_after_s=20.0)
     fake.join(timeout=10)
     assert not fake.is_alive()
+    return code, hellos, answers
+
+
+def test_worker_survives_a_garbage_frame_and_reconnects():
+    # a fake coordinator answers the first hello with a non-object frame
+    # and the second with shutdown: the worker drops the connection,
+    # reconnects and exits cleanly
+    code, hellos, _ = _run_worker_against(b"[1]")
     assert code == 0
     assert [h["kind"] for h in hellos] == ["hello", "hello"]
+
+
+@pytest.mark.parametrize("job", [
+    b'{"kind":"job","payload":{}}',
+    b'{"kind":"job","job_id":"x","payload":{}}',
+    b'{"kind":"job","job_id":1.5,"payload":{}}',
+    b'{"kind":"job","job_id":1}',
+    b'{"kind":"job","job_id":1,"payload":{},"deadline_s":"soon"}',
+], ids=["no-job-id", "text-job-id", "fractional-job-id", "no-payload",
+        "text-deadline"])
+def test_worker_drops_a_malformed_job_frame_and_reconnects(job):
+    # a job frame the worker cannot read is dropped like a garbage frame:
+    # no result, a hang-up, a second hello and a clean exit
+    code, hellos, answers = _run_worker_against(job)
+    assert code == 0
+    assert [h["kind"] for h in hellos] == ["hello", "hello"]
+    assert answers == [None, None]
 
 
 @pytest.mark.parametrize("bad_result", [
@@ -386,8 +418,9 @@ def test_coordinator_drops_a_worker_with_a_bad_result(bad_result):
     results_box = {}
 
     def coordinator():
-        results_box["results"] = serve_coordinator(addr, jobs,
-                                                   global_timeout_s=60)
+        with Coordinator(addr) as c:
+            results_box["results"] = serve_coordinator(
+                c, jobs, global_timeout_s=60)
 
     coord = threading.Thread(target=coordinator)
     coord.start()
@@ -491,12 +524,12 @@ def test_one_hello_and_one_shutdown_over_three_batches(monkeypatch):
     addr = f"127.0.0.1:{port}"
     batches = [[2, 0, 1], [5, 3], [4]]
     box = {}
-    with Coordinator(addr):
+    with Coordinator(addr) as coordinator:
         worker = threading.Thread(target=lambda: box.update(code=run_worker(
             addr, worker_id="w", give_up_after_s=30.0)))
         worker.start()
-        results = [serve_coordinator(
-            addr, [Job(i, make_payload(seed=i), deadline_s=30) for i in ids])
+        results = [serve_coordinator(coordinator, [
+            Job(i, make_payload(seed=i), deadline_s=30) for i in ids])
             for ids in batches]
     worker.join(timeout=10)
     assert box == {"code": 0}
@@ -514,12 +547,12 @@ def test_job_answered_after_its_requeue_is_not_dispatched_again():
     port = free_port()
     addr = f"127.0.0.1:{port}"
     log = []
-    with Coordinator(addr):
+    with Coordinator(addr) as coordinator:
         worker = threading.Thread(target=_scripted_worker,
                                   args=(port, log, 0.8))
         worker.start()
-        first = serve_coordinator(addr, [Job(0, {}, deadline_s=0.3)])
-        second = serve_coordinator(addr, [Job(1, {}, deadline_s=30)])
+        first = serve_coordinator(coordinator, [Job(0, {}, deadline_s=0.3)])
+        second = serve_coordinator(coordinator, [Job(1, {}, deadline_s=30)])
     worker.join(timeout=10)
     assert [(r.job_id, r.fitness) for r in first + second] == [
         (0, 0.0), (1, 0.01)]
@@ -538,11 +571,12 @@ def test_job_requeued_at_its_deadline_goes_to_an_idle_worker():
                             args=(port, slow_log, 2.5, "slow"))
     idle = threading.Thread(target=_scripted_worker,
                             args=(port, idle_log, 0.0, "idle"))
-    with Coordinator(addr):
+    with Coordinator(addr) as coordinator:
         slow.start()
         threading.Timer(0.3, idle.start).start()
         t0 = time.monotonic()
-        (result,) = serve_coordinator(addr, [Job(0, {}, deadline_s=0.6)])
+        (result,) = serve_coordinator(coordinator,
+                                      [Job(0, {}, deadline_s=0.6)])
         elapsed = time.monotonic() - t0
     slow.join(timeout=10)
     idle.join(timeout=10)
@@ -555,14 +589,14 @@ def test_job_requeued_at_its_deadline_goes_to_an_idle_worker():
 def test_worker_killed_between_batches_is_replaced():
     port = free_port()
     addr = f"127.0.0.1:{port}"
-    with Coordinator(addr):
+    with Coordinator(addr) as coordinator:
         victim = subprocess.Popen(
             [sys.executable, "-c",
              "from evomtl.harness import run_worker; "
              f"run_worker({addr!r}, 'victim')"])
         try:
             first = serve_coordinator(
-                addr, [Job(0, make_payload(), deadline_s=60)])
+                coordinator, [Job(0, make_payload(), deadline_s=60)])
         finally:
             victim.kill()
             victim.wait()
@@ -571,7 +605,7 @@ def test_worker_killed_between_batches_is_replaced():
             addr, worker_id="rescue", give_up_after_s=30.0)))
         rescuer.start()
         second = serve_coordinator(
-            addr, [Job(i, make_payload(seed=i), deadline_s=60)
+            coordinator, [Job(i, make_payload(seed=i), deadline_s=60)
                    for i in (1, 2)])
     rescuer.join(timeout=10)
     assert [(r.job_id, r.worker_id) for r in first + second] == [
@@ -583,21 +617,22 @@ def test_close_leaves_no_thread_and_a_free_port():
     port = free_port()
     addr = f"127.0.0.1:{port}"
     box = {}
-    with Coordinator(addr):
+    with Coordinator(addr) as coordinator:
         worker = threading.Thread(target=lambda: box.update(code=run_worker(
             addr, worker_id="w", give_up_after_s=30.0)))
         worker.start()
-        serve_coordinator(addr, [Job(0, make_payload(), deadline_s=30)])
+        serve_coordinator(coordinator, [Job(0, make_payload(), deadline_s=30)])
         assert len(_coordinator_threads()) == 2  # accept + one handler
     worker.join(timeout=10)
     assert box == {"code": 0}
     assert _coordinator_threads() == []
     with socket.socket() as s:  # no SO_REUSEADDR: nothing lingers
         s.bind(("127.0.0.1", port))
-    # the closed coordinator is no longer found at its address: a later
-    # batch opens its own, waits for workers, and closes it again
-    with pytest.raises(HarnessError, match="no workers connected"):
-        serve_coordinator(addr, [Job(1, {})], global_timeout_s=0.2)
+    # a later coordinator at the same address waits for workers of its
+    # own, and closes again
+    with Coordinator(addr) as coordinator, \
+            pytest.raises(HarnessError, match="no workers connected"):
+        serve_coordinator(coordinator, [Job(1, {})], global_timeout_s=0.2)
     assert _coordinator_threads() == []
 
 
@@ -608,11 +643,11 @@ def test_batch_returns_on_its_last_result():
     addr = f"127.0.0.1:{port}"
     log = []
     lags = []
-    with Coordinator(addr):
+    with Coordinator(addr) as coordinator:
         worker = threading.Thread(target=_scripted_worker, args=(port, log))
         worker.start()
         for i in range(5):
-            serve_coordinator(addr, [Job(i, {}, deadline_s=30)])
+            serve_coordinator(coordinator, [Job(i, {}, deadline_s=30)])
             returned = time.monotonic()
             # the coordinator may record the result before the worker's
             # send returns and logs it
@@ -635,14 +670,14 @@ def test_many_workers_many_batches_each_job_once():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with Coordinator(addr):
+        with Coordinator(addr) as coordinator:
             workers = [threading.Thread(target=_scripted_worker,
                                         args=(port, log)) for log in logs]
             for w in workers:
                 w.start()
             batches = [list(range(8 * b + 7, 8 * b - 1, -1)) for b in range(10)]
             results = [serve_coordinator(
-                addr, [Job(i, {}, deadline_s=30) for i in ids])
+                coordinator, [Job(i, {}, deadline_s=30) for i in ids])
                 for ids in batches]
         for w in workers:
             w.join(timeout=10)
@@ -664,12 +699,13 @@ def test_no_progress_limit_follows_the_job_deadline(monkeypatch):
     # floor, is shortened here so the deadline is the longer)
     monkeypatch.setattr(harness, "LIVENESS_TIMEOUT_S", 0.2)
     port = free_port()
-    evaluate = distributed_evaluator(f"127.0.0.1:{port}")
     box = {}
 
     def batch():
         try:
-            evaluate([Job(0, {}, deadline_s=0.5), Job(1, {}, deadline_s=1.0)])
+            with Coordinator(f"127.0.0.1:{port}") as coordinator:
+                distributed_evaluator(coordinator)(
+                    [Job(0, {}, deadline_s=0.5), Job(1, {}, deadline_s=1.0)])
         except HarnessError as e:
             box["error"] = e
 
@@ -749,7 +785,7 @@ def test_cli_serve_run_matches_local_and_releases_its_worker(tmp_path):
 def _pgm_tree(root, fill=0):
     """root/task<t>/class<c>/<i>.pgm: 2 tasks of 2 classes x 6 images at
     side 8; `fill` shifts every pixel, so a rewrite changes the bytes."""
-    from evomtl.dataset import write_pgm
+    from helpers import write_pgm
     r = np.random.default_rng(0)
     for t in range(2):
         for c in range(2):

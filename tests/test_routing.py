@@ -10,11 +10,11 @@ from evomtl.diffcore import CompGraph, Param, softmax
 from evomtl.errors import ConfigError, NumericError, ParseError
 from evomtl.genome import topo_order
 from evomtl.routing import (
-    output_divergence,
     CtrState, RoutingGraph, check_routing_graph, default_ctr_modules, evaluate_individual,
     init_ctr, joint_train, mutate_challenger, new_edge_logit, node_sides,
     restore_ctr_state, run_ctr, select_and_checkpoint, serialize_ctr_state,
 )
+from helpers import output_divergence
 
 
 def rng(seed=0):
