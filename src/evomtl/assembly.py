@@ -17,7 +17,11 @@ channels, then soft-merge with per-merge learned scales.
 
 Forward code reads sizes through `node.shape`, one example's shape, so it
 runs unchanged on a training tape (`CompGraph`) and on a batched scoring
-forward (`BatchForward`).
+forward (`BatchForward`). The forward is also the only shape rule: every
+size (a unit's output side, a decoder's width, a routing node's side)
+comes from running it on a batch of no examples (`out_side`,
+`empty_input`), which computes nothing and raises the `AssemblyError` a
+real forward would.
 
 Weight sharing: a builder keeps a dict from share key to the module
 instance realized under it, and a later realization with the same key
@@ -34,10 +38,13 @@ depth) or by CM's evolved modules (`CmGridNet`); the per-task
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .diffcore import (
-    CGNode, CompGraph, Param, _unique_params, init_weight, merge_scales,
+    BatchForward, BatchNode, CGNode, CompGraph, Param, _unique_params,
+    init_weight, merge_scales,
 )
 from .errors import AssemblyError
 from .genome import (
@@ -55,10 +62,11 @@ def _pool_to(g: CompGraph, x: CGNode, side: int) -> CGNode:
     return x
 
 
-def merge_aligned(g: CompGraph, scales: Param,
+def merge_aligned(g: CompGraph, scales: Param | None,
                   inputs: list[CGNode]) -> CGNode:
     """Soft-merge after pooling larger inputs to the smallest side and
-    zero-padding channels to the widest input."""
+    zero-padding channels to the widest input; a single input passes
+    through (and needs no scales)."""
     if len(inputs) == 1:
         return inputs[0]
     side = min(x.shape[0] for x in inputs)
@@ -76,11 +84,12 @@ def _gene_param_shapes(gene: LayerGene, cin: int):
 
 
 def _apply_gene(g: CompGraph, gene: LayerGene, x: CGNode, w: Param, b: Param,
-                activation: bool = True) -> CGNode:
+                activate: bool = True) -> CGNode:
     """Run one realized layer gene. Conv keeps the spatial size and
     requires the map to be at least kernel-sized; dense pools to 1x1,
     zero-pads channels to its weight rows, and emits a (1, 1, filters)
-    map."""
+    map. Without `activate` the gene is linear: no activation, no
+    dropout."""
     if gene.kind == "conv2d":
         if min(x.shape[0], x.shape[1]) < gene.kernel_size:
             raise AssemblyError(
@@ -93,20 +102,24 @@ def _apply_gene(g: CompGraph, gene: LayerGene, x: CGNode, w: Param, b: Param,
         x = g.pad_channels(x, w.value.shape[0])
         out = g.dense(g.flatten(x), w, b)
         out = g.reshape(out, (1, 1, gene.filters))
-    if activation:
+    if activate:
         out = g.activation(out, gene.activation)
-    if gene.dropout_rate > 0:
-        out = g.dropout(out, gene.dropout_rate)
+        if gene.dropout_rate > 0:
+            out = g.dropout(out, gene.dropout_rate)
     return out
 
 
-def _gene_out_side(gene: LayerGene, in_side: int) -> int:
-    if gene.kind == "conv2d":
-        if in_side < gene.kernel_size:
-            raise AssemblyError(
-                f"feature map {in_side} smaller than kernel {gene.kernel_size}")
-        return in_side
-    return 1
+def empty_input(side: int) -> BatchNode:
+    """A batch of no side x side one-channel images. A forward run on it
+    makes every shape check and does no arithmetic."""
+    return BatchNode(np.zeros((0, side, side, 1)))
+
+
+def out_side(unit, side: int) -> int:
+    """Output side of a module or layer instance on a side x side input,
+    from its own forward on an empty batch; raises the AssemblyError the
+    real forward would."""
+    return unit.apply(BatchForward(), empty_input(side)).shape[0]
 
 
 def _saved_param(saved: dict, key, shape) -> Param:
@@ -201,34 +214,11 @@ class ModuleInstance:
             else:
                 v = merge_aligned(g, scales, [vals[p] for p in parents])
             if n == SINK:
-                if min(v.shape[:2]) < gene.kernel_size:
-                    raise AssemblyError(
-                        f"feature map {v.shape[:2]} smaller than "
-                        f"tail kernel {gene.kernel_size}")
-                v = g.conv2d(v, w, b)
-                if self.genome.cmtr_mode:
-                    v = g.activation(v, gene.activation)
-                    if gene.dropout_rate > 0:
-                        v = g.dropout(v, gene.dropout_rate)
-                if min(v.shape[:2]) >= 4:
-                    v = g.maxpool2x2(v)
-                return v
+                # the tail conv is linear outside cmtr mode
+                v = _apply_gene(g, gene, v, w, b, self.genome.cmtr_mode)
+                return g.maxpool2x2(v) if min(v.shape[:2]) >= 4 else v
             vals[n] = _apply_gene(g, gene, v, w, b)
         raise AssemblyError("module graph has no sink")  # unreachable
-
-    def out_side(self, in_side: int) -> int:
-        """Static spatial-size propagation; raises AssemblyError where a
-        conv would see a map smaller than its kernel."""
-        side = {SOURCE: in_side}
-        for n, parents, _, gene, _, _ in self.plan:
-            s = min(side[p] for p in parents)
-            if n == SINK:
-                if s < gene.kernel_size:
-                    raise AssemblyError(
-                        f"feature map {s} smaller than tail kernel")
-                return s // 2 if s >= 4 else s
-            side[n] = _gene_out_side(gene, s)
-        raise AssemblyError("module graph has no sink")
 
 
 def realize_module(genome: ModuleGenome, ghyper: GlobalHyper,
@@ -265,27 +255,15 @@ class LayerInstance:
     def apply(self, g: CompGraph, x: CGNode) -> CGNode:
         return _apply_gene(g, self.gene, x, self.w, self.b)
 
-    def out_side(self, in_side: int) -> int:
-        return _gene_out_side(self.gene, in_side)
-
     def all_params(self):
         return [self.w, self.b]
 
 
-def _make_decoders(task_ids, class_counts, features, rng, ghyper, label="dec"):
-    decs = {}
-    for tid, n_cls in zip(task_ids, class_counts):
-        w = Param(f"{label}.{tid}.w",
-                  init_weight(rng, (features, n_cls), features, n_cls,
-                              ghyper.weight_init))
-        b = Param(f"{label}.{tid}.b", np.zeros(n_cls))
-        decs[tid] = (w, b)
-    return decs
-
-
 class AssembledNetwork:
     """Base: task bookkeeping, decoders, and the parameter inventory.
-    Subclasses list their layer or module instances in `units()`."""
+    Subclasses compute a task's features in `trunk()`, which the task's
+    dense decoder reads, and list their layer or module instances in
+    `units()`."""
 
     kind = "network"
 
@@ -296,12 +274,24 @@ class AssembledNetwork:
         self.scales = {}
         self.decoders = {}
 
-    def _decode(self, g: CompGraph, task_index: int, y: CGNode) -> CGNode:
-        w, b = self.decoders[self.task_ids[task_index]]
-        return g.dense(g.flatten(y), w, b)
+    def _make_decoders(self, rng, ghyper) -> None:
+        """One dense decoder per task, as wide as the trunk output. Tasks
+        differ only in merge weights, so one trunk pass on an empty batch
+        sizes every decoder."""
+        trunk = self.trunk(BatchForward(), 0, empty_input(self.image_side))
+        features = math.prod(trunk.shape)
+        for tid, n_cls in zip(self.task_ids, self.class_counts):
+            w = Param(f"dec.{tid}.w",
+                      init_weight(rng, (features, n_cls), features, n_cls,
+                                  ghyper.weight_init))
+            self.decoders[tid] = (w, Param(f"dec.{tid}.b", np.zeros(n_cls)))
+
+    def trunk(self, g: CompGraph, task_index: int, x: CGNode) -> CGNode:
+        raise NotImplementedError
 
     def forward(self, g: CompGraph, task_index: int, x: CGNode) -> CGNode:
-        raise NotImplementedError
+        w, b = self.decoders[self.task_ids[task_index]]
+        return g.dense(g.flatten(self.trunk(g, task_index, x)), w, b)
 
     def units(self) -> list:
         raise NotImplementedError
@@ -319,29 +309,22 @@ class GridNet(AssembledNetwork):
     """K x D grid of units: at each depth every row's unit runs on the
     previous depth's output, and the K outputs are soft-merged by learned
     scales per (task, depth). Subclasses realize the units, filling
-    `slots[k][d]`; one unit object in several slots shares its weights.
-    The units' output width is `width` channels."""
+    `slots[k][d]`; one unit object in several slots shares its weights."""
 
-    def __init__(self, slots, width, task_ids, class_counts, image_side,
-                 ghyper, rng):
+    def __init__(self, slots, task_ids, class_counts, image_side, ghyper,
+                 rng):
         super().__init__(task_ids, class_counts, image_side)
-        self.ghyper = ghyper
         self.slots = slots
-        side = image_side
-        for column in zip(*slots):
-            side = min(unit.out_side(side) for unit in column)
-        self.out_features = side * side * width
         for t in range(len(self.task_ids)):
             for d in range(len(slots[0])):
                 self.scales[(t, d)] = merge_scales(f"t{t}.d{d}", len(slots))
-        self.decoders = _make_decoders(task_ids, class_counts,
-                                       self.out_features, rng, ghyper)
+        self._make_decoders(rng, ghyper)
 
-    def forward(self, g, task_index, x):
+    def trunk(self, g, task_index, x):
         for d, column in enumerate(zip(*self.slots)):
             x = merge_aligned(g, self.scales[(task_index, d)],
                               [unit.apply(g, x) for unit in column])
-        return self._decode(g, task_index, x)
+        return x
 
     def units(self):
         return [unit for row in self.slots for unit in row]
@@ -361,8 +344,7 @@ class SoftOrderingNet(GridNet):
         self.layers = [LayerInstance(gene, self.width, ghyper, rng, f"layer{i}")
                        for i, gene in enumerate(genes)]
         super().__init__([[layer] * len(genes) for layer in self.layers],
-                         self.width, task_ids, class_counts, image_side,
-                         ghyper, rng)
+                         task_ids, class_counts, image_side, ghyper, rng)
 
 
 class SingleTaskNet(AssembledNetwork):
@@ -373,26 +355,16 @@ class SingleTaskNet(AssembledNetwork):
     def __init__(self, genes, task_ids, class_counts, image_side, ghyper, rng):
         super().__init__(task_ids, class_counts, image_side)
         self.width = genes[0].filters
-        self.chains = []
-        self.out_features = {}
-        for t, tid in enumerate(task_ids):
-            chain = [LayerInstance(gene, self.width, ghyper, rng,
-                                   f"task{t}.layer{i}")
-                     for i, gene in enumerate(genes)]
-            self.chains.append(chain)
-            side = image_side
-            for layer in chain:
-                side = layer.out_side(side)
-            self.out_features[tid] = side * side * self.width
-        for t, (tid, n_cls) in enumerate(zip(task_ids, class_counts)):
-            self.decoders.update(
-                _make_decoders([tid], [n_cls], self.out_features[tid],
-                               rng, ghyper))
+        self.chains = [[LayerInstance(gene, self.width, ghyper, rng,
+                                      f"task{t}.layer{i}")
+                        for i, gene in enumerate(genes)]
+                       for t in range(len(task_ids))]
+        self._make_decoders(rng, ghyper)
 
-    def forward(self, g, task_index, x):
+    def trunk(self, g, task_index, x):
         for layer in self.chains[task_index]:
             x = layer.apply(g, x)
-        return self._decode(g, task_index, x)
+        return x
 
     def units(self):
         return [layer for chain in self.chains for layer in chain]
@@ -430,8 +402,8 @@ class CmGridNet(GridNet):
                     genome, ghyper, rng, f"slot{k}x{d}", shared=shared,
                     share_key=f"row{k}" if eligible else None))
             slots.append(row)
-        super().__init__(slots, ghyper.final_layer_filters, task_ids,
-                         class_counts, image_side, ghyper, rng)
+        super().__init__(slots, task_ids, class_counts, image_side, ghyper,
+                         rng)
 
 
 class CmsrNet(AssembledNetwork):
@@ -448,7 +420,6 @@ class CmsrNet(AssembledNetwork):
         if errs:
             raise AssemblyError(f"invalid blueprint: {errs[0]}")
         self.blueprint = blueprint
-        self.ghyper = ghyper
         self.order = topo_order(blueprint.node_ids(), blueprint.edges)
         self.src, self.snk = blueprint.source(), blueprint.sink()
         _, self.parents = graph_maps(blueprint.node_ids(), blueprint.edges)
@@ -471,34 +442,21 @@ class CmsrNet(AssembledNetwork):
             self.instances[n] = realize_module(
                 genome, ghyper, rng, f"node{n}", shared=shared,
                 share_key=key)
-        side = {self.src: self.instances[self.src].out_side(image_side)}
-        for n in self.order:
-            if n == self.src:
-                continue
-            s = min(side[p] for p in self.parents[n])
-            side[n] = self.instances[n].out_side(s)
-        self.out_features = (side[self.snk] ** 2) * ghyper.final_layer_filters
         for t in range(len(task_ids)):
             for n in self.order:
                 if len(self.parents[n]) > 1:
                     self.scales[(t, n)] = merge_scales(
                         f"t{t}.n{n}", len(self.parents[n]))
-        self.decoders = _make_decoders(task_ids, class_counts,
-                                       self.out_features, rng, ghyper)
+        self._make_decoders(rng, ghyper)
 
-    def forward(self, g, task_index, x):
+    def trunk(self, g, task_index, x):
         vals = {}
         for n in self.order:
-            if n == self.src:
-                vin = x
-            else:
-                inputs = [vals[p] for p in self.parents[n]]
-                if len(inputs) > 1:
-                    vin = merge_aligned(g, self.scales[(task_index, n)], inputs)
-                else:
-                    vin = inputs[0]
+            vin = x if n == self.src else merge_aligned(
+                g, self.scales.get((task_index, n)),
+                [vals[p] for p in self.parents[n]])
             vals[n] = self.instances[n].apply(g, vin)
-        return self._decode(g, task_index, vals[self.snk])
+        return vals[self.snk]
 
     def units(self):
         return list(self.instances.values())

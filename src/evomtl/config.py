@@ -11,6 +11,7 @@ for 30000 iterations).
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigError, ParseError
@@ -148,11 +149,21 @@ def resolve_config(profile: str | None = None, config_file: str | None = None,
     for key, val in (overrides or {}).items():
         if val is not None:
             merged[key] = val
-    known = set(cfg.to_obj())
-    unknown = set(merged) - known
+    hints = typing.get_type_hints(ExperimentConfig)
+    unknown = set(merged) - set(hints)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, val in merged.items():
+        _check_type(key, val, hints[key])
         setattr(cfg, key, val)
     cfg.check()
     return cfg
+
+
+def _check_type(key: str, val, hint) -> None:
+    """An int passes for a float, a bool never for an int, and None only
+    where the field allows it."""
+    allowed = typing.get_args(hint) or (hint,)
+    if type(val) not in allowed and not (type(val) is int and float in allowed):
+        names = " or ".join(t.__name__ for t in allowed)
+        raise ConfigError(f"config key {key!r} must be {names}, not {val!r}")

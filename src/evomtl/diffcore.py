@@ -336,14 +336,15 @@ class BatchForward:
     It offers the op surface network code calls on a `CompGraph` and makes
     the same checks, but runs each op once over the whole batch (axis 0)
     and records nothing, so it cannot be differentiated. Dropout is the
-    identity, as in eval mode.
+    identity, as in eval mode. On a batch of no examples it makes every
+    check and computes nothing, which is how networks are sized.
     """
 
     def leaf(self, value) -> BatchNode:
         return BatchNode(as_tensor(value))
 
     def dense(self, x: BatchNode, w: Param, b: Param) -> BatchNode:
-        xf = x.value.reshape(len(x.value), -1)
+        xf = self.flatten(x).value
         _check_dense(xf.shape[1], w, b)
         return BatchNode(xf @ w.value + b.value)
 
@@ -366,7 +367,8 @@ class BatchForward:
         return x
 
     def flatten(self, x: BatchNode) -> BatchNode:
-        return BatchNode(x.value.reshape(len(x.value), -1))
+        # an explicit width, so a batch of no examples flattens too
+        return BatchNode(x.value.reshape(len(x.value), math.prod(x.shape)))
 
     def reshape(self, x: BatchNode, shape) -> BatchNode:
         return BatchNode(x.value.reshape((len(x.value), *shape)))

@@ -316,6 +316,8 @@ def check_genome(g) -> list[str]:
         errs.append(f"{len(g.nodes)} internal nodes exceeds cap")
     for gene in [*g.nodes.values(), g.final_layer]:
         errs.extend(gene.check())
+    if g.final_layer.kind != "conv2d":
+        errs.append("the tail gene must be a conv2d")
     return errs
 
 

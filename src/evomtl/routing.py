@@ -22,14 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffcore import (
-    CGNode, CompGraph, Param, ParamBlock, adam_step, backward, init_weight,
-    zero_grads,
+    BatchForward, CGNode, CompGraph, Param, ParamBlock, adam_step, backward,
+    init_weight, zero_grads,
 )
 from .errors import AssemblyError, ConfigError, NumericError, ParseError, \
     StateError
 from .genome import GlobalHyper, LayerGene, ModuleGenome, SINK, SOURCE, \
     dag_errors, reachable, topo_order
-from .assembly import ModuleInstance, realize_module
+from .assembly import ModuleInstance, empty_input, out_side, realize_module
 from .dataset import MultitaskSpec
 from .serialize import (
     array_from_obj, array_to_obj, atomic_write_text, canon_dumps, canon_loads,
@@ -120,27 +120,32 @@ def check_routing_graph(graph: RoutingGraph, n_modules: int) -> list[str]:
     return errs
 
 
-def node_sides(graph: RoutingGraph, modules, image_side: int) -> dict[int, int]:
-    """Static output spatial size per node (raises where infeasible)."""
-    sides = {}
+def route(g, graph: RoutingGraph, modules, x) -> dict:
+    """Every node's value for input x, in topological order: the source
+    is the identity encoder, a merge node soft-merges its inputs first,
+    and the sink's value is its merged input, which the decoder reads."""
+    vals = {}
     for n in graph.topo_order():
         r = graph.nodes[n]
         if r.kind == "source":
-            sides[n] = image_side
+            vals[n] = x
             continue
-        insides = {sides[p] for p in graph.inbound[n]}
-        if len(insides) != 1:
-            raise AssemblyError(f"node {n}: unaligned merge inputs {insides}")
-        s = insides.pop()
+        inputs = [vals[p] for p in graph.inbound[n]]
+        v = (g.softmerge(graph.scale_groups[n], inputs) if len(inputs) > 1
+             else inputs[0])
         if r.kind == "module":
-            sides[n] = modules[r.module_index].out_side(s)
+            v = modules[r.module_index].apply(g, v)
         elif r.kind == "adapter":
-            if s < 2:
-                raise AssemblyError("adapter on a map smaller than 2x2")
-            sides[n] = s // 2
-        else:  # sink
-            sides[n] = s
-    return sides
+            v = g.maxpool2x2(v)
+        vals[n] = v
+    return vals
+
+
+def node_sides(graph: RoutingGraph, modules, image_side: int) -> dict[int, int]:
+    """Output side per node, from `route` on an empty batch; raises what
+    the forward would where the graph cannot run."""
+    vals = route(BatchForward(), graph, modules, empty_input(image_side))
+    return {n: v.shape[0] for n, v in vals.items()}
 
 
 class RoutingIndividual:
@@ -164,25 +169,8 @@ class RoutingIndividual:
         return out
 
     def forward(self, g: CompGraph, modules, x: CGNode) -> CGNode:
-        vals: dict[int, CGNode] = {}
-        graph = self.graph
-        for n in graph.topo_order():
-            r = graph.nodes[n]
-            if r.kind == "source":
-                vals[n] = x  # identity encoder
-                continue
-            inputs = [vals[p] for p in graph.inbound[n]]
-            if len(inputs) > 1:
-                v = g.softmerge(graph.scale_groups[n], inputs)
-            else:
-                v = inputs[0]
-            if r.kind == "module":
-                vals[n] = modules[r.module_index].apply(g, v)
-            elif r.kind == "adapter":
-                vals[n] = g.maxpool2x2(v)
-            else:  # sink: decode
-                return g.dense(g.flatten(v), self.decoder_w, self.decoder_b)
-        raise StateError("routing graph has no sink")
+        v = route(g, self.graph, modules, x)[self.graph.sink_id]
+        return g.dense(g.flatten(v), self.decoder_w, self.decoder_b)
 
 
 @dataclass
@@ -229,7 +217,7 @@ def default_ctr_modules(k: int, image_side: int, rng: np.random.Generator,
             edges={3: (SOURCE, 2), 4: (2, SINK)},
             share_flag=True, final_layer=tail)
         inst = realize_module(genome, ghyper, rng, f"m{i}")
-        out = inst.out_side(side)
+        out = out_side(inst, side)
         side = out // 2 if out >= 4 else out  # init chain adds an adapter here
         modules.append(inst)
     return modules
@@ -238,7 +226,7 @@ def default_ctr_modules(k: int, image_side: int, rng: np.random.Generator,
 def _chain_fits(modules, side: int) -> bool:
     try:
         for module in modules:
-            side = module.out_side(side)
+            side = out_side(module, side)
     except AssemblyError:
         return False
     return True
@@ -263,7 +251,7 @@ def init_ctr(modules: list[ModuleInstance], spec: MultitaskSpec,
             nid = graph.add_node("module", k)
             graph.add_edge(prev, nid)
             prev = nid
-            side = module.out_side(side)
+            side = out_side(module, side)
             if side >= 4 and _chain_fits(modules[k + 1:], side // 2):
                 aid = graph.add_node("adapter")
                 graph.add_edge(prev, aid)
@@ -327,12 +315,11 @@ def mutate_challenger(champion: RoutingIndividual, modules, alpha: float,
         k = int(rng.integers(len(modules)))
         target_side = sides[graph.inbound[v][0]]
         try:
-            s_w = modules[k].out_side(sides[u])
+            s = out_side(modules[k], sides[u])
         except AssemblyError:
             continue
         # pool the new branch down to v's established input size; sizes all
-        # live on one halving chain, so equality is reachable iff s_w >= target
-        s = s_w
+        # live on one halving chain, so equality is reachable iff s >= target
         hops = 0
         while s > target_side:
             s //= 2

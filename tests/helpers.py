@@ -20,22 +20,39 @@ class GradCheckReport:
     tolerance: float
     passed: bool
     worst_param: str
+    unreached: list[str]
 
 
-def grad_check(builder, tolerance: float, epsilon: float = 1e-4) -> GradCheckReport:
+def grad_check(builder, params, tolerance: float,
+               epsilon: float = 1e-4) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     `builder()` must construct the graph from scratch and return
     (graph, loss_node), closing over the Params it perturbs; it has to be
     deterministic (fixed dropout seed), which is verified by building
-    twice.
+    twice. `params` are the Params the loss may depend on. One whose
+    perturbation moves the loss but that `backward` does not reach (an op
+    emitted no gradient for it) is listed in `unreached`, fails the check,
+    and is finite-differenced against a zero analytic gradient, so the
+    check sees a dropped gradient, not only a wrong one.
     """
     g1, l1 = builder()
     g2, l2 = builder()
     if not np.array_equal(l1.value, l2.value):
         raise StateError("grad_check builder is non-deterministic")
 
-    block = ParamBlock(backward(g2, l2))
+    reached = backward(g2, l2)
+    r = np.random.default_rng(0)
+    unreached = []
+    for p in params:
+        if any(p is q for q in reached + unreached):
+            continue
+        old = p.value.copy()
+        p.value += 1e-3 * r.normal(size=old.shape)
+        if not np.array_equal(builder()[1].value, l1.value):
+            unreached.append(p)
+        p.value[...] = old
+    block = ParamBlock(reached + unreached)
     params = block.params
     zero_grads(block)
     backward(g1, l1)
@@ -68,7 +85,9 @@ def grad_check(builder, tolerance: float, epsilon: float = 1e-4) -> GradCheckRep
             if err > max_err:
                 max_err = err
                 worst = p.name
-    return GradCheckReport(max_err, tolerance, max_err <= tolerance, worst)
+    return GradCheckReport(max_err, tolerance,
+                           max_err <= tolerance and not unreached, worst,
+                           [p.name for p in unreached])
 
 
 def write_pgm(path: str, image: np.ndarray) -> None:

@@ -79,7 +79,7 @@ def test_criterion_01_gradient_correctness():
             h = g.dense(g.flatten(h), w2, b2)
             return g, g.cross_entropy(h, label)
 
-        result = grad_check(builder, 1e-4)
+        result = grad_check(builder, [w1, b1, s, w2, b2], 1e-4)
         worst = max(worst, result.max_rel_error)
         if not result.passed:
             break

@@ -5,7 +5,7 @@ import pytest
 
 from evomtl.assembly import (
     CmGridNet, CmsrNet, SingleTaskNet, SoftOrderingNet,
-    count_parameters, realize_module,
+    count_parameters, out_side, realize_module,
 )
 from evomtl.diffcore import (
     CompGraph, ParamBlock, adam_step, backward, softmax, zero_grads,
@@ -44,8 +44,8 @@ def ghyp(**kw):
 
 def test_realize_shapes_and_tail_pool():
     inst = realize_module(make_module(), ghyp(), rng(1), "m")
-    assert inst.out_side(28) == 14  # tail pool applied
-    assert inst.out_side(3) == 3    # below 4x4: pool skipped
+    assert out_side(inst, 28) == 14  # tail pool applied
+    assert out_side(inst, 3) == 3    # below 4x4: pool skipped
     g = CompGraph("eval")
     out = inst.apply(g, g.leaf(np.zeros((28, 28, 1))))
     assert out.shape == (14, 14, 8)
@@ -68,7 +68,7 @@ def test_realize_kernel_too_large():
     genome = make_module(make_gene(kernel=5))
     inst = realize_module(genome, ghyp(), rng(3), "m")
     with pytest.raises(AssemblyError):
-        inst.out_side(3)
+        out_side(inst, 3)
     g = CompGraph("eval")
     with pytest.raises(AssemblyError):
         inst.apply(g, g.leaf(np.zeros((3, 3, 1))))

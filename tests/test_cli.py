@@ -199,6 +199,32 @@ def test_profile_flag_beats_config_file(tmp_path):
     assert cfg.seed == 3                       # file value kept
 
 
+@pytest.mark.parametrize("algorithm, values", [
+    ("cm", {"train_iters": "abc"}),
+    ("ctr", {"meta_iters": 2.5}),
+    ("ctr", {"m_iters": True}),
+    ("ctr", {"seed": None}),
+], ids=["str-for-int", "float-for-int", "bool-for-int", "null-for-int"])
+def test_config_file_value_of_the_wrong_type_is_a_usage_error(
+        tmp_path, capsys, algorithm, values):
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps(values))
+    code = main(["run", "--algorithm", algorithm, "--config", str(cfile),
+                 "--synth", "2x3x8", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert repr(next(iter(values))) in capsys.readouterr().err
+
+
+def test_config_file_accepts_an_int_for_a_float_and_null_where_allowed(
+        tmp_path):
+    from evomtl.config import resolve_config
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps({"lr": 1, "max_generations": None,
+                                 "eval_subsample": None}))
+    cfg = resolve_config(config_file=str(cfile))
+    assert cfg.lr == 1 and cfg.max_generations is None
+
+
 def test_inputs_hash_covers_file_content(tmp_path):
     from evomtl.cli import _hash_inputs
     from evomtl.config import resolve_config

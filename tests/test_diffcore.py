@@ -135,7 +135,7 @@ def test_grad_check_narrow_convs():
         h = g.activation(g.conv2d(h, w2, b2), "tanh")
         return g, g.cross_entropy(g.dense(g.flatten(h), w3, b3), 1)
 
-    report = grad_check(builder, 1e-4)
+    report = grad_check(builder, [w1, b1, w2, b2, w3, b3], 1e-4)
     assert report.passed, report
     g, loss = builder()
     zero_grads([w1, w2])
@@ -469,6 +469,25 @@ def test_both_forwards_make_the_same_checks(make):
                    ).shape == (3,)
 
 
+def test_batch_forward_runs_a_batch_of_no_examples():
+    # networks are sized by their forward on an empty batch, which must
+    # make the same checks as a real one
+    f = BatchForward()
+    x = f.leaf(np.zeros((0, 4, 4, 2)))
+    assert f.flatten(x).value.shape == (0, 32)
+    out = f.dense(x, Param("w", np.ones((32, 3))), Param("b", np.zeros(3)))
+    assert out.value.shape == (0, 3) and out.shape == (3,)
+    with pytest.raises(DimensionError):
+        f.dense(x, Param("w", np.ones((31, 3))), Param("b", np.zeros(3)))
+    y = f.conv2d(f.maxpool2x2(x), Param("w", np.ones((3, 3, 2, 5))),
+                 Param("b", np.zeros(5)))
+    assert y.value.shape == (0, 2, 2, 5)
+    z = f.softmerge(merge_scales("s", 2), [f.pad_channels(x, 5),
+                                           f.activation(f.pad_channels(x, 5),
+                                                        "elu")])
+    assert f.flatten(f.maxpool2x2(z)).value.shape == (0, 20)
+
+
 def test_dropout_eval_is_identity_and_train_scales():
     g = CompGraph("eval")
     x = g.leaf(np.ones(1000))
@@ -564,11 +583,11 @@ def make_builder_dense(seed=1):
         h = g.activation(h, "relu")
         return g, g.cross_entropy(h, 1)
 
-    return builder
+    return builder, [w, b]
 
 
 def test_backward_matches_finite_differences_dense():
-    report = grad_check(make_builder_dense(), 1e-4)
+    report = grad_check(*make_builder_dense(), 1e-4)
     assert report.passed, report
 
 
@@ -623,8 +642,38 @@ def test_softmerge_logits_gradient_finite_diff():
         merged = g.softmerge(logits, [g.leaf(x) for x in xs])
         return g, g.cross_entropy(g.dense(merged, w, b), 0)
 
-    report = grad_check(builder, 1e-4)
+    report = grad_check(builder, [logits, w, b], 1e-4)
     assert report.passed, report
+
+
+def test_grad_check_catches_a_dropped_softmerge_gradient(monkeypatch):
+    # softmerge that emits no (scales, dlogits) entry: the loss still
+    # moves with the logits, but backward never reaches them
+    r = rng(5)
+    logits = Param("s", r.normal(size=3))
+    xs = [r.normal(size=(4,)) for _ in range(3)]
+    w = Param("w", r.normal(size=(4, 2)))
+    b = Param("b", np.zeros(2))
+    orig = CompGraph.softmerge
+
+    def softmerge_without_logit_gradient(self, scales, inputs):
+        node = orig(self, scales, inputs)
+        real_vjp = node.vjp
+        node.vjp = lambda g: [(t, tg) for t, tg in real_vjp(g)
+                              if t is not scales]
+        return node
+
+    monkeypatch.setattr(CompGraph, "softmerge",
+                        softmerge_without_logit_gradient)
+
+    def builder():
+        g = CompGraph("train", rng(9))
+        merged = g.softmerge(logits, [g.leaf(x) for x in xs])
+        return g, g.cross_entropy(g.dense(merged, w, b), 0)
+
+    report = grad_check(builder, [logits, w, b], 1e-4)
+    assert not report.passed
+    assert report.unreached == ["s"] and report.worst_param == "s"
 
 
 def test_grad_check_conv_pool_net():
@@ -643,12 +692,12 @@ def test_grad_check_conv_pool_net():
         h = g.dense(g.flatten(h), w2, b2)
         return g, g.cross_entropy(h, 2)
 
-    report = grad_check(builder, 1e-4)
+    report = grad_check(builder, [w1, b1, w2, b2], 1e-4)
     assert report.passed, report
 
 
 def test_grad_check_detects_corruption(monkeypatch):
-    builder = make_builder_dense(2)
+    builder, params = make_builder_dense(2)
     orig = CompGraph.dense
 
     def corrupt_dense(self, x, w, b):
@@ -658,7 +707,7 @@ def test_grad_check_detects_corruption(monkeypatch):
         return node
 
     monkeypatch.setattr(CompGraph, "dense", corrupt_dense)
-    report = grad_check(builder, 1e-4)
+    report = grad_check(builder, params, 1e-4)
     assert not report.passed
 
 
@@ -674,7 +723,7 @@ def test_grad_check_rejects_nondeterministic_builder():
         return g, g.cross_entropy(h, 0)
 
     with pytest.raises(StateError):
-        grad_check(builder, 1e-4)
+        grad_check(builder, [], 1e-4)
 
 
 # --- adam -------------------------------------------------------------------
@@ -942,5 +991,5 @@ def test_random_networks_gradcheck_sweep():
             h = g.dense(g.flatten(h), w2, b2)
             return g, g.cross_entropy(h, 1)
 
-        report = grad_check(builder, 1e-4)
+        report = grad_check(builder, [w1, b1, s, w2, b2], 1e-4)
         assert report.passed, (seed, report)

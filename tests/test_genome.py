@@ -320,3 +320,12 @@ def test_innovation_ids_unique_per_origin():
     n2 = t.split_node(e1)
     assert n1 == n2
     assert t.split_node(e3) != n1
+
+
+def test_check_genome_rejects_a_dense_tail():
+    # a module's tail is sized and run as a conv
+    g = _graph_genome("module")
+    g.final_layer.kind = "dense"
+    assert check_genome(g) == ["the tail gene must be a conv2d"]
+    with pytest.raises(ParseError):
+        genome_from_obj(genome_to_obj(g))

@@ -1,9 +1,9 @@
 """Whole-network gradient checks: every assembled network form, built
 tiny (final width 2, 4x4 to 6x6 inputs), has each task's cross-entropy
 gradient compared with central finite differences over every parameter
-the backward pass reaches, and the reached set compared with the set of
-parameters the loss depends on. Activations are smooth (tanh, sigmoid)
-so no finite difference straddles a kink."""
+the loss depends on, including any that the backward pass fails to
+reach. Activations are smooth (tanh, sigmoid) so no finite difference
+straddles a kink."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from evomtl.assembly import (
     CmGridNet, CmsrNet, SingleTaskNet, SoftOrderingNet, realize_module,
 )
 from evomtl.dataset import split_fixed, synth_generate
-from evomtl.diffcore import CompGraph, Param, backward
+from evomtl.diffcore import CompGraph, Param
 from evomtl.genome import (
     SINK, SOURCE, BlueprintGenome, BlueprintNode, GlobalHyper, LayerGene,
     ModuleGenome,
@@ -55,10 +55,9 @@ def hyper(**kw):
 
 
 def assert_task_gradients(forward, params, side):
-    """grad_check the loss of one random example per task, and check that
-    backward reaches every one of `params` whose perturbation moves that
-    loss: grad_check perturbs only what backward reaches, so it cannot
-    see a gradient that an op never emits."""
+    """grad_check the loss of one random example per task over `params`,
+    so a parameter the loss depends on but backward does not reach fails
+    too (the report's `unreached`)."""
     r = rng(side)
     for t in range(len(TASKS)):
         x = r.normal(size=(side, side, 1))
@@ -67,18 +66,9 @@ def assert_task_gradients(forward, params, side):
             g = CompGraph("train", rng(99))
             return g, g.cross_entropy(forward(g, t, g.leaf(x)), t)
 
-        report = grad_check(builder, 1e-4)
+        report = grad_check(builder, params, 1e-4)
         assert report.passed, (t, report)
-        loss = builder()[1].value
-        moving = set()
-        for p in params:
-            old = p.value.copy()
-            p.value += 1e-3 * r.normal(size=old.shape)
-            if builder()[1].value != loss:
-                moving.add(p.name)
-            p.value[...] = old
-        reached = {p.name for p in backward(*builder())}
-        assert moving <= reached, (t, moving - reached)
+        assert not report.unreached, (t, report.unreached)
 
 
 @pytest.mark.parametrize("form", [SoftOrderingNet, SingleTaskNet])
