@@ -18,7 +18,7 @@ channels, then soft-merge with per-merge learned scales.
 Forward code reads sizes through `node.shape`, one example's shape, so it
 runs unchanged on a training tape (`CompGraph`) and on a batched scoring
 forward (`BatchForward`). The forward is also the only shape rule: every
-size (a unit's output side, a decoder's width, a routing node's side)
+size (a unit's output side, a decoder's width, a routing splice's shape)
 comes from running it on a batch of no examples (`out_side`,
 `empty_input`), which computes nothing and raises the `AssemblyError` a
 real forward would.
@@ -100,7 +100,7 @@ def _apply_gene(g: CompGraph, gene: LayerGene, x: CGNode, w: Param, b: Param,
         while x.shape[0] > 1:
             x = g.maxpool2x2(x)
         x = g.pad_channels(x, w.value.shape[0])
-        out = g.dense(g.flatten(x), w, b)
+        out = g.dense(x, w, b)
         out = g.reshape(out, (1, 1, gene.filters))
     if activate:
         out = g.activation(out, gene.activation)
@@ -120,6 +120,16 @@ def out_side(unit, side: int) -> int:
     from its own forward on an empty batch; raises the AssemblyError the
     real forward would."""
     return unit.apply(BatchForward(), empty_input(side)).shape[0]
+
+
+def make_decoders(features: BatchNode, task_ids, class_counts, init: str,
+                  rng: np.random.Generator) -> dict:
+    """One dense decoder (w, b) per task, drawn in task order, as wide as
+    `features`, the decoded map's value on an empty batch."""
+    n = math.prod(features.shape)
+    return {tid: (Param(f"dec.{tid}.w", init_weight(rng, (n, k), n, k, init)),
+                  Param(f"dec.{tid}.b", np.zeros(k)))
+            for tid, k in zip(task_ids, class_counts)}
 
 
 def _saved_param(saved: dict, key, shape) -> Param:
@@ -275,23 +285,18 @@ class AssembledNetwork:
         self.decoders = {}
 
     def _make_decoders(self, rng, ghyper) -> None:
-        """One dense decoder per task, as wide as the trunk output. Tasks
-        differ only in merge weights, so one trunk pass on an empty batch
-        sizes every decoder."""
+        """Tasks differ only in merge weights, so one trunk pass on an
+        empty batch sizes every decoder."""
         trunk = self.trunk(BatchForward(), 0, empty_input(self.image_side))
-        features = math.prod(trunk.shape)
-        for tid, n_cls in zip(self.task_ids, self.class_counts):
-            w = Param(f"dec.{tid}.w",
-                      init_weight(rng, (features, n_cls), features, n_cls,
-                                  ghyper.weight_init))
-            self.decoders[tid] = (w, Param(f"dec.{tid}.b", np.zeros(n_cls)))
+        self.decoders = make_decoders(trunk, self.task_ids, self.class_counts,
+                                      ghyper.weight_init, rng)
 
     def trunk(self, g: CompGraph, task_index: int, x: CGNode) -> CGNode:
         raise NotImplementedError
 
     def forward(self, g: CompGraph, task_index: int, x: CGNode) -> CGNode:
         w, b = self.decoders[self.task_ids[task_index]]
-        return g.dense(g.flatten(self.trunk(g, task_index, x)), w, b)
+        return g.dense(self.trunk(g, task_index, x), w, b)
 
     def units(self) -> list:
         raise NotImplementedError

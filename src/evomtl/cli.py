@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -37,7 +38,7 @@ from .harness import (
     Coordinator, build_dataset, dataset_scope, distributed_evaluator,
     local_evaluator, run_worker,
 )
-from .routing import default_ctr_modules, restore_ctr_state, run_ctr
+from .routing import ctr_state_from_obj, default_ctr_modules, run_ctr
 from .serialize import atomic_write_text, canon_dumps, canon_loads
 from .training import evaluate_accuracy, final_report, train_network
 
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--synth-seed", type=int, dest="synth_seed")
     run_p.add_argument("--data-dir", dest="data_dir")
     run_p.add_argument("--image-side", type=int, dest="image_side")
-    run_p.add_argument("--plan-only", action="store_true",
+    run_p.add_argument("--plan-only", action="store_true", default=None,
                        help="echo the resolved plan and exit")
     run_p.add_argument("--serve", metavar="HOST:PORT",
                        help="coordinate remote workers instead of local eval")
@@ -124,22 +125,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args) -> dict:
-    keys = ["profile", "seed", "out", "data_dir", "image_side", "synth_noise",
-            "synth_seed", "networks_per_generation", "train_iters",
-            "max_generations", "stagnation_limit", "n_top", "long_iters",
-            "modules", "species", "blueprints", "meta_iters", "m_iters",
-            "retrain_meta_iters", "alpha", "k_modules", "depth", "filters",
-            "lr", "sharing_mode", "eval_subsample", "serve"]
-    over = {k: getattr(args, k, None) for k in keys}
-    over["algorithm"] = args.algorithm
+    """Every config field the parser set; an unset flag is None, which
+    overrides nothing."""
+    over = {f.name: getattr(args, f.name, None)
+            for f in dataclasses.fields(ExperimentConfig)}
     if args.synth:
         try:
             t, c, s = (int(x) for x in args.synth.lower().split("x"))
         except ValueError:
             raise ConfigError(f"--synth wants TxCxS, got {args.synth!r}")
         over.update(synth_tasks=t, synth_classes=c, synth_side=s)
-    if args.plan_only:
-        over["plan_only"] = True
     return over
 
 
@@ -267,10 +262,6 @@ def _run_ctr_experiment(cfg: ExperimentConfig, spec, out_dir: str) -> dict:
         modules, spec, cfg.meta_iters, cfg.m_iters, cfg.alpha, cfg.lr, rng,
         checkpoint_path=ckpt_path, eval_subsample=cfg.eval_subsample)
     _write_history(os.path.join(out_dir, "history.jsonl"), history)
-    # record the dataset next to the weights so eval-test can rebuild it
-    ckpt = canon_loads(open(ckpt_path).read())
-    ckpt["dataset"] = cfg.dataset_ref()
-    atomic_write_text(ckpt_path, canon_dumps(ckpt))
     return {"algorithm": "ctr", "best_avg_val": best,
             **final_report(final, spec),
             "param_count": count_parameters(final)}
@@ -375,38 +366,31 @@ def _load_checkpoint(path: str) -> dict:
 def cmd_export_dot(args) -> int:
     obj = _load_checkpoint(args.checkpoint)
     kind = obj.get("kind")
-    if args.module is not None:
-        if kind == "ctr_state":
-            mods = obj["modules"]
-            if not 0 <= args.module < len(mods):
-                print(f"error: no module {args.module} "
-                      f"(checkpoint has {len(mods)})", file=sys.stderr)
-                return 1
-            genome = genome_from_obj(mods[args.module]["genome"])
-        elif kind == "best_network":
-            mods = obj["payload"]["modules"]
-            if not 0 <= args.module < len(mods):
-                print(f"error: no module {args.module} "
-                      f"(checkpoint has {len(mods)})", file=sys.stderr)
-                return 1
-            genome = genome_from_obj(mods[args.module])
-        else:
-            print(f"error: unknown checkpoint kind {kind!r}", file=sys.stderr)
-            return 1
-        sys.stdout.write(module_dot(genome, f"module_{args.module}"))
-        return 0
-    if kind != "ctr_state":
+    if kind == "ctr_state":
+        state = ctr_state_from_obj(obj)
+        genomes = [m.genome for m in state.modules]
+    elif args.module is None:
         print("error: routing export needs a routing checkpoint",
               file=sys.stderr)
         return 1
-    from .routing import _individual_from_obj
-    champs = obj["champions"]
-    if args.routing not in champs:
-        print(f"error: no task {args.routing!r} in checkpoint "
-              f"(tasks: {sorted(champs)})", file=sys.stderr)
+    elif kind == "best_network":
+        genomes = [genome_from_obj(o) for o in obj["payload"]["modules"]]
+    else:
+        print(f"error: unknown checkpoint kind {kind!r}", file=sys.stderr)
         return 1
-    ind = _individual_from_obj(champs[args.routing], len(obj["modules"]))
-    sys.stdout.write(routing_dot(ind, "routing"))
+    if args.module is not None:
+        if not 0 <= args.module < len(genomes):
+            print(f"error: no module {args.module} "
+                  f"(checkpoint has {len(genomes)})", file=sys.stderr)
+            return 1
+        sys.stdout.write(module_dot(genomes[args.module],
+                                    f"module_{args.module}"))
+        return 0
+    if args.routing not in state.champions:
+        print(f"error: no task {args.routing!r} in checkpoint "
+              f"(tasks: {sorted(state.champions)})", file=sys.stderr)
+        return 1
+    sys.stdout.write(routing_dot(state.champions[args.routing], "routing"))
     return 0
 
 
@@ -421,10 +405,10 @@ def cmd_eval_test(args) -> int:
               "(cm/cmsr runs record test accuracy in report.json)",
               file=sys.stderr)
         return 1
-    if "dataset" not in obj:
+    if obj.get("dataset") is None:
         print("error: checkpoint lacks a dataset reference", file=sys.stderr)
         return 1
-    state = restore_ctr_state(canon_dumps(obj).encode())
+    state = ctr_state_from_obj(obj)
     spec = build_dataset(obj["dataset"])
     spec.unlock_test()
     per_task, mean = evaluate_accuracy(state, spec, "test")

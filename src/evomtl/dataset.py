@@ -62,13 +62,15 @@ class MultitaskSpec:
 
     Immutable after construction apart from the test-access latch; safe
     for concurrent reads. `examples_for` is the only sanctioned way to
-    read a split, so the guard cannot be bypassed accidentally.
+    read a split, so the guard cannot be bypassed accidentally. `ref` is
+    the dataset reference `harness.build_dataset` sets on return, or None.
     """
 
     def __init__(self, tasks: list[TaskDataset], order_seed: int, image_side: int):
         self.tasks = tasks
         self.order_seed = order_seed
         self.image_side = image_side
+        self.ref: dict | None = None
         self._test_unlocked = False
 
     def unlock_test(self) -> "MultitaskSpec":
@@ -223,24 +225,22 @@ def sample_iteration(spec: MultitaskSpec, split: str, rng: np.random.Generator):
 
 
 def synth_generate(seed: int, n_tasks: int, n_classes: int, image_side: int,
-                   noise: float, examples_per_class: int = 30,
-                   density: float = 0.25) -> MultitaskSpec:
+                   noise: float,
+                   examples_per_class: int = 30) -> MultitaskSpec:
     """Noisy-prototype corpus: per task, n_classes random binary images;
     each example flips pixels independently with probability `noise`.
 
-    Prototypes are sparse by default (stroke-like density) so their
+    Prototypes are sparse (a quarter of the pixels, stroke-like) so their
     geometry survives max-pooling, mirroring handwritten-character data.
     """
     if n_tasks < 1 or n_classes < 1:
         raise ConfigError("need at least one task and one class")
     if not 0.0 <= noise < 0.5:
         raise ConfigError(f"noise must be in [0, 0.5), got {noise}")
-    if not 0.0 < density <= 0.5:
-        raise ConfigError(f"prototype density must be in (0, 0.5], got {density}")
     rng = np.random.default_rng(seed)
     tasks = []
     for t in range(n_tasks):
-        protos = rng.random((n_classes, image_side, image_side)) < density
+        protos = rng.random((n_classes, image_side, image_side)) < 0.25
         examples = []
         for label in range(n_classes):
             for _ in range(examples_per_class):

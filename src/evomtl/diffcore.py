@@ -10,12 +10,13 @@ batch shape.
 aliased parameters are literally the same object, so one update reaches
 every user of the storage. A training call packs its unique Params into
 one `ParamBlock`: each Param's value, gradient and Adam moments become
-views of four flat buffers, so zeroing gradients, an Adam step or a
-weight snapshot is a few whole-buffer array ops. While a training call
-runs, code writes Param arrays only in place (`+=`, `[...] =`);
-rebinding one detaches that Param from the block.
+views of four flat buffers, so zeroing gradients (`zero_grads`), an
+Adam step (`adam_step`) or a weight snapshot is a few whole-buffer array
+ops. While a training call runs, code writes Param arrays only in place
+(`+=`, `[...] =`); rebinding one detaches that Param from the block.
 
-Layer kinds: dense, conv2d (square kernel, stride 1, zero "same" padding),
+Layer kinds, on (H, W, C) maps: dense (which reads any input as one
+flat vector), conv2d (square kernel, stride 1, zero "same" padding),
 maxpool2x2 (stride 2, odd trailing row/column truncated), the four
 activations relu/elu/sigmoid/tanh, and inverted dropout. Merging is done
 by `softmerge`, a learnable convex combination whose weights are the
@@ -103,9 +104,9 @@ class Param:
         self.l2_strength = float(l2_strength)
         self.shared_id = shared_id
 
-    def copy(self, name: str | None = None) -> "Param":
+    def copy(self) -> "Param":
         """Deep copy with fresh storage (training state included)."""
-        p = Param(name or self.name, self.value.copy(),
+        p = Param(self.name, self.value.copy(),
                   l2_strength=self.l2_strength, shared_id=None)
         p.grad = self.grad.copy()
         p.adam_m = self.adam_m.copy()
@@ -222,16 +223,10 @@ class CompGraph:
         return self._record("conv2d", out, (x,), vjp)
 
     def maxpool2x2(self, x: CGNode) -> CGNode:
-        squeeze = _check_pool(x.value.shape)
-        xv = x.value[..., None] if squeeze else x.value
-        out = _maxpool2x2(xv)
-
-        def vjp(g):
-            dx = _maxpool2x2_vjp(xv, out, g[..., None] if squeeze else g)
-            return ((x, dx[..., 0] if squeeze else dx),)
-
-        return self._record("maxpool2x2", out[..., 0] if squeeze else out,
-                            (x,), vjp)
+        _check_pool(x.value.shape)
+        out = _maxpool2x2(x.value)
+        return self._record("maxpool2x2", out, (x,),
+                            lambda g: ((x, _maxpool2x2_vjp(x.value, out, g)),))
 
     def activation(self, x: CGNode, kind: str) -> CGNode:
         v = x.value
@@ -257,12 +252,6 @@ class CompGraph:
         keep = (self.rng.random(x.value.shape) >= rate) / (1.0 - rate)
         out = x.value * keep
         return self._record("dropout", out, (x,), lambda g: ((x, g * keep),))
-
-    def flatten(self, x: CGNode) -> CGNode:
-        shape = x.value.shape
-        out = x.value.reshape(-1)
-        return self._record("flatten", out, (x,),
-                            lambda g: ((x, g.reshape(shape)),))
 
     def reshape(self, x: CGNode, shape) -> CGNode:
         old = x.value.shape
@@ -344,7 +333,8 @@ class BatchForward:
         return BatchNode(as_tensor(value))
 
     def dense(self, x: BatchNode, w: Param, b: Param) -> BatchNode:
-        xf = self.flatten(x).value
+        # an explicit width, so a batch of no examples flattens too
+        xf = x.value.reshape(len(x.value), math.prod(x.shape))
         _check_dense(xf.shape[1], w, b)
         return BatchNode(xf @ w.value + b.value)
 
@@ -355,8 +345,7 @@ class BatchForward:
         return BatchNode(out)
 
     def maxpool2x2(self, x: BatchNode) -> BatchNode:
-        if _check_pool(x.shape):
-            return BatchNode(_maxpool2x2(x.value[..., None])[..., 0])
+        _check_pool(x.shape)
         return BatchNode(_maxpool2x2(x.value))
 
     def activation(self, x: BatchNode, kind: str) -> BatchNode:
@@ -365,10 +354,6 @@ class BatchForward:
     def dropout(self, x: BatchNode, rate: float) -> BatchNode:
         _check_rate(rate)
         return x
-
-    def flatten(self, x: BatchNode) -> BatchNode:
-        # an explicit width, so a batch of no examples flattens too
-        return BatchNode(x.value.reshape(len(x.value), math.prod(x.shape)))
 
     def reshape(self, x: BatchNode, shape) -> BatchNode:
         return BatchNode(x.value.reshape((len(x.value), *shape)))
@@ -409,15 +394,12 @@ def _check_conv(shape, w: Param, b: Param) -> None:
         raise DimensionError("conv2d: bias shape mismatch")
 
 
-def _check_pool(shape) -> bool:
-    """Validate a max-pool input; True for a 2-D (H, W) map, which pools
-    as one channel."""
-    if len(shape) not in (2, 3):
-        raise DimensionError(f"maxpool2x2: expected 2-D or 3-D input, got {shape}")
+def _check_pool(shape) -> None:
+    if len(shape) != 3:
+        raise DimensionError(f"maxpool2x2: expected (H, W, C) input, got {shape}")
     if shape[0] < 2 or shape[1] < 2:
         raise DimensionError(
             f"maxpool2x2: input {shape[0]}x{shape[1]} smaller than the window")
-    return len(shape) == 2
 
 
 def _check_rate(rate: float) -> None:
@@ -603,14 +585,9 @@ class ParamBlock:
             setattr(self, field, buf)
 
 
-def _as_block(params) -> ParamBlock:
-    return params if isinstance(params, ParamBlock) else ParamBlock(params)
-
-
-def zero_grads(params) -> None:
-    """Clear the gradients of a ParamBlock (other iterables are packed
-    first)."""
-    _as_block(params).grad.fill(0.0)
+def zero_grads(block: ParamBlock) -> None:
+    """Clear the gradients of a ParamBlock."""
+    block.grad.fill(0.0)
 
 
 def _unique_params(params) -> list[Param]:
@@ -620,9 +597,9 @@ def _unique_params(params) -> list[Param]:
     return list(seen.values())
 
 
-def adam_step(params, learning_rate: float) -> None:
-    """One Adam update over a ParamBlock (other iterables of Params are
-    packed first, so aliases are updated exactly once).
+def adam_step(block: ParamBlock, learning_rate: float) -> None:
+    """One Adam update over a ParamBlock, which holds each aliased Param
+    once, so aliases are updated exactly once.
 
     The step is atomic: a non-finite gradient anywhere raises before any
     value, moment or step count changes, naming the first bad Param in
@@ -630,7 +607,6 @@ def adam_step(params, learning_rate: float) -> None:
     """
     if learning_rate <= 0:
         raise ConfigError(f"learning rate must be positive, got {learning_rate}")
-    block = _as_block(params)
     if not np.isfinite(block.grad).all():
         bad = next(p for p in block.params if not np.isfinite(p.grad).all())
         raise NumericError(f"NaN/Inf gradient in parameter {bad.name!r}")

@@ -129,12 +129,15 @@ def build_dataset(ref: dict) -> MultitaskSpec:
     other caller. A build that raises is not kept."""
     built = getattr(_scope, "built", None)
     if built is None:
-        return _build_dataset(ref)
-    key = canon_dumps(ref)
-    spec = built.get(key)
-    if spec is None:
-        spec = built[key] = _build_dataset(ref)
-    return MultitaskSpec(spec.tasks, spec.order_seed, spec.image_side)
+        spec = _build_dataset(ref)
+    else:
+        key = canon_dumps(ref)
+        spec = built.get(key)
+        if spec is None:
+            spec = built[key] = _build_dataset(ref)
+        spec = MultitaskSpec(spec.tasks, spec.order_seed, spec.image_side)
+    spec.ref = ref
+    return spec
 
 
 def _build_dataset(ref: dict) -> MultitaskSpec:
@@ -143,8 +146,7 @@ def _build_dataset(ref: dict) -> MultitaskSpec:
         spec = synth_generate(int(s["seed"]), int(s["n_tasks"]),
                               int(s["n_classes"]), int(s["image_side"]),
                               float(s["noise"]),
-                              int(s.get("examples_per_class", 30)),
-                              float(s.get("density", 0.25)))
+                              int(s.get("examples_per_class", 30)))
     elif "dir" in ref:
         spec = load_image_dir(ref["dir"], int(ref["image_side"]),
                               int(ref.get("order_seed", 0)))

@@ -23,13 +23,14 @@ import numpy as np
 
 from .diffcore import (
     BatchForward, CGNode, CompGraph, Param, ParamBlock, adam_step, backward,
-    init_weight, zero_grads,
+    zero_grads,
 )
 from .errors import AssemblyError, ConfigError, NumericError, ParseError, \
     StateError
 from .genome import GlobalHyper, LayerGene, ModuleGenome, SINK, SOURCE, \
     dag_errors, reachable, topo_order
-from .assembly import ModuleInstance, empty_input, out_side, realize_module
+from .assembly import ModuleInstance, empty_input, make_decoders, \
+    out_side, realize_module
 from .dataset import MultitaskSpec
 from .serialize import (
     array_from_obj, array_to_obj, atomic_write_text, canon_dumps, canon_loads,
@@ -141,13 +142,6 @@ def route(g, graph: RoutingGraph, modules, x) -> dict:
     return vals
 
 
-def node_sides(graph: RoutingGraph, modules, image_side: int) -> dict[int, int]:
-    """Output side per node, from `route` on an empty batch; raises what
-    the forward would where the graph cannot run."""
-    vals = route(BatchForward(), graph, modules, empty_input(image_side))
-    return {n: v.shape[0] for n, v in vals.items()}
-
-
 class RoutingIndividual:
     """(encoder, routing graph, decoder) with its own decoder and scale
     weights; module weights live in the shared set."""
@@ -170,7 +164,7 @@ class RoutingIndividual:
 
     def forward(self, g: CompGraph, modules, x: CGNode) -> CGNode:
         v = route(g, self.graph, modules, x)[self.graph.sink_id]
-        return g.dense(g.flatten(v), self.decoder_w, self.decoder_b)
+        return g.dense(v, self.decoder_w, self.decoder_b)
 
 
 @dataclass
@@ -239,34 +233,31 @@ def init_ctr(modules: list[ModuleInstance], spec: MultitaskSpec,
     modules after it would no longer fit the halved map."""
     if not modules:
         raise ConfigError("need at least one shared module")
-    width = modules[0].ghyper.final_layer_filters
-    init = modules[0].ghyper.weight_init
-    champions = {}
-    class_counts = {}
+    chain, side = [], spec.image_side  # node kinds after the source
+    for k, module in enumerate(modules):
+        chain.append(("module", k))
+        side = out_side(module, side)
+        if side >= 4 and _chain_fits(modules[k + 1:], side // 2):
+            chain.append(("adapter", None))
+            side //= 2
+    graphs = {}
     for task in spec.tasks:
-        graph = RoutingGraph(task.task_id)
+        graph = graphs[task.task_id] = RoutingGraph(task.task_id)
         prev = graph.source_id
-        side = spec.image_side
-        for k, module in enumerate(modules):
-            nid = graph.add_node("module", k)
+        for kind, index in chain:
+            nid = graph.add_node(kind, index)
             graph.add_edge(prev, nid)
             prev = nid
-            side = out_side(module, side)
-            if side >= 4 and _chain_fits(modules[k + 1:], side // 2):
-                aid = graph.add_node("adapter")
-                graph.add_edge(prev, aid)
-                prev = aid
-                side //= 2
         graph.add_edge(prev, graph.sink_id)
-        features = side * side * width
-        dec_w = Param(f"dec.{task.task_id}.w",
-                      init_weight(rng, (features, task.class_count),
-                                  features, task.class_count, init))
-        dec_b = Param(f"dec.{task.task_id}.b", np.zeros(task.class_count))
-        champions[task.task_id] = RoutingIndividual(graph, dec_w, dec_b)
-        class_counts[task.task_id] = task.class_count
-    return CtrState(modules=modules, champions=champions,
-                    task_ids=[t.task_id for t in spec.tasks],
+    # every task starts on the same chain, so one route sizes every decoder
+    sink = route(BatchForward(), graph, modules,
+                 empty_input(spec.image_side))[graph.sink_id]
+    class_counts = {t.task_id: t.class_count for t in spec.tasks}
+    decoders = make_decoders(sink, list(graphs), class_counts.values(),
+                             modules[0].ghyper.weight_init, rng)
+    return CtrState(modules=modules, task_ids=list(graphs),
+                    champions={tid: RoutingIndividual(g, *decoders[tid])
+                               for tid, g in graphs.items()},
                     image_side=spec.image_side, class_counts=class_counts)
 
 
@@ -305,7 +296,8 @@ def mutate_challenger(champion: RoutingIndividual, modules, alpha: float,
     when no feasible insertion is found."""
     challenger = champion.copy()
     graph = challenger.graph
-    sides = node_sides(graph, modules, image_side)
+    f = BatchForward()
+    vals = route(f, graph, modules, empty_input(image_side))
     targets = [n for n, r in graph.nodes.items()
                if r.kind in ("module", "sink") and graph.inbound[n]]
     for _ in range(max_tries):
@@ -313,18 +305,18 @@ def mutate_challenger(champion: RoutingIndividual, modules, alpha: float,
         anc = sorted(graph.ancestors(v))
         u = anc[rng.integers(len(anc))]
         k = int(rng.integers(len(modules)))
-        target_side = sides[graph.inbound[v][0]]
+        target = vals[graph.inbound[v][0]].shape
         try:
-            s = out_side(modules[k], sides[u])
+            branch = modules[k].apply(f, vals[u])
         except AssemblyError:
             continue
-        # pool the new branch down to v's established input size; sizes all
-        # live on one halving chain, so equality is reachable iff s >= target
+        # pool the new branch down to v's input shape; a smaller side, or a
+        # module's width where v reads the raw image, cannot merge
         hops = 0
-        while s > target_side:
-            s //= 2
+        while branch.shape[0] > target[0]:
+            branch = f.maxpool2x2(branch)
             hops += 1
-        if s != target_side:
+        if branch.shape != target:
             continue
         w = graph.add_node("module", k)
         graph.add_edge(u, w)
@@ -410,7 +402,9 @@ def run_ctr(modules, spec: MultitaskSpec, meta_iters: int, m_iters: int,
             checkpoint_path: str | None = None,
             eval_subsample: int | None = None):
     """Full routing-evolution loop; returns (checkpoint-restored state,
-    best mean validation accuracy, per-meta-iteration history)."""
+    best mean validation accuracy, per-meta-iteration history). The file
+    at `checkpoint_path` gets that state, the history, the rng state and
+    `spec.ref`, which eval-test rebuilds the dataset from."""
     if meta_iters < 1:
         raise ConfigError("need at least one meta-iteration")
     state = init_ctr(modules, spec, rng)
@@ -452,8 +446,8 @@ def run_ctr(modules, spec: MultitaskSpec, meta_iters: int, m_iters: int,
     final = restore_ctr_state(state.checkpoint_bytes)
     if checkpoint_path is not None:
         payload = canon_loads(state.checkpoint_bytes)
-        payload["history"] = history
-        payload["rng_state"] = rng.bit_generator.state
+        payload.update(history=history, rng_state=rng.bit_generator.state,
+                       dataset=spec.ref)
         atomic_write_text(checkpoint_path, canon_dumps(payload))
     return final, state.best_avg_val, history
 
@@ -568,7 +562,12 @@ def serialize_ctr_state(state: CtrState) -> bytes:
 
 
 def restore_ctr_state(data: bytes) -> CtrState:
-    obj = canon_loads(data)
+    return ctr_state_from_obj(canon_loads(data))
+
+
+def ctr_state_from_obj(obj) -> CtrState:
+    """The state a parsed ctr checkpoint holds; a missing or bad field is
+    a ParseError."""
     if "task_ids" not in obj:
         # champions come back in sorted-key order, so the task order
         # cannot be recovered from them

@@ -1,6 +1,7 @@
 """Test references that the package itself never calls: a finite-
 difference gradient check, a PGM writer for image-directory fixtures,
-and the output divergence of two routing individuals."""
+the output divergence of two routing individuals, and the side of every
+routing node."""
 
 from __future__ import annotations
 
@@ -9,8 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from evomtl.diffcore import ParamBlock, backward, zero_grads
+from evomtl.assembly import empty_input
+from evomtl.diffcore import BatchForward, ParamBlock, backward, zero_grads
 from evomtl.errors import StateError
+from evomtl.routing import route
 from evomtl.training import batched_forward
 
 
@@ -111,3 +114,9 @@ def output_divergence(a, b, modules, inputs) -> float:
     vb = batched_forward(lambda g, x: b.forward(g, modules, x), inputs)
     den = float(np.sum(va ** 2))
     return math.sqrt(float(np.sum((va - vb) ** 2)) / den) if den > 0 else 0.0
+
+
+def node_sides(graph, modules, image_side: int) -> dict[int, int]:
+    """Output side per routing node, from `route` on an empty batch."""
+    vals = route(BatchForward(), graph, modules, empty_input(image_side))
+    return {n: v.shape[0] for n, v in vals.items()}

@@ -76,7 +76,7 @@ def test_criterion_01_gradient_correctness():
             merged = g.softmerge(s, [h1, h2])
             h = g.maxpool2x2(merged)
             h = g.dropout(h, 0.2)
-            h = g.dense(g.flatten(h), w2, b2)
+            h = g.dense(h, w2, b2)
             return g, g.cross_entropy(h, label)
 
         result = grad_check(builder, [w1, b1, s, w2, b2], 1e-4)

@@ -323,7 +323,7 @@ def test_aliasing_gradient_moves_aliases_identically():
     # rows share within themselves; slots (0,0) and (0,1) alias
     assert net.slots[0][0] is net.slots[0][1]
     assert net.slots[0][0] is not net.slots[1][0]
-    params = net.params()
+    params = ParamBlock(net.params())
     zero_grads(params)
     r = rng(21)
     g = CompGraph("train", r)

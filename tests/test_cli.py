@@ -6,6 +6,7 @@ import pytest
 
 from evomtl.cli import main
 from evomtl.dot import module_dot
+from evomtl.genome import genome_from_obj
 
 
 def run_cli(args, capsys=None):
@@ -105,6 +106,51 @@ def test_export_dot_missing_target(tmp_path, capsys):
     ckpt = os.path.join(out, "ctr_checkpoint.json")
     assert main(["export-dot", "--checkpoint", ckpt, "--module", "9"]) == 1
     assert main(["export-dot", "--checkpoint", ckpt, "--routing", "nope"]) == 1
+
+
+def test_export_dot_module_from_a_best_network(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "--algorithm", "cm", "--synth", "2x3x8", "--seed",
+                 "11", "--profile", "desk", "--stagnation", "1000", "--n-top",
+                 "1", "--networks-per-gen", "2", "--train-iters", "2",
+                 "--generations", "1", "--long-iters", "2",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    ckpt = out / "best_network.json"
+    mods = json.loads(ckpt.read_text())["payload"]["modules"]
+    last = len(mods) - 1
+    code = main(["export-dot", "--checkpoint", str(ckpt), "--module",
+                 str(last)])
+    assert code == 0
+    assert capsys.readouterr().out == module_dot(genome_from_obj(mods[last]),
+                                                 f"module_{last}")
+    code = main(["export-dot", "--checkpoint", str(ckpt), "--module",
+                 str(len(mods))])
+    assert code == 1
+    assert (f"no module {len(mods)} (checkpoint has {len(mods)})"
+            in capsys.readouterr().err)
+    assert main(["export-dot", "--checkpoint", str(ckpt), "--routing",
+                 "synth0"]) == 1
+    assert "needs a routing checkpoint" in capsys.readouterr().err
+
+
+def test_ctr_runs_on_images_smaller_than_4x4(tmp_path, capsys):
+    # below 4x4 a module does not pool, so a splice can reach the side of
+    # a node that reads the raw image; it must not merge the two
+    assert main(["run", "--algorithm", "ctr", "--synth", "2x3x3", "--seed",
+                 "1", "--meta-iters", "20", "--m-iters", "3", "--k-modules",
+                 "2", "--out", str(tmp_path / "run")]) == 0
+
+
+def test_an_unset_plan_only_flag_keeps_the_config_file_value(tmp_path,
+                                                             capsys):
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps({"plan_only": True}))
+    out = tmp_path / "run"
+    assert main(["run", "--algorithm", "ctr", "--config", str(cfile),
+                 "--out", str(out)]) == 0
+    assert "algorithm=ctr" in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_eval_test_from_checkpoint(tmp_path, capsys):

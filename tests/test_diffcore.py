@@ -133,12 +133,12 @@ def test_grad_check_narrow_convs():
         g = CompGraph("train", rng(11))
         h = g.activation(g.conv2d(g.leaf(x), w1, b1), "relu")
         h = g.activation(g.conv2d(h, w2, b2), "tanh")
-        return g, g.cross_entropy(g.dense(g.flatten(h), w3, b3), 1)
+        return g, g.cross_entropy(g.dense(h, w3, b3), 1)
 
     report = grad_check(builder, [w1, b1, w2, b2, w3, b3], 1e-4)
     assert report.passed, report
     g, loss = builder()
-    zero_grads([w1, w2])
+    zero_grads(ParamBlock([w1, w2]))
     backward(g, loss)
     assert not w1.grad[:, :, 1:].any() and not w2.grad[:, :, 2:].any()
 
@@ -177,7 +177,7 @@ def test_no_tape_op_writes_a_node_value_in_place():
     p = g.activation(g.pad_channels(x, 3), "sigmoid")
     m = g.softmerge(Param("s", r.normal(size=3)), [a, c, p])
     h = g.dropout(g.maxpool2x2(g.activation(m, "tanh")), 0.25)
-    loss = g.cross_entropy(g.dense(g.flatten(h), wd, bd), 2)
+    loss = g.cross_entropy(g.dense(h, wd, bd), 2)
     before = [n.value.copy() for n in g.nodes]
     backward(g, loss)
     assert all(np.array_equal(n.value, v) for n, v in zip(g.nodes, before))
@@ -220,8 +220,8 @@ def test_predicted_class_raises_on_nan_logits():
 
 def test_maxpool_block_and_truncation():
     g = CompGraph("eval")
-    out = g.maxpool2x2(g.leaf([[1.0, 2.0], [3.0, 4.0]]))
-    assert out.value.tolist() == [[4.0]]
+    out = g.maxpool2x2(g.leaf([[[1.0], [2.0]], [[3.0], [4.0]]]))
+    assert out.value.tolist() == [[[4.0]]]
     # odd trailing row/column dropped
     x = np.arange(15.0).reshape(5, 3, 1)
     out = g.maxpool2x2(g.leaf(x))
@@ -232,25 +232,22 @@ def test_maxpool_block_and_truncation():
 def _maxpool_reference(x, g):
     """The take_along_axis / put_along_axis max-pool the tape replaced:
     pooled x and the input gradient for output gradient g."""
-    squeeze = x.ndim == 2
-    xv = x[..., None] if squeeze else x
-    h, w, c = xv.shape
+    h, w, c = x.shape
     ho, wo = h // 2, w // 2
-    blocks = xv[:ho * 2, :wo * 2, :].reshape(ho, 2, wo, 2, c)
+    blocks = x[:ho * 2, :wo * 2, :].reshape(ho, 2, wo, 2, c)
     blocks = blocks.transpose(0, 2, 4, 1, 3).reshape(ho, wo, c, 4)
     arg = blocks.argmax(axis=3)
     out = np.take_along_axis(blocks, arg[..., None], axis=3)[..., 0]
-    gv = g[..., None] if squeeze else g
     db = np.zeros((ho, wo, c, 4))
-    np.put_along_axis(db, arg[..., None], gv[..., None], axis=3)
-    dx = np.zeros_like(xv)
+    np.put_along_axis(db, arg[..., None], g[..., None], axis=3)
+    dx = np.zeros_like(x)
     dx[:ho * 2, :wo * 2, :] = (
         db.reshape(ho, wo, c, 2, 2).transpose(0, 3, 1, 4, 2)
         .reshape(ho * 2, wo * 2, c))
-    return (out[..., 0], dx[..., 0]) if squeeze else (out, dx)
+    return out, dx
 
 
-@pytest.mark.parametrize("shape", [(8, 8, 16), (5, 7, 3), (2, 3, 1), (6, 4)])
+@pytest.mark.parametrize("shape", [(8, 8, 16), (5, 7, 3), (2, 3, 1), (6, 4, 1)])
 def test_maxpool_bit_identical_to_reference(shape):
     r = rng(len(shape) * 10 + shape[0])
     x = np.maximum(r.normal(size=shape), 0.0)  # ties at 0 after a relu
@@ -348,22 +345,19 @@ def test_tape_conv_bit_identical_to_frozen_reference(side, c, cin, k, leaf,
 def _tape_maxpool_reference(x, g):
     """The tape maxpool2x2 whose forward took each window's argmax:
     pooled x and the input gradient for output gradient g."""
-    squeeze = x.ndim == 2
-    xv = x[..., None] if squeeze else x
-    h2, w2 = xv.shape[0] // 2 * 2, xv.shape[1] // 2 * 2
-    top, bottom = xv[0:h2:2], xv[1:h2:2]
+    h2, w2 = x.shape[0] // 2 * 2, x.shape[1] // 2 * 2
+    top, bottom = x[0:h2:2], x[1:h2:2]
     out = np.maximum(np.maximum(top[:, 0:w2:2], top[:, 1:w2:2]),
                      np.maximum(bottom[:, 0:w2:2], bottom[:, 1:w2:2]))
     ho, wo, c = out.shape
-    blocks = xv[:ho * 2, :wo * 2, :].reshape(ho, 2, wo, 2, c)
+    blocks = x[:ho * 2, :wo * 2, :].reshape(ho, 2, wo, 2, c)
     arg = blocks.transpose(0, 2, 4, 1, 3).reshape(ho, wo, c, 4).argmax(axis=3)
-    gv = g[..., None] if squeeze else g
-    db = np.where(np.arange(4) == arg[..., None], gv[..., None], 0.0)
-    dx = np.zeros_like(xv)
+    db = np.where(np.arange(4) == arg[..., None], g[..., None], 0.0)
+    dx = np.zeros_like(x)
     dx[:ho * 2, :wo * 2, :] = (db.reshape(ho, wo, c, 2, 2)
                                .transpose(0, 3, 1, 4, 2)
                                .reshape(ho * 2, wo * 2, c))
-    return (out[..., 0], dx[..., 0]) if squeeze else (out, dx)
+    return out, dx
 
 
 def _every_window(values):
@@ -387,8 +381,8 @@ def test_tape_maxpool_bit_identical_to_frozen_reference(values, shape):
     m = _every_window(values)
     if shape == "3-D":
         x = m[..., None]
-    elif shape == "2-D":
-        x = m
+    elif shape == "2-D":  # one channel, each window transposed
+        x = m.T[..., None]
     elif shape == "odd-sides":  # a trailing row and column are dropped
         x = np.pad(m, ((0, 1), (0, 1)), constant_values=9.0)[..., None]
     else:  # each channel a different shuffle of the windows
@@ -464,7 +458,7 @@ def test_both_forwards_make_the_same_checks(make):
     assert f.dropout(x, 0.5) is x
     assert f.pad_channels(x, 2) is x
     assert f.pad_channels(x, 5).shape == (4, 4, 5)
-    assert f.reshape(f.flatten(x), (2, 16)).shape == (2, 16)
+    assert f.reshape(x, (2, 16)).shape == (2, 16)
     assert f.dense(x, Param("w", np.ones((32, 3))), Param("b", np.zeros(3))
                    ).shape == (3,)
 
@@ -474,7 +468,7 @@ def test_batch_forward_runs_a_batch_of_no_examples():
     # make the same checks as a real one
     f = BatchForward()
     x = f.leaf(np.zeros((0, 4, 4, 2)))
-    assert f.flatten(x).value.shape == (0, 32)
+    assert f.reshape(x, (32,)).value.shape == (0, 32)
     out = f.dense(x, Param("w", np.ones((32, 3))), Param("b", np.zeros(3)))
     assert out.value.shape == (0, 3) and out.shape == (3,)
     with pytest.raises(DimensionError):
@@ -485,7 +479,7 @@ def test_batch_forward_runs_a_batch_of_no_examples():
     z = f.softmerge(merge_scales("s", 2), [f.pad_channels(x, 5),
                                            f.activation(f.pad_channels(x, 5),
                                                         "elu")])
-    assert f.flatten(f.maxpool2x2(z)).value.shape == (0, 20)
+    assert f.reshape(f.maxpool2x2(z), (20,)).value.shape == (0, 20)
 
 
 def test_dropout_eval_is_identity_and_train_scales():
@@ -598,7 +592,7 @@ def test_backward_unreachable_param_zero():
     g = CompGraph("train", rng())
     out = g.dense(g.leaf([1.0, 2.0]), w, b)
     loss = g.cross_entropy(out, 0)
-    zero_grads([w, b, unused])
+    zero_grads(ParamBlock([w, b, unused]))
     backward(g, loss)
     assert np.allclose(unused.grad, 0.0)
     assert not np.allclose(w.grad, 0.0)
@@ -689,7 +683,7 @@ def test_grad_check_conv_pool_net():
         h = g.conv2d(g.leaf(x), w1, b1)
         h = g.activation(h, "elu")
         h = g.maxpool2x2(h)
-        h = g.dense(g.flatten(h), w2, b2)
+        h = g.dense(h, w2, b2)
         return g, g.cross_entropy(h, 2)
 
     report = grad_check(builder, [w1, b1, w2, b2], 1e-4)
@@ -730,7 +724,7 @@ def test_grad_check_rejects_nondeterministic_builder():
 
 def test_adam_zero_grad_keeps_value():
     p = Param("p", np.array([1.0, -2.0]))
-    adam_step([p], 0.1)
+    adam_step(ParamBlock([p]), 0.1)
     assert np.allclose(p.value, [1.0, -2.0])
     assert p.step_count == 1
 
@@ -738,7 +732,7 @@ def test_adam_zero_grad_keeps_value():
 def test_adam_first_step_hand_value():
     p = Param("p", np.array([1.0]))
     p.grad[...] = 2.0
-    adam_step([p], 0.1)
+    adam_step(ParamBlock([p]), 0.1)
     # bias-corrected first step moves by ~lr * sign(grad)
     assert abs(p.value[0] - 0.9) < 1e-7
     assert np.allclose(p.grad, 0.0)  # cleared
@@ -747,7 +741,7 @@ def test_adam_first_step_hand_value():
 def test_adam_shared_storage_updated_once():
     p = Param("p", np.array([1.0]), shared_id="s0")
     p.grad[...] = 2.0
-    adam_step([p, p, p], 0.1)  # aliases: same object listed thrice
+    adam_step(ParamBlock([p, p, p]), 0.1)  # aliases: same object listed thrice
     assert p.step_count == 1
     assert abs(p.value[0] - 0.9) < 1e-7
 
@@ -756,7 +750,7 @@ def test_adam_nan_raises():
     p = Param("p", np.array([1.0]))
     p.grad[...] = np.nan
     with pytest.raises(NumericError) as err:
-        adam_step([p], 0.1)
+        adam_step(ParamBlock([p]), 0.1)
     assert "p" in str(err.value)
 
 
@@ -773,14 +767,14 @@ def test_adam_nan_leaves_every_param_untouched():
     fields = ("value", "grad", "adam_m", "adam_v")
     before = [{f: getattr(p, f).tobytes() for f in fields} for p in params]
     with pytest.raises(NumericError) as err:
-        adam_step(params, 0.1)
+        adam_step(ParamBlock(params), 0.1)
     assert "'c'" in str(err.value)
     for p, saved in zip(params, before):
         assert {f: getattr(p, f).tobytes() for f in fields} == saved
     assert [p.step_count for p in params] == [2, 0, 0]
     params[1].grad[0] = np.inf  # the first bad Param in list order is named
     with pytest.raises(NumericError, match="'b'"):
-        adam_step(params, 0.1)
+        adam_step(ParamBlock(params), 0.1)
 
 
 def test_param_block_packs_each_storage_once_as_views():
@@ -810,7 +804,7 @@ def test_param_alias_bit_exact():
     p = Param("p", np.arange(4.0), shared_id="k")
     users = [p, p]  # one storage seen by two realizations
     users[0].grad[...] = 1.0
-    adam_step(users, 0.05)
+    adam_step(ParamBlock(users), 0.05)
     assert users[0].value is users[1].value
     assert np.array_equal(users[0].value, users[1].value)
 
@@ -887,7 +881,7 @@ def _bit_identity_tape(params, x, label, head="wd"):
     c = g.activation(g.conv2d(h, params["w_alias"], params["b"]), "tanh")
     m = g.softmerge(params["s"], [a, c, h])
     m = g.maxpool2x2(m)
-    return g, g.cross_entropy(g.dense(g.flatten(m), params[head],
+    return g, g.cross_entropy(g.dense(m, params[head],
                                       params["bd"]), label)
 
 
@@ -988,7 +982,7 @@ def test_random_networks_gradcheck_sweep():
             merged = g.softmerge(s, [h1, h2])
             h = g.maxpool2x2(merged)
             h = g.dropout(h, 0.25)
-            h = g.dense(g.flatten(h), w2, b2)
+            h = g.dense(h, w2, b2)
             return g, g.cross_entropy(h, 1)
 
         report = grad_check(builder, [w1, b1, s, w2, b2], 1e-4)

@@ -129,7 +129,7 @@ def test_cmtr_mode_module_with_dropout_gradients():
             Param(f"dec{t}.b", np.zeros(3))) for t in range(len(TASKS))]
 
     def forward(g, t, x):
-        return g.dense(g.flatten(module.apply(g, x)), *dec[t])
+        return g.dense(module.apply(g, x), *dec[t])
 
     g = CompGraph("train", rng(99))
     forward(g, 0, g.leaf(np.ones((4, 4, 1))))

@@ -9,12 +9,13 @@ from evomtl.serialize import array_from_obj, array_to_obj, canon_dumps, \
 from evomtl.diffcore import CompGraph, Param, softmax
 from evomtl.errors import ConfigError, NumericError, ParseError
 from evomtl.genome import topo_order
+from evomtl.harness import build_dataset
 from evomtl.routing import (
     CtrState, RoutingGraph, check_routing_graph, default_ctr_modules, evaluate_individual,
-    init_ctr, joint_train, mutate_challenger, new_edge_logit, node_sides,
+    init_ctr, joint_train, mutate_challenger, new_edge_logit,
     restore_ctr_state, run_ctr, select_and_checkpoint, serialize_ctr_state,
 )
-from helpers import output_divergence
+from helpers import node_sides, output_divergence
 
 
 def rng(seed=0):
@@ -123,6 +124,21 @@ def test_mutation_fuzz_routing_graphs():
             ind = state.champions[spec.tasks[0].task_id]
     sides = node_sides(ind.graph, modules, 16)
     assert all(s >= 1 for s in sides.values())
+
+
+def test_a_splice_never_merges_a_module_output_with_the_raw_image():
+    # below 4x4 a module keeps the side, so a module branch reaches the side
+    # of a node that reads the 1-channel image, but not its width
+    spec = make_spec(tasks=1, side=3)
+    modules = default_ctr_modules(2, 3, rng(70))
+    champ = init_ctr(modules, spec, rng(71)).champions["synth0"]
+    r = rng(72)
+    spliced = 0
+    for _ in range(40):
+        chal = mutate_challenger(champ, modules, 0.1, r, 3)
+        assert set(node_sides(chal.graph, modules, 3).values()) == {3}
+        spliced += not chal.mutation_failed
+    assert spliced
 
 
 def _fresh_order(graph):
@@ -413,8 +429,17 @@ def test_checkpoint_rng_state_resumes_the_run_generator(tmp_path):
             == r.integers(0, 2 ** 62, size=4).tolist())
 
 
+def test_the_checkpoint_names_the_dataset_its_spec_was_built_from(tmp_path):
+    ref = {"synth": {"seed": 3, "n_tasks": 2, "n_classes": 3,
+                     "image_side": 8, "noise": 0.1}, "split_seed": 3}
+    path = tmp_path / "ctr_checkpoint.json"
+    run_ctr(default_ctr_modules(2, 8, rng(82)), build_dataset(ref), 1, 2,
+            0.1, 1e-2, rng(83), checkpoint_path=str(path))
+    assert canon_loads(path.read_text())["dataset"] == ref
+
+
 def test_restore_builds_modules_from_saved_params(monkeypatch):
-    from evomtl import assembly, routing
+    from evomtl import assembly
     from evomtl.genome import LayerGene, ModuleGenome, SINK, SOURCE
     from evomtl.training import batched_forward
     spec = make_spec()
@@ -446,8 +471,8 @@ def test_restore_builds_modules_from_saved_params(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("restore drew fresh weights")
 
+    # routing draws its decoders through assembly.make_decoders
     monkeypatch.setattr(assembly, "init_weight", no_draw)
-    monkeypatch.setattr(routing, "init_weight", no_draw)
     restored = restore_ctr_state(serialize_ctr_state(state))
     monkeypatch.undo()
     for ti, task in enumerate(spec.tasks):

@@ -21,8 +21,9 @@ from evomtl.genome import (
     init_module_population, mutate,
 )
 from evomtl.routing import (
-    default_ctr_modules, init_ctr, mutate_challenger, node_sides, route,
+    default_ctr_modules, init_ctr, mutate_challenger, route,
 )
+from helpers import node_sides
 
 SIDES = (4, 8, 12, 16, 28)
 RATES = MutationRates(add_node=0.6, add_edge=0.5, perturb=0.9,
