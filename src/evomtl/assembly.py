@@ -26,7 +26,6 @@ real forward would.
 Weight sharing: a builder keeps a dict from share key to the module
 instance realized under it, and a later realization with the same key
 returns that instance, so the same Param objects serve every location.
-An instance's storage id is its share key, or its label when unshared.
 A merge's scales are its logit `Param`, one per merge point (per task
 where merges are per task).
 
@@ -153,7 +152,7 @@ class ModuleInstance:
     topological order."""
 
     def __init__(self, genome: ModuleGenome, ghyper: GlobalHyper,
-                 rng: np.random.Generator | None, label: str, storage_id: str,
+                 rng: np.random.Generator | None, label: str,
                  saved: dict | None = None):
         errs = check_genome(genome)
         if errs:
@@ -161,7 +160,6 @@ class ModuleInstance:
         self.genome = genome
         self.ghyper = ghyper
         self.label = label
-        self.storage_id = storage_id
         width = ghyper.final_layer_filters
 
         out_width = {SOURCE: width}
@@ -194,9 +192,8 @@ class ModuleInstance:
             if saved is None:
                 w = Param(f"{label}.{wkey}",
                           init_weight(rng, shape, fan_in, fan_out, init),
-                          l2_strength=gene.l2_strength, shared_id=storage_id)
-                b = Param(f"{label}.{bkey}", np.zeros(filters),
-                          shared_id=storage_id)
+                          l2_strength=gene.l2_strength)
+                b = Param(f"{label}.{bkey}", np.zeros(filters))
             else:
                 w = _saved_param(saved["params"], wkey, shape)
                 b = _saved_param(saved["params"], bkey, (filters,))
@@ -237,13 +234,11 @@ def realize_module(genome: ModuleGenome, ghyper: GlobalHyper,
                    share_key: str | None = None) -> ModuleInstance:
     """Create a module instance, honoring the storage directive: with a
     `shared` dict and a share_key, the first realization is stored under
-    the key and later ones alias it (same Param objects). The storage id
-    is the share key, or the label when there is none."""
+    the key and later ones alias it (same Param objects)."""
     if shared is None or share_key is None:
-        return ModuleInstance(genome, ghyper, rng, label, share_key or label)
+        return ModuleInstance(genome, ghyper, rng, label)
     if share_key not in shared:
-        shared[share_key] = ModuleInstance(genome, ghyper, rng, label,
-                                           share_key)
+        shared[share_key] = ModuleInstance(genome, ghyper, rng, label)
     return shared[share_key]
 
 
@@ -259,8 +254,8 @@ class LayerInstance:
         shape, fan_in, fan_out = _gene_param_shapes(gene, width)
         self.w = Param(f"{label}.w",
                        init_weight(rng, shape, fan_in, fan_out, ghyper.weight_init),
-                       l2_strength=gene.l2_strength, shared_id=label)
-        self.b = Param(f"{label}.b", np.zeros(gene.filters), shared_id=label)
+                       l2_strength=gene.l2_strength)
+        self.b = Param(f"{label}.b", np.zeros(gene.filters))
 
     def apply(self, g: CompGraph, x: CGNode) -> CGNode:
         return _apply_gene(g, self.gene, x, self.w, self.b)

@@ -29,7 +29,7 @@ from .coevolve import (
 )
 from .dataset import write_split_manifest
 from .dot import module_dot, routing_dot
-from .errors import ConfigError, EvoMtlError
+from .errors import ConfigError, EvoMtlError, ParseError
 from .genome import (
     GlobalHyper, LayerGene, MutationRates, genome_from_obj,
     init_blueprint_population, init_module_population,
@@ -39,7 +39,7 @@ from .harness import (
     local_evaluator, run_worker,
 )
 from .routing import ctr_state_from_obj, default_ctr_modules, run_ctr
-from .serialize import atomic_write_text, canon_dumps, canon_loads
+from .serialize import atomic_write_text, canon_dumps, canon_loads, to_obj
 from .training import evaluate_accuracy, final_report, train_network
 
 
@@ -161,7 +161,7 @@ def _echo_plan(cfg: ExperimentConfig) -> None:
 def _hash_inputs(cfg: ExperimentConfig) -> str:
     """sha256 of the config and of every data file's relative path and
     bytes."""
-    h = hashlib.sha256(canon_dumps(cfg.to_obj()).encode())
+    h = hashlib.sha256(canon_dumps(to_obj(cfg)).encode())
     if cfg.data_dir and os.path.isdir(cfg.data_dir):
         for root, dirs, files in sorted(os.walk(cfg.data_dir)):
             dirs.sort()
@@ -193,7 +193,7 @@ def cmd_run(args) -> int:
     out_dir = cfg.out or os.path.join("runs", f"{cfg.algorithm}-s{cfg.seed}")
     os.makedirs(out_dir, exist_ok=True)
     atomic_write_text(os.path.join(out_dir, "config.json"),
-                      canon_dumps(cfg.to_obj()) + "\n")
+                      canon_dumps(to_obj(cfg)) + "\n")
     atomic_write_text(os.path.join(out_dir, "inputs_hash.txt"),
                       _hash_inputs(cfg) + "\n")
     # one corpus for the whole run: the CLI's spec, every job's and every
@@ -358,9 +358,12 @@ def cmd_report(args) -> int:
 def _load_checkpoint(path: str) -> dict:
     try:
         with open(path) as f:
-            return canon_loads(f.read())
+            obj = canon_loads(f.read())
     except OSError as e:
         raise EvoMtlError(f"cannot read checkpoint {path}: {e}") from e
+    if type(obj) is not dict:
+        raise ParseError(f"checkpoint {path} is not a JSON object")
+    return obj
 
 
 def cmd_export_dot(args) -> int:
@@ -374,7 +377,11 @@ def cmd_export_dot(args) -> int:
               file=sys.stderr)
         return 1
     elif kind == "best_network":
-        genomes = [genome_from_obj(o) for o in obj["payload"]["modules"]]
+        payload = obj.get("payload")
+        modules = payload.get("modules") if type(payload) is dict else None
+        if type(modules) is not list:
+            raise ParseError("best_network checkpoint lacks payload modules")
+        genomes = [genome_from_obj(o) for o in modules]
     else:
         print(f"error: unknown checkpoint kind {kind!r}", file=sys.stderr)
         return 1

@@ -11,10 +11,10 @@ for 30000 iterations).
 from __future__ import annotations
 
 import json
-import typing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import ConfigError, ParseError
+from .serialize import field_types, from_obj
 
 # Seconds a job may run before the coordinator requeues it.
 DEFAULT_DEADLINE_S = 600.0
@@ -122,9 +122,6 @@ class ExperimentConfig:
             return self.cmtr_modules, self.cmtr_species
         return self.modules, self.species
 
-    def to_obj(self) -> dict:
-        return asdict(self)
-
 
 def resolve_config(profile: str | None = None, config_file: str | None = None,
                    overrides: dict | None = None) -> ExperimentConfig:
@@ -149,21 +146,14 @@ def resolve_config(profile: str | None = None, config_file: str | None = None,
     for key, val in (overrides or {}).items():
         if val is not None:
             merged[key] = val
-    hints = typing.get_type_hints(ExperimentConfig)
+    hints = field_types(ExperimentConfig)
     unknown = set(merged) - set(hints)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, val in merged.items():
-        _check_type(key, val, hints[key])
-        setattr(cfg, key, val)
+        try:
+            setattr(cfg, key, from_obj(hints[key], val, f"config key {key!r}"))
+        except ParseError as e:
+            raise ConfigError(str(e)) from e
     cfg.check()
     return cfg
-
-
-def _check_type(key: str, val, hint) -> None:
-    """An int passes for a float, a bool never for an int, and None only
-    where the field allows it."""
-    allowed = typing.get_args(hint) or (hint,)
-    if type(val) not in allowed and not (type(val) is int and float in allowed):
-        names = " or ".join(t.__name__ for t in allowed)
-        raise ConfigError(f"config key {key!r} must be {names}, not {val!r}")

@@ -84,17 +84,15 @@ def predicted_class(logits: Tensor):
 class Param:
     """Trainable tensor plus gradient and Adam state.
 
-    `shared_id` names the underlying storage: realizations that alias a
-    parameter hold the same Param object, and the id makes that visible to
-    parameter counting and checkpoints. `l2_strength` is applied as an
-    additive gradient term during backward.
+    Realizations that alias a parameter hold the same Param object, so
+    sharing is object identity. `l2_strength` is applied as an additive
+    gradient term during backward.
     """
 
     __slots__ = ("name", "value", "grad", "adam_m", "adam_v", "step_count",
-                 "l2_strength", "shared_id")
+                 "l2_strength")
 
-    def __init__(self, name: str, value, l2_strength: float = 0.0,
-                 shared_id: str | None = None):
+    def __init__(self, name: str, value, l2_strength: float = 0.0):
         self.name = name
         self.value = as_tensor(value)
         self.grad = np.zeros_like(self.value)
@@ -102,12 +100,10 @@ class Param:
         self.adam_v = np.zeros_like(self.value)
         self.step_count = 0
         self.l2_strength = float(l2_strength)
-        self.shared_id = shared_id
 
     def copy(self) -> "Param":
         """Deep copy with fresh storage (training state included)."""
-        p = Param(self.name, self.value.copy(),
-                  l2_strength=self.l2_strength, shared_id=None)
+        p = Param(self.name, self.value.copy(), l2_strength=self.l2_strength)
         p.grad = self.grad.copy()
         p.adam_m = self.adam_m.copy()
         p.adam_v = self.adam_v.copy()

@@ -20,11 +20,12 @@ range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, ParseError, StateError
+from .serialize import from_obj, to_obj
 
 SOURCE = 0
 SINK = 1
@@ -114,9 +115,9 @@ class ModuleGenome:
     final_layer: LayerGene               # mandatory tail hyperparameters
     cmtr_mode: bool = False
     species_id: int | None = None
-    fitness: float | None = field(default=None, compare=False)
 
     kind = "module"
+    fitness = None  # this generation's score; never saved
 
     def node_ids(self) -> set[int]:
         return {SOURCE, SINK} | set(self.nodes)
@@ -130,7 +131,6 @@ class ModuleGenome:
             final_layer=replace(self.final_layer),
             cmtr_mode=self.cmtr_mode,
             species_id=self.species_id,
-            fitness=None,
         )
 
 
@@ -140,9 +140,9 @@ class BlueprintGenome:
     nodes: dict[int, BlueprintNode]
     edges: dict[int, tuple[int, int]]
     species_id: int | None = None
-    fitness: float | None = field(default=None, compare=False)
 
     kind = "blueprint"
+    fitness = None  # this generation's score; never saved
 
     def node_ids(self) -> set[int]:
         return set(self.nodes)
@@ -159,7 +159,6 @@ class BlueprintGenome:
             nodes={i: replace(n) for i, n in self.nodes.items()},
             edges=dict(self.edges),
             species_id=self.species_id,
-            fitness=None,
         )
 
 
@@ -747,74 +746,19 @@ def speciate_and_reproduce(pop: SpeciesPopulation, elite_frac: float,
 # --- serialization -------------------------------------------------------------
 
 
-def _gene_obj(g: LayerGene) -> dict:
-    return {"innovation_id": g.innovation_id, "kind": g.kind,
-            "activation": g.activation, "kernel_size": g.kernel_size,
-            "filters": g.filters, "l2_strength": g.l2_strength,
-            "dropout_rate": g.dropout_rate}
-
-
-def _gene_from(obj) -> LayerGene:
-    try:
-        return LayerGene(
-            innovation_id=int(obj["innovation_id"]), kind=str(obj["kind"]),
-            activation=str(obj["activation"]),
-            kernel_size=int(obj["kernel_size"]), filters=int(obj["filters"]),
-            l2_strength=float(obj["l2_strength"]),
-            dropout_rate=float(obj["dropout_rate"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad layer gene: {e}") from e
-
-
 def genome_to_obj(g) -> dict:
-    if g.kind == "module":
-        return {
-            "kind": "module", "genome_id": g.genome_id,
-            "species_id": g.species_id, "share_flag": g.share_flag,
-            "cmtr_mode": g.cmtr_mode,
-            "final_layer": _gene_obj(g.final_layer),
-            "nodes": {str(i): _gene_obj(gene) for i, gene in g.nodes.items()},
-            "edges": {str(i): list(e) for i, e in g.edges.items()},
-        }
-    return {
-        "kind": "blueprint", "genome_id": g.genome_id,
-        "species_id": g.species_id,
-        "nodes": {str(i): {"species_id": n.species_id,
-                           "share_flag": n.share_flag}
-                  for i, n in g.nodes.items()},
-        "edges": {str(i): list(e) for i, e in g.edges.items()},
-    }
+    return {"kind": g.kind, **to_obj(g)}
 
 
 def genome_from_obj(obj):
-    try:
-        kind = obj["kind"]
-        edges = {int(i): (int(e[0]), int(e[1]))
-                 for i, e in obj["edges"].items()}
-        if kind == "module":
-            g = ModuleGenome(
-                genome_id=int(obj["genome_id"]),
-                nodes={int(i): _gene_from(go)
-                       for i, go in obj["nodes"].items()},
-                edges=edges,
-                share_flag=bool(obj["share_flag"]),
-                final_layer=_gene_from(obj["final_layer"]),
-                cmtr_mode=bool(obj["cmtr_mode"]),
-                species_id=obj["species_id"],
-            )
-        elif kind == "blueprint":
-            g = BlueprintGenome(
-                genome_id=int(obj["genome_id"]),
-                nodes={int(i): BlueprintNode(int(n["species_id"]),
-                                             bool(n["share_flag"]))
-                       for i, n in obj["nodes"].items()},
-                edges=edges,
-                species_id=obj["species_id"],
-            )
-        else:
-            raise ParseError(f"unknown genome kind {kind!r}")
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
-        raise ParseError(f"bad genome object: {e}") from e
+    kind = obj.get("kind") if type(obj) is dict else None
+    for cls in (ModuleGenome, BlueprintGenome):
+        if kind == cls.kind:
+            break
+    else:
+        raise ParseError(f"genome.kind: want module or blueprint, "
+                         f"got {kind!r}")
+    g = from_obj(cls, {k: v for k, v in obj.items() if k != "kind"}, "genome")
     errs = check_genome(g)
     if errs:
         raise ParseError(f"genome violates invariants: {errs[0]}")
@@ -822,24 +766,11 @@ def genome_from_obj(obj):
 
 
 def hyper_to_obj(h: GlobalHyper) -> dict:
-    return {"learning_rate": h.learning_rate,
-            "final_layer_filters": h.final_layer_filters,
-            "weight_init": h.weight_init, "k_modules": h.k_modules,
-            "depth": h.depth, "depth_flags": list(h.depth_flags),
-            "sharing_mode": h.sharing_mode}
+    return to_obj(h)
 
 
 def hyper_from_obj(obj) -> GlobalHyper:
-    try:
-        h = GlobalHyper(
-            learning_rate=float(obj["learning_rate"]),
-            final_layer_filters=int(obj["final_layer_filters"]),
-            weight_init=str(obj["weight_init"]),
-            k_modules=int(obj["k_modules"]), depth=int(obj["depth"]),
-            depth_flags=tuple(bool(x) for x in obj["depth_flags"]),
-            sharing_mode=str(obj["sharing_mode"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad hyperparameter object: {e}") from e
+    h = from_obj(GlobalHyper, obj, "hyper")
     errs = h.check()
     if errs:
         raise ParseError(f"hyperparameters out of range: {errs[0]}")

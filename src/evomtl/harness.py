@@ -45,7 +45,7 @@ from .dataset import (
 from .errors import EvoMtlError, HarnessError, ParseError
 from .genome import genome_from_obj, hyper_from_obj
 from .routing import run_ctr
-from .serialize import canon_dumps, canon_loads
+from .serialize import canon_dumps, canon_loads, from_obj, to_obj
 from .training import evaluate_accuracy, train_network
 
 HEARTBEAT_S = 10.0
@@ -70,24 +70,13 @@ class JobResult:
     job_id: int
     status: str  # ok | failed | timeout
     fitness: float | None = None
-    per_task: dict = field(default_factory=dict)
+    per_task: dict[str, float] = field(default_factory=dict)
     wall_time_s: float = 0.0
     worker_id: str = ""
     message: str = ""
 
     def to_obj(self) -> dict:
-        return {"job_id": self.job_id, "status": self.status,
-                "fitness": self.fitness, "per_task": self.per_task,
-                "wall_time_s": self.wall_time_s, "worker_id": self.worker_id,
-                "message": self.message}
-
-    @staticmethod
-    def from_obj(obj) -> "JobResult":
-        return JobResult(job_id=int(obj["job_id"]), status=str(obj["status"]),
-                         fitness=obj["fitness"], per_task=obj["per_task"],
-                         wall_time_s=float(obj["wall_time_s"]),
-                         worker_id=str(obj["worker_id"]),
-                         message=str(obj["message"]))
+        return to_obj(self)
 
 
 # --- payload evaluation -------------------------------------------------------
@@ -439,9 +428,7 @@ class Coordinator:
                     self.idle.discard(conn)
                 if job is None:
                     break
-                send_frame(conn, {"kind": "job", "job_id": job.job_id,
-                                  "payload": job.payload,
-                                  "deadline_s": job.deadline_s})
+                send_frame(conn, {"kind": "job", **to_obj(job)})
                 result = self._await_result(conn, worker_id, job)
                 with st.lock:
                     st.record(result)
@@ -472,9 +459,9 @@ class Coordinator:
                     self.state.heard_from(worker_id)
             elif msg.get("kind") == "result":
                 try:
-                    result = JobResult.from_obj(msg["result"])
-                except (KeyError, TypeError, ValueError) as e:
-                    raise ConnectionError("malformed result") from e
+                    result = from_obj(JobResult, msg.get("result"), "result")
+                except ParseError as e:
+                    raise ConnectionError(f"malformed result: {e}") from e
                 if result.job_id != job.job_id:
                     raise ConnectionError(f"result for job {result.job_id}, "
                                           f"dispatched {job.job_id}")
@@ -555,10 +542,9 @@ def run_worker(coordinator_addr: str | None = None,
     """Connect, evaluate jobs until a shutdown message, exit 0.
 
     Evaluation errors become failed results and the worker survives. A
-    garbage frame, or a job frame with a missing or non-integer job_id,
-    no payload or a non-numeric deadline_s, drops the connection;
-    connection loss triggers reconnection with exponential backoff (1s
-    doubling up to max_backoff_s).
+    garbage frame, or a job frame that does not decode as a `Job`, drops
+    the connection; connection loss triggers reconnection with
+    exponential backoff (1s doubling up to max_backoff_s).
     """
     addr = coordinator_addr or os.environ.get(ADDR_ENV_VAR)
     if not addr:
@@ -611,13 +597,11 @@ def run_worker(coordinator_addr: str | None = None,
                         return 0
                     if kind != "job":
                         continue
+                    del msg["kind"]
                     try:
-                        job = Job(int(msg["job_id"]), msg["payload"], float(
-                            msg.get("deadline_s", DEFAULT_DEADLINE_S)))
-                    except (KeyError, TypeError, ValueError):
+                        job = from_obj(Job, msg, "job")
+                    except ParseError:
                         break  # a malformed job frame: reconnect
-                    if job.job_id != msg["job_id"]:
-                        break  # a job_id that is not an integer
                     result = evaluate_local(job, worker_id=wid)
                     send_frame(sock, {"kind": "result",
                                       "result": result.to_obj()}, send_lock)

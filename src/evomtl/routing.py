@@ -28,12 +28,14 @@ from .diffcore import (
 from .errors import AssemblyError, ConfigError, NumericError, ParseError, \
     StateError
 from .genome import GlobalHyper, LayerGene, ModuleGenome, SINK, SOURCE, \
-    dag_errors, reachable, topo_order
+    dag_errors, genome_from_obj, genome_to_obj, hyper_from_obj, \
+    hyper_to_obj, reachable, topo_order
 from .assembly import ModuleInstance, empty_input, make_decoders, \
     out_side, realize_module
 from .dataset import MultitaskSpec
 from .serialize import (
     array_from_obj, array_to_obj, atomic_write_text, canon_dumps, canon_loads,
+    from_obj, to_obj,
 )
 from .training import accuracy
 
@@ -176,11 +178,8 @@ class CtrState:
     champions: dict[str, RoutingIndividual]
     task_ids: list[str] = field(default_factory=list)
     challengers: dict[str, RoutingIndividual] = field(default_factory=dict)
-    meta_iteration: int = 0
     best_avg_val: float = float("-inf")
     checkpoint_bytes: bytes | None = None
-    image_side: int = 0
-    class_counts: dict[str, int] = field(default_factory=dict)
 
     def forward(self, g: CompGraph, task_index: int, x: CGNode) -> CGNode:
         champion = self.champions[self.task_ids[task_index]]
@@ -252,13 +251,12 @@ def init_ctr(modules: list[ModuleInstance], spec: MultitaskSpec,
     # every task starts on the same chain, so one route sizes every decoder
     sink = route(BatchForward(), graph, modules,
                  empty_input(spec.image_side))[graph.sink_id]
-    class_counts = {t.task_id: t.class_count for t in spec.tasks}
-    decoders = make_decoders(sink, list(graphs), class_counts.values(),
+    decoders = make_decoders(sink, list(graphs),
+                             [t.class_count for t in spec.tasks],
                              modules[0].ghyper.weight_init, rng)
     return CtrState(modules=modules, task_ids=list(graphs),
                     champions={tid: RoutingIndividual(g, *decoders[tid])
-                               for tid, g in graphs.items()},
-                    image_side=spec.image_side, class_counts=class_counts)
+                               for tid, g in graphs.items()})
 
 
 def new_edge_logit(existing: np.ndarray, alpha: float) -> float:
@@ -410,7 +408,6 @@ def run_ctr(modules, spec: MultitaskSpec, meta_iters: int, m_iters: int,
     state = init_ctr(modules, spec, rng)
     history = []
     for mi in range(1, meta_iters + 1):
-        state.meta_iteration = mi
         state.challengers = {
             tid: mutate_challenger(champ, state.modules, alpha, rng,
                                    spec.image_side)
@@ -458,8 +455,7 @@ def run_ctr(modules, spec: MultitaskSpec, meta_iters: int, m_iters: int,
 def _param_obj(p: Param) -> dict:
     return {"name": p.name, "value": array_to_obj(p.value),
             "adam_m": array_to_obj(p.adam_m), "adam_v": array_to_obj(p.adam_v),
-            "step_count": p.step_count, "l2_strength": p.l2_strength,
-            "shared_id": p.shared_id}
+            "step_count": p.step_count, "l2_strength": p.l2_strength}
 
 
 @contextlib.contextmanager
@@ -475,8 +471,7 @@ def _parsing(what: str):
 def _param_from_obj(obj) -> Param:
     with _parsing("parameter"):
         p = Param(obj["name"], array_from_obj(obj["value"]),
-                  l2_strength=float(obj["l2_strength"]),
-                  shared_id=obj["shared_id"])
+                  l2_strength=float(obj["l2_strength"]))
         p.adam_m = array_from_obj(obj["adam_m"])
         p.adam_v = array_from_obj(obj["adam_v"])
         p.step_count = int(obj["step_count"])
@@ -484,12 +479,10 @@ def _param_from_obj(obj) -> Param:
 
 
 def module_instance_to_obj(inst: ModuleInstance) -> dict:
-    from .genome import genome_to_obj, hyper_to_obj
     return {
         "genome": genome_to_obj(inst.genome),
         "ghyper": hyper_to_obj(inst.ghyper),
         "label": inst.label,
-        "storage_id": inst.storage_id,
         "params": {k: _param_obj(p) for k, p in inst.params.items()},
         "scales": {str(n): _param_obj(p)
                    for n, p in inst.scale_groups.items()},
@@ -497,7 +490,6 @@ def module_instance_to_obj(inst: ModuleInstance) -> dict:
 
 
 def module_instance_from_obj(obj) -> ModuleInstance:
-    from .genome import genome_from_obj, hyper_from_obj
     with _parsing("module instance"):
         saved = {"params": {key: _param_from_obj(pobj)
                             for key, pobj in obj["params"].items()},
@@ -505,15 +497,14 @@ def module_instance_from_obj(obj) -> ModuleInstance:
                             for n, pobj in obj["scales"].items()}}
         return ModuleInstance(genome_from_obj(obj["genome"]),
                               hyper_from_obj(obj["ghyper"]), None,
-                              obj["label"], obj["storage_id"], saved=saved)
+                              obj["label"], saved=saved)
 
 
 def _individual_obj(ind: RoutingIndividual) -> dict:
     graph = ind.graph
     return {
         "task_id": graph.task_id,
-        "nodes": {str(n): {"kind": r.kind, "module_index": r.module_index}
-                  for n, r in graph.nodes.items()},
+        "nodes": to_obj(graph.nodes),
         "inbound": {str(n): srcs for n, srcs in graph.inbound.items()},
         "next": graph._next,
         "source_id": graph.source_id,
@@ -529,8 +520,8 @@ def _individual_from_obj(obj, n_modules: int) -> RoutingIndividual:
     with _parsing("routing individual"):
         graph = RoutingGraph.__new__(RoutingGraph)
         graph.task_id = obj["task_id"]
-        graph.nodes = {int(n): RNode(r["kind"], r["module_index"])
-                       for n, r in obj["nodes"].items()}
+        graph.nodes = from_obj(dict[int, RNode], obj["nodes"],
+                               "routing individual.nodes")
         graph.inbound = {int(n): [int(s) for s in srcs]
                          for n, srcs in obj["inbound"].items()}
         graph._next = int(obj["next"])
@@ -549,10 +540,7 @@ def _individual_from_obj(obj, n_modules: int) -> RoutingIndividual:
 def serialize_ctr_state(state: CtrState) -> bytes:
     obj = {
         "kind": "ctr_state",
-        "meta_iteration": state.meta_iteration,
         "best_avg_val": state.best_avg_val,
-        "image_side": state.image_side,
-        "class_counts": state.class_counts,
         "task_ids": state.task_ids,
         "modules": [module_instance_to_obj(m) for m in state.modules],
         "champions": {tid: _individual_obj(ind)
@@ -568,19 +556,14 @@ def restore_ctr_state(data: bytes) -> CtrState:
 def ctr_state_from_obj(obj) -> CtrState:
     """The state a parsed ctr checkpoint holds; a missing or bad field is
     a ParseError."""
-    if "task_ids" not in obj:
-        # champions come back in sorted-key order, so the task order
-        # cannot be recovered from them
-        raise ParseError("ctr checkpoint lacks task_ids")
     with _parsing("ctr checkpoint"):
         modules = [module_instance_from_obj(m) for m in obj["modules"]]
         return CtrState(
             modules=modules,
             champions={tid: _individual_from_obj(io, len(modules))
                        for tid, io in obj["champions"].items()},
+            # champions come back in sorted-key order, so the task order
+            # cannot be recovered from them
             task_ids=[str(t) for t in obj["task_ids"]],
-            meta_iteration=int(obj["meta_iteration"]),
             best_avg_val=float(obj["best_avg_val"]),
-            image_side=int(obj["image_side"]),
-            class_counts={k: int(v) for k, v in obj["class_counts"].items()},
         )

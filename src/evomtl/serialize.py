@@ -1,13 +1,30 @@
 """Canonical JSON encoding helpers shared by checkpoints and the wire
 protocol. Arrays are embedded as base64 of their raw float64 bytes so
-round-trips are bit-exact."""
+round-trips are bit-exact.
+
+Dataclasses (genomes, hyperparameters, jobs, results, the experiment
+config, routing nodes) have one codec. `to_obj` writes a dataclass as
+`{field: value}`, recursing through dicts (keys become strings), lists
+and tuples. `from_obj` rebuilds a value from its type hint: a dataclass
+by field name, where a missing field takes its default and an unknown key
+is an error; `X | None`; `dict[K, V]` with keys parsed by K; `tuple[...]`
+from a list; and scalars by exact type. An int passes for a float (and
+becomes one), a bool never passes for an int, and None only where the
+hint allows it. Anything else is a ParseError naming the path, e.g.
+`genome.share_flag`.
+"""
 
 from __future__ import annotations
 
 import base64
+import contextlib
+import dataclasses
+import functools
 import json
 import os
 import tempfile
+import types
+import typing
 
 import numpy as np
 
@@ -20,12 +37,73 @@ def canon_dumps(obj) -> str:
 
 
 def canon_loads(data):
+    """Parsed JSON text. Bad syntax, a number past Python's digit limit
+    and nesting past its recursion limit are each a ParseError."""
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8", errors="replace")
     try:
         return json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"malformed JSON at position {e.pos}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"malformed JSON: {e}") from e
+
+
+def to_obj(x):
+    """The JSON form of a dataclass, dict, list or tuple; other values
+    are returned as they are."""
+    if dataclasses.is_dataclass(x):
+        return {f.name: to_obj(getattr(x, f.name))
+                for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        return {str(k): to_obj(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [to_obj(v) for v in x]
+    return x
+
+
+@functools.cache  # resolving the hints takes far longer than a decode
+def field_types(cls) -> dict:
+    """A dataclass's field names and resolved type hints; read only."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def from_obj(hint, obj, where: str):
+    """The value of type `hint` that `obj`, parsed JSON, describes; a
+    ParseError naming the path `where` if it describes none."""
+    if type(obj) is hint:
+        return obj
+    if hint is float and type(obj) is int:
+        return float(obj)
+    if dataclasses.is_dataclass(hint) and type(obj) is dict:
+        hints = field_types(hint)
+        values = {k: from_obj(hints[k], v, f"{where}.{k}") if k in hints
+                  else v for k, v in obj.items()}
+        try:
+            return hint(**values)
+        except TypeError as e:  # an unknown field, or a missing one
+            raise ParseError(f"{where}: {e}") from e
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # X | None, the only union read here
+        return None if obj is None else from_obj(args[0], obj, where)
+    if origin is dict and type(obj) is dict:
+        return {_key(args[0], k, where): from_obj(args[1], v, f"{where}.{k}")
+                for k, v in obj.items()}
+    if origin is tuple and type(obj) is list:
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(obj)
+        if len(obj) == len(args):
+            return tuple(from_obj(a, v, f"{where}.{i}")
+                         for i, (a, v) in enumerate(zip(args, obj)))
+    raise ParseError(f"{where}: want {hint.__name__}, got {obj!r:.80}")
+
+
+def _key(hint, key: str, where: str):
+    """A JSON object key as the key type `hint`, int or str, in its
+    canonical spelling only."""
+    with contextlib.suppress(ValueError):
+        if str(hint(key)) == key:
+            return hint(key)
+    raise ParseError(f"{where}: bad key {key!r:.80}")
 
 
 def array_to_obj(arr: np.ndarray) -> dict:

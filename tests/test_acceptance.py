@@ -280,8 +280,7 @@ def test_criterion_07_grid_insertion_and_sharing():
                 groups[(k, d)] = ("row", k) if eligible else ("solo", k, d)
         for a in groups:
             for b in groups:
-                same = (net.slots[a[0]][a[1]].storage_id
-                        == net.slots[b[0]][b[1]].storage_id)
+                same = net.slots[a[0]][a[1]] is net.slots[b[0]][b[1]]
                 if same != (groups[a] == groups[b]):
                     ok = False
     _report(7, "grid insertion wrap and sharing match brute force", ok)

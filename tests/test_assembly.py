@@ -59,9 +59,8 @@ def test_realize_shared_directive_aliases():
     a = realize_module(genome, h, rng(2), "a", shared=shared, share_key="k")
     b = realize_module(genome, h, rng(2), "b", shared=shared, share_key="k")
     assert a is b
-    assert a.storage_id == b.storage_id
     c = realize_module(genome, h, rng(2), "c", shared=shared)
-    assert c.storage_id != a.storage_id
+    assert c is not a
 
 
 def test_realize_kernel_too_large():
@@ -204,8 +203,7 @@ def test_cm_sharing_matches_bruteforce(mode):
                                         depth_flags)
         for (ka, da) in want:
             for (kb, db) in want:
-                same_storage = (net.slots[ka][da].storage_id
-                                == net.slots[kb][db].storage_id)
+                same_storage = net.slots[ka][da] is net.slots[kb][db]
                 assert same_storage == (want[(ka, da)] == want[(kb, db)]), \
                     (mode, ka, da, kb, db)
 
@@ -215,7 +213,7 @@ def test_cm_disabled_all_distinct():
     modules = [make_module()]
     h = ghyp(k_modules=3, depth=2, sharing_mode="disabled")
     net = CmGridNet(modules, h, tids, cls, 8, rng(12))
-    ids = {net.slots[k][d].storage_id for k in range(3) for d in range(2)}
+    ids = {id(net.slots[k][d]) for k in range(3) for d in range(2)}
     assert len(ids) == 6
 
 
@@ -274,13 +272,13 @@ def test_cmsr_sharing_conjunction():
     bp.nodes[3].share_flag = False
     net = CmsrNet(bp, {1: mod}, ghyp(sharing_mode="evolved"),
                   tids, cls, 16, rng(16))
-    sid = {n: net.instances[n].storage_id for n in (0, 2, 3, 1)}
-    assert sid[0] == sid[2] == sid[1]
-    assert sid[3] != sid[0]
+    inst = net.instances
+    assert inst[0] is inst[2] is inst[1]
+    assert inst[3] is not inst[0]
     # disabled: nothing aliases
     net2 = CmsrNet(bp, {1: mod}, ghyp(sharing_mode="disabled"),
                    tids, cls, 16, rng(17))
-    ids = {net2.instances[n].storage_id for n in bp.nodes}
+    ids = {id(net2.instances[n]) for n in bp.nodes}
     assert len(ids) == 4
 
 

@@ -180,6 +180,22 @@ def test_eval_test_rejects_a_checkpoint_missing_a_field(tmp_path, capsys):
     assert "decoder_w" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [
+    (["export-dot", "--module", "0"], '{"kind":"best_network"}'),
+    (["export-dot", "--module", "0"], '{"kind":"best_network","payload":[1]}'),
+    (["eval-test"], "[1,2]"),
+    (["export-dot", "--module", "0"], '"best_network"'),
+], ids=["best-network-without-payload", "payload-not-an-object",
+        "eval-test-on-a-list", "export-dot-on-a-string"])
+def test_a_checkpoint_that_is_not_the_expected_object_is_an_error_line(
+        tmp_path, capsys, command, text):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(text)
+    assert main([*command, "--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_run_reproducible_history(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -269,6 +285,7 @@ def test_config_file_accepts_an_int_for_a_float_and_null_where_allowed(
                                  "eval_subsample": None}))
     cfg = resolve_config(config_file=str(cfile))
     assert cfg.lr == 1 and cfg.max_generations is None
+    assert type(cfg.lr) is float  # recorded in config.json as 1.0
 
 
 def test_inputs_hash_covers_file_content(tmp_path):

@@ -739,7 +739,7 @@ def test_adam_first_step_hand_value():
 
 
 def test_adam_shared_storage_updated_once():
-    p = Param("p", np.array([1.0]), shared_id="s0")
+    p = Param("p", np.array([1.0]))
     p.grad[...] = 2.0
     adam_step(ParamBlock([p, p, p]), 0.1)  # aliases: same object listed thrice
     assert p.step_count == 1
@@ -801,7 +801,7 @@ def test_param_block_packs_each_storage_once_as_views():
 
 
 def test_param_alias_bit_exact():
-    p = Param("p", np.arange(4.0), shared_id="k")
+    p = Param("p", np.arange(4.0))
     users = [p, p]  # one storage seen by two realizations
     users[0].grad[...] = 1.0
     adam_step(ParamBlock(users), 0.05)

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from evomtl.config import ExperimentConfig
 from evomtl.errors import ConfigError, ParseError
 from evomtl.genome import (
-    KERNEL_SIZES, SINK, SOURCE, BlueprintGenome, BlueprintNode,
+    KERNEL_SIZES, SINK, SOURCE, BlueprintGenome, BlueprintNode, GlobalHyper,
     InnovationTracker, LayerGene, ModuleGenome, MutationRates, check_genome,
     compatibility, crossover, genome_from_obj, genome_to_obj,
     hyper_from_obj, hyper_to_obj, init_blueprint_population,
     init_module_population, mutate, mutate_global, random_global_hyper,
     speciate_and_reproduce,
 )
-from evomtl.serialize import canon_dumps, canon_loads
+from evomtl.harness import Job, JobResult
+from evomtl.routing import RNode
+from evomtl.serialize import canon_dumps, canon_loads, from_obj, to_obj
 
 
 def rng(seed=0):
@@ -299,6 +302,58 @@ def test_hyper_round_trip_and_mutation_ranges():
         for _ in range(20):
             h = mutate_global(h, r)
             assert h.check() == [], h
+
+
+def _module_obj():
+    g = init_module_population(1, 1, rng(35)).all_members()[0]
+    return canon_loads(serialize(g))
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda o: o.update(share_flag="false"), "genome.share_flag"),
+    (lambda o: o.update(genome_id=3.9), "genome.genome_id"),
+    (lambda o: o.update(species_id="x"), "genome.species_id"),
+    (lambda o: o["final_layer"].update(filters=True),
+     "genome.final_layer.filters"),
+    (lambda o: o["edges"].update({"07": [0, 1]}), "genome.edges"),
+    (lambda o: o.update(colour="red"), "colour"),
+], ids=["text-flag", "fractional-id", "text-species", "bool-filters",
+        "non-canonical-key", "unknown-field"])
+def test_genome_decoder_refuses_a_wrong_type(edit, where):
+    obj = _module_obj()
+    assert genome_from_obj(obj) is not None
+    edit(obj)
+    with pytest.raises(ParseError, match=where):
+        genome_from_obj(obj)
+
+
+def test_hyper_decoder_refuses_text_depth_flags():
+    obj = hyper_to_obj(GlobalHyper(depth_flags=(True, False)))
+    obj["depth_flags"] = ["no", "no"]
+    with pytest.raises(ParseError, match=r"hyper\.depth_flags\.0"):
+        hyper_from_obj(obj)
+
+
+def test_job_result_decoder_refuses_a_text_fitness():
+    obj = JobResult(1, "ok", fitness=0.5).to_obj()
+    obj["fitness"] = "0.5"
+    with pytest.raises(ParseError, match=r"result\.fitness"):
+        from_obj(JobResult, obj, "result")
+
+
+def test_round_trip_job_result_routing_node_and_config():
+    cfg = ExperimentConfig(algorithm="cm", lr=0.5, max_generations=None)
+    for hint, value in [
+            (Job, Job(4, {"algorithm": "cm", "seed": 2}, deadline_s=7.5)),
+            (JobResult, JobResult(4, "ok", 0.25, {"t0": 0.5, "t1": 0.0},
+                                  1.5, "w", "")),
+            (JobResult, JobResult(5, "failed", message="boom")),
+            (RNode, RNode("module", 2)), (RNode, RNode("adapter")),
+            (ExperimentConfig, cfg)]:
+        text = canon_dumps(to_obj(value))
+        assert from_obj(hint, canon_loads(text), "x") == value
+    # a Job frame without deadline_s gets the default
+    assert from_obj(Job, {"job_id": 1, "payload": {}}, "job") == Job(1, {})
 
 
 def test_compatibility_zero_for_identical():

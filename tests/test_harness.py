@@ -337,7 +337,13 @@ def test_recv_frame_reassembles_a_large_frame():
         assert not sender.is_alive()
 
 
-@pytest.mark.parametrize("body", [b"[1]", b"{x"])
+@pytest.mark.parametrize("body", [
+    b"[1]", b"{x",
+    pytest.param(b'{"job_id":' + b"1" * 5000 + b"}",
+                 id="int-past-the-digit-limit"),
+    pytest.param(b"[" * 100000 + b"]" * 100000,
+                 id="nesting-past-the-recursion-limit"),
+])
 def test_recv_frame_non_object_body_is_none(body):
     a, b = socket.socketpair()
     with a, b:
@@ -392,8 +398,10 @@ def test_worker_survives_a_garbage_frame_and_reconnects():
     b'{"kind":"job","job_id":1.5,"payload":{}}',
     b'{"kind":"job","job_id":1}',
     b'{"kind":"job","job_id":1,"payload":{},"deadline_s":"soon"}',
+    b'{"kind":"job","job_id":true,"payload":{}}',
+    b'{"kind":"job","job_id":1,"payload":{},"priority":2}',
 ], ids=["no-job-id", "text-job-id", "fractional-job-id", "no-payload",
-        "text-deadline"])
+        "text-deadline", "bool-job-id", "unknown-field"])
 def test_worker_drops_a_malformed_job_frame_and_reconnects(job):
     # a job frame the worker cannot read is dropped like a garbage frame:
     # no result, a hang-up, a second hello and a clean exit
@@ -407,7 +415,9 @@ def test_worker_drops_a_malformed_job_frame_and_reconnects(job):
     {"kind": "result"},  # no result at all
     {"kind": "result",  # well formed, but for a job never dispatched
      "result": JobResult(999, "ok", fitness=1.0).to_obj()},
-], ids=["missing", "other-job"])
+    {"kind": "result",  # a fitness the driver could not average
+     "result": {**JobResult(1, "ok").to_obj(), "fitness": "0.5"}},
+], ids=["missing", "other-job", "text-fitness"])
 def test_coordinator_drops_a_worker_with_a_bad_result(bad_result):
     # a fake worker answers its job with a bad result frame: the
     # coordinator drops it and requeues the job, and an honest worker

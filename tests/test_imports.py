@@ -1,6 +1,8 @@
-"""Every module of the package uses every name it imports. A deletion
-that leaves an import behind fails here. The package `__init__` is
-exempt: its imports are the package's re-exports."""
+"""Every module of the package uses every name it imports, and every
+function, class and method it defines is read somewhere in the package.
+A deletion that leaves an import or a helper behind fails here. The
+package `__init__` is exempt from the import check: its imports are the
+package's re-exports."""
 
 import ast
 import pathlib
@@ -38,3 +40,49 @@ def test_the_check_sees_an_unused_import():
               "import os, json as js\nfrom math import pi, tau\n"
               "print(os.sep, tau)\n")
     assert unused_imports(source) == ["line 2: js", "line 3: pi"]
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes, and methods other than dunders,
+    of the modules in `sources` (file name -> text) whose name no
+    expression in any of them reads, as a name or as an attribute."""
+    defined, read = {}, set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[f"{path}:{node.lineno}: {node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not _is_dunder(item.name)):
+                        defined[f"{path}:{item.lineno}: {node.name}."
+                                f"{item.name}"] = item.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(where for where, name in defined.items()
+                  if name not in read)
+
+
+def test_package_reads_every_definition():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_definitions(sources) == []
+
+
+def test_the_check_sees_an_unread_definition():
+    sources = {
+        "a.py": ("def helper():\n    pass\n\n\ndef left_over():\n"
+                 "    pass\n\n\nclass Box:\n    def __init__(self):\n"
+                 "        self.open()\n\n    def open(self):\n"
+                 "        pass\n\n    def shut(self):\n        pass\n"),
+        "b.py": "from a import Box, helper\nhelper()\nBox()\n",
+    }
+    assert unread_definitions(sources) == [
+        "a.py:16: Box.shut", "a.py:5: left_over"]

@@ -345,12 +345,18 @@ def _no_module_weight_value(obj, tid):
     del pobj["value"]
 
 
-def _string_meta_iteration(obj, tid):
-    obj["meta_iteration"] = "two"
+def _string_best_avg_val(obj, tid):
+    obj["best_avg_val"] = "two"
+
+
+def _text_module_index(obj, tid):
+    nodes = obj["champions"][tid]["nodes"]
+    node = next(r for r in nodes.values() if r["kind"] == "module")
+    node["module_index"] = str(node["module_index"])
 
 
 @pytest.mark.parametrize("damage", [_no_decoder, _no_module_weight_value,
-                                    _string_meta_iteration])
+                                    _string_best_avg_val, _text_module_index])
 def test_restore_reports_a_missing_or_bad_field_as_a_parse_error(damage):
     spec = make_spec()
     state = init_ctr(default_ctr_modules(2, 8, rng(54)), spec, rng(55))
@@ -358,6 +364,23 @@ def test_restore_reports_a_missing_or_bad_field_as_a_parse_error(damage):
     damage(obj, spec.tasks[0].task_id)
     with pytest.raises(ParseError):
         restore_ctr_state(canon_dumps(obj).encode())
+
+
+def test_restore_ignores_the_keys_older_checkpoints_wrote():
+    # checkpoints once also held the meta-iteration, image side and class
+    # counts, and a storage id on every module and Param
+    spec = make_spec()
+    state = init_ctr(default_ctr_modules(2, 8, rng(56)), spec, rng(57))
+    data = serialize_ctr_state(state)
+    obj = canon_loads(data)
+    obj.update(meta_iteration=3, image_side=8,
+               class_counts={t.task_id: 3 for t in spec.tasks})
+    for k, module in enumerate(obj["modules"]):
+        module["storage_id"] = f"m{k}"
+        for pobj in module["params"].values():
+            pobj["shared_id"] = f"m{k}"
+    restored = restore_ctr_state(canon_dumps(obj).encode())
+    assert serialize_ctr_state(restored) == data
 
 
 def _cut_off_from_sink(graph, m):
