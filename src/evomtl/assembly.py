@@ -48,7 +48,7 @@ from .diffcore import (
 from .errors import AssemblyError
 from .genome import (
     SINK, SOURCE, BlueprintGenome, GlobalHyper, LayerGene, ModuleGenome,
-    check_genome, graph_maps, topo_order,
+    graph_maps, topo_order,
 )
 
 
@@ -154,7 +154,7 @@ class ModuleInstance:
     def __init__(self, genome: ModuleGenome, ghyper: GlobalHyper,
                  rng: np.random.Generator | None, label: str,
                  saved: dict | None = None):
-        errs = check_genome(genome)
+        errs = genome.check()
         if errs:
             raise AssemblyError(f"invalid module genome: {errs[0]}")
         self.genome = genome
@@ -416,7 +416,7 @@ class CmsrNet(AssembledNetwork):
     def __init__(self, blueprint: BlueprintGenome, module_choice,
                  ghyper, task_ids, class_counts, image_side, rng):
         super().__init__(task_ids, class_counts, image_side)
-        errs = check_genome(blueprint)
+        errs = blueprint.check()
         if errs:
             raise AssemblyError(f"invalid blueprint: {errs[0]}")
         self.blueprint = blueprint

@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
-import json
 import os
 import sys
 
@@ -27,20 +26,22 @@ from .config import ALGORITHMS, ExperimentConfig, resolve_config
 from .coevolve import (
     GenerationPlan, HyperPopulation, retrain_top, run_generation_loop,
 )
-from .dataset import write_split_manifest
+from .dataset import DatasetRef, write_split_manifest
 from .dot import module_dot, routing_dot
 from .errors import ConfigError, EvoMtlError, ParseError
 from .genome import (
-    GlobalHyper, LayerGene, MutationRates, genome_from_obj,
-    init_blueprint_population, init_module_population,
+    GlobalHyper, LayerGene, MutationRates, init_blueprint_population,
+    init_module_population,
 )
 from .harness import (
-    Coordinator, build_dataset, dataset_scope, distributed_evaluator,
-    local_evaluator, run_worker,
+    Coordinator, CtrSettings, Payload, build_dataset, dataset_scope,
+    distributed_evaluator, local_evaluator, run_worker,
 )
 from .routing import ctr_state_from_obj, default_ctr_modules, run_ctr
-from .serialize import atomic_write_text, canon_dumps, canon_loads, to_obj
-from .training import evaluate_accuracy, final_report, train_network
+from .serialize import (
+    atomic_write_text, canon_dumps, canon_loads, from_obj, to_obj,
+)
+from .training import final_report, score_test, train_network
 
 
 def main(argv=None) -> int:
@@ -152,8 +153,7 @@ def _echo_plan(cfg: ExperimentConfig) -> None:
     if cfg.algorithm in ("ctr", "cmtr"):
         lines.append(f"meta_iters={cfg.meta_iters} m_iters={cfg.m_iters} "
                      f"alpha={cfg.alpha} k_modules={cfg.k_modules}")
-    ref = cfg.dataset_ref()
-    lines.append(f"dataset={canon_dumps(ref)}")
+    lines.append(f"dataset={canon_dumps(to_obj(cfg.dataset_ref()))}")
     for line in lines:
         print(line)
 
@@ -282,17 +282,16 @@ def _run_coevolution(cfg: ExperimentConfig, out_dir: str) -> dict:
         depth_flags=tuple([True] * cfg.depth), sharing_mode=cfg.sharing_mode)
     hyper_pop = HyperPopulation(cfg.hyper_pool, rng, cfg.sharing_mode,
                                 base=base_hyper)
-    ctr_cfg = None
+    ctr = None
     if cfg.algorithm == "cmtr":
-        ctr_cfg = dict(meta_iters=cfg.meta_iters, m_iters=cfg.m_iters,
-                       alpha=cfg.alpha, lr=None,
-                       eval_subsample=cfg.eval_subsample)
+        ctr = CtrSettings(cfg.meta_iters, cfg.m_iters, cfg.alpha,
+                          eval_subsample=cfg.eval_subsample)
     plan = GenerationPlan(
         algorithm=cfg.algorithm,
         networks_per_generation=cfg.networks_per_generation,
         train_iters=cfg.train_iters, stagnation_limit=cfg.stagnation_limit,
         max_generations=cfg.max_generations, elite_frac=cfg.elite_frac,
-        deadline_s=cfg.deadline_s, ctr=ctr_cfg)
+        deadline_s=cfg.deadline_s, ctr=ctr)
     rates = MutationRates(sharing_mode=cfg.sharing_mode)
     # one coordinator for the whole search: workers stay connected across
     # generations and are released when the loop ends
@@ -305,9 +304,8 @@ def _run_coevolution(cfg: ExperimentConfig, out_dir: str) -> dict:
                                   blueprint_pop=blueprint_pop,
                                   hyper_pop=hyper_pop, rates=rates, log=print)
     _write_history(os.path.join(out_dir, "history.jsonl"), out.history)
-    ctr_long = None
-    if cfg.algorithm == "cmtr":
-        ctr_long = dict(ctr_cfg, meta_iters=cfg.retrain_meta_iters)
+    ctr_long = (dataclasses.replace(ctr, meta_iters=cfg.retrain_meta_iters)
+                if ctr else None)
     report = retrain_top(out.archive, cfg.n_top, cfg.long_iters,
                          ctr_long=ctr_long, log=print)
     report["algorithm"] = cfg.algorithm
@@ -336,9 +334,13 @@ def cmd_report(args) -> int:
         run_id = os.path.splitext(os.path.basename(path))[0]
         for line in lines:
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
+                rec = canon_loads(line)
+            except ParseError as e:
                 print(f"error: {path}: bad record ({e})", file=sys.stderr)
+                return 1
+            if type(rec) is not dict:
+                print(f"error: {path}: a record is not a JSON object",
+                      file=sys.stderr)
                 return 1
             step = rec.get("generation", rec.get("meta_iteration"))
             best = rec.get("best_fitness", rec.get("best_avg_val"))
@@ -358,12 +360,9 @@ def cmd_report(args) -> int:
 def _load_checkpoint(path: str) -> dict:
     try:
         with open(path) as f:
-            obj = canon_loads(f.read())
+            return from_obj(dict, canon_loads(f.read()), f"checkpoint {path}")
     except OSError as e:
         raise EvoMtlError(f"cannot read checkpoint {path}: {e}") from e
-    if type(obj) is not dict:
-        raise ParseError(f"checkpoint {path} is not a JSON object")
-    return obj
 
 
 def cmd_export_dot(args) -> int:
@@ -377,11 +376,8 @@ def cmd_export_dot(args) -> int:
               file=sys.stderr)
         return 1
     elif kind == "best_network":
-        payload = obj.get("payload")
-        modules = payload.get("modules") if type(payload) is dict else None
-        if type(modules) is not list:
-            raise ParseError("best_network checkpoint lacks payload modules")
-        genomes = [genome_from_obj(o) for o in modules]
+        genomes = from_obj(Payload, obj.get("payload"),
+                           "best_network.payload").modules
     else:
         print(f"error: unknown checkpoint kind {kind!r}", file=sys.stderr)
         return 1
@@ -412,13 +408,8 @@ def cmd_eval_test(args) -> int:
               "(cm/cmsr runs record test accuracy in report.json)",
               file=sys.stderr)
         return 1
-    if obj.get("dataset") is None:
-        print("error: checkpoint lacks a dataset reference", file=sys.stderr)
-        return 1
-    state = ctr_state_from_obj(obj)
-    spec = build_dataset(obj["dataset"])
-    spec.unlock_test()
-    per_task, mean = evaluate_accuracy(state, spec, "test")
+    ref = from_obj(DatasetRef, obj.get("dataset"), "checkpoint.dataset")
+    per_task, mean = score_test(ctr_state_from_obj(obj), build_dataset(ref))
     for tid in sorted(per_task):
         print(f"task {tid}: test {per_task[tid]:.4f}")
     print(f"mean test accuracy: {mean:.4f}")

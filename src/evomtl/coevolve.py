@@ -18,12 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_DEADLINE_S
+from .dataset import DatasetRef
 from .errors import ConfigError, StateError
 from .genome import (
-    GlobalHyper, MutationRates, SpeciesPopulation, genome_to_obj, hyper_to_obj,
-    mutate_global, random_global_hyper, speciate_and_reproduce,
+    GlobalHyper, MutationRates, SpeciesPopulation, mutate_global,
+    random_global_hyper, speciate_and_reproduce,
 )
-from .harness import Job, JobResult, train_payload
+from .harness import (
+    PAYLOADS, CtrSettings, Job, JobResult, Payload, train_payload,
+)
+from .serialize import to_obj
 from .training import evaluate_accuracy, final_report
 
 
@@ -49,12 +53,12 @@ class GenerationPlan:
     max_generations: int | None = None
     elite_frac: float = 0.2
     deadline_s: float = DEFAULT_DEADLINE_S
-    ctr: dict | None = None             # meta_iters, m_iters, alpha, lr, ...
+    ctr: CtrSettings | None = None      # cmtr's routing evolution
 
     def __post_init__(self):
         if self.networks_per_generation < 1 or self.train_iters < 0:
             raise ConfigError("plan counts must be positive")
-        if self.algorithm not in ("cm", "cmsr", "cmtr"):
+        if self.algorithm not in PAYLOADS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm == "cmtr" and not self.ctr:
             raise ConfigError("cmtr needs a ctr sub-config")
@@ -124,9 +128,10 @@ def _coverage_patch(picks: list[dict], species):
 
 def plan_generation(plan: GenerationPlan, module_pop: SpeciesPopulation,
                     blueprint_pop: SpeciesPopulation | None,
-                    hyper_pop: HyperPopulation, dataset_ref: dict,
+                    hyper_pop: HyperPopulation, dataset_ref: DatasetRef,
                     rng: np.random.Generator, first_job_id: int = 0) -> list[Job]:
-    """Build the generation's evaluation jobs (payloads self-contained)."""
+    """Build the generation's evaluation jobs. Payloads are self-contained:
+    they hold copies of the genomes, which evolve in place later."""
     species = module_pop.species
     if any(not sp.members for sp in species):
         raise StateError("a module species is empty")
@@ -144,24 +149,15 @@ def plan_generation(plan: GenerationPlan, module_pop: SpeciesPopulation,
     for j in range(n_jobs):
         hid, hyper = hypers[j % len(hypers)]
         ordered = [picks[j][sp.species_id] for sp in species]
-        payload = {
-            "algorithm": plan.algorithm,
-            "modules": [genome_to_obj(g) for g in ordered],
-            "module_ids": [g.genome_id for g in ordered],
-            "hyper": hyper_to_obj(hyper),
-            "hyper_id": hid,
-            "dataset": dataset_ref,
-            "seed": int(rng.integers(2 ** 62)),
-            "train_iters": plan.train_iters,
-        }
-        if plan.algorithm == "cmsr":
-            bp = blueprints[j % len(blueprints)]
-            payload["blueprint"] = genome_to_obj(bp)
-            payload["blueprint_id"] = bp.genome_id
-            payload["species_map"] = {str(sp.species_id): i
-                                      for i, sp in enumerate(species)}
-        if plan.algorithm == "cmtr":
-            payload["ctr"] = dict(plan.ctr)
+        fields = dict(modules=[g.copy() for g in ordered],
+                      module_ids=[g.genome_id for g in ordered],
+                      hyper=hyper, hyper_id=hid, dataset=dataset_ref,
+                      seed=int(rng.integers(2 ** 62)),
+                      train_iters=plan.train_iters)
+        blueprint = blueprints[j % len(blueprints)].copy() if blueprints \
+            else None
+        payload = PAYLOADS[plan.algorithm].planned(
+            fields, blueprint, [sp.species_id for sp in species], plan.ctr)
         jobs.append(Job(first_job_id + j, payload, plan.deadline_s))
     return jobs
 
@@ -179,15 +175,11 @@ def attribute_fitness(jobs: list[Job], results: dict[int, JobResult],
         result = results.get(job.job_id)
         if result is None or result.status != "ok":
             continue
-        ids = list(job.payload["module_ids"])
-        if blueprint_pop is not None and "blueprint_id" in job.payload:
-            ids.append(job.payload["blueprint_id"])
-        for gid in ids:
+        for gid in job.payload.genome_ids():
             records.setdefault(gid, FitnessRecord(gid)).samples.append(
                 result.fitness)
-        hid = job.payload.get("hyper_id")
-        if hid is not None:
-            hyper_records.setdefault(hid, []).append(result.fitness)
+        hyper_records.setdefault(job.payload.hyper_id, []).append(
+            result.fitness)
     pops = [module_pop] + ([blueprint_pop] if blueprint_pop else [])
     for pop in pops:
         for g in pop.all_members():
@@ -216,12 +208,13 @@ def _fix_blueprint_pointers(blueprint_pop: SpeciesPopulation,
 @dataclass
 class LoopResult:
     history: list[dict]
-    archive: list[tuple[dict, float]]
+    archive: list[tuple[Payload, float]]
     generations: int
 
 
 def run_generation_loop(plan: GenerationPlan, module_pop: SpeciesPopulation,
-                        evaluator, dataset_ref: dict, rng: np.random.Generator,
+                        evaluator, dataset_ref: DatasetRef,
+                        rng: np.random.Generator,
                         blueprint_pop: SpeciesPopulation | None = None,
                         hyper_pop: HyperPopulation | None = None,
                         rates: MutationRates | None = None,
@@ -234,7 +227,7 @@ def run_generation_loop(plan: GenerationPlan, module_pop: SpeciesPopulation,
         raise ConfigError("a hyperparameter population is required")
     rates = rates or MutationRates()
     history: list[dict] = []
-    archive: list[tuple[dict, float]] = []
+    archive: list[tuple[Payload, float]] = []
     best_so_far = float("-inf")
     stale = 0
     generation = 0
@@ -288,8 +281,8 @@ def run_generation_loop(plan: GenerationPlan, module_pop: SpeciesPopulation,
     return LoopResult(history, archive, generation)
 
 
-def retrain_top(archive: list[tuple[dict, float]], n_top: int,
-                long_iters: int, ctr_long: dict | None = None,
+def retrain_top(archive: list[tuple[Payload, float]], n_top: int,
+                long_iters: int, ctr_long: CtrSettings | None = None,
                 log=None) -> dict:
     """Re-evaluate the highest-fitness payloads with long training, pick
     the best by validation, retrain it from scratch with peak-validation
@@ -300,41 +293,29 @@ def retrain_top(archive: list[tuple[dict, float]], n_top: int,
     ranked = sorted(archive, key=lambda pf: -pf[1])[:max(1, n_top)]
     scored = []
     for i, (payload, short_fitness) in enumerate(ranked):
-        val = _long_eval(payload, long_iters, ctr_long, seed_shift=1000 + i)
+        val = _long_eval(payload.lengthened(long_iters, ctr_long, 1000 + i))
         scored.append((val, payload))
         if log:
             log(f"retrain candidate {i}: short {short_fitness:.4f} "
                 f"-> long val {val:.4f}")
     scored.sort(key=lambda vp: -vp[0])
     best_val, best_payload = scored[0]
-    report = _final_test_eval(best_payload, long_iters, ctr_long)
+    report = _final_test_eval(
+        best_payload.lengthened(long_iters, ctr_long, 2000), long_iters)
     report["selected_val_accuracy"] = best_val
     return report
 
 
-def _with_iters(payload: dict, long_iters: int, ctr_long: dict | None,
-                seed_shift: int) -> dict:
-    p = dict(payload)
-    p["seed"] = int(payload["seed"]) + seed_shift
-    if p["algorithm"] == "cmtr" and ctr_long:
-        p["ctr"] = dict(ctr_long)
-    else:
-        p["train_iters"] = long_iters
-    return p
-
-
-def _long_eval(payload, long_iters, ctr_long, seed_shift) -> float:
-    p = _with_iters(payload, long_iters, ctr_long, seed_shift)
-    model, spec, fitness = train_payload(p, lr_decay=True)
+def _long_eval(payload: Payload) -> float:
+    model, spec, fitness = train_payload(payload, lr_decay=True)
     if fitness is None:
         fitness = evaluate_accuracy(model, spec, "val")[1]
     return fitness
 
 
-def _final_test_eval(payload, long_iters, ctr_long) -> dict:
+def _final_test_eval(payload: Payload, long_iters: int) -> dict:
     """From-scratch retraining of the winner with peak-validation
     snapshotting, then the one sanctioned test-split read."""
-    p = _with_iters(payload, long_iters, ctr_long, seed_shift=2000)
     model, spec, _ = train_payload(
-        p, lr_decay=True, snapshot_every=max(1, long_iters // 10))
-    return {"payload": p, **final_report(model, spec)}
+        payload, lr_decay=True, snapshot_every=max(1, long_iters // 10))
+    return {"payload": to_obj(payload), **final_report(model, spec)}

@@ -10,11 +10,11 @@ for 30000 iterations).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
+from .dataset import DatasetRef, DirRef, SynthParams, SynthRef
 from .errors import ConfigError, ParseError
-from .serialize import field_types, from_obj
+from .serialize import canon_loads, field_types, from_obj
 
 # Seconds a job may run before the coordinator requeues it.
 DEFAULT_DEADLINE_S = 600.0
@@ -101,18 +101,14 @@ class ExperimentConfig:
         if self.data_dir is None and self.synth_tasks < 1:
             raise ConfigError("need a data directory or synth parameters")
 
-    def dataset_ref(self) -> dict:
+    def dataset_ref(self) -> DatasetRef:
         if self.data_dir is not None:
-            return {"dir": self.data_dir, "image_side": self.image_side,
-                    "order_seed": self.order_seed, "split_seed": self.seed}
-        return {"synth": {"seed": self.synth_seed
-                          if self.synth_seed is not None else self.seed,
-                          "n_tasks": self.synth_tasks,
-                          "n_classes": self.synth_classes,
-                          "image_side": self.synth_side,
-                          "noise": self.synth_noise,
-                          "examples_per_class": self.examples_per_class},
-                "split_seed": self.seed}
+            return DirRef(self.data_dir, self.image_side, self.seed,
+                          self.order_seed)
+        return SynthRef(SynthParams(
+            self.seed if self.synth_seed is None else self.synth_seed,
+            self.synth_tasks, self.synth_classes, self.synth_side,
+            self.synth_noise, self.examples_per_class), self.seed)
 
     def effective_image_side(self) -> int:
         return self.image_side if self.data_dir is not None else self.synth_side
@@ -131,12 +127,13 @@ def resolve_config(profile: str | None = None, config_file: str | None = None,
     if config_file:
         try:
             with open(config_file) as f:
-                values = json.load(f)
+                values = canon_loads(f.read())
         except OSError as e:
             raise ConfigError(f"cannot read config file: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ParseError(
-                f"config file {config_file}: bad JSON at {e.pos}") from e
+        except ParseError as e:
+            raise ConfigError(f"config file {config_file}: {e}") from e
+        if type(values) is not dict:
+            raise ConfigError(f"config file {config_file} is not a JSON object")
     # an explicit --profile beats the file's; the file's beats the default
     prof = (profile or (overrides or {}).get("profile")
             or values.get("profile") or cfg.profile)

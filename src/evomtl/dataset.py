@@ -70,7 +70,7 @@ class MultitaskSpec:
         self.tasks = tasks
         self.order_seed = order_seed
         self.image_side = image_side
-        self.ref: dict | None = None
+        self.ref: DatasetRef | None = None
         self._test_unlocked = False
 
     def unlock_test(self) -> "MultitaskSpec":
@@ -82,6 +82,39 @@ class MultitaskSpec:
         if split == "test" and not self._test_unlocked:
             raise StateError("test split is locked during evolution/validation")
         return [task.examples[i] for i in task.split.indices(split)]
+
+
+# --- dataset references ------------------------------------------------------
+# What a job or checkpoint names its data by: a synthetic corpus or a PGM
+# tree, told apart by the "synth" or "dir" key, and the seed of the fixed
+# split. Frozen, so a reference is its own `dataset_scope` key.
+
+
+@dataclass(frozen=True)
+class SynthParams:  # the arguments of `synth_generate`
+    seed: int
+    n_tasks: int
+    n_classes: int
+    image_side: int
+    noise: float
+    examples_per_class: int = 30
+
+
+@dataclass(frozen=True)
+class SynthRef:
+    synth: SynthParams
+    split_seed: int
+
+
+@dataclass(frozen=True)
+class DirRef:  # the arguments of `load_image_dir`
+    dir: str
+    image_side: int
+    split_seed: int
+    order_seed: int = 0
+
+
+DatasetRef = SynthRef | DirRef
 
 
 # --- PGM ingestion ------------------------------------------------------

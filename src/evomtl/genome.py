@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, StateError
-from .serialize import from_obj, to_obj
+from .errors import ConfigError, StateError
 
 SOURCE = 0
 SINK = 1
@@ -116,7 +116,7 @@ class ModuleGenome:
     cmtr_mode: bool = False
     species_id: int | None = None
 
-    kind = "module"
+    kind: ClassVar[str] = "module"
     fitness = None  # this generation's score; never saved
 
     def node_ids(self) -> set[int]:
@@ -133,6 +133,17 @@ class ModuleGenome:
             species_id=self.species_id,
         )
 
+    def check(self) -> list[str]:
+        """All invariant violations (empty list means valid)."""
+        errs = dag_errors(self.node_ids(), self.edges, SOURCE, SINK)
+        if len(self.nodes) > MAX_INTERNAL_NODES:
+            errs.append(f"{len(self.nodes)} internal nodes exceeds cap")
+        for gene in [*self.nodes.values(), self.final_layer]:
+            errs.extend(gene.check())
+        if self.final_layer.kind != "conv2d":
+            errs.append("the tail gene must be a conv2d")
+        return errs
+
 
 @dataclass
 class BlueprintGenome:
@@ -141,7 +152,7 @@ class BlueprintGenome:
     edges: dict[int, tuple[int, int]]
     species_id: int | None = None
 
-    kind = "blueprint"
+    kind: ClassVar[str] = "blueprint"
     fitness = None  # this generation's score; never saved
 
     def node_ids(self) -> set[int]:
@@ -160,6 +171,10 @@ class BlueprintGenome:
             edges=dict(self.edges),
             species_id=self.species_id,
         )
+
+    def check(self) -> list[str]:
+        """All invariant violations (empty list means valid)."""
+        return dag_errors(self.node_ids(), self.edges)
 
 
 def _only_end(adj: dict[int, list[int]], what: str) -> int:
@@ -303,20 +318,6 @@ def dag_errors(node_ids, edges: dict[int, tuple[int, int]],
         errs.append(f"sources: {roots}")
     if len(leaves) != 1 or sink is not None and leaves != [sink]:
         errs.append(f"sinks: {leaves}")
-    return errs
-
-
-def check_genome(g) -> list[str]:
-    """All invariant violations (empty list means valid)."""
-    if g.kind != "module":
-        return dag_errors(g.node_ids(), g.edges)
-    errs = dag_errors(g.node_ids(), g.edges, SOURCE, SINK)
-    if len(g.nodes) > MAX_INTERNAL_NODES:
-        errs.append(f"{len(g.nodes)} internal nodes exceeds cap")
-    for gene in [*g.nodes.values(), g.final_layer]:
-        errs.extend(gene.check())
-    if g.final_layer.kind != "conv2d":
-        errs.append("the tail gene must be a conv2d")
     return errs
 
 
@@ -741,37 +742,3 @@ def speciate_and_reproduce(pop: SpeciesPopulation, elite_frac: float,
     for g in pop.all_members():
         g.fitness = None
     return pop
-
-
-# --- serialization -------------------------------------------------------------
-
-
-def genome_to_obj(g) -> dict:
-    return {"kind": g.kind, **to_obj(g)}
-
-
-def genome_from_obj(obj):
-    kind = obj.get("kind") if type(obj) is dict else None
-    for cls in (ModuleGenome, BlueprintGenome):
-        if kind == cls.kind:
-            break
-    else:
-        raise ParseError(f"genome.kind: want module or blueprint, "
-                         f"got {kind!r}")
-    g = from_obj(cls, {k: v for k, v in obj.items() if k != "kind"}, "genome")
-    errs = check_genome(g)
-    if errs:
-        raise ParseError(f"genome violates invariants: {errs[0]}")
-    return g
-
-
-def hyper_to_obj(h: GlobalHyper) -> dict:
-    return to_obj(h)
-
-
-def hyper_from_obj(obj) -> GlobalHyper:
-    h = from_obj(GlobalHyper, obj, "hyper")
-    errs = h.check()
-    if errs:
-        raise ParseError(f"hyperparameters out of range: {errs[0]}")
-    return h

@@ -1,11 +1,13 @@
 """Evaluation execution: in-process and distributed.
 
-A Job's payload is self-contained: serialized genomes, global
-hyperparameters, algorithm tag, training config, and a dataset reference
-(directory path or synthesis parameters), so any worker can evaluate it
-from scratch. Evaluations are seeded by the payload, which makes replays
-byte-identical; the coordinator therefore runs at-least-once scheduling
-with first-result-wins deduplication.
+A Job's payload is self-contained: genomes, global hyperparameters, a
+seed, a training length and a dataset reference, so any worker can
+evaluate it from scratch. Its class, named by its `algorithm` tag, holds
+all that differs by algorithm: `CmPayload`, `CmsrPayload` (adds a
+blueprint) and `CmtrPayload` (adds routing evolution). Evaluations are
+seeded by the payload, which makes replays byte-identical; the
+coordinator therefore runs at-least-once scheduling with
+first-result-wins deduplication.
 
 A job trains from scratch but need not read its data from scratch: inside
 a `dataset_scope` each dataset reference is built once and its tasks are
@@ -33,17 +35,19 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
 from .assembly import CmGridNet, CmsrNet, realize_module
 from .config import DEFAULT_DEADLINE_S
 from .dataset import (
-    MultitaskSpec, load_image_dir, split_fixed, synth_generate,
+    DatasetRef, MultitaskSpec, SynthRef, load_image_dir, split_fixed,
+    synth_generate,
 )
 from .errors import EvoMtlError, HarnessError, ParseError
-from .genome import genome_from_obj, hyper_from_obj
+from .genome import BlueprintGenome, GlobalHyper, ModuleGenome
 from .routing import run_ctr
 from .serialize import canon_dumps, canon_loads, from_obj, to_obj
 from .training import evaluate_accuracy, train_network
@@ -61,7 +65,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 @dataclass
 class Job:
     job_id: int
-    payload: dict
+    payload: object  # a Payload, or the JSON object a job frame carried
     deadline_s: float = DEFAULT_DEADLINE_S
 
 
@@ -79,11 +83,129 @@ class JobResult:
         return to_obj(self)
 
 
+# --- payloads -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CtrSettings:
+    """A cmtr evaluation's routing evolution; `lr` None trains at the
+    payload's evolved rate."""
+
+    meta_iters: int
+    m_iters: int
+    alpha: float
+    lr: float | None = None
+    eval_subsample: int | None = None
+
+
+@dataclass
+class CmPayload:
+    """One module design per species on the grid; the fitness goes to the
+    genomes `genome_ids` names and to hyperparameter candidate `hyper_id`."""
+
+    algorithm: ClassVar[str] = "cm"
+    modules: list[ModuleGenome]
+    module_ids: list[int]
+    hyper: GlobalHyper
+    hyper_id: int
+    dataset: DatasetRef
+    seed: int
+    train_iters: int
+
+    @classmethod
+    def planned(cls, fields: dict, blueprint, species_ids, ctr):
+        """A planned job's payload: `fields` plus what this class adds."""
+        return cls(**fields)
+
+    def genome_ids(self) -> list[int]:
+        return self.module_ids
+
+    def network(self, spec: MultitaskSpec, rng: np.random.Generator):
+        return CmGridNet(self.modules, self.hyper, *_task_shape(spec), rng)
+
+    def train(self, spec: MultitaskSpec, rng: np.random.Generator,
+              **schedule):
+        """(trained model, fitness, or None to score its validation
+        accuracy); `schedule` goes to `train_network`."""
+        net = build_payload_network(self, spec, rng)
+        train_network(net, spec, self.train_iters, self.hyper.learning_rate,
+                      rng, **schedule)
+        return net, None
+
+    def lengthened(self, long_iters: int, ctr_long: CtrSettings | None,
+                   seed_shift: int):
+        """This evaluation reseeded for long training."""
+        return replace(self, seed=self.seed + seed_shift,
+                       train_iters=long_iters)
+
+
+@dataclass
+class CmsrPayload(CmPayload):
+    """Modules wired by a blueprint; `species_map` maps a species id to
+    its design's index in `modules`."""
+
+    algorithm: ClassVar[str] = "cmsr"
+    blueprint: BlueprintGenome
+    blueprint_id: int
+    species_map: dict[int, int]
+
+    @classmethod
+    def planned(cls, fields: dict, blueprint, species_ids, ctr):
+        return cls(**fields, blueprint=blueprint,
+                   blueprint_id=blueprint.genome_id,
+                   species_map={s: i for i, s in enumerate(species_ids)})
+
+    def genome_ids(self) -> list[int]:
+        return [*self.module_ids, self.blueprint_id]
+
+    def network(self, spec: MultitaskSpec, rng: np.random.Generator):
+        modules = {s: self.modules[i] for s, i in self.species_map.items()}
+        return CmsrNet(self.blueprint, modules, self.hyper,
+                       *_task_shape(spec), rng)
+
+
+@dataclass
+class CmtrPayload(CmPayload):
+    """Routing evolution over `hyper.k_modules` realized modules, cycling
+    the designs; the fitness is its best checkpointed mean."""
+
+    algorithm: ClassVar[str] = "cmtr"
+    ctr: CtrSettings
+
+    @classmethod
+    def planned(cls, fields: dict, blueprint, species_ids, ctr):
+        return cls(**fields, ctr=ctr)
+
+    def train(self, spec: MultitaskSpec, rng: np.random.Generator,
+              **schedule):
+        h, c = self.hyper, self.ctr
+        modules = [realize_module(self.modules[k % len(self.modules)], h,
+                                  rng, f"m{k}") for k in range(h.k_modules)]
+        final, best, _ = run_ctr(modules, spec, c.meta_iters, c.m_iters,
+                                 c.alpha, c.lr or h.learning_rate, rng,
+                                 eval_subsample=c.eval_subsample)
+        return final, best
+
+    def lengthened(self, long_iters: int, ctr_long: CtrSettings | None,
+                   seed_shift: int):
+        return replace(self, seed=self.seed + seed_shift,
+                       ctr=ctr_long or self.ctr)
+
+
+Payload = CmPayload | CmsrPayload | CmtrPayload
+PAYLOADS = {cls.algorithm: cls for cls in Payload.__args__}
+
+
+def _task_shape(spec: MultitaskSpec):
+    return ([t.task_id for t in spec.tasks], [t.class_count for t in spec.tasks],
+            spec.image_side)
+
+
 # --- payload evaluation -------------------------------------------------------
 
 
 # Per thread: the corpora built inside the open `dataset_scope`, by
-# canonical dataset reference; None outside a scope.
+# dataset reference; None outside a scope.
 _scope = threading.local()
 
 
@@ -92,11 +214,11 @@ def dataset_scope():
     """Build each dataset at most once until the block exits.
 
     Inside the scope `build_dataset` keeps every corpus it builds, keyed
-    by the canonical reference, and later calls for the same reference
-    reuse it. A run opens one around all of its work, a worker one per
-    coordinator connection, so nothing outlives the run that read it: a
-    later scope reads the files again. The scope belongs to the thread
-    that opened it; a nested scope joins the open one."""
+    by its reference, and later calls for the same reference reuse it. A
+    run opens one around all of its work, a worker one per coordinator
+    connection, so nothing outlives the run that read it: a later scope
+    reads the files again. The scope belongs to the thread that opened
+    it; a nested scope joins the open one."""
     if getattr(_scope, "built", None) is not None:
         yield
         return
@@ -107,7 +229,7 @@ def dataset_scope():
         _scope.built = None
 
 
-def build_dataset(ref: dict) -> MultitaskSpec:
+def build_dataset(ref: DatasetRef) -> MultitaskSpec:
     """Materialize the dataset a payload references and apply the fixed
     split. Pure function of the reference, so every worker sees the same
     bytes.
@@ -120,83 +242,38 @@ def build_dataset(ref: dict) -> MultitaskSpec:
     if built is None:
         spec = _build_dataset(ref)
     else:
-        key = canon_dumps(ref)
-        spec = built.get(key)
+        spec = built.get(ref)
         if spec is None:
-            spec = built[key] = _build_dataset(ref)
+            spec = built[ref] = _build_dataset(ref)
         spec = MultitaskSpec(spec.tasks, spec.order_seed, spec.image_side)
     spec.ref = ref
     return spec
 
 
-def _build_dataset(ref: dict) -> MultitaskSpec:
-    if "synth" in ref:
-        s = ref["synth"]
-        spec = synth_generate(int(s["seed"]), int(s["n_tasks"]),
-                              int(s["n_classes"]), int(s["image_side"]),
-                              float(s["noise"]),
-                              int(s.get("examples_per_class", 30)))
-    elif "dir" in ref:
-        spec = load_image_dir(ref["dir"], int(ref["image_side"]),
-                              int(ref.get("order_seed", 0)))
+def _build_dataset(ref: DatasetRef) -> MultitaskSpec:
+    if isinstance(ref, SynthRef):
+        spec = synth_generate(**vars(ref.synth))
     else:
-        raise ParseError(f"dataset reference {ref} has neither synth nor dir")
-    return split_fixed(spec, int(ref["split_seed"]))
+        spec = load_image_dir(ref.dir, ref.image_side, ref.order_seed)
+    return split_fixed(spec, ref.split_seed)
 
 
-def build_payload_network(payload: dict, spec, rng: np.random.Generator):
+def build_payload_network(payload: Payload, spec, rng: np.random.Generator):
     """Assemble the (untrained) network a cm/cmsr payload describes."""
-    hyper = hyper_from_obj(payload["hyper"])
-    modules = [genome_from_obj(o) for o in payload["modules"]]
-    tids = [t.task_id for t in spec.tasks]
-    cls = [t.class_count for t in spec.tasks]
-    if payload["algorithm"] == "cm":
-        return CmGridNet(modules, hyper, tids, cls, spec.image_side, rng)
-    if payload["algorithm"] == "cmsr":
-        blueprint = genome_from_obj(payload["blueprint"])
-        species_map = {int(s): modules[i]
-                       for s, i in payload["species_map"].items()}
-        return CmsrNet(blueprint, species_map, hyper, tids, cls,
-                       spec.image_side, rng)
-    raise ParseError(f"no network form for algorithm {payload['algorithm']!r}")
+    return payload.network(spec, rng)
 
 
-def realize_payload_modules(payload: dict, rng: np.random.Generator):
-    """Expand the ordered module set to k_modules realized instances,
-    cycling the designs; every slot gets separate fresh weights."""
-    hyper = hyper_from_obj(payload["hyper"])
-    genomes = [genome_from_obj(o) for o in payload["modules"]]
-    return [realize_module(genomes[k % len(genomes)], hyper, rng, f"m{k}")
-            for k in range(hyper.k_modules)]
-
-
-def train_payload(payload: dict, *, lr_decay: bool = False,
-                  snapshot_every: int | None = None):
+def train_payload(payload: Payload, **schedule):
     """Build and train the model a payload describes, seeded by it;
-    returns (model, spec, fitness or None). A cm/cmsr network trains for
-    `train_iters`; a cmtr payload runs routing evolution, whose fitness is
-    its best checkpointed mean validation accuracy."""
-    spec = build_dataset(payload["dataset"])
-    rng = np.random.default_rng(int(payload["seed"]))
-    hyper = hyper_from_obj(payload["hyper"])
-    if payload["algorithm"] in ("cm", "cmsr"):
-        net = build_payload_network(payload, spec, rng)
-        train_network(net, spec, int(payload["train_iters"]),
-                      hyper.learning_rate, rng, lr_decay=lr_decay,
-                      snapshot_every=snapshot_every)
-        return net, spec, None
-    if payload["algorithm"] == "cmtr":
-        ctr = payload["ctr"]
-        modules = realize_payload_modules(payload, rng)
-        final, best, _ = run_ctr(
-            modules, spec, int(ctr["meta_iters"]), int(ctr["m_iters"]),
-            float(ctr["alpha"]), float(ctr.get("lr") or hyper.learning_rate),
-            rng, eval_subsample=ctr.get("eval_subsample"))
-        return final, spec, best
-    raise ParseError(f"unknown algorithm {payload['algorithm']!r}")
+    returns (model, spec, fitness or None). `schedule` (lr_decay,
+    snapshot_every) goes to a cm/cmsr network's `train_network`."""
+    spec = build_dataset(payload.dataset)
+    model, fitness = payload.train(spec, np.random.default_rng(payload.seed),
+                                   **schedule)
+    return model, spec, fitness
 
 
-def evaluate_payload(payload: dict):
+def evaluate_payload(payload: Payload):
     """Run one evaluation; returns (fitness, per_task accuracies)."""
     model, spec, fitness = train_payload(payload)
     per_task, mean = evaluate_accuracy(model, spec, "val")
@@ -204,9 +281,12 @@ def evaluate_payload(payload: dict):
 
 
 def evaluate_local(job: Job, worker_id: str = "local") -> JobResult:
+    """Evaluate a job in this process. Its payload is decoded here, once,
+    so one that does not decode is a failed result like any other."""
     start = time.monotonic()
     try:
-        fitness, per_task = evaluate_payload(job.payload)
+        fitness, per_task = evaluate_payload(
+            from_obj(Payload, job.payload, "payload"))
     except (EvoMtlError, KeyError, TypeError, ValueError) as e:
         return JobResult(job.job_id, "failed", worker_id=worker_id,
                          wall_time_s=time.monotonic() - start,

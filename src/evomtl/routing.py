@@ -28,8 +28,7 @@ from .diffcore import (
 from .errors import AssemblyError, ConfigError, NumericError, ParseError, \
     StateError
 from .genome import GlobalHyper, LayerGene, ModuleGenome, SINK, SOURCE, \
-    dag_errors, genome_from_obj, genome_to_obj, hyper_from_obj, \
-    hyper_to_obj, reachable, topo_order
+    dag_errors, reachable, topo_order
 from .assembly import ModuleInstance, empty_input, make_decoders, \
     out_side, realize_module
 from .dataset import MultitaskSpec
@@ -444,7 +443,7 @@ def run_ctr(modules, spec: MultitaskSpec, meta_iters: int, m_iters: int,
     if checkpoint_path is not None:
         payload = canon_loads(state.checkpoint_bytes)
         payload.update(history=history, rng_state=rng.bit_generator.state,
-                       dataset=spec.ref)
+                       dataset=to_obj(spec.ref))
         atomic_write_text(checkpoint_path, canon_dumps(payload))
     return final, state.best_avg_val, history
 
@@ -480,8 +479,8 @@ def _param_from_obj(obj) -> Param:
 
 def module_instance_to_obj(inst: ModuleInstance) -> dict:
     return {
-        "genome": genome_to_obj(inst.genome),
-        "ghyper": hyper_to_obj(inst.ghyper),
+        "genome": to_obj(inst.genome),
+        "ghyper": to_obj(inst.ghyper),
         "label": inst.label,
         "params": {k: _param_obj(p) for k, p in inst.params.items()},
         "scales": {str(n): _param_obj(p)
@@ -495,9 +494,10 @@ def module_instance_from_obj(obj) -> ModuleInstance:
                             for key, pobj in obj["params"].items()},
                  "scales": {int(n): _param_from_obj(pobj)
                             for n, pobj in obj["scales"].items()}}
-        return ModuleInstance(genome_from_obj(obj["genome"]),
-                              hyper_from_obj(obj["ghyper"]), None,
-                              obj["label"], saved=saved)
+        return ModuleInstance(
+            from_obj(ModuleGenome, obj["genome"], "module instance.genome"),
+            from_obj(GlobalHyper, obj["ghyper"], "module instance.ghyper"),
+            None, obj["label"], saved=saved)
 
 
 def _individual_obj(ind: RoutingIndividual) -> dict:

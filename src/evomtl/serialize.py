@@ -2,15 +2,18 @@
 protocol. Arrays are embedded as base64 of their raw float64 bytes so
 round-trips are bit-exact.
 
-Dataclasses (genomes, hyperparameters, jobs, results, the experiment
-config, routing nodes) have one codec. `to_obj` writes a dataclass as
-`{field: value}`, recursing through dicts (keys become strings), lists
-and tuples. `from_obj` rebuilds a value from its type hint: a dataclass
-by field name, where a missing field takes its default and an unknown key
-is an error; `X | None`; `dict[K, V]` with keys parsed by K; `tuple[...]`
-from a list; and scalars by exact type. An int passes for a float (and
-becomes one), a bool never passes for an int, and None only where the
-hint allows it. Anything else is a ParseError naming the path, e.g.
+Dataclasses (genomes, hyperparameters, payloads, dataset references,
+jobs, results, the config, routing nodes) have one codec. `to_obj` writes
+a dataclass as `{field: value}` plus its tags, the `ClassVar[str]`
+constants such as a genome's `kind`, recursing through dicts (keys become
+strings), lists and tuples. `from_obj` rebuilds a value from its type
+hint: a dataclass by field name (a missing field takes its default; an
+unknown key, a wrong tag or a violation its `check()` lists is an error);
+a union by the tags, then the keys, of the object; `list[X]`;
+`dict[K, V]` with keys parsed by K; `tuple[...]` from a list; `object` as
+it is; and scalars by exact type. An int passes for a float (and becomes
+one), a bool never passes for an int, and None only where the hint allows
+it. Anything else is a ParseError naming the path, e.g.
 `genome.share_flag`.
 """
 
@@ -51,8 +54,8 @@ def to_obj(x):
     """The JSON form of a dataclass, dict, list or tuple; other values
     are returned as they are."""
     if dataclasses.is_dataclass(x):
-        return {f.name: to_obj(getattr(x, f.name))
-                for f in dataclasses.fields(x)}
+        return {**tags(type(x)), **{f.name: to_obj(getattr(x, f.name))
+                                    for f in dataclasses.fields(x)}}
     if isinstance(x, dict):
         return {str(k): to_obj(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -67,24 +70,45 @@ def field_types(cls) -> dict:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
+@functools.cache
+def tags(cls) -> dict:
+    """A dataclass's `ClassVar` constants by name; read only."""
+    return {k: getattr(cls, k) for k, h in typing.get_type_hints(cls).items()
+            if typing.get_origin(h) is typing.ClassVar}
+
+
+def _member(args, obj):
+    """The union member `obj` describes: of those whose tags it holds, the
+    first with a field for each of its keys, else the first; or None."""
+    def plain(a):
+        return not dataclasses.is_dataclass(a) or type(obj) is a
+    tagged = [a for a in args if plain(a) or type(obj) is dict and all(
+        obj.get(k) == v for k, v in tags(a).items())]
+    return next((a for a in tagged if plain(a) or set(obj) <= {
+        *field_types(a), *tags(a)}), tagged[0] if tagged else None)
+
+
 def from_obj(hint, obj, where: str):
     """The value of type `hint` that `obj`, parsed JSON, describes; a
     ParseError naming the path `where` if it describes none."""
-    if type(obj) is hint:
+    if type(obj) is hint or hint is object:
         return obj
     if hint is float and type(obj) is int:
         return float(obj)
     if dataclasses.is_dataclass(hint) and type(obj) is dict:
-        hints = field_types(hint)
-        values = {k: from_obj(hints[k], v, f"{where}.{k}") if k in hints
-                  else v for k, v in obj.items()}
-        try:
-            return hint(**values)
-        except TypeError as e:  # an unknown field, or a missing one
-            raise ParseError(f"{where}: {e}") from e
+        return _dataclass(hint, obj, where)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is types.UnionType:  # X | None, the only union read here
-        return None if obj is None else from_obj(args[0], obj, where)
+    if origin is types.UnionType:
+        if obj is None and type(None) in args:
+            return None
+        member = _member([a for a in args if a is not type(None)], obj)
+        if member is None:
+            raise ParseError(f"{where}: want "
+                             f"{' | '.join(a.__name__ for a in args)}, "
+                             f"got {obj!r:.80}")
+        return from_obj(member, obj, where)
+    if origin is list and type(obj) is list:
+        return [from_obj(args[0], v, f"{where}.{i}") for i, v in enumerate(obj)]
     if origin is dict and type(obj) is dict:
         return {_key(args[0], k, where): from_obj(args[1], v, f"{where}.{k}")
                 for k, v in obj.items()}
@@ -95,6 +119,24 @@ def from_obj(hint, obj, where: str):
             return tuple(from_obj(a, v, f"{where}.{i}")
                          for i, (a, v) in enumerate(zip(args, obj)))
     raise ParseError(f"{where}: want {hint.__name__}, got {obj!r:.80}")
+
+
+def _dataclass(cls, obj: dict, where: str):
+    """The `cls` that the JSON object `obj` describes."""
+    hints, consts = field_types(cls), tags(cls)
+    for k, v in consts.items():
+        if obj.get(k) != v:
+            raise ParseError(f"{where}.{k}: want {v!r}, got {obj.get(k)!r:.80}")
+    values = {k: from_obj(hints[k], v, f"{where}.{k}") if k in hints else v
+              for k, v in obj.items() if k not in consts}
+    try:
+        value = cls(**values)
+    except TypeError as e:  # an unknown field, or a missing one
+        raise ParseError(f"{where}: {e}") from e
+    errs = value.check() if hasattr(cls, "check") else None
+    if errs:
+        raise ParseError(f"{where}: {errs[0]}")
+    return value
 
 
 def _key(hint, key: str, where: str):

@@ -115,11 +115,16 @@ def evaluate_accuracy(net, spec: MultitaskSpec, split: str):
     return per_task, mean
 
 
-def final_report(model, spec: MultitaskSpec) -> dict:
-    """Score val, then unlock and score test: the one place a run reads
-    the test split."""
-    val_per_task, val_mean = evaluate_accuracy(model, spec, "val")
+def score_test(model, spec: MultitaskSpec):
+    """Unlock and score the test split: the one place anything reads it.
+    Returns per-task and mean accuracy."""
     spec.unlock_test()
-    test_per_task, test_mean = evaluate_accuracy(model, spec, "test")
+    return evaluate_accuracy(model, spec, "test")
+
+
+def final_report(model, spec: MultitaskSpec) -> dict:
+    """Score val, then test."""
+    val_per_task, val_mean = evaluate_accuracy(model, spec, "val")
+    test_per_task, test_mean = score_test(model, spec)
     return {"val_per_task": val_per_task, "val_accuracy": val_mean,
             "test_per_task": test_per_task, "test_accuracy": test_mean}

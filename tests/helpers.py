@@ -1,7 +1,7 @@
 """Test references that the package itself never calls: a finite-
 difference gradient check, a PGM writer for image-directory fixtures,
-the output divergence of two routing individuals, and the side of every
-routing node."""
+the output divergence of two routing individuals, the side of every
+routing node, and a payload that only names genomes."""
 
 from __future__ import annotations
 
@@ -13,6 +13,8 @@ import numpy as np
 from evomtl.assembly import empty_input
 from evomtl.diffcore import BatchForward, ParamBlock, backward, zero_grads
 from evomtl.errors import StateError
+from evomtl.genome import GlobalHyper
+from evomtl.harness import CmPayload
 from evomtl.routing import route
 from evomtl.training import batched_forward
 
@@ -120,3 +122,10 @@ def node_sides(graph, modules, image_side: int) -> dict[int, int]:
     """Output side per routing node, from `route` on an empty batch."""
     vals = route(BatchForward(), graph, modules, empty_input(image_side))
     return {n: v.shape[0] for n, v in vals.items()}
+
+
+def naming_payload(module_ids: list[int]) -> CmPayload:
+    """A cm payload that names the genomes `module_ids` and holds nothing
+    to evaluate; for fitness attribution tests."""
+    return CmPayload(modules=[], module_ids=module_ids, hyper=GlobalHyper(),
+                     hyper_id=0, dataset=None, seed=0, train_iters=0)

@@ -18,18 +18,19 @@ from evomtl.coevolve import (
     GenerationPlan, HyperPopulation, attribute_fitness, run_generation_loop,
 )
 from evomtl.dataset import (
-    MultitaskSpec, Split, TaskDataset, split_fixed, synth_generate,
+    MultitaskSpec, Split, SynthParams, SynthRef, TaskDataset, split_fixed,
+    synth_generate,
 )
 from evomtl.diffcore import (
     CompGraph, Param, softmax,
 )
 from evomtl.errors import StateError
 from evomtl.genome import (
-    GlobalHyper, LayerGene, MutationRates, check_genome, crossover,
+    GlobalHyper, LayerGene, MutationRates, crossover,
     init_blueprint_population, init_module_population, mutate,
 )
 from evomtl.harness import (
-    Coordinator, Job, JobResult, local_evaluator, run_worker,
+    CmPayload, Coordinator, Job, JobResult, local_evaluator, run_worker,
     serve_coordinator,
 )
 from evomtl.routing import (
@@ -37,7 +38,7 @@ from evomtl.routing import (
     mutate_challenger, new_edge_logit, run_ctr,
 )
 from evomtl.training import evaluate_accuracy, train_network
-from helpers import grad_check, output_divergence
+from helpers import grad_check, naming_payload, output_divergence
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -163,7 +164,7 @@ def test_criterion_05_dag_safety():
     for _ in range(4000):
         child = mutate(pool[r.integers(len(pool))], pop.tracker, r, rates)
         total += 1
-        violations += bool(check_genome(child))
+        violations += bool(child.check())
         pool.append(child)
         pool = pool[-64:]
     # module crossovers
@@ -173,7 +174,7 @@ def test_criterion_05_dag_safety():
         child = crossover(pool[r.integers(len(pool))],
                           pool[r.integers(len(pool))], r, pop.tracker)
         total += 1
-        violations += bool(check_genome(child))
+        violations += bool(child.check())
     # blueprints
     bpop = init_blueprint_population(8, [1, 2, 3], rng(52))
     bpool = list(bpop.all_members())
@@ -181,7 +182,7 @@ def test_criterion_05_dag_safety():
         child = mutate(bpool[r.integers(len(bpool))], bpop.tracker, r, rates,
                        species_ids=[1, 2, 3])
         total += 1
-        violations += bool(check_genome(child))
+        violations += bool(child.check())
         bpool.append(child)
         bpool = bpool[-64:]
     for g in bpool:
@@ -190,7 +191,7 @@ def test_criterion_05_dag_safety():
         child = crossover(bpool[r.integers(len(bpool))],
                           bpool[r.integers(len(bpool))], r, bpop.tracker)
         total += 1
-        violations += bool(check_genome(child))
+        violations += bool(child.check())
     # routing graphs
     spec = split_fixed(synth_generate(53, 1, 3, 16, 0.1), 0)
     modules = default_ctr_modules(3, 16, rng(54))
@@ -299,7 +300,7 @@ def test_criterion_08_attribution_oracle():
             n = int(r.integers(1, len(members) + 1))
             ids = [g.genome_id for g in members[:n]]
             r.shuffle(ids)
-            jobs.append(Job(j, {"module_ids": list(ids), "modules": []}))
+            jobs.append(Job(j, naming_payload(list(ids))))
             results[j] = (JobResult(j, "ok", fitness=float(r.random()))
                           if r.random() < 0.8 else JobResult(j, "failed"))
         attribute_fitness(jobs, results, pop)
@@ -308,7 +309,7 @@ def test_criterion_08_attribution_oracle():
             res = results[job.job_id]
             if res.status != "ok":
                 continue
-            for gid in job.payload["module_ids"]:
+            for gid in job.payload.module_ids:
                 table.setdefault(gid, []).append(res.fitness)
         for g in members:
             want = (sum(table[g.genome_id]) / len(table[g.genome_id])
@@ -406,9 +407,7 @@ def test_criterion_11_multitask_direction():
 # -- 12. sharing-mode ablation -------------------------------------------------------------
 
 def test_criterion_12_sharing_ablation():
-    dataset_ref = {"synth": {"seed": 12, "n_tasks": 3, "n_classes": 3,
-                             "image_side": 8, "noise": 0.1},
-                   "split_seed": 12}
+    dataset_ref = SynthRef(SynthParams(12, 3, 3, 8, 0.1), split_seed=12)
     results = {}
     for mode in ("enabled", "disabled", "evolved"):
         bests = []
@@ -449,19 +448,13 @@ def _free_port():
 
 
 def _cm_payload(train_iters, seed):
-    from evomtl.genome import genome_to_obj, hyper_to_obj
     pop = init_module_population(2, 2, rng(13))
-    return {
-        "algorithm": "cm",
-        "modules": [genome_to_obj(g) for g in pop.all_members()],
-        "module_ids": [g.genome_id for g in pop.all_members()],
-        "hyper": hyper_to_obj(GlobalHyper(k_modules=2, depth=2)),
-        "hyper_id": 0,
-        "dataset": {"synth": {"seed": 1, "n_tasks": 2, "n_classes": 3,
-                              "image_side": 12, "noise": 0.1},
-                    "split_seed": 2},
-        "seed": seed, "train_iters": train_iters,
-    }
+    return CmPayload(
+        modules=pop.all_members(),
+        module_ids=[g.genome_id for g in pop.all_members()],
+        hyper=GlobalHyper(k_modules=2, depth=2), hyper_id=0,
+        dataset=SynthRef(SynthParams(1, 2, 3, 12, 0.1), split_seed=2),
+        seed=seed, train_iters=train_iters)
 
 
 def _serve(addr, jobs, global_timeout_s):

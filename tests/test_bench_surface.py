@@ -15,9 +15,8 @@ import numpy as np
 import evomtl
 import evomtl.cli
 from evomtl import harness
-from evomtl.genome import (
-    GlobalHyper, genome_to_obj, hyper_to_obj, init_module_population,
-)
+from evomtl.dataset import SynthParams, SynthRef
+from evomtl.genome import GlobalHyper, init_module_population
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -37,18 +36,12 @@ def _cm_job() -> harness.Job:
     for g in pop.all_members():
         for gene in g.nodes.values():
             gene.kind, gene.kernel_size = "conv2d", 3
-    return harness.Job(0, {
-        "algorithm": "cm",
-        "modules": [genome_to_obj(g) for g in pop.all_members()],
-        "module_ids": [g.genome_id for g in pop.all_members()],
-        "hyper": hyper_to_obj(GlobalHyper(k_modules=2, depth=2)),
-        "hyper_id": 0,
-        "dataset": {"synth": {"seed": 1, "n_tasks": 2, "n_classes": 3,
-                              "image_side": 8, "noise": 0.1},
-                    "split_seed": 2},
-        "seed": 9,
-        "train_iters": 3,
-    })
+    return harness.Job(0, harness.CmPayload(
+        modules=pop.all_members(),
+        module_ids=[g.genome_id for g in pop.all_members()],
+        hyper=GlobalHyper(k_modules=2, depth=2), hyper_id=0,
+        dataset=SynthRef(SynthParams(1, 2, 3, 8, 0.1), split_seed=2),
+        seed=9, train_iters=3))
 
 
 def test_full_tracer_runs_ctr_and_a_cm_job(tmp_path, monkeypatch):

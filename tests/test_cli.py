@@ -6,7 +6,8 @@ import pytest
 
 from evomtl.cli import main
 from evomtl.dot import module_dot
-from evomtl.genome import genome_from_obj
+from evomtl.genome import ModuleGenome
+from evomtl.serialize import from_obj
 
 
 def run_cli(args, capsys=None):
@@ -75,6 +76,27 @@ def test_report_empty_file(tmp_path, capsys):
     assert "h.jsonl" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    '{"generation": 1, "best_fitness": %s, "mean_fitness": 0.5}' % ("9" * 5000),
+    "[1,2]",
+], ids=["int-past-the-digit-limit", "not-an-object"])
+def test_report_on_a_bad_record_is_an_error_line(tmp_path, capsys, line):
+    history = tmp_path / "h.jsonl"
+    history.write_text(line + "\n")
+    assert main(["report", str(history)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "h.jsonl" in err
+
+
+def test_a_config_file_with_an_int_past_the_digit_limit_is_a_usage_error(
+        tmp_path, capsys):
+    cfile = tmp_path / "c.json"
+    cfile.write_text('{"seed": %s}' % ("9" * 5000))
+    assert main(["run", "--algorithm", "ctr", "--plan-only",
+                 "--config", str(cfile)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_export_dot_chain_and_diamond(tmp_path, capsys):
     out = str(tmp_path / "run")
     code = main(["run", "--algorithm", "ctr", "--synth", "2x3x8", "--seed",
@@ -122,8 +144,8 @@ def test_export_dot_module_from_a_best_network(tmp_path, capsys):
     code = main(["export-dot", "--checkpoint", str(ckpt), "--module",
                  str(last)])
     assert code == 0
-    assert capsys.readouterr().out == module_dot(genome_from_obj(mods[last]),
-                                                 f"module_{last}")
+    assert capsys.readouterr().out == module_dot(
+        from_obj(ModuleGenome, mods[last], "genome"), f"module_{last}")
     code = main(["export-dot", "--checkpoint", str(ckpt), "--module",
                  str(len(mods))])
     assert code == 1
@@ -185,8 +207,14 @@ def test_eval_test_rejects_a_checkpoint_missing_a_field(tmp_path, capsys):
     (["export-dot", "--module", "0"], '{"kind":"best_network","payload":[1]}'),
     (["eval-test"], "[1,2]"),
     (["export-dot", "--module", "0"], '"best_network"'),
+    (["eval-test"], '{"kind":"ctr_state","dataset":'
+                    '{"synth":{"seed":1},"split_seed":7}}'),
+    (["eval-test"], '{"kind":"ctr_state","dataset":{"synth":{"seed":true,'
+                    '"n_tasks":"2","n_classes":3.2,"image_side":8,'
+                    '"noise":"0.1"},"split_seed":7}}'),
 ], ids=["best-network-without-payload", "payload-not-an-object",
-        "eval-test-on-a-list", "export-dot-on-a-string"])
+        "eval-test-on-a-list", "export-dot-on-a-string",
+        "incomplete-dataset", "mistyped-dataset"])
 def test_a_checkpoint_that_is_not_the_expected_object_is_an_error_line(
         tmp_path, capsys, command, text):
     ckpt = tmp_path / "ckpt.json"
@@ -194,6 +222,30 @@ def test_a_checkpoint_that_is_not_the_expected_object_is_an_error_line(
     assert main([*command, "--checkpoint", str(ckpt)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("dataset, field", [
+    ({"synth": {"seed": 1}, "split_seed": 7}, "checkpoint.dataset.synth"),
+    ({"synth": {"seed": True, "n_tasks": "2", "n_classes": 3.2,
+                "image_side": 8, "noise": "0.1"}, "split_seed": 3},
+     "checkpoint.dataset.synth.seed"),
+], ids=["incomplete", "mistyped"])
+def test_eval_test_refuses_a_damaged_dataset_reference(tmp_path, capsys,
+                                                        dataset, field):
+    # neither a missing field nor a text or bool number may reach the
+    # dataset build: each is an error line naming the field
+    out = tmp_path / "run"
+    assert main(["run", "--algorithm", "ctr", "--synth", "2x3x8", "--seed",
+                 "3", "--meta-iters", "1", "--m-iters", "2", "--k-modules",
+                 "2", "--out", str(out)]) == 0
+    ckpt = out / "ctr_checkpoint.json"
+    obj = json.loads(ckpt.read_text())
+    obj["dataset"] = dataset
+    ckpt.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["eval-test", "--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
 
 
 def test_run_reproducible_history(tmp_path):

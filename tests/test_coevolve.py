@@ -6,26 +6,27 @@ import pytest
 from evomtl.coevolve import (
     FitnessRecord, GenerationPlan, HyperPopulation, attribute_fitness, plan_generation, retrain_top, run_generation_loop,
 )
+from evomtl.dataset import SynthParams, SynthRef
 from evomtl.errors import ConfigError, StateError
 from evomtl.genome import init_blueprint_population, init_module_population
-from evomtl.harness import Job, JobResult
-from evomtl.serialize import canon_dumps
+from evomtl.harness import CtrSettings, Job, JobResult
+from evomtl.serialize import canon_dumps, to_obj
+from helpers import naming_payload
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-DATASET = {"synth": {"seed": 5, "n_tasks": 2, "n_classes": 3,
-                     "image_side": 8, "noise": 0.1},
-           "split_seed": 5}
+DATASET = SynthRef(SynthParams(5, 2, 3, 8, 0.1), split_seed=5)
 
 
 def stub_evaluator(jobs: list[Job]) -> list[JobResult]:
     """Deterministic payload-hash fitness; for loop tests only."""
     out = []
     for job in jobs:
-        digest = hashlib.sha256(canon_dumps(job.payload).encode()).digest()
+        digest = hashlib.sha256(
+            canon_dumps(to_obj(job.payload)).encode()).digest()
         fitness = int.from_bytes(digest[:4], "big") / 2 ** 32
         out.append(JobResult(job.job_id, "ok", fitness=fitness,
                              per_task={}, worker_id="stub"))
@@ -45,10 +46,10 @@ def test_plan_generation_counts_and_coverage():
     jobs = plan_generation(make_plan(), pop, None, hpop, DATASET, rng(3))
     assert len(jobs) == 8
     for job in jobs:
-        assert len(job.payload["modules"]) == 4  # one per species
-        ids = job.payload["module_ids"]
+        assert len(job.payload.modules) == 4  # one per species
+        ids = job.payload.module_ids
         assert len(set(ids)) == 4
-    used = {gid for job in jobs for gid in job.payload["module_ids"]}
+    used = {gid for job in jobs for gid in job.payload.module_ids}
     assert used == {g.genome_id for g in pop.all_members()}
 
 
@@ -56,11 +57,11 @@ def test_plan_generation_cmtr_expansion_kept_as_set():
     pop = init_module_population(4, 2, rng(4), cmtr_mode=True)
     hpop = HyperPopulation(2, rng(5))
     plan = make_plan(algorithm="cmtr",
-                     ctr=dict(meta_iters=1, m_iters=1, alpha=0.1))
+                     ctr=CtrSettings(meta_iters=1, m_iters=1, alpha=0.1))
     jobs = plan_generation(plan, pop, None, hpop, DATASET, rng(6))
     for job in jobs:
-        assert len(job.payload["modules"]) == 2  # designs; slots expand later
-        assert job.payload["ctr"]["meta_iters"] == 1
+        assert len(job.payload.modules) == 2  # designs; slots expand later
+        assert job.payload.ctr.meta_iters == 1
 
 
 def test_plan_generation_cmsr_includes_blueprints():
@@ -69,11 +70,10 @@ def test_plan_generation_cmsr_includes_blueprints():
     hpop = HyperPopulation(2, rng(9))
     jobs = plan_generation(make_plan(algorithm="cmsr"), pop, bpop, hpop,
                            DATASET, rng(10))
-    bids = {job.payload["blueprint_id"] for job in jobs}
+    bids = {job.payload.blueprint_id for job in jobs}
     assert bids == {g.genome_id for g in bpop.all_members()}
     for job in jobs:
-        assert set(job.payload["species_map"]) == \
-            {str(s) for s in pop.species_ids()}
+        assert set(job.payload.species_map) == set(pop.species_ids())
 
 
 def test_plan_empty_species_raises():
@@ -90,9 +90,9 @@ def brute_force_attribution(jobs, results):
         r = results.get(job.job_id)
         if r is None or r.status != "ok":
             continue
-        for gid in job.payload["module_ids"] + \
-                ([job.payload["blueprint_id"]] if "blueprint_id" in job.payload
-                 else []):
+        for gid in job.payload.module_ids + \
+                ([job.payload.blueprint_id]
+                 if hasattr(job.payload, "blueprint_id") else []):
             table.setdefault(gid, []).append(r.fitness)
     return {gid: sum(v) / len(v) for gid, v in table.items()}
 
@@ -103,9 +103,9 @@ def test_attribute_fitness_mean_and_failures():
     gid = members[0].genome_id
     other = members[1].genome_id
     jobs = [
-        Job(0, {"module_ids": [gid, other], "modules": []}),
-        Job(1, {"module_ids": [gid], "modules": []}),
-        Job(2, {"module_ids": [members[2].genome_id], "modules": []}),
+        Job(0, naming_payload([gid, other])),
+        Job(1, naming_payload([gid])),
+        Job(2, naming_payload([members[2].genome_id])),
     ]
     results = {0: JobResult(0, "ok", fitness=0.6),
                1: JobResult(1, "ok", fitness=0.8),
@@ -127,7 +127,7 @@ def test_attribution_oracle_randomized():
         for j in range(int(r.integers(2, 12))):
             ids = [g.genome_id for g in members[:int(r.integers(1, len(members)))]]
             r.shuffle(ids)
-            jobs.append(Job(j, {"module_ids": list(ids), "modules": []}))
+            jobs.append(Job(j, naming_payload(list(ids))))
             if r.random() < 0.8:
                 results[j] = JobResult(j, "ok", fitness=float(r.random()))
             else:

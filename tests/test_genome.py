@@ -5,11 +5,9 @@ from evomtl.config import ExperimentConfig
 from evomtl.errors import ConfigError, ParseError
 from evomtl.genome import (
     KERNEL_SIZES, SINK, SOURCE, BlueprintGenome, BlueprintNode, GlobalHyper,
-    InnovationTracker, LayerGene, ModuleGenome, MutationRates, check_genome,
-    compatibility, crossover, genome_from_obj, genome_to_obj,
-    hyper_from_obj, hyper_to_obj, init_blueprint_population,
-    init_module_population, mutate, mutate_global, random_global_hyper,
-    speciate_and_reproduce,
+    InnovationTracker, LayerGene, ModuleGenome, MutationRates, compatibility,
+    crossover, init_blueprint_population, init_module_population, mutate,
+    mutate_global, random_global_hyper, speciate_and_reproduce,
 )
 from evomtl.harness import Job, JobResult
 from evomtl.routing import RNode
@@ -25,7 +23,7 @@ def test_init_module_population_counts():
     assert len(pop.all_members()) == 50
     assert len(pop.species) == 4
     for g in pop.all_members():
-        assert check_genome(g) == []
+        assert g.check() == []
         assert len(g.nodes) == 1
 
 
@@ -39,8 +37,8 @@ def test_init_module_population_degenerate():
 def test_init_module_population_deterministic():
     a = init_module_population(10, 2, rng(7))
     b = init_module_population(10, 2, rng(7))
-    assert [genome_to_obj(g) for g in a.all_members()] == \
-           [genome_to_obj(g) for g in b.all_members()]
+    assert [to_obj(g) for g in a.all_members()] == \
+           [to_obj(g) for g in b.all_members()]
 
 
 def test_init_blueprints_mean_five_nodes():
@@ -49,7 +47,7 @@ def test_init_blueprints_mean_five_nodes():
     assert 4.5 <= np.mean(sizes) <= 5.5
     assert max(sizes) <= 8
     for g in pop.all_members():
-        assert check_genome(g) == []
+        assert g.check() == []
 
 
 def test_init_blueprints_one_species():
@@ -65,7 +63,7 @@ def test_add_node_split_semantics():
     child = mutate(g, pop.tracker, rng(6), rates)
     assert len(child.nodes) == 2  # chain grew by one node
     assert len(child.edges) == 3
-    assert check_genome(child) == []
+    assert child.check() == []
     # the split edge is gone; a path source -> a -> b -> sink exists
     endpoints = set(child.edges.values())
     assert len({e for e in endpoints}) == 3
@@ -104,7 +102,7 @@ def test_mutation_fuzz_modules():
     for i in range(4000):
         g = genomes[r.integers(len(genomes))]
         child = mutate(g, pop.tracker, r, rates)
-        assert check_genome(child) == [], (i, check_genome(child))
+        assert child.check() == [], (i, child.check())
         genomes.append(child)
         if len(genomes) > 64:
             genomes = genomes[-64:]
@@ -118,7 +116,7 @@ def test_mutation_fuzz_blueprints():
     for i in range(3000):
         g = genomes[r.integers(len(genomes))]
         child = mutate(g, pop.tracker, r, rates, species_ids=[1, 2, 3, 4])
-        assert check_genome(child) == [], (i, check_genome(child))
+        assert child.check() == [], (i, child.check())
         genomes.append(child)
         if len(genomes) > 64:
             genomes = genomes[-64:]
@@ -129,7 +127,7 @@ def test_crossover_self_identity():
     a = pop.all_members()[0]
     a.fitness = 0.5
     child = crossover(a, a, rng(17), pop.tracker)
-    ca, cc = genome_to_obj(a), genome_to_obj(child)
+    ca, cc = to_obj(a), to_obj(child)
     for key in ("nodes", "edges", "share_flag", "final_layer"):
         assert ca[key] == cc[key]
 
@@ -160,7 +158,7 @@ def test_crossover_fuzz_valid():
         a = genomes[r.integers(len(genomes))]
         b = genomes[r.integers(len(genomes))]
         child = crossover(a, b, r, pop.tracker)
-        assert check_genome(child) == [], (i, check_genome(child))
+        assert child.check() == [], (i, child.check())
 
 
 def test_crossover_kind_mismatch():
@@ -202,9 +200,14 @@ def test_reproduction_equal_fitness_allocation_counts():
     assert _allocate([9.0, 1.0], 10) == [9, 1]
 
 
+def genome_from_obj(obj):
+    # a genome of either kind, told apart by its kind tag
+    return from_obj(ModuleGenome | BlueprintGenome, obj, "genome")
+
+
 def serialize(genome) -> bytes:
     # a genome crosses the wire as canonical JSON of its object form
-    return canon_dumps(genome_to_obj(genome)).encode("utf-8")
+    return canon_dumps(to_obj(genome)).encode("utf-8")
 
 
 def deserialize(data: bytes):
@@ -283,14 +286,14 @@ MALFORMED_GENOMES = {
 @pytest.mark.parametrize("kind", ["module", "blueprint"])
 @pytest.mark.parametrize("case", sorted(MALFORMED_GENOMES))
 def test_check_genome_rejects_malformed_graphs(kind, case):
-    assert check_genome(_graph_genome(kind)) == []
+    assert _graph_genome(kind).check() == []
     module_edit, blueprint_edit = MALFORMED_GENOMES[case]
     edit = blueprint_edit if kind == "blueprint" and blueprint_edit else \
         module_edit
     g = _graph_genome(kind, *edit)
-    assert check_genome(g) != []
+    assert g.check() != []
     with pytest.raises(ParseError):
-        genome_from_obj(genome_to_obj(g))
+        genome_from_obj(to_obj(g))
 
 
 def test_hyper_round_trip_and_mutation_ranges():
@@ -298,7 +301,7 @@ def test_hyper_round_trip_and_mutation_ranges():
     for _ in range(50):
         h = random_global_hyper(r)
         assert h.check() == []
-        assert hyper_from_obj(hyper_to_obj(h)) == h
+        assert from_obj(GlobalHyper, to_obj(h), "hyper") == h
         for _ in range(20):
             h = mutate_global(h, r)
             assert h.check() == [], h
@@ -328,10 +331,10 @@ def test_genome_decoder_refuses_a_wrong_type(edit, where):
 
 
 def test_hyper_decoder_refuses_text_depth_flags():
-    obj = hyper_to_obj(GlobalHyper(depth_flags=(True, False)))
+    obj = to_obj(GlobalHyper(depth_flags=(True, False)))
     obj["depth_flags"] = ["no", "no"]
     with pytest.raises(ParseError, match=r"hyper\.depth_flags\.0"):
-        hyper_from_obj(obj)
+        from_obj(GlobalHyper, obj, "hyper")
 
 
 def test_job_result_decoder_refuses_a_text_fitness():
@@ -354,6 +357,34 @@ def test_round_trip_job_result_routing_node_and_config():
         assert from_obj(hint, canon_loads(text), "x") == value
     # a Job frame without deadline_s gets the default
     assert from_obj(Job, {"job_id": 1, "payload": {}}, "job") == Job(1, {})
+
+
+def test_the_kind_tag_is_written_and_checked_by_the_codec():
+    g = init_module_population(1, 1, rng(36)).all_members()[0]
+    obj = to_obj(g)
+    assert obj["kind"] == "module"
+    with pytest.raises(ParseError, match=r"genome\.kind"):
+        from_obj(BlueprintGenome, obj, "genome")
+    del obj["kind"]
+    with pytest.raises(ParseError, match=r"genome\.kind"):
+        from_obj(ModuleGenome, obj, "genome")
+
+
+def test_list_and_union_hints():
+    from evomtl.dataset import DatasetRef, DirRef, SynthParams, SynthRef
+    assert from_obj(list[int], [1, 2], "ids") == [1, 2]
+    with pytest.raises(ParseError, match=r"ids\.1"):
+        from_obj(list[int], [1, "2"], "ids")
+    with pytest.raises(ParseError, match="ids"):
+        from_obj(list[int], "ab", "ids")
+    synth = SynthRef(SynthParams(1, 2, 3, 8, 0.5), split_seed=4)
+    tree = DirRef("data", 8, split_seed=4)
+    for ref in (synth, tree):
+        assert from_obj(DatasetRef, to_obj(ref), "ref") == ref
+    with pytest.raises(ParseError, match="dir"):  # both forms at once
+        from_obj(DatasetRef, {**to_obj(synth), "dir": "data"}, "ref")
+    with pytest.raises(ParseError, match=r"ref\.synth"):
+        from_obj(DatasetRef, {"synth": {"seed": 1}, "split_seed": 7}, "ref")
 
 
 def test_compatibility_zero_for_identical():
@@ -381,6 +412,6 @@ def test_check_genome_rejects_a_dense_tail():
     # a module's tail is sized and run as a conv
     g = _graph_genome("module")
     g.final_layer.kind = "dense"
-    assert check_genome(g) == ["the tail gene must be a conv2d"]
+    assert g.check() == ["the tail gene must be a conv2d"]
     with pytest.raises(ParseError):
-        genome_from_obj(genome_to_obj(g))
+        genome_from_obj(to_obj(g))

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from evomtl import harness
-from evomtl.errors import HarnessError
+from evomtl.dataset import DirRef, SynthParams, SynthRef
+from evomtl.errors import HarnessError, ParseError
 from evomtl.harness import (
-    MAX_FRAME_BYTES, Coordinator, Job, JobResult, distributed_evaluator,
-    evaluate_local, local_evaluator, recv_frame, run_worker, send_frame,
-    serve_coordinator,
+    MAX_FRAME_BYTES, CmPayload, CmtrPayload, Coordinator, CtrSettings, Job,
+    JobResult, distributed_evaluator, evaluate_local, local_evaluator,
+    recv_frame, run_worker, send_frame, serve_coordinator,
 )
-from evomtl.genome import (
-    GlobalHyper, genome_to_obj, hyper_to_obj, init_module_population,
-)
+from evomtl.genome import GlobalHyper, init_module_population
+from evomtl.serialize import to_obj
 
 
 def free_port():
@@ -35,19 +35,13 @@ def make_payload(train_iters=0, n_tasks=2, n_classes=4, side=8, seed=9):
             gene.kind = "conv2d"
             gene.kernel_size = 3
     hyper = GlobalHyper(k_modules=2, depth=2)
-    return {
-        "algorithm": "cm",
-        "modules": [genome_to_obj(g) for g in pop.all_members()],
-        "module_ids": [g.genome_id for g in pop.all_members()],
-        "hyper": hyper_to_obj(hyper),
-        "hyper_id": 0,
-        "dataset": {"synth": {"seed": 1, "n_tasks": n_tasks,
-                              "n_classes": n_classes, "image_side": side,
-                              "noise": 0.1},
-                    "split_seed": 2},
-        "seed": seed,
-        "train_iters": train_iters,
-    }
+    return CmPayload(
+        modules=pop.all_members(),
+        module_ids=[g.genome_id for g in pop.all_members()],
+        hyper=hyper, hyper_id=0,
+        dataset=SynthRef(SynthParams(1, n_tasks, n_classes, side, 0.1),
+                         split_seed=2),
+        seed=seed, train_iters=train_iters)
 
 
 def test_local_untrained_fitness_near_chance():
@@ -64,6 +58,58 @@ def test_local_malformed_payload():
     result = evaluate_local(Job(0, {"algorithm": "wat"}))
     assert result.status == "failed"
     assert result.message
+
+
+def _mistyped(path, value):
+    """The JSON form of `make_payload()` with the field at the dotted
+    `path` set to `value`."""
+    obj = to_obj(make_payload())
+    *parents, last = path.split(".")
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return obj
+
+
+@pytest.mark.parametrize("path, value", [
+    ("seed", "9"),
+    ("train_iters", 3.7),
+    ("module_ids", "ab"),
+    ("dataset.split_seed", "2"),
+    ("dataset.synth.seed", True),
+    ("dataset.synth.n_tasks", "2"),
+    ("dataset.synth.n_classes", 3.2),
+    ("dataset.synth.noise", "0.1"),
+])
+def test_a_mistyped_payload_field_is_a_failed_result_naming_it(path, value):
+    # int() or float() would read each of these as a number: the codec
+    # refuses them, naming the field
+    result = evaluate_local(Job(0, _mistyped(path, value)))
+    assert result.status == "failed"
+    assert f"payload.{path}" in result.message
+
+
+def test_each_payload_kind_round_trips_through_its_json():
+    from evomtl.genome import init_blueprint_population
+    from evomtl.harness import CmsrPayload, Payload
+    from evomtl.serialize import canon_dumps, canon_loads, from_obj
+    cm = make_payload()
+    bp = init_blueprint_population(1, [1, 2], np.random.default_rng(4))
+    cmsr = CmsrPayload(**vars(cm), blueprint=bp.all_members()[0],
+                       blueprint_id=0, species_map={1: 0, 2: 1})
+    cmtr = CmtrPayload(**vars(cm), ctr=CtrSettings(1, 2, 0.1))
+    for payload, algorithm in ((cm, "cm"), (cmsr, "cmsr"), (cmtr, "cmtr")):
+        obj = canon_loads(canon_dumps(to_obj(payload)))
+        assert obj["algorithm"] == algorithm
+        assert obj["modules"][0]["kind"] == "module"
+        back = from_obj(Payload, obj, "payload")
+        assert type(back) is type(payload) and back == payload
+        assert from_obj(Payload, payload, "payload") is payload
+    obj = to_obj(cmsr)
+    obj["algorithm"] = "cm"  # a blueprint has no place in a cm payload
+    with pytest.raises(ParseError, match="blueprint"):
+        from_obj(Payload, obj, "payload")
 
 
 def test_local_deterministic():
@@ -240,9 +286,8 @@ def test_global_timeout_counts_from_the_last_progress(heartbeat_s):
 def test_cmtr_payload_at_side_8_with_kernel_3_modules():
     # the initial routing chain must leave the second module a map its
     # kernel-3 genes fit: no adapter where the rest would not assemble
-    payload = make_payload(side=8)
-    payload["algorithm"] = "cmtr"
-    payload["ctr"] = {"meta_iters": 1, "m_iters": 2, "alpha": 0.1, "lr": 0.01}
+    payload = CmtrPayload(**vars(make_payload(side=8)),
+                          ctr=CtrSettings(1, 2, 0.1, lr=0.01))
     result = evaluate_local(Job(0, payload))
     assert result.status == "ok", result.message
 
@@ -450,6 +495,43 @@ def test_coordinator_drops_a_worker_with_a_bad_result(bad_result):
     results = results_box["results"]
     assert [(r.job_id, r.status, r.worker_id) for r in results] == [
         (1, "ok", "honest")]
+
+
+@pytest.mark.parametrize("bad", [
+    lambda: _mistyped("seed", "9"),
+    lambda: [1],
+], ids=["mistyped-seed", "not-an-object"])
+def test_an_undecodable_payload_fails_and_the_connection_goes_on(
+        monkeypatch, bad):
+    # the worker answers a payload it cannot decode with a failed result
+    # and takes the next job on the same connection; had it hung up, the
+    # coordinator would requeue the job for every worker forever
+    port = free_port()
+    addr = f"127.0.0.1:{port}"
+    connections = _counting(monkeypatch, Coordinator, "_serve_worker")
+    jobs = [Job(0, bad(), deadline_s=30),
+            Job(1, make_payload(), deadline_s=30)]
+    results_box = {}
+
+    def coordinator():
+        with Coordinator(addr) as c:
+            results_box["results"] = serve_coordinator(
+                c, jobs, global_timeout_s=30)
+
+    coord = threading.Thread(target=coordinator)
+    coord.start()
+    time.sleep(0.2)
+    worker = threading.Thread(
+        target=run_worker, kwargs=dict(coordinator_addr=addr, worker_id="w1"))
+    worker.start()
+    coord.join(timeout=60)
+    worker.join(timeout=10)
+    assert not coord.is_alive() and not worker.is_alive()
+    results = results_box["results"]
+    assert [(r.job_id, r.status, r.worker_id) for r in results] == [
+        (0, "failed", "w1"), (1, "ok", "w1")]
+    assert "payload" in results[0].message
+    assert len(connections) == 1
 
 
 def test_one_deadline_default_for_jobs_plans_configs_and_workers(monkeypatch):
@@ -804,7 +886,7 @@ def _pgm_tree(root, fill=0):
             for i in range(6):
                 write_pgm(str(d / f"{i}.pgm"),
                           (r.random((8, 8)) + fill) % 1.0)
-    return {"dir": str(root), "image_side": 8, "split_seed": 3}
+    return DirRef(str(root), 8, split_seed=3)
 
 
 def _counting(monkeypatch, module, name):
@@ -831,7 +913,7 @@ def test_a_run_reads_its_pgm_tree_once(tmp_path, monkeypatch):
     argv = ["run", "--algorithm", "cm", "--seed", "5", "--networks-per-gen",
             "3", "--modules", "4", "--species", "2", "--generations", "2",
             "--train-iters", "2", "--long-iters", "2", "--n-top", "1",
-            "--data-dir", tree["dir"], "--image-side", "8"]
+            "--data-dir", tree.dir, "--image-side", "8"]
     assert cli.main([*argv, "--out", str(tmp_path / "a")]) == 0
     assert len(loads) == 1 and len(builds) > 3
     assert cli.main([*argv, "--out", str(tmp_path / "b")]) == 0
@@ -875,7 +957,7 @@ def test_a_later_scope_reads_a_rewritten_tree(tmp_path):
 
 def test_a_failed_build_is_not_kept(tmp_path):
     from evomtl.errors import DataError
-    ref = {"dir": str(tmp_path / "data"), "image_side": 8, "split_seed": 3}
+    ref = DirRef(str(tmp_path / "data"), 8, split_seed=3)
     with harness.dataset_scope():
         with pytest.raises(DataError):
             harness.build_dataset(ref)
@@ -903,7 +985,7 @@ def test_worker_builds_each_dataset_once_per_connection(monkeypatch):
                     assert recv_frame(conn)["kind"] == "hello"
                     for job_id in job_ids:
                         send_frame(conn, {"kind": "job", "job_id": job_id,
-                                          "payload": make_payload(),
+                                          "payload": to_obj(make_payload()),
                                           "deadline_s": 30})
                         msg = recv_frame(conn)
                         while msg["kind"] != "result":

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from evomtl.dataset import split_fixed, synth_generate
+from evomtl.dataset import DatasetRef, split_fixed, synth_generate
 from evomtl.serialize import array_from_obj, array_to_obj, canon_dumps, \
-    canon_loads
+    canon_loads, from_obj
 from evomtl.diffcore import CompGraph, Param, softmax
 from evomtl.errors import ConfigError, NumericError, ParseError
 from evomtl.genome import topo_order
@@ -454,9 +454,11 @@ def test_checkpoint_rng_state_resumes_the_run_generator(tmp_path):
 
 def test_the_checkpoint_names_the_dataset_its_spec_was_built_from(tmp_path):
     ref = {"synth": {"seed": 3, "n_tasks": 2, "n_classes": 3,
-                     "image_side": 8, "noise": 0.1}, "split_seed": 3}
+                     "image_side": 8, "noise": 0.1, "examples_per_class": 30},
+           "split_seed": 3}
     path = tmp_path / "ctr_checkpoint.json"
-    run_ctr(default_ctr_modules(2, 8, rng(82)), build_dataset(ref), 1, 2,
+    run_ctr(default_ctr_modules(2, 8, rng(82)),
+            build_dataset(from_obj(DatasetRef, ref, "ref")), 1, 2,
             0.1, 1e-2, rng(83), checkpoint_path=str(path))
     assert canon_loads(path.read_text())["dataset"] == ref
 
