@@ -144,16 +144,16 @@ class ModuleInstance:
     forward recipe. The same instance object may occupy several network
     locations; that is what weight sharing means here.
 
-    Weights are drawn from `rng`, or, with `saved` (a restored
-    checkpoint's Params: `params` keyed as in `self.params`, `scales` by
-    merge node), taken as they are, with no draw. Either way the forward
+    Weights are drawn from `rng`, or, with `saved` (a checkpoint's
+    `routing.SavedModule`: `params` keyed as in `self.params`, `scales`
+    by merge node), taken as they are, with no draw. Either way the forward
     recipe is resolved once, into `plan`: one (node, parent ids, merge
     scales Param or None, gene, w, b) row per non-source node in
     topological order."""
 
     def __init__(self, genome: ModuleGenome, ghyper: GlobalHyper,
                  rng: np.random.Generator | None, label: str,
-                 saved: dict | None = None):
+                 saved=None):
         errs = genome.check()
         if errs:
             raise AssemblyError(f"invalid module genome: {errs[0]}")
@@ -178,7 +178,7 @@ class ModuleInstance:
                 self.scale_groups[n] = (
                     merge_scales(f"{label}.merge{n}", len(parents))
                     if saved is None
-                    else _saved_param(saved["scales"], n, (len(parents),)))
+                    else _saved_param(saved.scales, n, (len(parents),)))
             gene = genome.final_layer if n == SINK else genome.nodes[n]
             if n == SINK:
                 shape = (gene.kernel_size, gene.kernel_size, cin, width)
@@ -195,8 +195,8 @@ class ModuleInstance:
                           l2_strength=gene.l2_strength)
                 b = Param(f"{label}.{bkey}", np.zeros(filters))
             else:
-                w = _saved_param(saved["params"], wkey, shape)
-                b = _saved_param(saved["params"], bkey, (filters,))
+                w = _saved_param(saved.params, wkey, shape)
+                b = _saved_param(saved.params, bkey, (filters,))
             self.params[wkey], self.params[bkey] = w, b
             plan.append((n, tuple(parents), self.scale_groups.get(n), gene,
                          w, b))

@@ -26,7 +26,7 @@ from .config import ALGORITHMS, ExperimentConfig, resolve_config
 from .coevolve import (
     GenerationPlan, HyperPopulation, retrain_top, run_generation_loop,
 )
-from .dataset import DatasetRef, write_split_manifest
+from .dataset import write_split_manifest
 from .dot import module_dot, routing_dot
 from .errors import ConfigError, EvoMtlError, ParseError
 from .genome import (
@@ -34,10 +34,10 @@ from .genome import (
     init_module_population,
 )
 from .harness import (
-    Coordinator, CtrSettings, Payload, build_dataset, dataset_scope,
+    BestNetwork, Coordinator, CtrSettings, build_dataset, dataset_scope,
     distributed_evaluator, local_evaluator, run_worker,
 )
-from .routing import ctr_state_from_obj, default_ctr_modules, run_ctr
+from .routing import CtrCheckpoint, default_ctr_modules, run_ctr
 from .serialize import (
     atomic_write_text, canon_dumps, canon_loads, from_obj, to_obj,
 )
@@ -208,7 +208,7 @@ def cmd_run(args) -> int:
         else:
             report = _run_coevolution(cfg, out_dir)
     atomic_write_text(os.path.join(out_dir, "report.json"),
-                      canon_dumps(report) + "\n")
+                      canon_dumps(to_obj(report)) + "\n")
     _print_report(report)
     print(f"run artifacts in {out_dir}")
     return 0
@@ -310,11 +310,10 @@ def _run_coevolution(cfg: ExperimentConfig, out_dir: str) -> dict:
                          ctr_long=ctr_long, log=print)
     report["algorithm"] = cfg.algorithm
     report["generations"] = out.generations
+    best = BestNetwork(report["payload"], {k: v for k, v in report.items()
+                                           if k != "payload"})
     atomic_write_text(os.path.join(out_dir, "best_network.json"),
-                      canon_dumps({"kind": "best_network",
-                                   "payload": report["payload"],
-                                   "report": {k: v for k, v in report.items()
-                                              if k != "payload"}}) + "\n")
+                      canon_dumps(to_obj(best)) + "\n")
     return report
 
 
@@ -357,31 +356,22 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _load_checkpoint(path: str) -> dict:
+def _load_checkpoint(path: str) -> CtrCheckpoint | BestNetwork:
+    """The checkpoint at `path`, of either kind, decoded by `from_obj`."""
     try:
         with open(path) as f:
-            return from_obj(dict, canon_loads(f.read()), f"checkpoint {path}")
+            text = f.read()
     except OSError as e:
         raise EvoMtlError(f"cannot read checkpoint {path}: {e}") from e
+    return from_obj(CtrCheckpoint | BestNetwork, canon_loads(text),
+                    "checkpoint")
 
 
 def cmd_export_dot(args) -> int:
-    obj = _load_checkpoint(args.checkpoint)
-    kind = obj.get("kind")
-    if kind == "ctr_state":
-        state = ctr_state_from_obj(obj)
-        genomes = [m.genome for m in state.modules]
-    elif args.module is None:
-        print("error: routing export needs a routing checkpoint",
-              file=sys.stderr)
-        return 1
-    elif kind == "best_network":
-        genomes = from_obj(Payload, obj.get("payload"),
-                           "best_network.payload").modules
-    else:
-        print(f"error: unknown checkpoint kind {kind!r}", file=sys.stderr)
-        return 1
+    ckpt = _load_checkpoint(args.checkpoint)
     if args.module is not None:
+        genomes = (ckpt.payload.modules if isinstance(ckpt, BestNetwork)
+                   else [m.genome for m in ckpt.modules])
         if not 0 <= args.module < len(genomes):
             print(f"error: no module {args.module} "
                   f"(checkpoint has {len(genomes)})", file=sys.stderr)
@@ -389,11 +379,16 @@ def cmd_export_dot(args) -> int:
         sys.stdout.write(module_dot(genomes[args.module],
                                     f"module_{args.module}"))
         return 0
-    if args.routing not in state.champions:
-        print(f"error: no task {args.routing!r} in checkpoint "
-              f"(tasks: {sorted(state.champions)})", file=sys.stderr)
+    if isinstance(ckpt, BestNetwork):
+        print("error: routing export needs a routing checkpoint",
+              file=sys.stderr)
         return 1
-    sys.stdout.write(routing_dot(state.champions[args.routing], "routing"))
+    if args.routing not in ckpt.champions:
+        print(f"error: no task {args.routing!r} in checkpoint "
+              f"(tasks: {sorted(ckpt.champions)})", file=sys.stderr)
+        return 1
+    sys.stdout.write(routing_dot(ckpt.champions[args.routing].individual(),
+                                 "routing"))
     return 0
 
 
@@ -402,14 +397,13 @@ def cmd_worker(args) -> int:
 
 
 def cmd_eval_test(args) -> int:
-    obj = _load_checkpoint(args.checkpoint)
-    if obj.get("kind") != "ctr_state":
-        print("error: eval-test needs a routing checkpoint "
+    ckpt = _load_checkpoint(args.checkpoint)
+    if isinstance(ckpt, BestNetwork) or ckpt.dataset is None:
+        print("error: eval-test needs the checkpoint file of a ctr run "
               "(cm/cmsr runs record test accuracy in report.json)",
               file=sys.stderr)
         return 1
-    ref = from_obj(DatasetRef, obj.get("dataset"), "checkpoint.dataset")
-    per_task, mean = score_test(ctr_state_from_obj(obj), build_dataset(ref))
+    per_task, mean = score_test(ckpt.state(), build_dataset(ckpt.dataset))
     for tid in sorted(per_task):
         print(f"task {tid}: test {per_task[tid]:.4f}")
     print(f"mean test accuracy: {mean:.4f}")

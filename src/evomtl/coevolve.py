@@ -27,7 +27,6 @@ from .genome import (
 from .harness import (
     PAYLOADS, CtrSettings, Job, JobResult, Payload, train_payload,
 )
-from .serialize import to_obj
 from .training import evaluate_accuracy, final_report
 
 
@@ -318,4 +317,4 @@ def _final_test_eval(payload: Payload, long_iters: int) -> dict:
     snapshotting, then the one sanctioned test-split read."""
     model, spec, _ = train_payload(
         payload, lr_decay=True, snapshot_every=max(1, long_iters // 10))
-    return {"payload": to_obj(payload), **final_report(model, spec)}
+    return {"payload": payload, **final_report(model, spec)}

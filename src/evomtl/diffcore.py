@@ -40,6 +40,7 @@ round exactly as the one it replaces. Three layout facts carry that:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,33 +82,42 @@ def predicted_class(logits: Tensor):
     return np.argmax(logits, axis=-1)
 
 
+@dataclass(init=False, eq=False, repr=False)
 class Param:
-    """Trainable tensor plus gradient and Adam state.
+    """Trainable tensor plus gradient and Adam state; its fields, not the
+    gradient, are its saved form (older files' `shared_id` is ignored).
 
     Realizations that alias a parameter hold the same Param object, so
-    sharing is object identity. `l2_strength` is applied as an additive
-    gradient term during backward.
+    sharing is object identity, not field equality. `l2_strength` is
+    applied as an additive gradient term during backward.
     """
 
     __slots__ = ("name", "value", "grad", "adam_m", "adam_v", "step_count",
                  "l2_strength")
+    retired_keys = ("shared_id",)
+    name: str
+    value: Tensor
+    adam_m: Tensor
+    adam_v: Tensor
+    step_count: int
+    l2_strength: float
 
-    def __init__(self, name: str, value, l2_strength: float = 0.0):
+    def __init__(self, name: str, value, l2_strength: float = 0.0,
+                 adam_m: Tensor | None = None, adam_v: Tensor | None = None,
+                 step_count: int = 0):
         self.name = name
         self.value = as_tensor(value)
         self.grad = np.zeros_like(self.value)
-        self.adam_m = np.zeros_like(self.value)
-        self.adam_v = np.zeros_like(self.value)
-        self.step_count = 0
-        self.l2_strength = float(l2_strength)
+        self.adam_m = np.zeros_like(self.value) if adam_m is None else adam_m
+        self.adam_v = np.zeros_like(self.value) if adam_v is None else adam_v
+        self.step_count = step_count
+        self.l2_strength = l2_strength
 
     def copy(self) -> "Param":
         """Deep copy with fresh storage (training state included)."""
-        p = Param(self.name, self.value.copy(), l2_strength=self.l2_strength)
+        p = Param(self.name, self.value.copy(), self.l2_strength,
+                  self.adam_m.copy(), self.adam_v.copy(), self.step_count)
         p.grad = self.grad.copy()
-        p.adam_m = self.adam_m.copy()
-        p.adam_v = self.adam_v.copy()
-        p.step_count = self.step_count
         return p
 
     def __repr__(self):

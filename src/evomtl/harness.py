@@ -196,6 +196,15 @@ Payload = CmPayload | CmsrPayload | CmtrPayload
 PAYLOADS = {cls.algorithm: cls for cls in Payload.__args__}
 
 
+@dataclass
+class BestNetwork:
+    """`best_network.json`: the final retraining's payload and report."""
+
+    kind: ClassVar[str] = "best_network"
+    payload: Payload
+    report: dict
+
+
 def _task_shape(spec: MultitaskSpec):
     return ([t.task_id for t in spec.tasks], [t.class_count for t in spec.tasks],
             spec.image_side)

@@ -15,9 +15,10 @@ to its champion before training.
 
 from __future__ import annotations
 
-import contextlib
+import copy
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,16 +26,14 @@ from .diffcore import (
     BatchForward, CGNode, CompGraph, Param, ParamBlock, adam_step, backward,
     zero_grads,
 )
-from .errors import AssemblyError, ConfigError, NumericError, ParseError, \
-    StateError
+from .errors import AssemblyError, ConfigError, NumericError, StateError
 from .genome import GlobalHyper, LayerGene, ModuleGenome, SINK, SOURCE, \
     dag_errors, reachable, topo_order
 from .assembly import ModuleInstance, empty_input, make_decoders, \
     out_side, realize_module
-from .dataset import MultitaskSpec
+from .dataset import DatasetRef, MultitaskSpec
 from .serialize import (
-    array_from_obj, array_to_obj, atomic_write_text, canon_dumps, canon_loads,
-    from_obj, to_obj,
+    atomic_write_text, canon_dumps, canon_loads, from_obj, to_obj,
 )
 from .training import accuracy
 
@@ -90,15 +89,10 @@ class RoutingGraph:
         return reachable(node, self.inbound) - {node}
 
     def copy(self) -> "RoutingGraph":
-        g = RoutingGraph.__new__(RoutingGraph)
-        g.task_id = self.task_id
+        g = copy.copy(self)
         g.nodes = {n: RNode(r.kind, r.module_index) for n, r in self.nodes.items()}
         g.inbound = {n: list(srcs) for n, srcs in self.inbound.items()}
         g.scale_groups = {n: p.copy() for n, p in self.scale_groups.items()}
-        g._next = self._next
-        g._order = self._order
-        g.source_id = self.source_id
-        g.sink_id = self.sink_id
         return g
 
 
@@ -154,9 +148,8 @@ class RoutingIndividual:
         self.mutation_failed = False
 
     def copy(self) -> "RoutingIndividual":
-        ind = RoutingIndividual(self.graph.copy(),
-                                self.decoder_w.copy(), self.decoder_b.copy())
-        return ind
+        return RoutingIndividual(self.graph.copy(), self.decoder_w.copy(),
+                                 self.decoder_b.copy())
 
     def params(self) -> list[Param]:
         out = [self.decoder_w, self.decoder_b]
@@ -277,11 +270,9 @@ def _extend_scale_group(graph: RoutingGraph, v: int, alpha: float) -> None:
         graph.scale_groups[v] = Param(f"{graph.task_id}.n{v}.scales", logits)
         return
     logits = np.append(old.value, new_edge_logit(old.value, alpha))
-    p = Param(old.name, logits)
-    p.adam_m = np.append(old.adam_m, 0.0)
-    p.adam_v = np.append(old.adam_v, 0.0)
-    p.step_count = old.step_count
-    graph.scale_groups[v] = p
+    graph.scale_groups[v] = Param(
+        old.name, logits, adam_m=np.append(old.adam_m, 0.0),
+        adam_v=np.append(old.adam_v, 0.0), step_count=old.step_count)
 
 
 def mutate_challenger(champion: RoutingIndividual, modules, alpha: float,
@@ -399,9 +390,9 @@ def run_ctr(modules, spec: MultitaskSpec, meta_iters: int, m_iters: int,
             checkpoint_path: str | None = None,
             eval_subsample: int | None = None):
     """Full routing-evolution loop; returns (checkpoint-restored state,
-    best mean validation accuracy, per-meta-iteration history). The file
-    at `checkpoint_path` gets that state, the history, the rng state and
-    `spec.ref`, which eval-test rebuilds the dataset from."""
+    best mean validation accuracy, per-meta-iteration history). One
+    `serialize_ctr_state` call writes that state to `checkpoint_path`
+    with the history, the rng state and `spec.ref`, for eval-test."""
     if meta_iters < 1:
         raise ConfigError("need at least one meta-iteration")
     state = init_ctr(modules, spec, rng)
@@ -441,129 +432,106 @@ def run_ctr(modules, spec: MultitaskSpec, meta_iters: int, m_iters: int,
                         "replaced": replaced})
     final = restore_ctr_state(state.checkpoint_bytes)
     if checkpoint_path is not None:
-        payload = canon_loads(state.checkpoint_bytes)
-        payload.update(history=history, rng_state=rng.bit_generator.state,
-                       dataset=to_obj(spec.ref))
-        atomic_write_text(checkpoint_path, canon_dumps(payload))
+        data = serialize_ctr_state(final, history=history,
+                                   rng_state=rng.bit_generator.state,
+                                   dataset=spec.ref)
+        atomic_write_text(checkpoint_path, data.decode("utf-8"))
     return final, state.best_avg_val, history
 
 
-# --- serialization -----------------------------------------------------------
+# --- checkpoints ---------------------------------------------------------------
 
 
-def _param_obj(p: Param) -> dict:
-    return {"name": p.name, "value": array_to_obj(p.value),
-            "adam_m": array_to_obj(p.adam_m), "adam_v": array_to_obj(p.adam_v),
-            "step_count": p.step_count, "l2_strength": p.l2_strength}
+@dataclass
+class SavedModule:
+    """A shared module as a checkpoint holds it."""
+
+    retired_keys = ("storage_id",)
+    genome: ModuleGenome
+    ghyper: GlobalHyper
+    label: str
+    params: dict[str, Param]
+    scales: dict[int, Param]
 
 
-@contextlib.contextmanager
-def _parsing(what: str):
-    """Report a missing or mistyped field of a checkpoint object as a
-    ParseError about `what`."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
-        raise ParseError(f"bad {what}: {type(e).__name__}: {e}") from e
+@dataclass
+class SavedRouting:
+    """A champion as a checkpoint holds it: its routing graph's fields and
+    its decoder."""
 
+    task_id: str
+    nodes: dict[int, RNode]
+    inbound: dict[int, list[int]]
+    next: int
+    source_id: int
+    sink_id: int
+    scales: dict[int, Param]
+    decoder_w: Param
+    decoder_b: Param
 
-def _param_from_obj(obj) -> Param:
-    with _parsing("parameter"):
-        p = Param(obj["name"], array_from_obj(obj["value"]),
-                  l2_strength=float(obj["l2_strength"]))
-        p.adam_m = array_from_obj(obj["adam_m"])
-        p.adam_v = array_from_obj(obj["adam_v"])
-        p.step_count = int(obj["step_count"])
-    return p
-
-
-def module_instance_to_obj(inst: ModuleInstance) -> dict:
-    return {
-        "genome": to_obj(inst.genome),
-        "ghyper": to_obj(inst.ghyper),
-        "label": inst.label,
-        "params": {k: _param_obj(p) for k, p in inst.params.items()},
-        "scales": {str(n): _param_obj(p)
-                   for n, p in inst.scale_groups.items()},
-    }
-
-
-def module_instance_from_obj(obj) -> ModuleInstance:
-    with _parsing("module instance"):
-        saved = {"params": {key: _param_from_obj(pobj)
-                            for key, pobj in obj["params"].items()},
-                 "scales": {int(n): _param_from_obj(pobj)
-                            for n, pobj in obj["scales"].items()}}
-        return ModuleInstance(
-            from_obj(ModuleGenome, obj["genome"], "module instance.genome"),
-            from_obj(GlobalHyper, obj["ghyper"], "module instance.ghyper"),
-            None, obj["label"], saved=saved)
-
-
-def _individual_obj(ind: RoutingIndividual) -> dict:
-    graph = ind.graph
-    return {
-        "task_id": graph.task_id,
-        "nodes": to_obj(graph.nodes),
-        "inbound": {str(n): srcs for n, srcs in graph.inbound.items()},
-        "next": graph._next,
-        "source_id": graph.source_id,
-        "sink_id": graph.sink_id,
-        "scales": {str(n): _param_obj(p)
-                   for n, p in graph.scale_groups.items()},
-        "decoder_w": _param_obj(ind.decoder_w),
-        "decoder_b": _param_obj(ind.decoder_b),
-    }
-
-
-def _individual_from_obj(obj, n_modules: int) -> RoutingIndividual:
-    with _parsing("routing individual"):
+    def individual(self) -> RoutingIndividual:
         graph = RoutingGraph.__new__(RoutingGraph)
-        graph.task_id = obj["task_id"]
-        graph.nodes = from_obj(dict[int, RNode], obj["nodes"],
-                               "routing individual.nodes")
-        graph.inbound = {int(n): [int(s) for s in srcs]
-                         for n, srcs in obj["inbound"].items()}
-        graph._next = int(obj["next"])
-        graph._order = None
-        graph.source_id = int(obj["source_id"])
-        graph.sink_id = int(obj["sink_id"])
-        graph.scale_groups = {int(n): _param_from_obj(pobj)
-                              for n, pobj in obj["scales"].items()}
-        errs = check_routing_graph(graph, n_modules)
-        if errs:
-            raise ParseError(f"routing graph of {graph.task_id!r}: {errs[0]}")
-        return RoutingIndividual(graph, _param_from_obj(obj["decoder_w"]),
-                                 _param_from_obj(obj["decoder_b"]))
+        vars(graph).update(
+            task_id=self.task_id, nodes=self.nodes, inbound=self.inbound,
+            _next=self.next, _order=None, source_id=self.source_id,
+            sink_id=self.sink_id, scale_groups=self.scales)
+        return RoutingIndividual(graph, self.decoder_w, self.decoder_b)
 
 
-def serialize_ctr_state(state: CtrState) -> bytes:
-    obj = {
-        "kind": "ctr_state",
-        "best_avg_val": state.best_avg_val,
-        "task_ids": state.task_ids,
-        "modules": [module_instance_to_obj(m) for m in state.modules],
-        "champions": {tid: _individual_obj(ind)
-                      for tid, ind in state.champions.items()},
-    }
+@dataclass
+class CtrCheckpoint:
+    """Shared modules, champions, the task order (champions come back in
+    sorted-key order) and best mean validation accuracy; a run's file
+    adds its history, generator state and dataset."""
+
+    kind: ClassVar[str] = "ctr_state"
+    retired_keys = ("meta_iteration", "image_side", "class_counts")
+    best_avg_val: float
+    task_ids: list[str]
+    modules: list[SavedModule]
+    champions: dict[str, SavedRouting]
+    history: list[dict] | None = None
+    rng_state: dict | None = None
+    dataset: DatasetRef | None = None
+
+    def check(self) -> list[str]:
+        if sorted(self.task_ids) != sorted(self.champions):
+            return ["task_ids do not name the champions"]
+        return [f"champions.{tid}: {err}"
+                for tid, saved in self.champions.items()
+                for err in check_routing_graph(saved.individual().graph,
+                                               len(self.modules))]
+
+    def state(self) -> CtrState:
+        modules = [ModuleInstance(m.genome, m.ghyper, None, m.label, saved=m)
+                   for m in self.modules]
+        return CtrState(modules=modules, task_ids=self.task_ids,
+                        champions={tid: saved.individual() for tid, saved
+                                   in self.champions.items()},
+                        best_avg_val=self.best_avg_val)
+
+
+def serialize_ctr_state(state: CtrState, history: list | None = None,
+                        rng_state: dict | None = None,
+                        dataset: DatasetRef | None = None) -> bytes:
+    """The checkpoint bytes of `state`, with the extras a run's file holds
+    when given; an extra not given writes no key."""
+    ckpt = CtrCheckpoint(
+        state.best_avg_val, state.task_ids,
+        [SavedModule(m.genome, m.ghyper, m.label, m.params, m.scale_groups)
+         for m in state.modules],
+        {tid: SavedRouting(ind.graph.task_id, ind.graph.nodes,
+                           ind.graph.inbound, ind.graph._next,
+                           ind.graph.source_id, ind.graph.sink_id,
+                           ind.graph.scale_groups, ind.decoder_w,
+                           ind.decoder_b)
+         for tid, ind in state.champions.items()},
+        history, rng_state, dataset)
+    obj = {k: v for k, v in to_obj(ckpt).items() if v is not None}
     return canon_dumps(obj).encode("utf-8")
 
 
 def restore_ctr_state(data: bytes) -> CtrState:
-    return ctr_state_from_obj(canon_loads(data))
-
-
-def ctr_state_from_obj(obj) -> CtrState:
-    """The state a parsed ctr checkpoint holds; a missing or bad field is
-    a ParseError."""
-    with _parsing("ctr checkpoint"):
-        modules = [module_instance_from_obj(m) for m in obj["modules"]]
-        return CtrState(
-            modules=modules,
-            champions={tid: _individual_from_obj(io, len(modules))
-                       for tid, io in obj["champions"].items()},
-            # champions come back in sorted-key order, so the task order
-            # cannot be recovered from them
-            task_ids=[str(t) for t in obj["task_ids"]],
-            best_avg_val=float(obj["best_avg_val"]),
-        )
+    """The state checkpoint bytes hold; a missing or mistyped field is a
+    ParseError naming it."""
+    return from_obj(CtrCheckpoint, canon_loads(data), "checkpoint").state()

@@ -3,18 +3,20 @@ protocol. Arrays are embedded as base64 of their raw float64 bytes so
 round-trips are bit-exact.
 
 Dataclasses (genomes, hyperparameters, payloads, dataset references,
-jobs, results, the config, routing nodes) have one codec. `to_obj` writes
-a dataclass as `{field: value}` plus its tags, the `ClassVar[str]`
+jobs, results, the config, routing nodes, Params and both checkpoint
+kinds, ctr state and best network) have one codec. `to_obj` writes a
+dataclass as `{field: value}` plus its tags, the `ClassVar[str]`
 constants such as a genome's `kind`, recursing through dicts (keys become
-strings), lists and tuples. `from_obj` rebuilds a value from its type
-hint: a dataclass by field name (a missing field takes its default; an
-unknown key, a wrong tag or a violation its `check()` lists is an error);
-a union by the tags, then the keys, of the object; `list[X]`;
-`dict[K, V]` with keys parsed by K; `tuple[...]` from a list; `object` as
+strings), lists and tuples; an array becomes `{"shape", "b64"}`.
+`from_obj` rebuilds a value from its type hint: a dataclass by field name
+(a missing field takes its default; an unknown key, a wrong tag or a
+violation its `check()` lists is an error; keys older files wrote, named
+in the class's plain `retired_keys`, are dropped); a union by the tags,
+then the keys, of the object; `list[X]`; `dict[K, V]` with keys parsed
+by K; `tuple[...]` from a list; an array by its exact shape; `object` as
 it is; and scalars by exact type. An int passes for a float (and becomes
-one), a bool never passes for an int, and None only where the hint allows
-it. Anything else is a ParseError naming the path, e.g.
-`genome.share_flag`.
+one), a bool never passes for an int, and None only where the hint
+allows it. Anything else is a ParseError naming the path.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
 import os
 import tempfile
 import types
@@ -51,15 +54,17 @@ def canon_loads(data):
 
 
 def to_obj(x):
-    """The JSON form of a dataclass, dict, list or tuple; other values
-    are returned as they are."""
+    """The JSON form of a dataclass, dict, list, tuple or array; other
+    values are returned as they are."""
     if dataclasses.is_dataclass(x):
-        return {**tags(type(x)), **{f.name: to_obj(getattr(x, f.name))
-                                    for f in dataclasses.fields(x)}}
+        return {**tags(type(x)), **{k: to_obj(getattr(x, k))
+                                    for k in field_types(type(x))}}
     if isinstance(x, dict):
         return {str(k): to_obj(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [to_obj(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return array_to_obj(x)
     return x
 
 
@@ -95,6 +100,8 @@ def from_obj(hint, obj, where: str):
         return obj
     if hint is float and type(obj) is int:
         return float(obj)
+    if hint is np.ndarray:
+        return array_from_obj(obj, where)
     if dataclasses.is_dataclass(hint) and type(obj) is dict:
         return _dataclass(hint, obj, where)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -127,8 +134,9 @@ def _dataclass(cls, obj: dict, where: str):
     for k, v in consts.items():
         if obj.get(k) != v:
             raise ParseError(f"{where}.{k}: want {v!r}, got {obj.get(k)!r:.80}")
+    skip = {*consts, *getattr(cls, "retired_keys", ())}
     values = {k: from_obj(hints[k], v, f"{where}.{k}") if k in hints else v
-              for k, v in obj.items() if k not in consts}
+              for k, v in obj.items() if k not in skip}
     try:
         value = cls(**values)
     except TypeError as e:  # an unknown field, or a missing one
@@ -154,13 +162,24 @@ def array_to_obj(arr: np.ndarray) -> dict:
             "b64": base64.b64encode(arr.tobytes()).decode("ascii")}
 
 
-def array_from_obj(obj) -> np.ndarray:
+def array_from_obj(obj, where: str = "array") -> np.ndarray:
+    """The array `array_to_obj` wrote; a ParseError naming `where` unless
+    the object holds just a shape, a list of non-negative ints, and
+    base64 bytes of exactly that many float64 values."""
+    if type(obj) is not dict or set(obj) != {"shape", "b64"}:
+        raise ParseError(f"{where}: want shape and b64, got {obj!r:.80}")
+    shape = obj["shape"]
+    if type(shape) is not list or not all(type(n) is int and n >= 0
+                                          for n in shape):
+        raise ParseError(f"{where}.shape: want non-negative ints, "
+                         f"got {shape!r:.80}")
     try:
-        raw = base64.b64decode(obj["b64"])
-        arr = np.frombuffer(raw, dtype=np.float64).reshape(obj["shape"]).copy()
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad array object: {e}") from e
-    return arr
+        arr = np.frombuffer(base64.b64decode(obj["b64"]), dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"{where}.b64: {e}") from e
+    if arr.size != math.prod(shape):
+        raise ParseError(f"{where}.shape: {shape} for {arr.size} values")
+    return arr.reshape(shape).copy()
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -4,10 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from evomtl.cli import main
+from evomtl.cli import _load_checkpoint, main
 from evomtl.dot import module_dot
 from evomtl.genome import ModuleGenome
-from evomtl.serialize import from_obj
+from evomtl.harness import BestNetwork
+from evomtl.routing import CtrCheckpoint
+from evomtl.serialize import canon_dumps, from_obj, to_obj
 
 
 def run_cli(args, capsys=None):
@@ -202,6 +204,59 @@ def test_eval_test_rejects_a_checkpoint_missing_a_field(tmp_path, capsys):
     assert "decoder_w" in capsys.readouterr().err
 
 
+def _text_best_avg_val(obj):
+    obj["best_avg_val"] = "0.5"
+
+
+def _fractional_next(obj):
+    next(iter(obj["champions"].values()))["next"] = 7.9
+
+
+@pytest.mark.parametrize("edits, field", [
+    ([_text_best_avg_val], "checkpoint.best_avg_val"),
+    ([_fractional_next], ".next"),
+    ([_text_best_avg_val, _fractional_next], "checkpoint.best_avg_val"),
+], ids=["text-best-avg-val", "fractional-next", "both"])
+def test_eval_test_refuses_a_mistyped_checkpoint_field(tmp_path, capsys,
+                                                       edits, field):
+    # a text number or a fraction where an int belongs is not coerced: it
+    # is an error line naming the field
+    out = tmp_path / "run"
+    assert main(["run", "--algorithm", "ctr", "--synth", "2x3x8", "--seed",
+                 "3", "--meta-iters", "1", "--m-iters", "2", "--k-modules",
+                 "2", "--out", str(out)]) == 0
+    ckpt = out / "ctr_checkpoint.json"
+    obj = json.loads(ckpt.read_text())
+    for edit in edits:
+        edit(obj)
+    ckpt.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["eval-test", "--checkpoint", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and field in captured.err
+    assert "mean test accuracy" not in captured.out
+
+
+@pytest.mark.parametrize("args, name, cls", [
+    ("--algorithm ctr --synth 2x3x8 --seed 3 --meta-iters 2 --m-iters 5 "
+     "--k-modules 2", "ctr_checkpoint.json", CtrCheckpoint),
+    ("--algorithm cm --synth 2x3x8 --seed 11 --profile desk --stagnation "
+     "1000 --n-top 1 --networks-per-gen 2 --train-iters 2 --generations 1 "
+     "--long-iters 2", "best_network.json", BestNetwork),
+], ids=["ctr-checkpoint", "best-network"])
+def test_a_written_checkpoint_re_encodes_to_its_own_bytes(tmp_path, capsys,
+                                                          args, name, cls):
+    # the one checkpoint union decodes each file a run writes, extras
+    # included, and encoding it again gives the file back
+    out = tmp_path / "run"
+    assert main(["run", *args.split(), "--out", str(out)]) == 0
+    text = (out / name).read_text()
+    ckpt = _load_checkpoint(str(out / name))
+    assert type(ckpt) is cls
+    newline = "\n" if cls is BestNetwork else ""
+    assert canon_dumps(to_obj(ckpt)) + newline == text
+
+
 @pytest.mark.parametrize("command, text", [
     (["export-dot", "--module", "0"], '{"kind":"best_network"}'),
     (["export-dot", "--module", "0"], '{"kind":"best_network","payload":[1]}'),
@@ -212,9 +267,12 @@ def test_eval_test_rejects_a_checkpoint_missing_a_field(tmp_path, capsys):
     (["eval-test"], '{"kind":"ctr_state","dataset":{"synth":{"seed":true,'
                     '"n_tasks":"2","n_classes":3.2,"image_side":8,'
                     '"noise":"0.1"},"split_seed":7}}'),
+    (["export-dot", "--module", "0"], '{"kind":"nope"}'),
+    (["eval-test"], '{"kind":"nope"}'),
 ], ids=["best-network-without-payload", "payload-not-an-object",
         "eval-test-on-a-list", "export-dot-on-a-string",
-        "incomplete-dataset", "mistyped-dataset"])
+        "incomplete-dataset", "mistyped-dataset",
+        "export-dot-on-an-unknown-kind", "eval-test-on-an-unknown-kind"])
 def test_a_checkpoint_that_is_not_the_expected_object_is_an_error_line(
         tmp_path, capsys, command, text):
     ckpt = tmp_path / "ckpt.json"

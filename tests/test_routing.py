@@ -355,8 +355,29 @@ def _text_module_index(obj, tid):
     node["module_index"] = str(node["module_index"])
 
 
+def _inferred_decoder_shape(obj, tid):
+    # numpy would infer the -1 and restore a flat decoder
+    obj["champions"][tid]["decoder_w"]["value"]["shape"] = [-1]
+
+
+def _text_number_best_avg_val(obj, tid):
+    obj["best_avg_val"] = "0.5"
+
+
+def _fractional_next(obj, tid):
+    obj["champions"][tid]["next"] = 7.9
+
+
+def _float_step_count(obj, tid):
+    pobj = next(iter(obj["modules"][0]["params"].values()))
+    pobj["step_count"] = float(pobj["step_count"])
+
+
 @pytest.mark.parametrize("damage", [_no_decoder, _no_module_weight_value,
-                                    _string_best_avg_val, _text_module_index])
+                                    _string_best_avg_val, _text_module_index,
+                                    _inferred_decoder_shape,
+                                    _text_number_best_avg_val,
+                                    _fractional_next, _float_step_count])
 def test_restore_reports_a_missing_or_bad_field_as_a_parse_error(damage):
     spec = make_spec()
     state = init_ctr(default_ctr_modules(2, 8, rng(54)), spec, rng(55))
@@ -437,6 +458,20 @@ def test_restore_rejects_a_malformed_routing_graph(damage):
     damage(obj["champions"][tid])
     with pytest.raises(ParseError):
         restore_ctr_state(canon_dumps(obj).encode())
+
+
+@pytest.mark.parametrize("shape, ok", [
+    ([32, 3], True), ([96], True), ([-1], False), ([-32, -3], False),
+    ([97], False), ([32, 3.0], False), ([True, 96], False), ("96", False),
+], ids=["matrix", "flat", "inferred", "negative", "too-many", "float-dim",
+        "bool-dim", "text"])
+def test_an_array_object_needs_a_shape_that_holds_its_bytes(shape, ok):
+    obj = {**array_to_obj(np.arange(96.0)), "shape": shape}
+    if ok:
+        assert array_from_obj(obj).shape == tuple(shape)
+    else:
+        with pytest.raises(ParseError, match="w.shape"):
+            array_from_obj(obj, "w")
 
 
 def test_checkpoint_rng_state_resumes_the_run_generator(tmp_path):
