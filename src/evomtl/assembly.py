@@ -270,8 +270,6 @@ class AssembledNetwork:
     dense decoder reads, and list their layer or module instances in
     `units()`."""
 
-    kind = "network"
-
     def __init__(self, task_ids, class_counts, image_side):
         self.task_ids = list(task_ids)
         self.class_counts = list(class_counts)
@@ -335,8 +333,6 @@ class SoftOrderingNet(GridNet):
     depth (row k is layer k in every slot), combined per task and depth
     by learned scales."""
 
-    kind = "soft_ordering"
-
     def __init__(self, genes, task_ids, class_counts, image_side, ghyper, rng):
         if not genes:
             raise AssemblyError("need at least one layer")
@@ -349,8 +345,6 @@ class SoftOrderingNet(GridNet):
 
 class SingleTaskNet(AssembledNetwork):
     """Per-task chains with fresh weights; no cross-task sharing."""
-
-    kind = "single_task"
 
     def __init__(self, genes, task_ids, class_counts, image_side, ghyper, rng):
         super().__init__(task_ids, class_counts, image_side)
@@ -371,19 +365,13 @@ class SingleTaskNet(AssembledNetwork):
 
 
 def _share_eligible(mode: str, row_flag: bool, depth_flag: bool) -> bool:
-    if mode == "enabled":
-        return True
-    if mode == "disabled":
-        return False
-    return row_flag and depth_flag
+    return mode == "enabled" or mode == "evolved" and row_flag and depth_flag
 
 
 class CmGridNet(GridNet):
     """K x D grid: row k repeats one module architecture at every depth.
     Row weights are shared exactly among the share-eligible slots of that
     row."""
-
-    kind = "cm_grid"
 
     def __init__(self, module_set, ghyper, task_ids, class_counts,
                  image_side, rng):
@@ -411,8 +399,6 @@ class CmsrNet(AssembledNetwork):
     chosen for its species; multi-input nodes soft-merge per task; two
     nodes with the same module alias weights per the sharing mode."""
 
-    kind = "cmsr"
-
     def __init__(self, blueprint: BlueprintGenome, module_choice,
                  ghyper, task_ids, class_counts, image_side, rng):
         super().__init__(task_ids, class_counts, image_side)
@@ -432,16 +418,11 @@ class CmsrNet(AssembledNetwork):
                 raise AssemblyError(
                     f"blueprint node {n} points at unresolvable species "
                     f"{node.species_id}")
-            mode = ghyper.sharing_mode
-            if mode == "enabled":
-                key = f"g{genome.genome_id}"
-            elif mode == "evolved" and node.share_flag:
-                key = f"g{genome.genome_id}.flagged"
-            else:
-                key = None
+            eligible = _share_eligible(ghyper.sharing_mode, node.share_flag,
+                                       True)
             self.instances[n] = realize_module(
                 genome, ghyper, rng, f"node{n}", shared=shared,
-                share_key=key)
+                share_key=f"g{genome.genome_id}" if eligible else None)
         for t in range(len(task_ids)):
             for n in self.order:
                 if len(self.parents[n]) > 1:

@@ -215,18 +215,12 @@ def cmd_run(args) -> int:
 
 
 def _print_report(report: dict) -> None:
-    for tid in sorted(report.get("val_per_task", {})):
-        val = report["val_per_task"][tid]
-        test = report.get("test_per_task", {}).get(tid)
-        line = f"task {tid}: val {val:.4f}"
-        if test is not None:
-            line += f" test {test:.4f}"
-        print(line)
-    if "val_accuracy" in report:
-        print(f"mean validation accuracy: {report['val_accuracy']:.4f}")
-    if "test_accuracy" in report:
-        print(f"mean test accuracy: {report['test_accuracy']:.4f}")
-    if "param_count" in report:
+    for tid in sorted(report["val_per_task"]):
+        print(f"task {tid}: val {report['val_per_task'][tid]:.4f} "
+              f"test {report['test_per_task'][tid]:.4f}")
+    print(f"mean validation accuracy: {report['val_accuracy']:.4f}")
+    print(f"mean test accuracy: {report['test_accuracy']:.4f}")
+    if "param_count" in report:  # cm, cmsr and cmtr reports have none
         print(f"parameters (distinct storages): {report['param_count']}")
 
 

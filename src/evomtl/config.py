@@ -1,8 +1,9 @@
 """Experiment configuration: profile defaults, config-file keys, and CLI
 overrides, resolved in that order. Keys are flat and documented here.
 
-desk profile: sizes chosen so every algorithm finishes in minutes on one
-CPU core. paper profile: the published-scale constants (100 networks per
+The `ExperimentConfig` defaults are the desk profile: sizes chosen so
+every algorithm finishes in minutes on one CPU core. The paper profile
+overrides them with the published-scale constants (100 networks per
 generation trained 3000 iterations, 120 meta-iterations of 250, module
 populations 50/4 species, 25/2 for cmtr, 20 blueprints, top-50 retraining
 for 30000 iterations).
@@ -22,20 +23,13 @@ DEFAULT_DEADLINE_S = 600.0
 ALGORITHMS = ("baseline-single", "baseline-soft", "cm", "cmsr", "ctr", "cmtr")
 
 PROFILES = {
-    "desk": dict(
-        networks_per_generation=16, train_iters=600, n_top=5,
-        modules=12, species=4, cmtr_modules=8, cmtr_species=2,
-        blueprints=6, stagnation_limit=10, max_generations=3,
-        meta_iters=3, m_iters=50, retrain_meta_iters=6,
-        long_iters=1200, hyper_pool=4, k_modules=2, depth=2, lr=1e-2,
-        synth_tasks=3, synth_classes=3, synth_side=12, synth_noise=0.1,
-    ),
+    "desk": {},
     "paper": dict(
         networks_per_generation=100, train_iters=3000, n_top=50,
         modules=50, species=4, cmtr_modules=25, cmtr_species=2,
         blueprints=20, stagnation_limit=10, max_generations=None,
         meta_iters=120, m_iters=250, retrain_meta_iters=120,
-        long_iters=30000, hyper_pool=8, k_modules=4, depth=3,
+        long_iters=30000, hyper_pool=8, k_modules=4, depth=3, lr=3e-3,
         synth_tasks=20, synth_classes=5, synth_side=28, synth_noise=0.1,
     ),
 }
@@ -54,7 +48,7 @@ class ExperimentConfig:
     order_seed: int = 0
     synth_tasks: int = 3
     synth_classes: int = 3
-    synth_side: int = 8
+    synth_side: int = 12
     synth_noise: float = 0.1
     synth_seed: int | None = None
     examples_per_class: int = 30
@@ -79,10 +73,10 @@ class ExperimentConfig:
     m_iters: int = 50
     retrain_meta_iters: int = 6
     alpha: float = 0.1
-    k_modules: int = 4
+    k_modules: int = 2
     depth: int = 2
     filters: int = 8
-    lr: float = 3e-3
+    lr: float = 1e-2
     sharing_mode: str = "evolved"
     eval_subsample: int | None = None
 
@@ -137,7 +131,7 @@ def resolve_config(profile: str | None = None, config_file: str | None = None,
     # an explicit --profile beats the file's; the file's beats the default
     prof = (profile or (overrides or {}).get("profile")
             or values.get("profile") or cfg.profile)
-    merged = dict(PROFILES[prof] if prof in PROFILES else {})
+    merged = dict(PROFILES.get(prof, {}))
     merged.update(values)
     merged["profile"] = prof
     for key, val in (overrides or {}).items():

@@ -66,9 +66,8 @@ class MultitaskSpec:
     the dataset reference `harness.build_dataset` sets on return, or None.
     """
 
-    def __init__(self, tasks: list[TaskDataset], order_seed: int, image_side: int):
+    def __init__(self, tasks: list[TaskDataset], image_side: int):
         self.tasks = tasks
-        self.order_seed = order_seed
         self.image_side = image_side
         self.ref: DatasetRef | None = None
         self._test_unlocked = False
@@ -207,7 +206,7 @@ def load_image_dir(root: str, image_side: int, order_seed: int = 0) -> Multitask
                          Split(train=list(range(len(examples)))))
         td.check()
         tasks.append(td)
-    return MultitaskSpec(tasks, order_seed, image_side)
+    return MultitaskSpec(tasks, image_side)
 
 
 # --- splitting and sampling ----------------------------------------------
@@ -283,7 +282,7 @@ def synth_generate(seed: int, n_tasks: int, n_classes: int, image_side: int,
         td = TaskDataset(f"synth{t}", n_classes, examples,
                          Split(train=list(range(len(examples)))))
         tasks.append(td)
-    return MultitaskSpec(tasks, seed, image_side)
+    return MultitaskSpec(tasks, image_side)
 
 
 def write_split_manifest(spec: MultitaskSpec, path: str) -> None:

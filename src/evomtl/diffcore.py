@@ -51,8 +51,6 @@ from .errors import (
 # Exposed so callers can write shape/type contracts against it.
 Tensor = np.ndarray
 
-ACTIVATIONS = ("relu", "elu", "sigmoid", "tanh")
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8

@@ -44,9 +44,6 @@ SHARING_MODES = ("enabled", "disabled", "evolved")
 
 DENSE_GENE_PROB = 0.2  # new internal nodes are mostly convolutional
 
-# Default per-genome operator probabilities; conventional NEAT magnitudes.
-DEFAULT_RATES = dict(add_node=0.05, add_edge=0.1, perturb=0.5, flip_flag=0.05)
-
 COMPAT_C1 = 1.0
 COMPAT_C3 = 0.5
 COMPAT_THRESHOLD = 3.0
@@ -181,7 +178,7 @@ def _only_end(adj: dict[int, list[int]], what: str) -> int:
     """The one node with an empty adjacency list."""
     ends = [i for i, nbrs in adj.items() if not nbrs]
     if len(ends) != 1:
-        raise StateError(f"blueprint has {len(ends)} {what}")
+        raise StateError(f"graph has {len(ends)} {what}")
     return ends[0]
 
 
@@ -347,8 +344,8 @@ class InnovationTracker:
     """Run-scoped id source. Identical structural origins (same edge
     endpoints, same split) receive identical ids across genomes."""
 
-    def __init__(self, first_id: int = 2):
-        self._next = first_id
+    def __init__(self):
+        self._next = 2  # after a module's source and sink
         self._edge_ids: dict[tuple[int, int], int] = {}
         self._split_ids: dict[int, int] = {}
         self._next_genome = 0
@@ -379,10 +376,12 @@ class InnovationTracker:
 
 @dataclass
 class MutationRates:
-    add_node: float = DEFAULT_RATES["add_node"]
-    add_edge: float = DEFAULT_RATES["add_edge"]
-    perturb: float = DEFAULT_RATES["perturb"]
-    flip_flag: float = DEFAULT_RATES["flip_flag"]
+    """Per-genome operator probabilities; conventional NEAT magnitudes."""
+
+    add_node: float = 0.05
+    add_edge: float = 0.1
+    perturb: float = 0.5
+    flip_flag: float = 0.05
     sharing_mode: str = "evolved"
 
 
@@ -411,12 +410,9 @@ def _mutate_add_node(g, tracker: InnovationTracker, rng,
 
 def _mutate_add_edge(g, tracker: InnovationTracker, rng) -> None:
     node_ids = g.node_ids()
-    succ, _ = graph_maps(node_ids, g.edges)
+    succ, pred = graph_maps(node_ids, g.edges)
     present = set(g.edges.values())
-    if g.kind == "module":
-        src, snk = SOURCE, SINK
-    else:
-        src, snk = g.source(), g.sink()
+    src, snk = _only_end(pred, "sources"), _only_end(succ, "sinks")
     # valid (a, b): not already present, keeps source/sink roles, and
     # acyclic (no existing path b -> a)
     valid = []
@@ -516,7 +512,6 @@ def crossover(a, b, rng: np.random.Generator, tracker: InnovationTracker):
         donor = other if rng.random() < 0.5 else fit
         child.share_flag = donor.share_flag
         child.final_layer = replace(donor.final_layer)
-        child.cmtr_mode = fit.cmtr_mode
     child.species_id = None
     child.fitness = None
     return child
@@ -541,7 +536,7 @@ def _gene_distance(ga, gb) -> float:
     return float(np.mean(parts))
 
 
-def compatibility(a, b, c1: float = COMPAT_C1, c3: float = COMPAT_C3) -> float:
+def compatibility(a, b) -> float:
     node_a, node_b = set(a.nodes), set(b.nodes)
     edge_a, edge_b = set(a.edges), set(b.edges)
     mismatched = len(node_a ^ node_b) + len(edge_a ^ edge_b)
@@ -551,7 +546,7 @@ def compatibility(a, b, c1: float = COMPAT_C1, c3: float = COMPAT_C3) -> float:
     if a.kind == "module":
         dists.append(_gene_distance(a.final_layer, b.final_layer))
     hyper = float(np.mean(dists)) if dists else 0.0
-    return c1 * mismatched / n + c3 * hyper
+    return COMPAT_C1 * mismatched / n + COMPAT_C3 * hyper
 
 
 @dataclass
@@ -565,14 +560,11 @@ class SpeciesPopulation:
     """A speciated population of one genome kind plus its id tracker."""
 
     def __init__(self, kind: str, species: list[Species],
-                 tracker: InnovationTracker, target_species: int,
-                 cmtr_mode: bool = False):
+                 tracker: InnovationTracker, target_species: int):
         self.kind = kind
         self.species = species
         self.tracker = tracker
         self.target_species = target_species
-        self.cmtr_mode = cmtr_mode
-        self.generation = 0
         self.compat_threshold = COMPAT_THRESHOLD
         self._next_species_id = max((s.species_id for s in species), default=0) + 1
 
@@ -590,7 +582,7 @@ def init_module_population(count: int, n_species: int,
     n_species groups round-robin."""
     if not count >= n_species >= 1:
         raise ConfigError(f"need count >= n_species >= 1, got {count}/{n_species}")
-    tracker = InnovationTracker(first_id=2)
+    tracker = InnovationTracker()
     founder_node = tracker.fresh()
     e_in = tracker.edge_innov(SOURCE, founder_node)
     e_out = tracker.edge_innov(founder_node, SINK)
@@ -620,7 +612,7 @@ def init_module_population(count: int, n_species: int,
         sp.members.append(g)
     for sp in species:
         sp.representative = sp.members[0]
-    return SpeciesPopulation("module", species, tracker, n_species, cmtr_mode)
+    return SpeciesPopulation("module", species, tracker, n_species)
 
 
 def init_blueprint_population(count: int, module_species_ids: list[int],
@@ -631,7 +623,7 @@ def init_blueprint_population(count: int, module_species_ids: list[int],
         raise ConfigError("need at least one blueprint")
     if not module_species_ids:
         raise ConfigError("module species must exist before blueprints")
-    tracker = InnovationTracker(first_id=2)
+    tracker = InnovationTracker()
     chain_edge_key = (SOURCE, SINK)
     genomes = []
     for _ in range(count):
@@ -712,7 +704,6 @@ def speciate_and_reproduce(pop: SpeciesPopulation, elite_frac: float,
 
     reps = [(s.species_id, s.representative) for s in pop.species]
     buckets: dict[int, list] = {}
-    rep_genomes = dict(reps)
     for g in new_members:
         best_id, best_d = None, None
         for sid, rep in reps:
@@ -726,19 +717,16 @@ def speciate_and_reproduce(pop: SpeciesPopulation, elite_frac: float,
             sid = pop._next_species_id
             pop._next_species_id += 1
             g.species_id = sid
-            rep_genomes[sid] = g
             reps.append((sid, g))
             buckets.setdefault(sid, []).append(g)
 
-    pop.species = [Species(sid, rep_genomes[sid], buckets[sid])
+    # each species' first member represents it next generation
+    pop.species = [Species(sid, buckets[sid][0], buckets[sid])
                    for sid in sorted(buckets)]
-    for sp in pop.species:
-        sp.representative = sp.members[0]
     if len(pop.species) > pop.target_species:
         pop.compat_threshold += COMPAT_ADJUST
     elif len(pop.species) < pop.target_species:
         pop.compat_threshold = max(0.3, pop.compat_threshold - COMPAT_ADJUST)
-    pop.generation += 1
     for g in pop.all_members():
         g.fitness = None
     return pop

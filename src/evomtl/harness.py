@@ -254,7 +254,7 @@ def build_dataset(ref: DatasetRef) -> MultitaskSpec:
         spec = built.get(ref)
         if spec is None:
             spec = built[ref] = _build_dataset(ref)
-        spec = MultitaskSpec(spec.tasks, spec.order_seed, spec.image_side)
+        spec = MultitaskSpec(spec.tasks, spec.image_side)
     spec.ref = ref
     return spec
 

@@ -37,7 +37,7 @@ from .serialize import (
 )
 from .training import accuracy
 
-NODE_KINDS = ("source", "sink", "module", "adapter")
+NODE_KINDS = ("source", "sink", "module", "adapter")  # the ends first
 
 
 @dataclass
@@ -101,8 +101,15 @@ def check_routing_graph(graph: RoutingGraph, n_modules: int) -> list[str]:
         return ["inbound lists do not match the nodes"]
     errs = dag_errors(graph.nodes.keys(), dict(enumerate(graph.edges())),
                       graph.source_id, graph.sink_id)
+    ends = {graph.source_id: "source", graph.sink_id: "sink"}
     for n, r in graph.nodes.items():
-        if r.kind == "module" and not 0 <= r.module_index < n_modules:
+        # each end holds its own kind, every other node a module or adapter
+        if r.kind not in ((ends[n],) if n in ends else NODE_KINDS[2:]):
+            errs.append(f"node {n}: kind {r.kind!r}")
+        elif (r.kind == "module") != (type(r.module_index) is int):
+            errs.append(f"node {n}: {r.kind} with module index "
+                        f"{r.module_index!r}")
+        elif r.kind == "module" and not 0 <= r.module_index < n_modules:
             errs.append(f"node {n}: module index {r.module_index}")
         if r.kind == "adapter" and len(graph.inbound[n]) != 1:
             errs.append(f"adapter {n} has in-degree {len(graph.inbound[n])}")
@@ -276,19 +283,19 @@ def _extend_scale_group(graph: RoutingGraph, v: int, alpha: float) -> None:
 
 
 def mutate_challenger(champion: RoutingIndividual, modules, alpha: float,
-                      rng: np.random.Generator, image_side: int,
-                      max_tries: int = 30) -> RoutingIndividual:
+                      rng: np.random.Generator,
+                      image_side: int) -> RoutingIndividual:
     """Copy the champion (learned weights included) and splice one random
     module between an ancestor pair (u, v), entering v's merge with
     post-softmax weight alpha. Falls back to a plain copy (flagged)
-    when no feasible insertion is found."""
+    when 30 draws find no feasible insertion."""
     challenger = champion.copy()
     graph = challenger.graph
     f = BatchForward()
     vals = route(f, graph, modules, empty_input(image_side))
     targets = [n for n, r in graph.nodes.items()
                if r.kind in ("module", "sink") and graph.inbound[n]]
-    for _ in range(max_tries):
+    for _ in range(30):
         v = targets[rng.integers(len(targets))]
         anc = sorted(graph.ancestors(v))
         u = anc[rng.integers(len(anc))]

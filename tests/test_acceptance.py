@@ -378,7 +378,7 @@ def related_corpus(seed, n_classes=10, side=8, noise=0.28, rich=40, poor=20):
                     for img, label in base.tasks[0].examples]
         tasks.append(TaskDataset(f"rel{t}", n_classes, examples,
                                  Split(train=list(range(len(examples))))))
-    return split_fixed(MultitaskSpec(tasks, seed, side), seed)
+    return split_fixed(MultitaskSpec(tasks, side), seed)
 
 
 def test_criterion_11_multitask_direction():

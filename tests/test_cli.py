@@ -212,15 +212,32 @@ def _fractional_next(obj):
     next(iter(obj["champions"].values()))["next"] = 7.9
 
 
+def _first_node_of_kind(obj, kind):
+    champion = next(iter(obj["champions"].values()))
+    return next(r for r in champion["nodes"].values() if r["kind"] == kind)
+
+
+def _misspelt_adapter_kind(obj):
+    _first_node_of_kind(obj, "adapter")["kind"] = "adaptor"
+
+
+def _module_without_an_index(obj):
+    _first_node_of_kind(obj, "module")["module_index"] = None
+
+
 @pytest.mark.parametrize("edits, field", [
     ([_text_best_avg_val], "checkpoint.best_avg_val"),
     ([_fractional_next], ".next"),
     ([_text_best_avg_val, _fractional_next], "checkpoint.best_avg_val"),
-], ids=["text-best-avg-val", "fractional-next", "both"])
+    ([_misspelt_adapter_kind], "kind 'adaptor'"),
+    ([_module_without_an_index], "module with module index None"),
+], ids=["text-best-avg-val", "fractional-next", "both",
+        "misspelt-adapter-kind", "module-without-an-index"])
 def test_eval_test_refuses_a_mistyped_checkpoint_field(tmp_path, capsys,
                                                        edits, field):
-    # a text number or a fraction where an int belongs is not coerced: it
-    # is an error line naming the field
+    # a text number or a fraction where an int belongs is not coerced, and
+    # a routing node of an unknown kind or without its module index does
+    # not reach the router: each is an error line naming the fault
     out = tmp_path / "run"
     assert main(["run", "--algorithm", "ctr", "--synth", "2x3x8", "--seed",
                  "3", "--meta-iters", "1", "--m-iters", "2", "--k-modules",

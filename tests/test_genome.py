@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from evomtl.coevolve import _fix_blueprint_pointers
 from evomtl.config import ExperimentConfig
 from evomtl.errors import ConfigError, ParseError
 from evomtl.genome import (
@@ -397,7 +400,7 @@ def test_compatibility_zero_for_identical():
 
 
 def test_innovation_ids_unique_per_origin():
-    t = InnovationTracker(first_id=2)
+    t = InnovationTracker()
     e1 = t.edge_innov(0, 5)
     e2 = t.edge_innov(0, 5)
     e3 = t.edge_innov(5, 1)
@@ -415,3 +418,49 @@ def test_check_genome_rejects_a_dense_tail():
     assert g.check() == ["the tail gene must be a conv2d"]
     with pytest.raises(ParseError):
         genome_from_obj(to_obj(g))
+
+
+# sha256 of `_reproduction_digest` over seeds 0..3. It records the random
+# draws the operators make, in order, not only their results, so a
+# refactor that draws the same values in another order moves it.
+REPRODUCTION_DIGEST = ("8bc637728ae7df96bdbcbb16365874c9"
+                       "f998334769d1f2bf90761fb12648ff73")
+
+
+def _reproduction_digest(seeds) -> str:
+    """25 generations of module (plain and cmtr) and blueprint reproduction
+    per seed, under high operator rates and random fitness, with blueprint
+    species pointers repaired as the coevolution loop does; hashes the
+    genomes, species sizes, thresholds and pairwise compatibilities."""
+    h = hashlib.sha256()
+    rates = MutationRates(add_node=0.3, add_edge=0.5, perturb=0.9,
+                          flip_flag=0.5)
+    for seed in seeds:
+        r = rng(seed)
+        plain = init_module_population(8, 2, r)
+        cmtr = init_module_population(6, 2, r, cmtr_mode=True)
+        blueprints = init_blueprint_population(6, plain.species_ids(), r)
+        for pop in (plain, cmtr, blueprints):
+            pop.compat_threshold = 0.4  # species split, die and re-form
+        for _ in range(25):
+            for pop in (plain, cmtr, blueprints):
+                for g in pop.all_members():
+                    g.fitness = float(r.random())
+            speciate_and_reproduce(plain, 0.2, r, rates)
+            speciate_and_reproduce(cmtr, 0.2, r, rates)
+            _fix_blueprint_pointers(blueprints, plain.species_ids(), r)
+            speciate_and_reproduce(blueprints, 0.2, r, rates,
+                                   species_ids=plain.species_ids())
+            for pop in (plain, cmtr, blueprints):
+                members = pop.all_members()
+                h.update(canon_dumps([
+                    [to_obj(g) for g in members],
+                    [len(s.members) for s in pop.species],
+                    pop.compat_threshold,
+                    [compatibility(a, b) for a in members for b in members],
+                ]).encode())
+    return h.hexdigest()
+
+
+def test_seeded_reproduction_matches_its_reference_digest():
+    assert _reproduction_digest(range(4)) == REPRODUCTION_DIGEST

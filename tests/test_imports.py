@@ -1,8 +1,8 @@
 """Every module of the package uses every name it imports, and every
-function, class and method it defines is read somewhere in the package.
-A deletion that leaves an import or a helper behind fails here. The
-package `__init__` is exempt from the import check: its imports are the
-package's re-exports."""
+function, class, method and module-level constant it defines is read
+somewhere in the package. A deletion that leaves an import, a helper or
+a constant behind fails here. The package `__init__` is exempt from the
+import check: its imports are the package's re-exports."""
 
 import ast
 import pathlib
@@ -86,3 +86,46 @@ def test_the_check_sees_an_unread_definition():
     }
     assert unread_definitions(sources) == [
         "a.py:16: Box.shut", "a.py:5: left_over"]
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Names other than dunders that a module-level assignment of the
+    modules in `sources` (file name -> text) binds and that no expression
+    in any of them reads, as a name or as an attribute."""
+    defined, read = {}, set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name)
+                            and isinstance(name.ctx, ast.Store)
+                            and not _is_dunder(name.id)):
+                        defined[f"{path}:{node.lineno}: {name.id}"] = name.id
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(where for where, name in defined.items()
+                  if name not in read)
+
+
+def test_package_reads_every_constant():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_constants(sources) == []
+
+
+def test_the_check_sees_an_unread_constant():
+    sources = {
+        "a.py": ("__all__ = ['LIMIT']\nLIMIT = 3\nSPARE = 4\n"
+                 "WIDTH: int = 8\nLO, HI = 0, 1\n"
+                 "def f():\n    local = LIMIT\n    return local + HI\n"),
+        "b.py": "import a\nprint(a.WIDTH)\nSPARE = 5\n",
+    }
+    assert unread_constants(sources) == [
+        "a.py:3: SPARE", "a.py:5: LO", "b.py:3: SPARE"]

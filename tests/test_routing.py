@@ -373,11 +373,36 @@ def _float_step_count(obj, tid):
     pobj["step_count"] = float(pobj["step_count"])
 
 
+def _node_of_kind(obj, tid, kind):
+    nodes = obj["champions"][tid]["nodes"]
+    return next(r for r in nodes.values() if r["kind"] == kind)
+
+
+def _misspelt_adapter_kind(obj, tid):
+    _node_of_kind(obj, tid, "adapter")["kind"] = "adaptor"
+
+
+def _module_without_an_index(obj, tid):
+    _node_of_kind(obj, tid, "module")["module_index"] = None
+
+
+def _adapter_with_an_index(obj, tid):
+    _node_of_kind(obj, tid, "adapter")["module_index"] = 0
+
+
+def _inner_node_of_sink_kind(obj, tid):
+    _node_of_kind(obj, tid, "adapter")["kind"] = "sink"
+
+
 @pytest.mark.parametrize("damage", [_no_decoder, _no_module_weight_value,
                                     _string_best_avg_val, _text_module_index,
                                     _inferred_decoder_shape,
                                     _text_number_best_avg_val,
-                                    _fractional_next, _float_step_count])
+                                    _fractional_next, _float_step_count,
+                                    _misspelt_adapter_kind,
+                                    _module_without_an_index,
+                                    _adapter_with_an_index,
+                                    _inner_node_of_sink_kind])
 def test_restore_reports_a_missing_or_bad_field_as_a_parse_error(damage):
     spec = make_spec()
     state = init_ctr(default_ctr_modules(2, 8, rng(54)), spec, rng(55))
