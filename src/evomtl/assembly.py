@@ -42,8 +42,8 @@ import math
 import numpy as np
 
 from .diffcore import (
-    BatchForward, BatchNode, CGNode, CompGraph, Param, _unique_params,
-    init_weight, merge_scales,
+    BatchForward, CGNode, CompGraph, Param, _unique_params, init_weight,
+    merge_scales,
 )
 from .errors import AssemblyError
 from .genome import (
@@ -108,10 +108,10 @@ def _apply_gene(g: CompGraph, gene: LayerGene, x: CGNode, w: Param, b: Param,
     return out
 
 
-def empty_input(side: int) -> BatchNode:
+def empty_input(side: int) -> CGNode:
     """A batch of no side x side one-channel images. A forward run on it
     makes every shape check and does no arithmetic."""
-    return BatchNode(np.zeros((0, side, side, 1)))
+    return BatchForward().leaf(np.zeros((0, side, side, 1)))
 
 
 def out_side(unit, side: int) -> int:
@@ -121,7 +121,7 @@ def out_side(unit, side: int) -> int:
     return unit.apply(BatchForward(), empty_input(side)).shape[0]
 
 
-def make_decoders(features: BatchNode, task_ids, class_counts, init: str,
+def make_decoders(features: CGNode, task_ids, class_counts, init: str,
                   rng: np.random.Generator) -> dict:
     """One dense decoder (w, b) per task, drawn in task order, as wide as
     `features`, the decoded map's value on an empty batch."""

@@ -152,6 +152,8 @@ def _read_pgm(path: str) -> np.ndarray:
         width, height, maxval = int(token()), int(token()), int(token())
     except (ValueError, DataError) as e:
         raise DataError(f"truncated or corrupt PGM header in {path}") from e
+    if width <= 0 or height <= 0:
+        raise DataError(f"{path}: PGM size {width}x{height} is not positive")
     if maxval <= 0 or maxval > 255:
         raise DataError(f"{path}: only 8-bit PGMs supported (maxval {maxval})")
     pos += 1  # single whitespace byte after maxval
@@ -216,7 +218,8 @@ def split_fixed(spec: MultitaskSpec, seed: int) -> MultitaskSpec:
     """Apply the per-class 50/20/30 partition to every task (in place).
 
     Per class: seeded shuffle, then floor(0.2 n) validation and
-    floor(0.3 n) test examples, remainder to train.
+    floor(0.3 n) test examples, remainder to train. A task with under 10
+    examples, or whose validation or test split comes out empty, raises.
     """
     rng = np.random.default_rng(seed)
     for task in spec.tasks:
@@ -237,6 +240,10 @@ def split_fixed(spec: MultitaskSpec, seed: int) -> MultitaskSpec:
             split.train.extend(idx[:n_train])
             split.val.extend(idx[n_train:n_train + n_val])
             split.test.extend(idx[n_train + n_val:])
+        if not split.val or not split.test:
+            raise DataError(
+                f"task {task.task_id}: no class has enough examples for a "
+                f"{'validation' if not split.val else 'test'} split")
         task.split = split
         task.check()
     return spec

@@ -3,9 +3,13 @@
 Tensors are plain float64 numpy arrays (C-order); they carry no graph state
 and are safe to copy or ship between processes. All bookkeeping lives in
 `CompGraph`, a forward tape owned by exactly one training job at a time.
-`BatchForward` runs the same ops over a batch of examples without a tape;
-scoring uses it. Both call one set of kernels, which take any leading
-batch shape.
+Its ops are the one op surface, over two node layouts: a tape node holds
+one example, and a `BatchForward` node, which scoring uses, stacks
+examples on axis 0. `BatchForward` is a `CompGraph` that records
+nothing; it binds the ops the benchmark's tracer times by value, so the
+tracer's per-example wrappers on `CompGraph` never see a batch. Each op
+checks one example's shape (`node.shape`) and calls a kernel that takes
+any leading batch shape.
 `Param` is a trainable tensor with its gradient and Adam state attached;
 aliased parameters are literally the same object, so one update reaches
 every user of the storage. A training call packs its unique Params into
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -143,30 +148,33 @@ def merge_scales(owner: str, m: int) -> Param:
 
 
 class CGNode:
-    """One tape entry: an output tensor and the vjp closure producing
-    gradients for its inputs."""
+    """One op's output. `value` holds it, batch axes first on a batched
+    forward; `shape` is one example's shape. On a tape, `vjp(g)` returns
+    the gradients of the op's inputs (None at a leaf)."""
 
-    __slots__ = ("value", "op", "parents", "vjp")
+    __slots__ = ("value", "shape", "op", "vjp")
 
-    def __init__(self, value: Tensor, op: str, parents: tuple, vjp):
+    def __init__(self, value: Tensor, shape: tuple, op: str, vjp=None):
         self.value = value
+        self.shape = shape
         self.op = op
-        self.parents = parents
         self.vjp = vjp
-
-    @property
-    def shape(self):
-        return self.value.shape
 
 
 class CompGraph:
     """Forward tape for one network evaluation.
 
     mode is fixed for the graph's lifetime: "train" enables dropout (which
-    then needs `rng`), "eval" makes dropout the identity. Scoring runs on
-    `BatchForward`; eval mode is the per-example reference. Nodes are
+    then needs `rng`), "eval" makes dropout the identity. Nodes are
     appended in execution order, which is also a topological order, so the
     reverse sweep in `backward` needs no sorting.
+
+    An op reads its sizes and makes its checks on `node.shape` and keeps
+    whatever batch axes lead its input's value, so `BatchForward` runs
+    the same ops. It hands `_record` its output, the inputs its gradient
+    needs (`saved`) and a module-level `vjp(*saved, g)`; only a recording
+    graph binds the two, so a forward that records nothing builds no
+    gradient state.
     """
 
     def __init__(self, mode: str = "train", rng: np.random.Generator | None = None):
@@ -178,8 +186,9 @@ class CompGraph:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _record(self, op: str, value: Tensor, parents: tuple, vjp) -> CGNode:
-        node = CGNode(value, op, parents, vjp)
+    def _record(self, op: str, value: Tensor, saved: tuple, vjp) -> CGNode:
+        node = CGNode(value, value.shape, op,
+                      None if vjp is None else partial(vjp, *saved))
         self.nodes.append(node)
         return node
 
@@ -190,60 +199,28 @@ class CompGraph:
     # -- layers -----------------------------------------------------------
 
     def dense(self, x: CGNode, w: Param, b: Param) -> CGNode:
-        xf = x.value.reshape(-1)
-        _check_dense(xf.size, w, b)
-        out = xf @ w.value + b.value
-        in_shape = x.value.shape
-
-        def vjp(g):
-            return ((x, (w.value @ g).reshape(in_shape)),
-                    (w, np.outer(xf, g)),
-                    (b, g))
-
-        return self._record("dense", out, (x,), vjp)
+        n = math.prod(x.shape)
+        _check_dense(n, w, b)
+        xf = x.value.reshape(*_batch_axes(x), n)
+        return self._record("dense", xf @ w.value + b.value, (x, w, b, xf),
+                            _dense_vjp)
 
     def conv2d(self, x: CGNode, w: Param, b: Param) -> CGNode:
         """Stride-1 zero-padded "same" convolution; x is (H, W, C <= Cin),
         w is (k, k, Cin, Cout), b is (Cout,); missing channels are zeros."""
-        _check_conv(x.value.shape, w, b)
+        _check_conv(x.shape, w, b)
         out, cols = _conv_same(x.value, w.value)
         out += b.value
-        h, wd, c = x.value.shape
-        k, _, cin, cout = w.value.shape
-
-        def vjp(g):
-            gm = g.reshape(h * wd, cout)
-            dw = (cols.T @ gm).reshape(k, k, c, cout)
-            if c < cin:  # missing channels' rows stay 0
-                dw = np.concatenate((dw, np.zeros((k, k, cin - c, cout))), axis=2)
-            grads = ((w, dw), (b, gm.sum(axis=0)))
-            if x.vjp is None:  # a leaf, e.g. the image: no input gradient
-                return grads
-            # Input gradient is the same-padded convolution of g with the
-            # spatially flipped, channel-swapped kernel.
-            dx, _ = _conv_same(g, w.value[::-1, ::-1, :c].transpose(0, 1, 3, 2))
-            return ((x, dx), *grads)
-
-        return self._record("conv2d", out, (x,), vjp)
+        return self._record("conv2d", out, (x, w, b, cols), _conv2d_vjp)
 
     def maxpool2x2(self, x: CGNode) -> CGNode:
-        _check_pool(x.value.shape)
+        _check_pool(x.shape)
         out = _maxpool2x2(x.value)
-        return self._record("maxpool2x2", out, (x,),
-                            lambda g: ((x, _maxpool2x2_vjp(x.value, out, g)),))
+        return self._record("maxpool2x2", out, (x, out), _maxpool2x2_vjp)
 
     def activation(self, x: CGNode, kind: str) -> CGNode:
-        v = x.value
-        out = _activate(kind, v)
-        if kind == "relu":
-            dfn = lambda g: g * (v > 0)
-        elif kind == "elu":
-            dfn = lambda g: g * np.where(v > 0, 1.0, out + 1.0)
-        elif kind == "sigmoid":
-            dfn = lambda g: g * out * (1.0 - out)
-        else:  # tanh
-            dfn = lambda g: g * (1.0 - out * out)
-        return self._record(kind, out, (x,), lambda g: ((x, dfn(g)),))
+        out = _activate(kind, x.value)
+        return self._record(kind, out, (kind, x, out), _activation_vjp)
 
     def dropout(self, x: CGNode, rate: float) -> CGNode:
         """Inverted dropout: identity in eval mode, survivor scaling 1/(1-p)
@@ -254,23 +231,18 @@ class CompGraph:
         if self.rng is None:
             raise StateError("train-mode dropout needs a seeded rng")
         keep = (self.rng.random(x.value.shape) >= rate) / (1.0 - rate)
-        out = x.value * keep
-        return self._record("dropout", out, (x,), lambda g: ((x, g * keep),))
+        return self._record("dropout", x.value * keep, (x, keep), _scale_vjp)
 
     def reshape(self, x: CGNode, shape) -> CGNode:
-        old = x.value.shape
-        out = x.value.reshape(shape)
-        return self._record("reshape", out, (x,),
-                            lambda g: ((x, g.reshape(old)),))
+        out = x.value.reshape(*_batch_axes(x), *shape)
+        return self._record("reshape", out, (x,), _reshape_vjp)
 
     def pad_channels(self, x: CGNode, channels: int) -> CGNode:
         """Zero-pad the channel axis of an (H, W, C) tensor up to `channels`."""
-        c = _check_pad(x.value.shape, channels)
-        if c == channels:
+        if _check_pad(x.shape, channels) == channels:
             return x
         out = _pad_channels(x.value, channels)
-        return self._record("pad_channels", out, (x,),
-                            lambda g: ((x, g[:, :, :c]),))
+        return self._record("pad_channels", out, (x,), _pad_channels_vjp)
 
     # -- merge and loss ----------------------------------------------------
 
@@ -278,15 +250,8 @@ class CompGraph:
         _check_merge(scales, inputs)
         p = softmax(scales.value)
         out = _softmerge(p, [node.value for node in inputs])
-
-        def vjp(g):
-            dots = np.array([(g * node.value).sum() for node in inputs])
-            dlogits = p * (dots - np.dot(p, dots))
-            grads = [(node, pm * g) for pm, node in zip(p, inputs)]
-            grads.append((scales, dlogits))
-            return grads
-
-        return self._record("softmerge", out, tuple(inputs), vjp)
+        return self._record("softmerge", out, (scales, p, inputs),
+                            _softmerge_vjp)
 
     def cross_entropy(self, logits: CGNode, label: int) -> CGNode:
         """Softmax cross-entropy against one class index; returns a scalar."""
@@ -300,80 +265,125 @@ class CompGraph:
         z = e.sum()
         loss = np.array(math.log(z) - shifted[label])
         p = e / z  # softmax(v), sharing the exp
-
-        def vjp(g):
-            d = p.copy()
-            d[label] -= 1.0
-            return ((logits, g * d),)
-
-        return self._record("cross_entropy", loss, (logits,), vjp)
+        return self._record("cross_entropy", loss, (logits, p, label),
+                            _cross_entropy_vjp)
 
 
-class BatchNode:
-    """A batch of values flowing through `BatchForward`: `value` stacks
-    the examples on axis 0, `shape` is one example's shape."""
+class BatchForward(CompGraph):
+    """Eval-mode forward over a batch of examples stacked on axis 0 that
+    records nothing, so it cannot be differentiated. Scoring runs on it,
+    and on a batch of no examples it makes every check and computes
+    nothing, which is how networks are sized.
 
-    __slots__ = ("value",)
-
-    def __init__(self, value: Tensor):
-        self.value = value
-
-    @property
-    def shape(self):
-        return self.value.shape[1:]
-
-
-class BatchForward:
-    """Tape-free eval-mode forward over a batch of examples.
-
-    It offers the op surface network code calls on a `CompGraph` and makes
-    the same checks, but runs each op once over the whole batch (axis 0)
-    and records nothing, so it cannot be differentiated. Dropout is the
-    identity, as in eval mode. On a batch of no examples it makes every
-    check and computes nothing, which is how networks are sized.
+    Its ops are `CompGraph`'s own. The benchmark's tracer
+    (`bench/tracing.py`) times the five below by replacing them on
+    `CompGraph` with wrappers that read one example's (H, W, C) from a
+    conv's input; binding the functions here by value keeps scoring out
+    of those wrappers.
     """
 
-    def leaf(self, value) -> BatchNode:
-        return BatchNode(as_tensor(value))
+    conv2d, dense = CompGraph.conv2d, CompGraph.dense
+    maxpool2x2, activation = CompGraph.maxpool2x2, CompGraph.activation
+    softmerge = CompGraph.softmerge
 
-    def dense(self, x: BatchNode, w: Param, b: Param) -> BatchNode:
-        # an explicit width, so a batch of no examples flattens too
-        xf = x.value.reshape(len(x.value), math.prod(x.shape))
-        _check_dense(xf.shape[1], w, b)
-        return BatchNode(xf @ w.value + b.value)
+    def __init__(self):
+        super().__init__("eval")
 
-    def conv2d(self, x: BatchNode, w: Param, b: Param) -> BatchNode:
-        _check_conv(x.shape, w, b)
-        out, _ = _conv_same(x.value, w.value)
-        out += b.value
-        return BatchNode(out)
-
-    def maxpool2x2(self, x: BatchNode) -> BatchNode:
-        _check_pool(x.shape)
-        return BatchNode(_maxpool2x2(x.value))
-
-    def activation(self, x: BatchNode, kind: str) -> BatchNode:
-        return BatchNode(_activate(kind, x.value))
-
-    def dropout(self, x: BatchNode, rate: float) -> BatchNode:
-        _check_rate(rate)
-        return x
-
-    def reshape(self, x: BatchNode, shape) -> BatchNode:
-        return BatchNode(x.value.reshape((len(x.value), *shape)))
-
-    def pad_channels(self, x: BatchNode, channels: int) -> BatchNode:
-        if _check_pad(x.shape, channels) == channels:
-            return x
-        return BatchNode(_pad_channels(x.value, channels))
-
-    def softmerge(self, scales: Param, inputs: list[BatchNode]) -> BatchNode:
-        _check_merge(scales, inputs)
-        p = softmax(scales.value)
-        return BatchNode(_softmerge(p, [node.value for node in inputs]))
+    def _record(self, op: str, value: Tensor, saved: tuple, vjp) -> CGNode:
+        return CGNode(value, value.shape[1:], op)
 
 
-# --- checks shared by both forwards ---------------------------------------------
+def _batch_axes(x: CGNode) -> tuple:
+    """The axes `x.value` has before one example's: () on a tape."""
+    return x.value.shape[:x.value.ndim - len(x.shape)]
+
+
+# --- vjps ---------------------------------------------------------------------
+# `vjp(*saved, g)` of each op above, on one example's gradient `g`.
+
+
+def _dense_vjp(x, w, b, xf, g):
+    return ((x, (w.value @ g).reshape(x.shape)), (w, np.outer(xf, g)), (b, g))
+
+
+def _conv2d_vjp(x, w, b, cols, g):
+    h, wd, c = x.shape
+    k, _, cin, cout = w.value.shape
+    gm = g.reshape(h * wd, cout)
+    dw = (cols.T @ gm).reshape(k, k, c, cout)
+    if c < cin:  # missing channels' rows stay 0
+        dw = np.concatenate((dw, np.zeros((k, k, cin - c, cout))), axis=2)
+    grads = ((w, dw), (b, gm.sum(axis=0)))
+    if x.vjp is None:  # a leaf, e.g. the image: no input gradient
+        return grads
+    # Input gradient is the same-padded convolution of g with the
+    # spatially flipped, channel-swapped kernel.
+    dx, _ = _conv_same(g, w.value[::-1, ::-1, :c].transpose(0, 1, 3, 2))
+    return ((x, dx), *grads)
+
+
+def _window_major(a: Tensor, ho: int, wo: int) -> Tensor:
+    """(ho, wo, C, dy, dx) view of the pooled part of an (H, W, C) map."""
+    return (a[:ho * 2, :wo * 2].reshape(ho, 2, wo, 2, a.shape[2])
+            .transpose(0, 2, 4, 1, 3))
+
+
+def _maxpool2x2_vjp(x: CGNode, out: Tensor, g: Tensor):
+    """Input gradient of the pool of an (H, W, C) map `x`: each window's
+    gradient goes to its first position, (dy, dx) in C order, that equals
+    the window's max, as argmax would pick it (ties included); the rest,
+    and a truncated row or column, get 0.
+
+    The four equality flags of a window are the four bytes of one
+    little-endian word, position (0, 0) lowest; `word & -word` keeps the
+    lowest set byte, the first hit."""
+    ho, wo, c = out.shape
+    hit = np.equal(_window_major(x.value, ho, wo), out[..., None, None],
+                   order="C")
+    word = hit.reshape(ho, wo, c, 4).view("<u4")
+    word &= -word
+    dx = np.zeros(x.shape)
+    np.copyto(_window_major(dx, ho, wo), g[..., None, None], where=hit)
+    return ((x, dx),)
+
+
+def _activation_vjp(kind, x, out, g):
+    if kind == "relu":
+        return ((x, g * (x.value > 0)),)
+    if kind == "elu":
+        return ((x, g * np.where(x.value > 0, 1.0, out + 1.0)),)
+    if kind == "sigmoid":
+        return ((x, g * out * (1.0 - out)),)
+    return ((x, g * (1.0 - out * out)),)  # tanh
+
+
+def _scale_vjp(x, keep, g):
+    return ((x, g * keep),)
+
+
+def _reshape_vjp(x, g):
+    return ((x, g.reshape(x.shape)),)
+
+
+def _pad_channels_vjp(x, g):
+    return ((x, g[..., :x.shape[-1]]),)
+
+
+def _softmerge_vjp(scales, p, inputs, g):
+    dots = np.array([(g * node.value).sum() for node in inputs])
+    dlogits = p * (dots - np.dot(p, dots))
+    grads = [(node, pm * g) for pm, node in zip(p, inputs)]
+    grads.append((scales, dlogits))
+    return grads
+
+
+def _cross_entropy_vjp(logits, p, label, g):
+    d = p.copy()
+    d[label] -= 1.0
+    return ((logits, g * d),)
+
+
+# --- checks -------------------------------------------------------------------
 # Shapes passed here are one example's shape.
 
 
@@ -427,9 +437,9 @@ def _check_merge(scales: Param, inputs: list) -> None:
     if scales.value.shape != (m,):
         raise ConfigError(
             f"softmerge: {m} inputs but scales of shape {scales.value.shape}")
-    shape = inputs[0].value.shape
+    shape = inputs[0].shape
     for node in inputs[1:]:
-        if node.value.shape != shape:
+        if node.shape != shape:
             raise DimensionError(
                 f"softmerge: mismatched shapes {inputs[0].shape} vs {node.shape}")
 
@@ -474,30 +484,6 @@ def _maxpool2x2(x: Tensor) -> Tensor:
     return np.maximum(
         np.maximum(top[..., 0:w2:2, :], top[..., 1:w2:2, :]),
         np.maximum(bottom[..., 0:w2:2, :], bottom[..., 1:w2:2, :]))
-
-
-def _window_major(a: Tensor, ho: int, wo: int) -> Tensor:
-    """(ho, wo, C, dy, dx) view of the pooled part of an (H, W, C) map."""
-    return (a[:ho * 2, :wo * 2].reshape(ho, 2, wo, 2, a.shape[2])
-            .transpose(0, 2, 4, 1, 3))
-
-
-def _maxpool2x2_vjp(x: Tensor, out: Tensor, g: Tensor) -> Tensor:
-    """Input gradient of the pool of an (H, W, C) map `x`: each window's
-    gradient goes to its first position, (dy, dx) in C order, that equals
-    the window's max, as argmax would pick it (ties included); the rest,
-    and a truncated row or column, get 0.
-
-    The four equality flags of a window are the four bytes of one
-    little-endian word, position (0, 0) lowest; `word & -word` keeps the
-    lowest set byte, the first hit."""
-    ho, wo, c = out.shape
-    hit = np.equal(_window_major(x, ho, wo), out[..., None, None], order="C")
-    word = hit.reshape(ho, wo, c, 4).view("<u4")
-    word &= -word
-    dx = np.zeros(x.shape)
-    np.copyto(_window_major(dx, ho, wo), g[..., None, None], where=hit)
-    return dx
 
 
 def _activate(kind: str, v: Tensor) -> Tensor:

@@ -14,9 +14,10 @@ import numpy as np
 
 import evomtl
 import evomtl.cli
-from evomtl import harness
-from evomtl.dataset import SynthParams, SynthRef
-from evomtl.genome import GlobalHyper, init_module_population
+from evomtl import harness, training
+from evomtl.assembly import SoftOrderingNet
+from evomtl.dataset import SynthParams, SynthRef, split_fixed, synth_generate
+from evomtl.genome import GlobalHyper, LayerGene, init_module_population
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -132,3 +133,49 @@ def test_optimiser_steps_and_tape_nodes_reach_the_tracer(tmp_path, monkeypatch):
         tr.unpatch()
     assert dc.adam_step is adam_step and dc.backward is backward
     assert swept and tr.counts["diffcore.tape_nodes"] == sum(swept)
+
+
+TIMED_OPS = ("conv2d", "dense", "maxpool2x2", "activation", "softmerge")
+
+
+def test_timed_tape_ops_see_one_example_and_scoring_bypasses_them(
+        tmp_path, monkeypatch):
+    # The tracer times these ops by wrapping CompGraph's class attributes
+    # and reads one example's (H, W, C) from a conv's input. BatchForward
+    # runs the same functions, bound by value, so its batches must never
+    # reach the wrappers.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    dc = evomtl.diffcore
+    originals = {op: dc.CompGraph.__dict__[op] for op in TIMED_OPS}
+    calls = []
+
+    def one_example(op, fn):
+        def checked(graph, *args):
+            inputs = args[1] if op == "softmerge" else args[:1]
+            assert all(x.value.ndim == len(x.shape) for x in inputs), op
+            calls.append(op)
+            return fn(graph, *args)
+        return checked
+
+    for op, fn in originals.items():
+        monkeypatch.setattr(dc.CompGraph, op, one_example(op, fn))
+    spec = split_fixed(synth_generate(3, 2, 3, 8, 0.1), 3)
+    net = SoftOrderingNet([LayerGene(2, "conv2d", "relu", 3, 8, 0.0, 0.0)],
+                          [t.task_id for t in spec.tasks], [3, 3], 8,
+                          GlobalHyper(final_layer_filters=8),
+                          np.random.default_rng(5))
+    tr = tracing.Tracer(full=True)
+    tracing.install(tr, evomtl)
+    try:
+        for op, fn in originals.items():
+            assert dc.BatchForward.__dict__[op] is fn, op
+        _ctr_run(tmp_path / "ctr")
+        assert harness.evaluate_local(_cm_job()).status == "ok"
+        assert set(calls) == set(TIMED_OPS)
+        calls.clear()
+        training.evaluate_accuracy(net, spec, "val")
+    finally:
+        tr.unpatch()
+    assert calls == []
+    assert "training.evaluate_accuracy" in {span[0] for span in tr.spans}

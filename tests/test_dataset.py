@@ -44,10 +44,12 @@ def test_all_white_resize(tmp_path):
 def test_truncated_pgm(tmp_path):
     p = tmp_path / "t" / "c"
     p.mkdir(parents=True)
-    (p / "bad.pgm").write_bytes(b"P5\n10")
-    with pytest.raises(DataError) as err:
-        load_image_dir(str(tmp_path), 28)
-    assert "bad.pgm" in str(err.value)
+    # a truncated header, then a width of 0 and a negative size
+    for data in (b"P5\n10", b"P5\n0 4\n255\n", b"P5\n-2 -3\n255\n" + bytes(6)):
+        (p / "bad.pgm").write_bytes(data)
+        with pytest.raises(DataError) as err:
+            load_image_dir(str(tmp_path), 28)
+        assert "bad.pgm" in str(err.value)
 
 
 def test_empty_class_dir(tmp_path):
@@ -100,9 +102,13 @@ def test_split_determinism_and_disjointness():
 
 
 def test_split_too_few():
-    spec = synth_generate(3, 1, 1, 8, 0.0, examples_per_class=9)
-    with pytest.raises(DataError):
-        split_fixed(spec, 0)
+    # 9 examples in all; then 12, but no class has the 5 that give it a
+    # validation example
+    for n_classes, per_class in ((1, 9), (3, 4)):
+        spec = synth_generate(3, 1, n_classes, 8, 0.0,
+                              examples_per_class=per_class)
+        with pytest.raises(DataError, match=spec.tasks[0].task_id):
+            split_fixed(spec, 0)
 
 
 def test_sample_iteration_shape_and_order():

@@ -4,7 +4,7 @@ import pytest
 from evomtl import training
 from evomtl.assembly import CmGridNet, CmsrNet, SingleTaskNet, SoftOrderingNet
 from evomtl.dataset import split_fixed, synth_generate
-from evomtl.diffcore import BatchNode, CompGraph
+from evomtl.diffcore import CGNode, CompGraph
 from evomtl.errors import NumericError
 from evomtl.genome import (
     SINK, SOURCE, BlueprintGenome, BlueprintNode, GlobalHyper, LayerGene,
@@ -136,15 +136,15 @@ def test_one_nan_row_in_a_batch_raises():
     def nan_in_row(g, x):  # logits with NaN in the 4th example only
         logits = np.zeros((len(x.value), 3))
         logits[3, 1] = np.nan if len(x.value) > 3 else 0.0
-        return BatchNode(logits)
+        return CGNode(logits, logits.shape[1:], "dense")
 
     with pytest.raises(NumericError):
         accuracy(nan_in_row, examples)
     images[4] = images[4].copy()
     images[4][1, 2, 0] = np.nan  # a NaN input is refused at the leaf
     with pytest.raises(NumericError):
-        accuracy(lambda g, x: BatchNode(np.zeros((len(x.value), 3))),
-                 list(zip(images, [0] * 6)))
+        accuracy(lambda g, x: CGNode(np.zeros((len(x.value), 3)), (3,),
+                                     "dense"), list(zip(images, [0] * 6)))
 
 
 def test_final_weights_are_scored_once(monkeypatch):
