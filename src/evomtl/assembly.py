@@ -328,15 +328,19 @@ class GridNet(AssembledNetwork):
         return [unit for row in self.slots for unit in row]
 
 
+def _stack_width(genes) -> int:
+    if not genes:
+        raise AssemblyError("need at least one layer")
+    return genes[0].filters
+
+
 class SoftOrderingNet(GridNet):
     """Depth-merged baseline: D shared layers, each applied at every
     depth (row k is layer k in every slot), combined per task and depth
     by learned scales."""
 
     def __init__(self, genes, task_ids, class_counts, image_side, ghyper, rng):
-        if not genes:
-            raise AssemblyError("need at least one layer")
-        self.width = genes[0].filters
+        self.width = _stack_width(genes)
         self.layers = [LayerInstance(gene, self.width, ghyper, rng, f"layer{i}")
                        for i, gene in enumerate(genes)]
         super().__init__([[layer] * len(genes) for layer in self.layers],
@@ -348,7 +352,7 @@ class SingleTaskNet(AssembledNetwork):
 
     def __init__(self, genes, task_ids, class_counts, image_side, ghyper, rng):
         super().__init__(task_ids, class_counts, image_side)
-        self.width = genes[0].filters
+        self.width = _stack_width(genes)
         self.chains = [[LayerInstance(gene, self.width, ghyper, rng,
                                       f"task{t}.layer{i}")
                         for i, gene in enumerate(genes)]

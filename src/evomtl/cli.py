@@ -41,7 +41,7 @@ from .routing import CtrCheckpoint, default_ctr_modules, run_ctr
 from .serialize import (
     atomic_write_text, canon_dumps, canon_loads, from_obj, to_obj,
 )
-from .training import final_report, score_test, train_network
+from .training import epoch_iters, final_report, score_test, train_network
 
 
 def main(argv=None) -> int:
@@ -234,10 +234,9 @@ def _run_baseline(cfg: ExperimentConfig, spec, out_dir: str) -> dict:
     net_cls = (SoftOrderingNet if cfg.algorithm == "baseline-soft"
                else SingleTaskNet)
     net = net_cls(genes, tids, cls, spec.image_side, hyper, rng)
-    epoch = max(1, sum(len(t.split.train) for t in spec.tasks)
-                // max(1, len(spec.tasks)))
     train_network(net, spec, cfg.train_iters, cfg.lr, rng,
-                  snapshot_every=max(1, min(epoch, cfg.train_iters // 4 or 1)))
+                  snapshot_every=max(1, min(epoch_iters(spec),
+                                            cfg.train_iters // 4 or 1)))
     report = final_report(net, spec)
     val_mean = report["val_accuracy"]
     history = [{"generation": 1, "best_fitness": val_mean,

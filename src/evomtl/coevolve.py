@@ -13,7 +13,7 @@ Global hyperparameters evolve alongside in a small elitist pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,22 +25,10 @@ from .genome import (
     random_global_hyper, speciate_and_reproduce,
 )
 from .harness import (
-    PAYLOADS, CtrSettings, Job, JobResult, Payload, train_payload,
+    PAYLOADS, CtrSettings, Job, JobResult, Payload, evaluate_payload,
+    train_payload,
 )
-from .training import evaluate_accuracy, final_report
-
-
-@dataclass
-class FitnessRecord:
-    genome_id: int
-    samples: list[float] = field(default_factory=list)
-
-    @property
-    def aggregate(self) -> float:
-        if not self.samples:
-            raise StateError(f"genome {self.genome_id} has no fitness samples")
-        # plain left-fold sum so independent tabulations agree bit-exactly
-        return sum(self.samples) / len(self.samples)
+from .training import final_report
 
 
 @dataclass
@@ -70,7 +58,7 @@ class HyperPopulation:
                  sharing_mode: str = "evolved",
                  base: GlobalHyper | None = None):
         self.candidates: list[tuple[int, GlobalHyper]] = []
-        self.fitness: dict[int, float | None] = {}
+        self.fitness: dict[int, float] = {}
         self._next = 0
         for i in range(size):
             if base is not None and i == 0:
@@ -83,16 +71,16 @@ class HyperPopulation:
         hid = self._next
         self._next += 1
         self.candidates.append((hid, h))
-        self.fitness[hid] = None
+        self.fitness[hid] = 0.0
         return hid
 
     def evolve(self, rng: np.random.Generator) -> None:
         ranked = sorted(self.candidates,
-                        key=lambda c: (-(self.fitness[c[0]] or 0.0), c[0]))
+                        key=lambda c: (-self.fitness[c[0]], c[0]))
         keep = ranked[:max(1, len(ranked) // 2)]
         size = len(self.candidates)
         self.candidates = list(keep)
-        self.fitness = {hid: None for hid, _ in keep}
+        self.fitness = {hid: 0.0 for hid, _ in keep}
         i = 0
         while len(self.candidates) < size:
             _, parent = keep[i % len(keep)]
@@ -165,32 +153,29 @@ def attribute_fitness(jobs: list[Job], results: dict[int, JobResult],
                       module_pop: SpeciesPopulation,
                       blueprint_pop: SpeciesPopulation | None = None,
                       hyper_pop: HyperPopulation | None = None):
-    """Average each genome's successful-job fitnesses back onto it; a
-    genome in no successful job scores 0. Returns the per-genome records
-    for audit."""
-    records: dict[int, FitnessRecord] = {}
-    hyper_records: dict[int, list[float]] = {}
+    """Set each genome's fitness to the mean of its successful jobs'
+    fitnesses, and each hyperparameter candidate's likewise; a genome in
+    no successful job scores 0."""
+    samples: dict[int, list[float]] = {}
+    hyper_samples: dict[int, list[float]] = {}
     for job in jobs:
         result = results.get(job.job_id)
         if result is None or result.status != "ok":
             continue
         for gid in job.payload.genome_ids():
-            records.setdefault(gid, FitnessRecord(gid)).samples.append(
-                result.fitness)
-        hyper_records.setdefault(job.payload.hyper_id, []).append(
+            samples.setdefault(gid, []).append(result.fitness)
+        hyper_samples.setdefault(job.payload.hyper_id, []).append(
             result.fitness)
     pops = [module_pop] + ([blueprint_pop] if blueprint_pop else [])
     for pop in pops:
         for g in pop.all_members():
-            if g.genome_id in records:
-                g.fitness = records[g.genome_id].aggregate
-            else:
-                g.fitness = 0.0
+            got = samples.get(g.genome_id)
+            # plain left-fold sum so independent tabulations agree bit-exactly
+            g.fitness = sum(got) / len(got) if got else 0.0
     if hyper_pop is not None:
-        for hid, samples in hyper_records.items():
+        for hid, got in hyper_samples.items():
             if hid in hyper_pop.fitness:
-                hyper_pop.fitness[hid] = float(np.mean(samples))
-    return records
+                hyper_pop.fitness[hid] = float(np.mean(got))
 
 
 def _fix_blueprint_pointers(blueprint_pop: SpeciesPopulation,
@@ -237,24 +222,22 @@ def run_generation_loop(plan: GenerationPlan, module_pop: SpeciesPopulation,
                                dataset_ref, rng, first_job_id=job_counter)
         job_counter += len(jobs)
         results = {r.job_id: r for r in evaluator(jobs)}
+        fits = []  # the successful jobs' fitnesses
         for job in jobs:
             r = results.get(job.job_id)
-            if r is None or r.status != "ok":
-                msg = r.message if r else "no result"
-                if log:
-                    log(f"generation {generation}: job {job.job_id} failed "
-                        f"({msg}); scored 0")
+            if r is not None and r.status == "ok":
+                fits.append(r.fitness)
+                archive.append((job.payload, r.fitness))
+            elif log:
+                log(f"generation {generation}: job {job.job_id} failed "
+                    f"({r.message if r else 'no result'}); scored 0")
         attribute_fitness(jobs, results, module_pop, blueprint_pop, hyper_pop)
-        ok = [(job, results[job.job_id]) for job in jobs
-              if results.get(job.job_id) and results[job.job_id].status == "ok"]
-        for job, r in ok:
-            archive.append((job.payload, r.fitness))
-        gen_best = max((r.fitness for _, r in ok), default=0.0)
-        gen_mean = float(np.mean([r.fitness for _, r in ok])) if ok else 0.0
+        gen_best = max(fits, default=0.0)
+        gen_mean = float(np.mean(fits)) if fits else 0.0
         prev_best = best_so_far
         best_so_far = max(best_so_far, gen_best)
         best_genome = max(module_pop.all_members(),
-                          key=lambda g: (g.fitness or 0.0, -g.genome_id))
+                          key=lambda g: (g.fitness, -g.genome_id))
         history.append({
             "generation": generation,
             "best_fitness": gen_best,
@@ -292,29 +275,16 @@ def retrain_top(archive: list[tuple[Payload, float]], n_top: int,
     ranked = sorted(archive, key=lambda pf: -pf[1])[:max(1, n_top)]
     scored = []
     for i, (payload, short_fitness) in enumerate(ranked):
-        val = _long_eval(payload.lengthened(long_iters, ctr_long, 1000 + i))
+        val, _ = evaluate_payload(
+            payload.lengthened(long_iters, ctr_long, 1000 + i), lr_decay=True)
         scored.append((val, payload))
         if log:
             log(f"retrain candidate {i}: short {short_fitness:.4f} "
                 f"-> long val {val:.4f}")
-    scored.sort(key=lambda vp: -vp[0])
-    best_val, best_payload = scored[0]
-    report = _final_test_eval(
-        best_payload.lengthened(long_iters, ctr_long, 2000), long_iters)
-    report["selected_val_accuracy"] = best_val
-    return report
-
-
-def _long_eval(payload: Payload) -> float:
-    model, spec, fitness = train_payload(payload, lr_decay=True)
-    if fitness is None:
-        fitness = evaluate_accuracy(model, spec, "val")[1]
-    return fitness
-
-
-def _final_test_eval(payload: Payload, long_iters: int) -> dict:
-    """From-scratch retraining of the winner with peak-validation
-    snapshotting, then the one sanctioned test-split read."""
+    best_val, best_payload = max(scored, key=lambda vp: vp[0])
+    payload = best_payload.lengthened(long_iters, ctr_long, 2000)
     model, spec, _ = train_payload(
         payload, lr_decay=True, snapshot_every=max(1, long_iters // 10))
-    return {"payload": payload, **final_report(model, spec)}
+    # the run's one sanctioned test-split read
+    return {"payload": payload, **final_report(model, spec),
+            "selected_val_accuracy": best_val}

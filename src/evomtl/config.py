@@ -94,6 +94,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown sharing mode {self.sharing_mode!r}")
         if self.data_dir is None and self.synth_tasks < 1:
             raise ConfigError("need a data directory or synth parameters")
+        if self.effective_image_side() < 1:
+            raise ConfigError("the image side must be at least 1")
+        if self.eval_subsample is not None and self.eval_subsample < 1:
+            raise ConfigError("eval_subsample must be at least 1")
+        if self.serve is not None:
+            parse_addr(self.serve)
 
     def dataset_ref(self) -> DatasetRef:
         if self.data_dir is not None:
@@ -111,6 +117,14 @@ class ExperimentConfig:
         if self.algorithm == "cmtr":
             return self.cmtr_modules, self.cmtr_species
         return self.modules, self.species
+
+
+def parse_addr(addr: str) -> tuple[str, int]:
+    """HOST:PORT as (host, port); ConfigError naming `addr` otherwise."""
+    host, colon, port = addr.rpartition(":")
+    if not (colon and port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ConfigError(f"address {addr!r} is not HOST:PORT")
+    return host, int(port)
 
 
 def resolve_config(profile: str | None = None, config_file: str | None = None,

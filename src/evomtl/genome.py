@@ -114,7 +114,7 @@ class ModuleGenome:
     species_id: int | None = None
 
     kind: ClassVar[str] = "module"
-    fitness = None  # this generation's score; never saved
+    fitness = 0.0  # this generation's score; never saved
 
     def node_ids(self) -> set[int]:
         return {SOURCE, SINK} | set(self.nodes)
@@ -150,7 +150,7 @@ class BlueprintGenome:
     species_id: int | None = None
 
     kind: ClassVar[str] = "blueprint"
-    fitness = None  # this generation's score; never saved
+    fitness = 0.0  # this generation's score; never saved
 
     def node_ids(self) -> set[int]:
         return set(self.nodes)
@@ -500,9 +500,7 @@ def crossover(a, b, rng: np.random.Generator, tracker: InnovationTracker):
     inherited)."""
     if a.kind != b.kind:
         raise ConfigError(f"cannot cross {a.kind} with {b.kind}")
-    fa = a.fitness if a.fitness is not None else 0.0
-    fb = b.fitness if b.fitness is not None else 0.0
-    fit, other = (a, b) if fa >= fb else (b, a)
+    fit, other = (a, b) if a.fitness >= b.fitness else (b, a)
 
     child = fit.copy(genome_id=tracker.next_genome_id())
     for node_id in child.nodes:
@@ -513,7 +511,7 @@ def crossover(a, b, rng: np.random.Generator, tracker: InnovationTracker):
         child.share_flag = donor.share_flag
         child.final_layer = replace(donor.final_layer)
     child.species_id = None
-    child.fitness = None
+    child.fitness = 0.0
     return child
 
 
@@ -680,17 +678,14 @@ def speciate_and_reproduce(pop: SpeciesPopulation, elite_frac: float,
     if species_ids is None and pop.kind == "blueprint":
         raise ConfigError("blueprint reproduction needs module species ids")
 
-    def fit(g):
-        return g.fitness if g.fitness is not None else 0.0
-
-    weights = [sum(fit(g) for g in s.members) for s in pop.species]
+    weights = [sum(g.fitness for g in s.members) for s in pop.species]
     allocs = _allocate(weights, total)
 
     new_members = []
     for sp, alloc in zip(pop.species, allocs):
         if alloc == 0:
             continue
-        ranked = sorted(sp.members, key=lambda g: (-fit(g), g.genome_id))
+        ranked = sorted(sp.members, key=lambda g: (-g.fitness, g.genome_id))
         n_elite = min(alloc, max(1, int(round(elite_frac * len(ranked)))))
         for g in ranked[:n_elite]:
             new_members.append(g)
@@ -728,5 +723,5 @@ def speciate_and_reproduce(pop: SpeciesPopulation, elite_frac: float,
     elif len(pop.species) < pop.target_species:
         pop.compat_threshold = max(0.3, pop.compat_threshold - COMPAT_ADJUST)
     for g in pop.all_members():
-        g.fitness = None
+        g.fitness = 0.0
     return pop

@@ -41,7 +41,7 @@ from typing import ClassVar
 import numpy as np
 
 from .assembly import CmGridNet, CmsrNet, realize_module
-from .config import DEFAULT_DEADLINE_S
+from .config import DEFAULT_DEADLINE_S, parse_addr
 from .dataset import (
     DatasetRef, MultitaskSpec, SynthRef, load_image_dir, split_fixed,
     synth_generate,
@@ -282,9 +282,11 @@ def train_payload(payload: Payload, **schedule):
     return model, spec, fitness
 
 
-def evaluate_payload(payload: Payload):
-    """Run one evaluation; returns (fitness, per_task accuracies)."""
-    model, spec, fitness = train_payload(payload)
+def evaluate_payload(payload: Payload, **schedule):
+    """Run one evaluation; returns (fitness: the payload's own, else mean
+    validation accuracy; per_task validation accuracies). `schedule`
+    goes to `train_payload`."""
+    model, spec, fitness = train_payload(payload, **schedule)
     per_task, mean = evaluate_accuracy(model, spec, "val")
     return (mean if fitness is None else fitness), per_task
 
@@ -437,7 +439,7 @@ class Coordinator:
     """
 
     def __init__(self, bind_addr: str):
-        host, port_s = bind_addr.rsplit(":", 1)
+        host, port = parse_addr(bind_addr)
         self.state = _CoordinatorState()
         self.conns: set[socket.socket] = set()
         self.idle: set[socket.socket] = set()  # handlers waiting for a job
@@ -445,7 +447,7 @@ class Coordinator:
         self.server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
-            self.server.bind((host, int(port_s)))
+            self.server.bind((host, port))
             self.server.listen(64)
         except OSError:
             self.server.close()
@@ -639,7 +641,7 @@ def run_worker(coordinator_addr: str | None = None,
     if not addr:
         raise HarnessError(
             f"no coordinator address given and ${ADDR_ENV_VAR} unset")
-    host, port_s = addr.rsplit(":", 1)
+    host, port = parse_addr(addr)
     wid = worker_id or f"worker-{os.getpid()}"
     backoff = 1.0
     started = time.monotonic()
@@ -648,7 +650,7 @@ def run_worker(coordinator_addr: str | None = None,
                 and time.monotonic() - started > give_up_after_s):
             return 1
         try:
-            sock = socket.create_connection((host, int(port_s)), timeout=10.0)
+            sock = socket.create_connection((host, port), timeout=10.0)
         except OSError:
             time.sleep(min(backoff, max_backoff_s))
             backoff = min(backoff * 2, max_backoff_s)

@@ -352,13 +352,9 @@ def joint_train(state: CtrState, spec: MultitaskSpec, m_iters: int, lr: float,
         adam_step(block, lr)
 
 
-def evaluate_individual(ind: RoutingIndividual, modules,
-                        spec: MultitaskSpec, task, split: str = "val",
-                        examples: list | None = None) -> float:
-    """Accuracy of `ind` on `task`'s split, or on `examples` when given
-    (a subset drawn by the caller, see `eval_subset`)."""
-    if examples is None:
-        examples = spec.examples_for(task, split)
+def evaluate_individual(ind: RoutingIndividual, modules, examples) -> float:
+    """Accuracy of `ind` on `examples` (a task's validation subset, see
+    `eval_subset`)."""
     return accuracy(lambda g, x: ind.forward(g, modules, x), examples)
 
 
@@ -373,23 +369,25 @@ def eval_subset(spec: MultitaskSpec, task, subsample: int | None,
     return examples
 
 
-def select_and_checkpoint(state: CtrState, accuracies: dict) -> None:
+def select_and_checkpoint(state: CtrState, accuracies: dict):
     """Champion := challenger on strictly higher validation accuracy (ties
-    keep the champion); checkpoint the full system on a new best mean."""
-    champ_accs = {}
+    keep the champion); checkpoint the full system on a new best mean.
+    Returns (the champions' mean accuracy, how many were replaced)."""
+    kept, replaced = [], 0  # per task: the accuracy of its champion now
     for tid in state.champions:
-        champ_acc = accuracies[tid]["champion"]
+        acc = accuracies[tid]["champion"]
         chal_acc = accuracies[tid].get("challenger")
-        if chal_acc is not None and chal_acc > champ_acc:
+        if chal_acc is not None and chal_acc > acc:
             state.champions[tid] = state.challengers[tid]
-            champ_accs[tid] = chal_acc
-        else:
-            champ_accs[tid] = champ_acc
+            acc = chal_acc
+            replaced += 1
+        kept.append(acc)
     state.challengers = {}
-    mean = float(np.mean(list(champ_accs.values())))
+    mean = float(np.mean(kept))
     if mean > state.best_avg_val:
         state.best_avg_val = mean
         state.checkpoint_bytes = serialize_ctr_state(state)
+    return mean, replaced
 
 
 def run_ctr(modules, spec: MultitaskSpec, meta_iters: int, m_iters: int,
@@ -421,18 +419,11 @@ def run_ctr(modules, spec: MultitaskSpec, meta_iters: int, m_iters: int,
             examples = eval_subset(spec, task, eval_subsample, rng)
             accs[tid] = {
                 "champion": evaluate_individual(
-                    state.champions[tid], state.modules, spec, task,
-                    examples=examples),
+                    state.champions[tid], state.modules, examples),
                 "challenger": evaluate_individual(
-                    state.challengers[tid], state.modules, spec, task,
-                    examples=examples),
+                    state.challengers[tid], state.modules, examples),
             }
-        replaced = sum(1 for tid in accs
-                       if accs[tid]["challenger"] > accs[tid]["champion"])
-        select_and_checkpoint(state, accs)
-        mean_now = float(np.mean([
-            max(accs[tid]["champion"], accs[tid]["challenger"])
-            for tid in accs]))
+        mean_now, replaced = select_and_checkpoint(state, accs)
         history.append({"meta_iteration": mi,
                         "mean_champion_val": mean_now,
                         "best_avg_val": state.best_avg_val,

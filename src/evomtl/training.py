@@ -24,23 +24,27 @@ from .diffcore import (
 SCORE_CHUNK_ROWS = 1024
 
 
+def epoch_iters(spec: MultitaskSpec) -> int:
+    """Iterations in one epoch: the mean per-task train-split size."""
+    total_train = sum(len(t.split.train) for t in spec.tasks)
+    return max(1, total_train // max(1, len(spec.tasks)))
+
+
 def train_network(net, spec: MultitaskSpec, iters: int, lr: float,
                   rng: np.random.Generator, *, lr_decay: bool = False,
-                  epoch_iters: int | None = None,
                   snapshot_every: int | None = None):
     """Train `net` in place; returns (lr_trace, best_val_acc or None).
 
     With lr_decay, the rate drops by 10x after 10 and again after 20
-    epochs, where one epoch is `epoch_iters` iterations (default: mean
-    per-task train-split size). With snapshot_every, validation accuracy
-    is measured periodically and the best parameter values are restored
-    at the end (peak-validation snapshot).
+    epochs (see `epoch_iters`). With snapshot_every, validation accuracy
+    is scored after every `snapshot_every`-th iteration and after the
+    last, and the weights of the first strictly best score are restored
+    at the end (peak-validation snapshot); with no iterations nothing is
+    scored and the second value is None.
     """
     block = ParamBlock(net.params())
     zero_grads(block)
-    if epoch_iters is None:
-        total_train = sum(len(t.split.train) for t in spec.tasks)
-        epoch_iters = max(1, total_train // max(1, len(spec.tasks)))
+    epoch_len = epoch_iters(spec)
     lr_points = []
     best_acc = None
     best_values = None
@@ -48,7 +52,7 @@ def train_network(net, spec: MultitaskSpec, iters: int, lr: float,
     def current_lr(it):
         if not lr_decay:
             return lr
-        epoch = it / epoch_iters
+        epoch = it / epoch_len
         if epoch >= 20:
             return lr / 100.0
         if epoch >= 10:
@@ -66,21 +70,15 @@ def train_network(net, spec: MultitaskSpec, iters: int, lr: float,
         if not lr_points or lr_points[-1] != step_lr:
             lr_points.append(step_lr)
         adam_step(block, step_lr)
-        if snapshot_every and (it + 1) % snapshot_every == 0:
+        if snapshot_every and ((it + 1) % snapshot_every == 0
+                               or it + 1 == iters):
             _, acc = evaluate_accuracy(net, spec, "val")
             if best_acc is None or acc > best_acc:
                 best_acc = acc
                 best_values = block.value.copy()
 
-    if snapshot_every:
-        if iters % snapshot_every or best_acc is None:
-            # the last periodic snapshot did not score the final weights
-            _, acc = evaluate_accuracy(net, spec, "val")
-            if best_acc is None or acc > best_acc:
-                best_acc = acc
-                best_values = None  # final state is already the best
-        if best_values is not None:
-            block.value[...] = best_values
+    if best_values is not None:
+        block.value[...] = best_values
     return lr_points, best_acc
 
 

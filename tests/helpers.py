@@ -1,7 +1,8 @@
 """Test references that the package itself never calls: a finite-
-difference gradient check, a PGM writer for image-directory fixtures,
-the output divergence of two routing individuals, the side of every
-routing node, and a payload that only names genomes."""
+difference gradient check, a PGM writer and a small PGM tree for
+image-directory fixtures, the output divergence of two routing
+individuals, the side of every routing node, and a payload that only
+names genomes."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from evomtl.assembly import empty_input
+from evomtl.dataset import DirRef
 from evomtl.diffcore import BatchForward, ParamBlock, backward, zero_grads
 from evomtl.errors import StateError
 from evomtl.genome import GlobalHyper
@@ -104,6 +106,20 @@ def write_pgm(path: str, image: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(np.round(img * 255).astype(np.uint8).tobytes())
+
+
+def pgm_tree(root, fill=0) -> DirRef:
+    """root/task<t>/class<c>/<i>.pgm: 2 tasks of 2 classes x 6 images at
+    side 8; `fill` shifts every pixel, so a rewrite changes the bytes."""
+    r = np.random.default_rng(0)
+    for t in range(2):
+        for c in range(2):
+            d = root / f"task{t}" / f"class{c}"
+            d.mkdir(parents=True, exist_ok=True)
+            for i in range(6):
+                write_pgm(str(d / f"{i}.pgm"),
+                          (r.random((8, 8)) + fill) % 1.0)
+    return DirRef(str(root), 8, split_seed=3)
 
 
 def output_divergence(a, b, modules, inputs) -> float:

@@ -338,12 +338,14 @@ def test_criterion_09_checkpoint_monotonicity_and_guard():
     # confirm the final state's evaluation is unaffected
     task = spec.tasks[0]
     acc_before = evaluate_individual(final.champions[task.task_id],
-                                     final.modules, spec, task, "val")
+                                     final.modules,
+                                     spec.examples_for(task, "val"))
     for m in modules:
         for p in m.all_params():
             p.value[...] = 0.0
     acc_after = evaluate_individual(final.champions[task.task_id],
-                                    final.modules, spec, task, "val")
+                                    final.modules,
+                                    spec.examples_for(task, "val"))
     _report(9, "best-average checkpointing is monotone and isolated",
             guard_ok and monotone and acc_before == acc_after,
             f"series {['%.3f' % b for b in bests]}")

@@ -10,6 +10,7 @@ from evomtl.genome import ModuleGenome
 from evomtl.harness import BestNetwork
 from evomtl.routing import CtrCheckpoint
 from evomtl.serialize import canon_dumps, from_obj, to_obj
+from helpers import pgm_tree
 
 
 def run_cli(args, capsys=None):
@@ -457,3 +458,43 @@ def test_run_reads_each_test_split_once_after_validation(
     vals = [i for i, (split, _) in enumerate(reads) if split == "val"]
     assert sorted(reads[i][1] for i in tests) == ["synth0", "synth1", "synth2"]
     assert vals and min(tests) > max(vals)
+
+
+_CTR = ["run", "--algorithm", "ctr", "--meta-iters", "1", "--m-iters", "1",
+        "--k-modules", "2"]
+_CM = ["run", "--algorithm", "cm", "--synth", "2x2x8", "--modules", "2",
+       "--species", "1", "--networks-per-gen", "1", "--train-iters", "1"]
+
+
+@pytest.mark.parametrize("argv, env", [
+    ([*_CTR, "--synth", "2x3x8", "--eval-subsample", "-1"], None),
+    ([*_CTR, "--synth", "2x3x8", "--eval-subsample", "0"], None),
+    ([*_CTR, "--data-dir", "{data}", "--image-side", "-3"], None),
+    ([*_CTR, "--synth", "2x3x-2"], None),
+    (["run", "--algorithm", "baseline-single", "--synth", "2x3x8",
+      "--depth", "0"], None),
+    ([*_CM, "--serve", "foo"], None),
+    ([*_CM, "--serve", "127.0.0.1:abc"], None),
+    ([*_CM, "--serve", "foo", "--plan-only"], None),
+    (["worker", "--addr", "foo"], None),
+    (["worker"], "foo"),
+], ids=["negative-eval-subsample", "zero-eval-subsample",
+        "negative-image-side", "negative-synth-side", "zero-depth",
+        "serve-without-port", "serve-with-a-word-for-port",
+        "serve-without-port-plan-only",
+        "worker-addr-without-port", "worker-env-addr-without-port"])
+def test_outside_input_ends_in_one_error_line(tmp_path, capsys, monkeypatch,
+                                              argv, env):
+    if env is None:
+        monkeypatch.delenv("EVOMTL_COORDINATOR_ADDR", raising=False)
+    else:
+        monkeypatch.setenv("EVOMTL_COORDINATOR_ADDR", env)
+    if "{data}" in argv:
+        data = pgm_tree(tmp_path / "data").dir
+        argv = [data if a == "{data}" else a for a in argv]
+    if argv[0] == "run":
+        argv = [*argv, "--out", str(tmp_path / "run")]
+    assert main(argv) != 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err

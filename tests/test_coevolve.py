@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evomtl.coevolve import (
-    FitnessRecord, GenerationPlan, HyperPopulation, attribute_fitness, plan_generation, retrain_top, run_generation_loop,
+    GenerationPlan, HyperPopulation, attribute_fitness, plan_generation, retrain_top, run_generation_loop,
 )
 from evomtl.dataset import SynthParams, SynthRef
 from evomtl.errors import ConfigError, StateError
@@ -141,13 +141,6 @@ def test_attribution_oracle_randomized():
                 assert g.fitness == 0.0
 
 
-def test_fitness_record_aggregate():
-    rec = FitnessRecord(1, [0.5, 0.7])
-    assert rec.aggregate == pytest.approx(0.6)
-    with pytest.raises(StateError):
-        FitnessRecord(2).aggregate
-
-
 def test_loop_stagnation_termination():
     pop = init_module_population(6, 2, rng(16))
     hpop = HyperPopulation(2, rng(17))
@@ -237,15 +230,16 @@ def test_lr_decay_sequence():
     from evomtl.dataset import split_fixed, synth_generate
     from evomtl.assembly import SoftOrderingNet
     from evomtl.genome import GlobalHyper, LayerGene
-    from evomtl.training import train_network
+    from evomtl.training import epoch_iters, train_network
     spec = split_fixed(synth_generate(33, 1, 2, 6, 0.0, examples_per_class=10),
                        0)
     gene = LayerGene(2, "conv2d", "relu", 3, 8, 1e-6, 0.0)
     h = GlobalHyper()
     net = SoftOrderingNet([gene], ["synth0"], [2], 6, h, rng(34))
-    # epoch_iters = 5 (train split size 5, one task): decay at 50 and 100
-    lr_points, _ = train_network(net, spec, 120, 1e-3, rng(35), lr_decay=True,
-                                 epoch_iters=5)
+    # one task, train split of 10: an epoch is 10 iterations, so the rate
+    # decays at 100 and 200
+    assert epoch_iters(spec) == 10
+    lr_points, _ = train_network(net, spec, 210, 1e-3, rng(35), lr_decay=True)
     assert lr_points == [1e-3, 1e-4, 1e-5]
 
 

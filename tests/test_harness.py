@@ -18,6 +18,7 @@ from evomtl.harness import (
 )
 from evomtl.genome import GlobalHyper, init_module_population
 from evomtl.serialize import to_obj
+from helpers import pgm_tree
 
 
 def free_port():
@@ -874,21 +875,6 @@ def test_cli_serve_run_matches_local_and_releases_its_worker(tmp_path):
 # --- the per-run dataset scope -------------------------------------------
 
 
-def _pgm_tree(root, fill=0):
-    """root/task<t>/class<c>/<i>.pgm: 2 tasks of 2 classes x 6 images at
-    side 8; `fill` shifts every pixel, so a rewrite changes the bytes."""
-    from helpers import write_pgm
-    r = np.random.default_rng(0)
-    for t in range(2):
-        for c in range(2):
-            d = root / f"task{t}" / f"class{c}"
-            d.mkdir(parents=True, exist_ok=True)
-            for i in range(6):
-                write_pgm(str(d / f"{i}.pgm"),
-                          (r.random((8, 8)) + fill) % 1.0)
-    return DirRef(str(root), 8, split_seed=3)
-
-
 def _counting(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
@@ -906,7 +892,7 @@ def test_a_run_reads_its_pgm_tree_once(tmp_path, monkeypatch):
     # run's scope only the first build reads the tree, and the next run
     # reads it again
     import evomtl.cli as cli
-    tree = _pgm_tree(tmp_path / "data")
+    tree = pgm_tree(tmp_path / "data")
     loads = _counting(monkeypatch, harness, "load_image_dir")
     builds = _counting(monkeypatch, harness, "build_dataset")
     monkeypatch.setattr(cli, "build_dataset", harness.build_dataset)
@@ -924,7 +910,7 @@ def test_a_run_reads_its_pgm_tree_once(tmp_path, monkeypatch):
 
 def test_each_build_in_a_scope_locks_its_own_test_split(tmp_path):
     from evomtl.errors import StateError
-    ref = _pgm_tree(tmp_path)
+    ref = pgm_tree(tmp_path)
     with harness.dataset_scope():
         first = harness.build_dataset(ref)
         with harness.dataset_scope():  # a nested scope joins the open one
@@ -941,7 +927,7 @@ def test_each_build_in_a_scope_locks_its_own_test_split(tmp_path):
 
 
 def test_a_later_scope_reads_a_rewritten_tree(tmp_path):
-    ref = _pgm_tree(tmp_path)
+    ref = pgm_tree(tmp_path)
 
     def first_image():
         spec = harness.build_dataset(ref)
@@ -949,7 +935,7 @@ def test_a_later_scope_reads_a_rewritten_tree(tmp_path):
 
     with harness.dataset_scope():
         old = first_image()
-        _pgm_tree(tmp_path, fill=0.5)
+        pgm_tree(tmp_path, fill=0.5)
         assert first_image() == old  # the scope keeps what it read
     with harness.dataset_scope():
         assert first_image() != old
@@ -961,7 +947,7 @@ def test_a_failed_build_is_not_kept(tmp_path):
     with harness.dataset_scope():
         with pytest.raises(DataError):
             harness.build_dataset(ref)
-        _pgm_tree(tmp_path / "data")
+        pgm_tree(tmp_path / "data")
         assert len(harness.build_dataset(ref).tasks) == 2
 
 

@@ -210,15 +210,17 @@ def test_selection_strict_and_checkpoint_monotone():
     accs = {tids[0]: {"champion": 0.7, "challenger": 0.8},
             tids[1]: {"champion": 0.5, "challenger": 0.5}}
     old_champ1 = state.champions[tids[1]]
-    select_and_checkpoint(state, accs)
+    assert select_and_checkpoint(state, accs) == (pytest.approx(0.65), 1)
     assert state.champions[tids[0]] is chal0       # replaced
     assert state.champions[tids[1]] is old_champ1  # tie keeps champion
     assert state.best_avg_val == pytest.approx(0.65)
     assert state.checkpoint_bytes is not None
     # lower later mean must not move best_avg_val
     state.challengers = {tid: state.champions[tid].copy() for tid in tids}
-    select_and_checkpoint(state, {tids[0]: {"champion": 0.1, "challenger": 0.0},
-                                  tids[1]: {"champion": 0.1, "challenger": 0.0}})
+    assert select_and_checkpoint(
+        state, {tids[0]: {"champion": 0.1, "challenger": 0.0},
+                tids[1]: {"champion": 0.1, "challenger": 0.0}}
+    ) == (pytest.approx(0.1), 0)
     assert state.best_avg_val == pytest.approx(0.65)
 
 
@@ -258,8 +260,8 @@ def test_run_ctr_monotone_best_and_storage_identity():
     assert storage_before == storage_after
     # final evaluation works from the restored checkpoint alone
     tid = spec.tasks[0].task_id
-    acc = evaluate_individual(final.champions[tid], final.modules, spec,
-                              spec.tasks[0], "val")
+    acc = evaluate_individual(final.champions[tid], final.modules,
+                              spec.examples_for(spec.tasks[0], "val"))
     assert 0.0 <= acc <= 1.0
 
 
@@ -273,7 +275,7 @@ def test_evaluate_individual_raises_on_nan_logits():
     task = spec.tasks[0]
     with pytest.raises(NumericError):
         evaluate_individual(state.champions[task.task_id], state.modules,
-                            spec, task, "val")
+                            spec.examples_for(task, "val"))
 
 
 def test_run_ctr_scores_champion_and_challenger_on_one_subset(monkeypatch):
@@ -319,7 +321,8 @@ def test_restored_state_scores_tasks_in_spec_order():
     per_task, _ = evaluate_accuracy(restored, spec, "val")
     for task in spec.tasks:
         want = evaluate_individual(restored.champions[task.task_id],
-                                   restored.modules, spec, task, "val")
+                                   restored.modules,
+                                   spec.examples_for(task, "val"))
         assert per_task[task.task_id] == want
     # the per-task scores differ, so a misrouted index would show
     assert len(set(per_task.values())) > 1
