@@ -23,18 +23,15 @@ import numpy as np
 
 from .assembly import SingleTaskNet, SoftOrderingNet, count_parameters
 from .config import ALGORITHMS, ExperimentConfig, resolve_config
-from .coevolve import (
-    GenerationPlan, HyperPopulation, retrain_top, run_generation_loop,
-)
+from .coevolve import HyperPopulation, retrain_top, run_generation_loop
 from .dataset import write_split_manifest
 from .dot import module_dot, routing_dot
 from .errors import ConfigError, EvoMtlError, ParseError
 from .genome import (
-    GlobalHyper, LayerGene, MutationRates, init_blueprint_population,
-    init_module_population,
+    GlobalHyper, LayerGene, init_blueprint_population, init_module_population,
 )
 from .harness import (
-    BestNetwork, Coordinator, CtrSettings, build_dataset, dataset_scope,
+    BestNetwork, Coordinator, build_dataset, dataset_scope,
     distributed_evaluator, local_evaluator, run_worker,
 )
 from .routing import CtrCheckpoint, default_ctr_modules, run_ctr
@@ -275,32 +272,16 @@ def _run_coevolution(cfg: ExperimentConfig, out_dir: str) -> dict:
         depth_flags=tuple([True] * cfg.depth), sharing_mode=cfg.sharing_mode)
     hyper_pop = HyperPopulation(cfg.hyper_pool, rng, cfg.sharing_mode,
                                 base=base_hyper)
-    ctr = None
-    if cfg.algorithm == "cmtr":
-        ctr = CtrSettings(cfg.meta_iters, cfg.m_iters, cfg.alpha,
-                          eval_subsample=cfg.eval_subsample)
-    plan = GenerationPlan(
-        algorithm=cfg.algorithm,
-        networks_per_generation=cfg.networks_per_generation,
-        train_iters=cfg.train_iters, stagnation_limit=cfg.stagnation_limit,
-        max_generations=cfg.max_generations, elite_frac=cfg.elite_frac,
-        deadline_s=cfg.deadline_s, ctr=ctr)
-    rates = MutationRates(sharing_mode=cfg.sharing_mode)
     # one coordinator for the whole search: workers stay connected across
     # generations and are released when the loop ends
     with (Coordinator(cfg.serve) if cfg.serve
           else contextlib.nullcontext()) as coordinator:
         evaluator = (distributed_evaluator(coordinator) if coordinator
                      else local_evaluator)
-        out = run_generation_loop(plan, module_pop, evaluator,
-                                  cfg.dataset_ref(), rng,
-                                  blueprint_pop=blueprint_pop,
-                                  hyper_pop=hyper_pop, rates=rates, log=print)
+        out = run_generation_loop(cfg, module_pop, hyper_pop, evaluator, rng,
+                                  blueprint_pop=blueprint_pop, log=print)
     _write_history(os.path.join(out_dir, "history.jsonl"), out.history)
-    ctr_long = (dataclasses.replace(ctr, meta_iters=cfg.retrain_meta_iters)
-                if ctr else None)
-    report = retrain_top(out.archive, cfg.n_top, cfg.long_iters,
-                         ctr_long=ctr_long, log=print)
+    report = retrain_top(out.archive, cfg, log=print)
     report["algorithm"] = cfg.algorithm
     report["generations"] = out.generations
     best = BestNetwork(report["payload"], {k: v for k, v in report.items()

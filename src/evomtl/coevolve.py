@@ -9,6 +9,10 @@ the network's mean validation accuracy (for cmtr, the inner loop's best
 checkpointed mean); a genome's fitness is the average over all successful
 jobs that contained it, and genomes seen only in failed jobs score 0.
 Global hyperparameters evolve alongside in a small elitist pool.
+
+A search run is described once, by its resolved `ExperimentConfig`: the
+loop reads its counts, dataset, deadline, sharing rule and cmtr routing
+evolution from the config, and the top networks are retrained from it.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_DEADLINE_S
-from .dataset import DatasetRef
+from .config import ExperimentConfig
 from .errors import ConfigError, StateError
 from .genome import (
     GlobalHyper, MutationRates, SpeciesPopulation, mutate_global,
@@ -29,26 +32,6 @@ from .harness import (
     train_payload,
 )
 from .training import final_report
-
-
-@dataclass
-class GenerationPlan:
-    algorithm: str                      # cm | cmsr | cmtr
-    networks_per_generation: int = 100
-    train_iters: int = 3000
-    stagnation_limit: int = 10
-    max_generations: int | None = None
-    elite_frac: float = 0.2
-    deadline_s: float = DEFAULT_DEADLINE_S
-    ctr: CtrSettings | None = None      # cmtr's routing evolution
-
-    def __post_init__(self):
-        if self.networks_per_generation < 1 or self.train_iters < 0:
-            raise ConfigError("plan counts must be positive")
-        if self.algorithm not in PAYLOADS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.algorithm == "cmtr" and not self.ctr:
-            raise ConfigError("cmtr needs a ctr sub-config")
 
 
 class HyperPopulation:
@@ -113,16 +96,16 @@ def _coverage_patch(picks: list[dict], species):
                 break  # more genomes than jobs; cover as many as possible
 
 
-def plan_generation(plan: GenerationPlan, module_pop: SpeciesPopulation,
+def plan_generation(cfg: ExperimentConfig, module_pop: SpeciesPopulation,
                     blueprint_pop: SpeciesPopulation | None,
-                    hyper_pop: HyperPopulation, dataset_ref: DatasetRef,
-                    rng: np.random.Generator, first_job_id: int = 0) -> list[Job]:
+                    hyper_pop: HyperPopulation, rng: np.random.Generator,
+                    first_job_id: int = 0) -> list[Job]:
     """Build the generation's evaluation jobs. Payloads are self-contained:
     they hold copies of the genomes, which evolve in place later."""
     species = module_pop.species
     if any(not sp.members for sp in species):
         raise StateError("a module species is empty")
-    n_jobs = plan.networks_per_generation
+    n_jobs = cfg.networks_per_generation
     picks = []
     for _ in range(n_jobs):
         picks.append({sp.species_id:
@@ -132,6 +115,9 @@ def plan_generation(plan: GenerationPlan, module_pop: SpeciesPopulation,
 
     blueprints = blueprint_pop.all_members() if blueprint_pop else None
     hypers = hyper_pop.candidates
+    dataset_ref = cfg.dataset_ref()
+    ctr = CtrSettings(cfg.meta_iters, cfg.m_iters, cfg.alpha,
+                      eval_subsample=cfg.eval_subsample)
     jobs = []
     for j in range(n_jobs):
         hid, hyper = hypers[j % len(hypers)]
@@ -140,12 +126,12 @@ def plan_generation(plan: GenerationPlan, module_pop: SpeciesPopulation,
                       module_ids=[g.genome_id for g in ordered],
                       hyper=hyper, hyper_id=hid, dataset=dataset_ref,
                       seed=int(rng.integers(2 ** 62)),
-                      train_iters=plan.train_iters)
+                      train_iters=cfg.train_iters)
         blueprint = blueprints[j % len(blueprints)].copy() if blueprints \
             else None
-        payload = PAYLOADS[plan.algorithm].planned(
-            fields, blueprint, [sp.species_id for sp in species], plan.ctr)
-        jobs.append(Job(first_job_id + j, payload, plan.deadline_s))
+        payload = PAYLOADS[cfg.algorithm].planned(
+            fields, blueprint, [sp.species_id for sp in species], ctr)
+        jobs.append(Job(first_job_id + j, payload, cfg.deadline_s))
     return jobs
 
 
@@ -196,20 +182,18 @@ class LoopResult:
     generations: int
 
 
-def run_generation_loop(plan: GenerationPlan, module_pop: SpeciesPopulation,
-                        evaluator, dataset_ref: DatasetRef,
+def run_generation_loop(cfg: ExperimentConfig, module_pop: SpeciesPopulation,
+                        hyper_pop: HyperPopulation, evaluator,
                         rng: np.random.Generator,
                         blueprint_pop: SpeciesPopulation | None = None,
-                        hyper_pop: HyperPopulation | None = None,
-                        rates: MutationRates | None = None,
                         log=None) -> LoopResult:
     """Plan -> evaluate -> attribute -> reproduce until the best fitness
     stagnates for `stagnation_limit` generations (or the hard cap)."""
-    if plan.algorithm == "cmsr" and blueprint_pop is None:
+    if cfg.algorithm not in PAYLOADS:
+        raise ConfigError(f"{cfg.algorithm!r} has no generation loop")
+    if cfg.algorithm == "cmsr" and blueprint_pop is None:
         raise ConfigError("cmsr needs a blueprint population")
-    if hyper_pop is None:
-        raise ConfigError("a hyperparameter population is required")
-    rates = rates or MutationRates()
+    rates = MutationRates(sharing_mode=cfg.sharing_mode)
     history: list[dict] = []
     archive: list[tuple[Payload, float]] = []
     best_so_far = float("-inf")
@@ -218,8 +202,8 @@ def run_generation_loop(plan: GenerationPlan, module_pop: SpeciesPopulation,
     job_counter = 0
     while True:
         generation += 1
-        jobs = plan_generation(plan, module_pop, blueprint_pop, hyper_pop,
-                               dataset_ref, rng, first_job_id=job_counter)
+        jobs = plan_generation(cfg, module_pop, blueprint_pop, hyper_pop, rng,
+                               first_job_id=job_counter)
         job_counter += len(jobs)
         results = {r.job_id: r for r in evaluator(jobs)}
         fits = []  # the successful jobs' fitnesses
@@ -249,22 +233,21 @@ def run_generation_loop(plan: GenerationPlan, module_pop: SpeciesPopulation,
             log(f"generation {generation}: best {gen_best:.4f} "
                 f"mean {gen_mean:.4f} (best so far {best_so_far:.4f})")
         stale = 0 if gen_best > prev_best else stale + 1
-        if stale >= plan.stagnation_limit:
+        if stale >= cfg.stagnation_limit:
             break
-        if plan.max_generations and generation >= plan.max_generations:
+        if cfg.max_generations and generation >= cfg.max_generations:
             break
-        speciate_and_reproduce(module_pop, plan.elite_frac, rng, rates)
+        speciate_and_reproduce(module_pop, cfg.elite_frac, rng, rates)
         live = module_pop.species_ids()
         if blueprint_pop is not None:
             _fix_blueprint_pointers(blueprint_pop, live, rng)
-            speciate_and_reproduce(blueprint_pop, plan.elite_frac, rng, rates,
+            speciate_and_reproduce(blueprint_pop, cfg.elite_frac, rng, rates,
                                    species_ids=live)
         hyper_pop.evolve(rng)
     return LoopResult(history, archive, generation)
 
 
-def retrain_top(archive: list[tuple[Payload, float]], n_top: int,
-                long_iters: int, ctr_long: CtrSettings | None = None,
+def retrain_top(archive: list[tuple[Payload, float]], cfg: ExperimentConfig,
                 log=None) -> dict:
     """Re-evaluate the highest-fitness payloads with long training, pick
     the best by validation, retrain it from scratch with peak-validation
@@ -272,19 +255,19 @@ def retrain_top(archive: list[tuple[Payload, float]], n_top: int,
     training decays the learning rate."""
     if not archive:
         raise StateError("empty archive: nothing to retrain")
-    ranked = sorted(archive, key=lambda pf: -pf[1])[:max(1, n_top)]
+    ranked = sorted(archive, key=lambda pf: -pf[1])[:max(1, cfg.n_top)]
     scored = []
     for i, (payload, short_fitness) in enumerate(ranked):
         val, _ = evaluate_payload(
-            payload.lengthened(long_iters, ctr_long, 1000 + i), lr_decay=True)
+            payload.lengthened(cfg, 1000 + i), lr_decay=True)
         scored.append((val, payload))
         if log:
             log(f"retrain candidate {i}: short {short_fitness:.4f} "
                 f"-> long val {val:.4f}")
     best_val, best_payload = max(scored, key=lambda vp: vp[0])
-    payload = best_payload.lengthened(long_iters, ctr_long, 2000)
+    payload = best_payload.lengthened(cfg, 2000)
     model, spec, _ = train_payload(
-        payload, lr_decay=True, snapshot_every=max(1, long_iters // 10))
+        payload, lr_decay=True, snapshot_every=max(1, cfg.long_iters // 10))
     # the run's one sanctioned test-split read
     return {"payload": payload, **final_report(model, spec),
             "selected_val_accuracy": best_val}

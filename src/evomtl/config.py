@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown profile {self.profile!r}")
         if self.sharing_mode not in ("enabled", "disabled", "evolved"):
             raise ConfigError(f"unknown sharing mode {self.sharing_mode!r}")
+        if self.networks_per_generation < 1 or self.train_iters < 0:
+            raise ConfigError("plan counts must be positive")
         if self.data_dir is None and self.synth_tasks < 1:
             raise ConfigError("need a data directory or synth parameters")
         if self.effective_image_side() < 1:

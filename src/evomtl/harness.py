@@ -41,7 +41,7 @@ from typing import ClassVar
 import numpy as np
 
 from .assembly import CmGridNet, CmsrNet, realize_module
-from .config import DEFAULT_DEADLINE_S, parse_addr
+from .config import DEFAULT_DEADLINE_S, ExperimentConfig, parse_addr
 from .dataset import (
     DatasetRef, MultitaskSpec, SynthRef, load_image_dir, split_fixed,
     synth_generate,
@@ -132,11 +132,10 @@ class CmPayload:
                       rng, **schedule)
         return net, None
 
-    def lengthened(self, long_iters: int, ctr_long: CtrSettings | None,
-                   seed_shift: int):
-        """This evaluation reseeded for long training."""
+    def lengthened(self, cfg: ExperimentConfig, seed_shift: int):
+        """This evaluation reseeded for the long training `cfg` sets."""
         return replace(self, seed=self.seed + seed_shift,
-                       train_iters=long_iters)
+                       train_iters=cfg.long_iters)
 
 
 @dataclass
@@ -186,10 +185,9 @@ class CmtrPayload(CmPayload):
                                  eval_subsample=c.eval_subsample)
         return final, best
 
-    def lengthened(self, long_iters: int, ctr_long: CtrSettings | None,
-                   seed_shift: int):
+    def lengthened(self, cfg: ExperimentConfig, seed_shift: int):
         return replace(self, seed=self.seed + seed_shift,
-                       ctr=ctr_long or self.ctr)
+                       ctr=replace(self.ctr, meta_iters=cfg.retrain_meta_iters))
 
 
 Payload = CmPayload | CmsrPayload | CmtrPayload

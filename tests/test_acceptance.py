@@ -15,8 +15,9 @@ import numpy as np
 
 from evomtl.assembly import CmGridNet, SingleTaskNet, SoftOrderingNet
 from evomtl.coevolve import (
-    GenerationPlan, HyperPopulation, attribute_fitness, run_generation_loop,
+    HyperPopulation, attribute_fitness, run_generation_loop,
 )
+from evomtl.config import ExperimentConfig
 from evomtl.dataset import (
     MultitaskSpec, Split, SynthParams, SynthRef, TaskDataset, split_fixed,
     synth_generate,
@@ -409,7 +410,6 @@ def test_criterion_11_multitask_direction():
 # -- 12. sharing-mode ablation -------------------------------------------------------------
 
 def test_criterion_12_sharing_ablation():
-    dataset_ref = SynthRef(SynthParams(12, 3, 3, 8, 0.1), split_seed=12)
     results = {}
     for mode in ("enabled", "disabled", "evolved"):
         bests = []
@@ -420,13 +420,12 @@ def test_criterion_12_sharing_ablation():
                                k_modules=2, depth=2, depth_flags=(True, True),
                                sharing_mode=mode)
             hyper_pop = HyperPopulation(1, r, mode, base=base)
-            plan = GenerationPlan(algorithm="cm", networks_per_generation=4,
-                                  train_iters=100, stagnation_limit=10,
-                                  max_generations=5)
-            out = run_generation_loop(
-                plan, pop, local_evaluator, dataset_ref, r,
-                hyper_pop=hyper_pop,
-                rates=MutationRates(sharing_mode=mode))
+            cfg = ExperimentConfig(
+                algorithm="cm", seed=12, synth_tasks=3, synth_classes=3,
+                synth_side=8, synth_noise=0.1, networks_per_generation=4,
+                train_iters=100, stagnation_limit=10, max_generations=5,
+                sharing_mode=mode)
+            out = run_generation_loop(cfg, pop, hyper_pop, local_evaluator, r)
             bests.append(max(h["best_fitness"] for h in out.history))
         results[mode] = bests
     for mode in ("enabled", "disabled", "evolved"):

@@ -24,6 +24,16 @@ def test_unknown_algorithm_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("profile", ["desk", "paper"])
+@pytest.mark.parametrize("algorithm", ["baseline-single", "baseline-soft",
+                                       "cm", "cmsr", "ctr", "cmtr"])
+def test_every_shipped_profile_passes_the_config_checks(capsys, profile,
+                                                        algorithm):
+    assert main(["run", "--algorithm", algorithm, "--profile", profile,
+                 "--plan-only"]) == 0
+    assert f"algorithm={algorithm} profile={profile}" in capsys.readouterr().out
+
+
 def test_plan_only_paper_cmtr(capsys):
     code = main(["run", "--algorithm", "cmtr", "--profile", "paper",
                  "--plan-only"])

@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 
 from evomtl.coevolve import (
-    GenerationPlan, HyperPopulation, attribute_fitness, plan_generation, retrain_top, run_generation_loop,
+    HyperPopulation, attribute_fitness, plan_generation, retrain_top, run_generation_loop,
 )
-from evomtl.dataset import SynthParams, SynthRef
+from evomtl.config import ExperimentConfig
 from evomtl.errors import ConfigError, StateError
 from evomtl.genome import init_blueprint_population, init_module_population
-from evomtl.harness import CtrSettings, Job, JobResult
+from evomtl.harness import Job, JobResult
 from evomtl.serialize import canon_dumps, to_obj
 from helpers import naming_payload
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-DATASET = SynthRef(SynthParams(5, 2, 3, 8, 0.1), split_seed=5)
 
 
 def stub_evaluator(jobs: list[Job]) -> list[JobResult]:
@@ -34,16 +31,18 @@ def stub_evaluator(jobs: list[Job]) -> list[JobResult]:
 
 
 def make_plan(**kw):
-    base = dict(algorithm="cm", networks_per_generation=8, train_iters=0,
-                stagnation_limit=3, max_generations=4)
+    """A search config on a 2-task, 3-class synthetic 8x8 corpus."""
+    base = dict(algorithm="cm", seed=5, synth_tasks=2, synth_classes=3,
+                synth_side=8, synth_noise=0.1, networks_per_generation=8,
+                train_iters=0, stagnation_limit=3, max_generations=4)
     base.update(kw)
-    return GenerationPlan(**base)
+    return ExperimentConfig(**base)
 
 
 def test_plan_generation_counts_and_coverage():
     pop = init_module_population(12, 4, rng(1))
     hpop = HyperPopulation(3, rng(2))
-    jobs = plan_generation(make_plan(), pop, None, hpop, DATASET, rng(3))
+    jobs = plan_generation(make_plan(), pop, None, hpop, rng(3))
     assert len(jobs) == 8
     for job in jobs:
         assert len(job.payload.modules) == 4  # one per species
@@ -56,9 +55,8 @@ def test_plan_generation_counts_and_coverage():
 def test_plan_generation_cmtr_expansion_kept_as_set():
     pop = init_module_population(4, 2, rng(4), cmtr_mode=True)
     hpop = HyperPopulation(2, rng(5))
-    plan = make_plan(algorithm="cmtr",
-                     ctr=CtrSettings(meta_iters=1, m_iters=1, alpha=0.1))
-    jobs = plan_generation(plan, pop, None, hpop, DATASET, rng(6))
+    plan = make_plan(algorithm="cmtr", meta_iters=1, m_iters=1)
+    jobs = plan_generation(plan, pop, None, hpop, rng(6))
     for job in jobs:
         assert len(job.payload.modules) == 2  # designs; slots expand later
         assert job.payload.ctr.meta_iters == 1
@@ -69,7 +67,7 @@ def test_plan_generation_cmsr_includes_blueprints():
     bpop = init_blueprint_population(3, pop.species_ids(), rng(8))
     hpop = HyperPopulation(2, rng(9))
     jobs = plan_generation(make_plan(algorithm="cmsr"), pop, bpop, hpop,
-                           DATASET, rng(10))
+                           rng(10))
     bids = {job.payload.blueprint_id for job in jobs}
     assert bids == {g.genome_id for g in bpop.all_members()}
     for job in jobs:
@@ -81,7 +79,7 @@ def test_plan_empty_species_raises():
     pop.species[0].members.clear()
     hpop = HyperPopulation(2, rng(12))
     with pytest.raises(StateError):
-        plan_generation(make_plan(), pop, None, hpop, DATASET, rng(13))
+        plan_generation(make_plan(), pop, None, hpop, rng(13))
 
 
 def brute_force_attribution(jobs, results):
@@ -150,8 +148,7 @@ def test_loop_stagnation_termination():
                 for j in jobs]
 
     plan = make_plan(stagnation_limit=3, max_generations=50)
-    out = run_generation_loop(plan, pop, flat_evaluator, DATASET, rng(18),
-                              hyper_pop=hpop)
+    out = run_generation_loop(plan, pop, hpop, flat_evaluator, rng(18))
     # generation 1 improves (0.5 > -inf), then 3 stale generations
     assert out.generations == 4
     assert len(out.history) == 4
@@ -161,8 +158,7 @@ def test_loop_history_bookkeeping_and_monotone_best():
     pop = init_module_population(6, 2, rng(19))
     hpop = HyperPopulation(2, rng(20))
     plan = make_plan(max_generations=5, stagnation_limit=10)
-    out = run_generation_loop(plan, pop, stub_evaluator, DATASET, rng(21),
-                              hyper_pop=hpop)
+    out = run_generation_loop(plan, pop, hpop, stub_evaluator, rng(21))
     assert len(out.history) == out.generations
     bests = [h["best_so_far"] for h in out.history]
     assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
@@ -178,8 +174,8 @@ def test_loop_bit_reproducible_with_stub():
         hpop = HyperPopulation(2, rng(24))
         plan = make_plan(algorithm="cmsr", max_generations=4,
                          stagnation_limit=10)
-        out = run_generation_loop(plan, pop, stub_evaluator, DATASET, rng(25),
-                                  blueprint_pop=bpop, hyper_pop=hpop)
+        out = run_generation_loop(plan, pop, hpop, stub_evaluator, rng(25),
+                                  blueprint_pop=bpop)
         return canon_dumps(out.history)
 
     assert run_once() == run_once()
@@ -202,8 +198,8 @@ def test_loop_failed_jobs_score_zero_and_continue():
 
     logs = []
     plan = make_plan(max_generations=2, stagnation_limit=10)
-    out = run_generation_loop(plan, pop, flaky, DATASET, rng(28),
-                              hyper_pop=hpop, log=logs.append)
+    out = run_generation_loop(plan, pop, hpop, flaky, rng(28),
+                              log=logs.append)
     assert out.generations == 2
     assert any("failed" in line for line in logs)
 
@@ -217,11 +213,11 @@ def test_retrain_top_clamps_and_snapshot():
             gene.kind = "conv2d"
             gene.kernel_size = 3
     hpop = HyperPopulation(1, rng(30), base=GlobalHyper())
-    jobs = plan_generation(make_plan(networks_per_generation=2), pop, None,
-                           hpop, DATASET, rng(31))
+    cfg = make_plan(networks_per_generation=2, n_top=10, long_iters=5)
+    jobs = plan_generation(cfg, pop, None, hpop, rng(31))
     for i, job in enumerate(jobs):
         archive.append((job.payload, 0.4 + 0.1 * i))
-    report = retrain_top(archive, n_top=10, long_iters=5)
+    report = retrain_top(archive, cfg)
     assert 0.0 <= report["test_accuracy"] <= 1.0
     assert set(report["val_per_task"]) == {"synth0", "synth1"}
 
@@ -279,6 +275,4 @@ def test_snapshot_restores_peak_validation_weights(monkeypatch):
 
 def test_plan_validation():
     with pytest.raises(ConfigError):
-        GenerationPlan(algorithm="nope")
-    with pytest.raises(ConfigError):
-        GenerationPlan(algorithm="cmtr")  # missing ctr sub-config
+        make_plan(algorithm="nope").check()

@@ -535,11 +535,10 @@ def test_an_undecodable_payload_fails_and_the_connection_goes_on(
     assert len(connections) == 1
 
 
-def test_one_deadline_default_for_jobs_plans_configs_and_workers(monkeypatch):
+def test_one_deadline_default_for_jobs_configs_and_workers(monkeypatch):
     # a job frame without deadline_s gets the same default on the worker
-    # as a Job built without one, a GenerationPlan and the run config
+    # as a Job built without one and the run config
     from evomtl import harness
-    from evomtl.coevolve import GenerationPlan
     from evomtl.config import ExperimentConfig
     seen = []
     monkeypatch.setattr(harness, "evaluate_local", lambda job, worker_id: (
@@ -568,7 +567,7 @@ def test_one_deadline_default_for_jobs_plans_configs_and_workers(monkeypatch):
     assert not fake.is_alive() and code == 0
     assert [j.job_id for j in seen] == [3]
     assert seen[0].deadline_s == Job(0, {}).deadline_s == \
-        GenerationPlan("cm").deadline_s == ExperimentConfig().deadline_s
+        ExperimentConfig().deadline_s
 
 
 # --- the run-long coordinator ---------------------------------------------------
