@@ -94,6 +94,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown sharing mode {self.sharing_mode!r}")
         if self.networks_per_generation < 1 or self.train_iters < 0:
             raise ConfigError("plan counts must be positive")
+        if self.meta_iters < 1 or self.retrain_meta_iters < 1:
+            raise ConfigError("meta_iters and retrain_meta_iters must be "
+                              "at least 1")
+        check_alpha(self.alpha)
         if self.data_dir is None and self.synth_tasks < 1:
             raise ConfigError("need a data directory or synth parameters")
         if self.effective_image_side() < 1:
@@ -119,6 +123,13 @@ class ExperimentConfig:
         if self.algorithm == "cmtr":
             return self.cmtr_modules, self.cmtr_species
         return self.modules, self.species
+
+
+def check_alpha(alpha: float) -> None:
+    """A new routing edge's post-softmax weight lies strictly inside
+    (0, 1); ConfigError otherwise."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def parse_addr(addr: str) -> tuple[str, int]:

@@ -281,12 +281,16 @@ def train_payload(payload: Payload, **schedule):
 
 
 def evaluate_payload(payload: Payload, **schedule):
-    """Run one evaluation; returns (fitness: the payload's own, else mean
-    validation accuracy; per_task validation accuracies). `schedule`
+    """Run one evaluation; returns (fitness, per_task validation
+    accuracies). A payload that brings its own fitness (cmtr's best
+    checkpointed mean) is not scored again, so its per_task is empty;
+    any other scores validation and its fitness is the mean. `schedule`
     goes to `train_payload`."""
     model, spec, fitness = train_payload(payload, **schedule)
+    if fitness is not None:
+        return fitness, {}
     per_task, mean = evaluate_accuracy(model, spec, "val")
-    return (mean if fitness is None else fitness), per_task
+    return mean, per_task
 
 
 def evaluate_local(job: Job, worker_id: str = "local") -> JobResult:

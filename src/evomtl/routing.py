@@ -31,6 +31,7 @@ from .genome import GlobalHyper, LayerGene, ModuleGenome, SINK, SOURCE, \
     dag_errors, reachable, topo_order
 from .assembly import ModuleInstance, empty_input, make_decoders, \
     out_side, realize_module
+from .config import check_alpha
 from .dataset import DatasetRef, MultitaskSpec
 from .serialize import (
     atomic_write_text, canon_dumps, canon_loads, from_obj, to_obj,
@@ -260,8 +261,7 @@ def init_ctr(modules: list[ModuleInstance], spec: MultitaskSpec,
 
 def new_edge_logit(existing: np.ndarray, alpha: float) -> float:
     """Logit whose post-softmax weight against `existing` is exactly alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     s_max = float(np.max(existing))
     return math.log(alpha / (1.0 - alpha) * float(np.exp(existing - s_max).sum())) \
         + s_max

@@ -474,6 +474,7 @@ _CTR = ["run", "--algorithm", "ctr", "--meta-iters", "1", "--m-iters", "1",
         "--k-modules", "2"]
 _CM = ["run", "--algorithm", "cm", "--synth", "2x2x8", "--modules", "2",
        "--species", "1", "--networks-per-gen", "1", "--train-iters", "1"]
+_CMTR = ["run", "--algorithm", "cmtr", "--synth", "2x2x8"]
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -488,11 +489,20 @@ _CM = ["run", "--algorithm", "cm", "--synth", "2x2x8", "--modules", "2",
     ([*_CM, "--serve", "foo", "--plan-only"], None),
     (["worker", "--addr", "foo"], None),
     (["worker"], "foo"),
+    ([*_CMTR, "--alpha", "1.5", "--plan-only"], None),
+    ([*_CMTR, "--meta-iters", "0", "--plan-only"], None),
+    ([*_CMTR, "--retrain-meta-iters", "0", "--plan-only"], None),
+    ([*_CTR, "--synth", "2x3x8", "--alpha", "0", "--plan-only"], None),
+    ([*_CM, "--networks-per-gen", "0", "--plan-only"], None),
+    ([*_CM, "--train-iters", "-1", "--plan-only"], None),
 ], ids=["negative-eval-subsample", "zero-eval-subsample",
         "negative-image-side", "negative-synth-side", "zero-depth",
         "serve-without-port", "serve-with-a-word-for-port",
         "serve-without-port-plan-only",
-        "worker-addr-without-port", "worker-env-addr-without-port"])
+        "worker-addr-without-port", "worker-env-addr-without-port",
+        "alpha-above-one-plan-only", "zero-meta-iters-plan-only",
+        "zero-retrain-meta-iters-plan-only", "zero-alpha-plan-only",
+        "zero-networks-per-gen-plan-only", "negative-train-iters-plan-only"])
 def test_outside_input_ends_in_one_error_line(tmp_path, capsys, monkeypatch,
                                               argv, env):
     if env is None:

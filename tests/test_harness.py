@@ -293,6 +293,21 @@ def test_cmtr_payload_at_side_8_with_kernel_3_modules():
     assert result.status == "ok", result.message
 
 
+def test_a_cmtr_job_scores_no_validation_it_does_not_read(monkeypatch):
+    # its fitness is the routing evolution's own best checkpointed mean
+    from evomtl import harness
+    calls = []
+    real = harness.evaluate_accuracy
+    monkeypatch.setattr(harness, "evaluate_accuracy",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    payload = CmtrPayload(**vars(make_payload(side=8)),
+                          ctr=CtrSettings(1, 2, 0.1, lr=0.01))
+    result = evaluate_local(Job(0, payload))
+    assert result.status == "ok", result.message
+    assert calls == [] and result.per_task == {}
+    assert 0.0 <= result.fitness <= 1.0
+
+
 def test_worker_requires_address(monkeypatch):
     monkeypatch.delenv("EVOMTL_COORDINATOR_ADDR", raising=False)
     with pytest.raises(HarnessError):
