@@ -141,21 +141,22 @@ def attribute_fitness(jobs: list[Job], results: dict[int, JobResult],
                       hyper_pop: HyperPopulation | None = None):
     """Set each genome's fitness to the mean of its successful jobs'
     fitnesses, and each hyperparameter candidate's likewise; a genome in
-    no successful job scores 0."""
-    samples: dict[int, list[float]] = {}
+    no successful job scores 0. Module and blueprint ids are counted
+    apart, so samples are keyed by (kind, id)."""
+    samples: dict[tuple[str, int], list[float]] = {}
     hyper_samples: dict[int, list[float]] = {}
     for job in jobs:
         result = results.get(job.job_id)
         if result is None or result.status != "ok":
             continue
-        for gid in job.payload.genome_ids():
-            samples.setdefault(gid, []).append(result.fitness)
+        for key in job.payload.genome_ids():
+            samples.setdefault(key, []).append(result.fitness)
         hyper_samples.setdefault(job.payload.hyper_id, []).append(
             result.fitness)
     pops = [module_pop] + ([blueprint_pop] if blueprint_pop else [])
     for pop in pops:
         for g in pop.all_members():
-            got = samples.get(g.genome_id)
+            got = samples.get((g.kind, g.genome_id))
             # plain left-fold sum so independent tabulations agree bit-exactly
             g.fitness = sum(got) / len(got) if got else 0.0
     if hyper_pop is not None:

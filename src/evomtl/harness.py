@@ -101,7 +101,8 @@ class CtrSettings:
 @dataclass
 class CmPayload:
     """One module design per species on the grid; the fitness goes to the
-    genomes `genome_ids` names and to hyperparameter candidate `hyper_id`."""
+    genomes `genome_ids` names, by (kind, id), and to hyperparameter
+    candidate `hyper_id`."""
 
     algorithm: ClassVar[str] = "cm"
     modules: list[ModuleGenome]
@@ -117,8 +118,8 @@ class CmPayload:
         """A planned job's payload: `fields` plus what this class adds."""
         return cls(**fields)
 
-    def genome_ids(self) -> list[int]:
-        return self.module_ids
+    def genome_ids(self) -> list[tuple[str, int]]:
+        return [(ModuleGenome.kind, gid) for gid in self.module_ids]
 
     def network(self, spec: MultitaskSpec, rng: np.random.Generator):
         return CmGridNet(self.modules, self.hyper, *_task_shape(spec), rng)
@@ -154,8 +155,9 @@ class CmsrPayload(CmPayload):
                    blueprint_id=blueprint.genome_id,
                    species_map={s: i for i, s in enumerate(species_ids)})
 
-    def genome_ids(self) -> list[int]:
-        return [*self.module_ids, self.blueprint_id]
+    def genome_ids(self) -> list[tuple[str, int]]:
+        return [*super().genome_ids(),
+                (BlueprintGenome.kind, self.blueprint_id)]
 
     def network(self, spec: MultitaskSpec, rng: np.random.Generator):
         modules = {s: self.modules[i] for s, i in self.species_map.items()}
@@ -186,8 +188,8 @@ class CmtrPayload(CmPayload):
         return final, best
 
     def lengthened(self, cfg: ExperimentConfig, seed_shift: int):
-        return replace(self, seed=self.seed + seed_shift,
-                       ctr=replace(self.ctr, meta_iters=cfg.retrain_meta_iters))
+        long_ctr = replace(self.ctr, meta_iters=cfg.retrain_meta_iters)
+        return replace(self, seed=self.seed + seed_shift, ctr=long_ctr)
 
 
 Payload = CmPayload | CmsrPayload | CmtrPayload

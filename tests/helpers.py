@@ -16,7 +16,7 @@ from evomtl.dataset import DirRef
 from evomtl.diffcore import BatchForward, ParamBlock, backward, zero_grads
 from evomtl.errors import StateError
 from evomtl.genome import GlobalHyper
-from evomtl.harness import CmPayload
+from evomtl.harness import CmPayload, CmsrPayload
 from evomtl.routing import route
 from evomtl.training import batched_forward
 
@@ -140,8 +140,13 @@ def node_sides(graph, modules, image_side: int) -> dict[int, int]:
     return {n: v.shape[0] for n, v in vals.items()}
 
 
-def naming_payload(module_ids: list[int]) -> CmPayload:
-    """A cm payload that names the genomes `module_ids` and holds nothing
-    to evaluate; for fitness attribution tests."""
-    return CmPayload(modules=[], module_ids=module_ids, hyper=GlobalHyper(),
-                     hyper_id=0, dataset=None, seed=0, train_iters=0)
+def naming_payload(module_ids: list[int], blueprint_id: int | None = None):
+    """A cm payload, or with `blueprint_id` a cmsr one, that names the
+    genomes `module_ids` (and that blueprint) and holds nothing to
+    evaluate; for fitness attribution tests."""
+    cm = CmPayload(modules=[], module_ids=module_ids, hyper=GlobalHyper(),
+                   hyper_id=0, dataset=None, seed=0, train_iters=0)
+    if blueprint_id is None:
+        return cm
+    return CmsrPayload(**vars(cm), blueprint=None, blueprint_id=blueprint_id,
+                       species_map={})

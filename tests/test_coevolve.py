@@ -83,16 +83,18 @@ def test_plan_empty_species_raises():
 
 
 def brute_force_attribution(jobs, results):
+    """Mean fitness per (kind, id): module and blueprint ids overlap."""
     table = {}
     for job in jobs:
         r = results.get(job.job_id)
         if r is None or r.status != "ok":
             continue
-        for gid in job.payload.module_ids + \
-                ([job.payload.blueprint_id]
-                 if hasattr(job.payload, "blueprint_id") else []):
-            table.setdefault(gid, []).append(r.fitness)
-    return {gid: sum(v) / len(v) for gid, v in table.items()}
+        keys = [("module", gid) for gid in job.payload.module_ids]
+        if hasattr(job.payload, "blueprint_id"):
+            keys.append(("blueprint", job.payload.blueprint_id))
+        for key in keys:
+            table.setdefault(key, []).append(r.fitness)
+    return {key: sum(v) / len(v) for key, v in table.items()}
 
 
 def test_attribute_fitness_mean_and_failures():
@@ -133,10 +135,31 @@ def test_attribution_oracle_randomized():
         attribute_fitness(jobs, results, pop)
         want = brute_force_attribution(jobs, results)
         for g in members:
-            if g.genome_id in want:
-                assert g.fitness == pytest.approx(want[g.genome_id], abs=0)
-            else:
-                assert g.fitness == 0.0
+            assert g.fitness == want.get(("module", g.genome_id), 0.0)
+
+
+def test_cmsr_attribution_oracle_keeps_module_and_blueprint_ids_apart():
+    r = rng(37)
+    for trial in range(50):
+        pop = init_module_population(int(r.integers(4, 10)), 2, rng(trial))
+        bpop = init_blueprint_population(int(r.integers(2, 6)),
+                                         pop.species_ids(), rng(100 + trial))
+        members, blueprints = pop.all_members(), bpop.all_members()
+        # both populations number their genomes from 1
+        assert {g.genome_id for g in members} & \
+            {g.genome_id for g in blueprints}
+        jobs, results = [], {}
+        for j in range(int(r.integers(2, 12))):
+            ids = [g.genome_id
+                   for g in members[:int(r.integers(1, len(members)))]]
+            bid = blueprints[int(r.integers(len(blueprints)))].genome_id
+            jobs.append(Job(j, naming_payload(ids, blueprint_id=bid)))
+            results[j] = (JobResult(j, "ok", fitness=float(r.random()))
+                          if r.random() < 0.8 else JobResult(j, "failed"))
+        attribute_fitness(jobs, results, pop, bpop)
+        want = brute_force_attribution(jobs, results)
+        for g in members + blueprints:
+            assert g.fitness == want.get((g.kind, g.genome_id), 0.0)
 
 
 def test_loop_stagnation_termination():
