@@ -93,7 +93,8 @@ class ExperimentConfig:
         if self.sharing_mode not in ("enabled", "disabled", "evolved"):
             raise ConfigError(f"unknown sharing mode {self.sharing_mode!r}")
         if self.networks_per_generation < 1 or self.train_iters < 0:
-            raise ConfigError("plan counts must be positive")
+            raise ConfigError("networks_per_generation must be at least 1 "
+                              "and train_iters at least 0")
         if self.meta_iters < 1 or self.retrain_meta_iters < 1:
             raise ConfigError("meta_iters and retrain_meta_iters must be "
                               "at least 1")
