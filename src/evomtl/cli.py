@@ -281,9 +281,8 @@ def _run_coevolution(cfg: ExperimentConfig, out_dir: str) -> dict:
         out = run_generation_loop(cfg, module_pop, hyper_pop, evaluator, rng,
                                   blueprint_pop=blueprint_pop, log=print)
     _write_history(os.path.join(out_dir, "history.jsonl"), out.history)
-    report = retrain_top(out.archive, cfg, log=print)
-    report["algorithm"] = cfg.algorithm
-    report["generations"] = out.generations
+    report = {**retrain_top(out.archive, cfg, log=print),
+              "algorithm": cfg.algorithm, "generations": out.generations}
     best = BestNetwork(report["payload"], {k: v for k, v in report.items()
                                            if k != "payload"})
     atomic_write_text(os.path.join(out_dir, "best_network.json"),

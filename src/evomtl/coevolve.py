@@ -12,7 +12,8 @@ Global hyperparameters evolve alongside in a small elitist pool.
 
 A search run is described once, by its resolved `ExperimentConfig`: the
 loop reads its counts, dataset, deadline, sharing rule and cmtr routing
-evolution from the config, and the top networks are retrained from it.
+evolution from the config; each top network is then trained once, long,
+and the best by validation is the one model the run tests and reports.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .genome import (
 )
 from .harness import (
     PAYLOADS, CtrSettings, Job, JobResult, Payload, evaluate_payload,
-    train_payload,
 )
 from .training import final_report
 
@@ -250,25 +250,23 @@ def run_generation_loop(cfg: ExperimentConfig, module_pop: SpeciesPopulation,
 
 def retrain_top(archive: list[tuple[Payload, float]], cfg: ExperimentConfig,
                 log=None) -> dict:
-    """Re-evaluate the highest-fitness payloads with long training, pick
-    the best by validation, retrain it from scratch with peak-validation
-    snapshotting, and report its mean test accuracy. cm/cmsr long
-    training decays the learning rate."""
+    """Train each of the `n_top` highest-fitness payloads once, long, with
+    its own seed and the final schedule (lr decay; peak-validation
+    snapshots for cm/cmsr). `final_report` scores the best by validation,
+    the run's one test-split read; its payload retrains to that model."""
     if not archive:
         raise StateError("empty archive: nothing to retrain")
-    ranked = sorted(archive, key=lambda pf: -pf[1])[:max(1, cfg.n_top)]
-    scored = []
+    ranked = sorted(archive, key=lambda pf: -pf[1])[:cfg.n_top]
+    best = None  # (val, payload, model, spec) of the best candidate so far
     for i, (payload, short_fitness) in enumerate(ranked):
-        val, _ = evaluate_payload(
-            payload.lengthened(cfg, 1000 + i), lr_decay=True)
-        scored.append((val, payload))
+        payload = payload.lengthened(cfg)
+        val, _, model, spec = evaluate_payload(
+            payload, lr_decay=True,
+            snapshot_every=max(1, cfg.long_iters // 10))
+        if best is None or val > best[0]:
+            best = (val, payload, model, spec)
         if log:
             log(f"retrain candidate {i}: short {short_fitness:.4f} "
                 f"-> long val {val:.4f}")
-    best_val, best_payload = max(scored, key=lambda vp: vp[0])
-    payload = best_payload.lengthened(cfg, 2000)
-    model, spec, _ = train_payload(
-        payload, lr_decay=True, snapshot_every=max(1, cfg.long_iters // 10))
-    # the run's one sanctioned test-split read
-    return {"payload": payload, **final_report(model, spec),
-            "selected_val_accuracy": best_val}
+    _, payload, model, spec = best
+    return {"payload": payload, **final_report(model, spec)}

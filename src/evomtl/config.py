@@ -92,12 +92,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown profile {self.profile!r}")
         if self.sharing_mode not in ("enabled", "disabled", "evolved"):
             raise ConfigError(f"unknown sharing mode {self.sharing_mode!r}")
-        if self.networks_per_generation < 1 or self.train_iters < 0:
-            raise ConfigError("networks_per_generation must be at least 1 "
-                              "and train_iters at least 0")
-        if self.meta_iters < 1 or self.retrain_meta_iters < 1:
-            raise ConfigError("meta_iters and retrain_meta_iters must be "
-                              "at least 1")
+        # the least value of each count; each species needs a module
+        pre = "cmtr_" if self.algorithm == "cmtr" else ""
+        n_sp = self.module_counts()[1]
+        floors = {"networks_per_generation": 1, "train_iters": 0, "n_top": 1,
+                  "long_iters": 0, "stagnation_limit": 1, "hyper_pool": 1,
+                  "meta_iters": 1, "retrain_meta_iters": 1, "k_modules": 1,
+                  "blueprints": 1, f"{pre}species": 1, f"{pre}modules": n_sp}
+        for name, least in floors.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, "
+                                  f"got {getattr(self, name)}")
         check_alpha(self.alpha)
         if self.data_dir is None and self.synth_tasks < 1:
             raise ConfigError("need a data directory or synth parameters")

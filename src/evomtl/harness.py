@@ -133,10 +133,10 @@ class CmPayload:
                       rng, **schedule)
         return net, None
 
-    def lengthened(self, cfg: ExperimentConfig, seed_shift: int):
-        """This evaluation reseeded for the long training `cfg` sets."""
-        return replace(self, seed=self.seed + seed_shift,
-                       train_iters=cfg.long_iters)
+    def lengthened(self, cfg: ExperimentConfig):
+        """This evaluation with the long training `cfg` sets. The seed is
+        kept, so it extends the short run it was ranked by."""
+        return replace(self, train_iters=cfg.long_iters)
 
 
 @dataclass
@@ -187,9 +187,9 @@ class CmtrPayload(CmPayload):
                                  eval_subsample=c.eval_subsample)
         return final, best
 
-    def lengthened(self, cfg: ExperimentConfig, seed_shift: int):
-        long_ctr = replace(self.ctr, meta_iters=cfg.retrain_meta_iters)
-        return replace(self, seed=self.seed + seed_shift, ctr=long_ctr)
+    def lengthened(self, cfg: ExperimentConfig):
+        return replace(self, ctr=replace(self.ctr,
+                                         meta_iters=cfg.retrain_meta_iters))
 
 
 Payload = CmPayload | CmsrPayload | CmtrPayload
@@ -198,7 +198,9 @@ PAYLOADS = {cls.algorithm: cls for cls in Payload.__args__}
 
 @dataclass
 class BestNetwork:
-    """`best_network.json`: the final retraining's payload and report."""
+    """`best_network.json`: the tested model's payload and report. The
+    payload, in its long form, retrains to that model under the final
+    schedule (`coevolve.retrain_top`)."""
 
     kind: ClassVar[str] = "best_network"
     payload: Payload
@@ -272,27 +274,20 @@ def build_payload_network(payload: Payload, spec, rng: np.random.Generator):
     return payload.network(spec, rng)
 
 
-def train_payload(payload: Payload, **schedule):
+def evaluate_payload(payload: Payload, **schedule):
     """Build and train the model a payload describes, seeded by it;
-    returns (model, spec, fitness or None). `schedule` (lr_decay,
+    returns (fitness, per_task validation accuracies, model, spec). A
+    payload that brings its own fitness (cmtr's best checkpointed mean)
+    is not scored again, so its per_task is empty; any other scores
+    validation and its fitness is the mean. `schedule` (lr_decay,
     snapshot_every) goes to a cm/cmsr network's `train_network`."""
     spec = build_dataset(payload.dataset)
     model, fitness = payload.train(spec, np.random.default_rng(payload.seed),
                                    **schedule)
-    return model, spec, fitness
-
-
-def evaluate_payload(payload: Payload, **schedule):
-    """Run one evaluation; returns (fitness, per_task validation
-    accuracies). A payload that brings its own fitness (cmtr's best
-    checkpointed mean) is not scored again, so its per_task is empty;
-    any other scores validation and its fitness is the mean. `schedule`
-    goes to `train_payload`."""
-    model, spec, fitness = train_payload(payload, **schedule)
     if fitness is not None:
-        return fitness, {}
+        return fitness, {}, model, spec
     per_task, mean = evaluate_accuracy(model, spec, "val")
-    return mean, per_task
+    return mean, per_task, model, spec
 
 
 def evaluate_local(job: Job, worker_id: str = "local") -> JobResult:
@@ -300,7 +295,7 @@ def evaluate_local(job: Job, worker_id: str = "local") -> JobResult:
     so one that does not decode is a failed result like any other."""
     start = time.monotonic()
     try:
-        fitness, per_task = evaluate_payload(
+        fitness, per_task, _, _ = evaluate_payload(
             from_obj(Payload, job.payload, "payload"))
     except (EvoMtlError, KeyError, TypeError, ValueError) as e:
         return JobResult(job.job_id, "failed", worker_id=worker_id,

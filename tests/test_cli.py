@@ -518,3 +518,75 @@ def test_outside_input_ends_in_one_error_line(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# a cm run short enough that a count no check rejects just runs
+_CM_SHORT = [*_CM, "--generations", "1", "--long-iters", "1"]
+
+
+@pytest.mark.parametrize("argv, config, field", [
+    (_CM_SHORT, {"hyper_pool": 0}, "hyper_pool"),
+    ([*_CM_SHORT, "--k-modules", "0"], None, "k_modules"),
+    ([*_CM_SHORT, "--species", "0"], None, "species"),
+    ([*_CM_SHORT, "--modules", "1", "--species", "2"], None, "modules"),
+    ([*_CM_SHORT, "--n-top", "0"], None, "n_top"),
+    ([*_CM_SHORT, "--long-iters", "-1"], None, "long_iters"),
+    ([*_CM_SHORT, "--stagnation", "0"], None, "stagnation_limit"),
+    (["run", "--algorithm", "cmsr", "--synth", "2x2x8", "--blueprints", "0"],
+     None, "blueprints"),
+    ([*_CMTR], {"cmtr_species": 0}, "cmtr_species"),
+], ids=["zero-hyper-pool", "zero-k-modules", "zero-species",
+        "fewer-modules-than-species", "zero-n-top", "negative-long-iters",
+        "zero-stagnation", "zero-blueprints", "zero-cmtr-species"])
+def test_a_bad_search_count_is_rejected_before_the_run_writes_anything(
+        tmp_path, capsys, argv, config, field):
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "config.json")]
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["cm", "cmsr", "cmtr"])
+def test_a_search_run_tests_the_model_it_selected_once(tmp_path, monkeypatch,
+                                                       name):
+    # the fingerprint runs: the test split is read once, at the end, from
+    # the best retrain candidate, and best_network.json retrains to it
+    from evomtl import coevolve
+    from evomtl.dataset import MultitaskSpec
+    from evomtl.harness import evaluate_payload
+    from test_fingerprints import COMMANDS
+    unlocks = []
+    real_unlock = MultitaskSpec.unlock_test
+
+    def counting_unlock(self):
+        unlocks.append(self)
+        return real_unlock(self)
+
+    long_vals = []  # each retrain candidate's long validation accuracy
+
+    def recording_eval(payload, **schedule):
+        result = evaluate_payload(payload, **schedule)
+        long_vals.append(result[0])
+        return result
+
+    monkeypatch.setattr(MultitaskSpec, "unlock_test", counting_unlock)
+    monkeypatch.setattr(coevolve, "evaluate_payload", recording_eval)
+    out = tmp_path / name
+    assert main(["run", *COMMANDS[name].split(), "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert len(unlocks) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert "selected_val_accuracy" not in report
+    assert long_vals and report["val_accuracy"] == max(long_vals)
+    best = from_obj(BestNetwork,
+                    json.loads((out / "best_network.json").read_text()),
+                    "best_network")
+    long_iters = json.loads((out / "config.json").read_text())["long_iters"]
+    fitness, _, _, _ = evaluate_payload(
+        best.payload, lr_decay=True, snapshot_every=max(1, long_iters // 10))
+    assert fitness == report["val_accuracy"]

@@ -245,6 +245,48 @@ def test_retrain_top_clamps_and_snapshot():
     assert set(report["val_per_task"]) == {"synth0", "synth1"}
 
 
+def test_retrain_top_trains_each_candidate_once_and_reports_the_best(
+        monkeypatch):
+    from evomtl import coevolve
+    from evomtl.genome import GlobalHyper
+    from evomtl.harness import CmPayload
+    pop = init_module_population(2, 1, rng(29))
+    for g in pop.all_members():  # keep the grid feasible at 8x8
+        for gene in g.nodes.values():
+            gene.kind = "conv2d"
+            gene.kernel_size = 3
+    hpop = HyperPopulation(1, rng(30), base=GlobalHyper())
+    cfg = make_plan(networks_per_generation=4, n_top=3, long_iters=6)
+    jobs = plan_generation(cfg, pop, None, hpop, rng(31))
+    archive = [(job.payload, 0.4 + 0.1 * i) for i, job in enumerate(jobs)]
+    trained = []  # the payload of every Payload.train call
+    real_train = CmPayload.train
+
+    def counting_train(self, *args, **kwargs):
+        trained.append(self)
+        return real_train(self, *args, **kwargs)
+
+    candidates = []  # (long val, payload) of each candidate
+    real_eval = coevolve.evaluate_payload
+
+    def recording_eval(payload, **schedule):
+        result = real_eval(payload, **schedule)
+        candidates.append((result[0], payload))
+        return result
+
+    monkeypatch.setattr(CmPayload, "train", counting_train)
+    monkeypatch.setattr(coevolve, "evaluate_payload", recording_eval)
+    report = retrain_top(archive, cfg)
+    assert len(trained) == min(cfg.n_top, len(archive)) == 3
+    # the top three by short fitness, each with its own seed, long
+    assert [p.seed for p in trained] == [p.seed for p, _ in archive[:0:-1]]
+    assert {p.train_iters for p in trained} == {cfg.long_iters}
+    best_val, best_payload = max(candidates, key=lambda c: c[0])
+    assert report["val_accuracy"] == best_val
+    assert report["payload"] == best_payload
+    assert "selected_val_accuracy" not in report
+
+
 def test_lr_decay_sequence():
     from evomtl.dataset import split_fixed, synth_generate
     from evomtl.assembly import SoftOrderingNet
