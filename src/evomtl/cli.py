@@ -303,7 +303,6 @@ def cmd_report(args) -> int:
         if not lines:
             print(f"error: {path} is empty", file=sys.stderr)
             return 1
-        run_id = os.path.splitext(os.path.basename(path))[0]
         for line in lines:
             try:
                 rec = canon_loads(line)
@@ -320,7 +319,7 @@ def cmd_report(args) -> int:
             if step is None or best is None or mean is None:
                 print(f"error: {path}: record missing fields", file=sys.stderr)
                 return 1
-            rows.append((run_id, step, best, mean))
+            rows.append((path, step, best, mean))
     header = "run_id,step,best,mean" if multi else "step,best,mean"
     print(header)
     for run_id, step, best, mean in rows:

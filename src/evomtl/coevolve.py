@@ -142,7 +142,8 @@ def attribute_fitness(jobs: list[Job], results: dict[int, JobResult],
     """Set each genome's fitness to the mean of its successful jobs'
     fitnesses, and each hyperparameter candidate's likewise; a genome in
     no successful job scores 0. Module and blueprint ids are counted
-    apart, so samples are keyed by (kind, id)."""
+    apart, so samples are keyed by (kind, id). Each mean is a left-fold
+    sum, so independent tabulations agree bit-exactly."""
     samples: dict[tuple[str, int], list[float]] = {}
     hyper_samples: dict[int, list[float]] = {}
     for job in jobs:
@@ -157,12 +158,11 @@ def attribute_fitness(jobs: list[Job], results: dict[int, JobResult],
     for pop in pops:
         for g in pop.all_members():
             got = samples.get((g.kind, g.genome_id))
-            # plain left-fold sum so independent tabulations agree bit-exactly
             g.fitness = sum(got) / len(got) if got else 0.0
     if hyper_pop is not None:
         for hid, got in hyper_samples.items():
             if hid in hyper_pop.fitness:
-                hyper_pop.fitness[hid] = float(np.mean(got))
+                hyper_pop.fitness[hid] = sum(got) / len(got)
 
 
 def _fix_blueprint_pointers(blueprint_pop: SpeciesPopulation,

@@ -50,7 +50,7 @@ from .errors import EvoMtlError, HarnessError, ParseError
 from .genome import BlueprintGenome, GlobalHyper, ModuleGenome
 from .routing import run_ctr
 from .serialize import canon_dumps, canon_loads, from_obj, to_obj
-from .training import evaluate_accuracy, train_network
+from .training import train_network
 
 HEARTBEAT_S = 10.0
 LIVENESS_TIMEOUT_S = 30.0
@@ -88,13 +88,13 @@ class JobResult:
 
 @dataclass(frozen=True)
 class CtrSettings:
-    """A cmtr evaluation's routing evolution; `lr` None trains at the
-    payload's evolved rate."""
+    """A cmtr evaluation's routing evolution, trained at the payload's
+    evolved rate. A retired `lr` key, always null, still decodes."""
 
+    retired_keys = ("lr",)
     meta_iters: int
     m_iters: int
     alpha: float
-    lr: float | None = None
     eval_subsample: int | None = None
 
 
@@ -126,12 +126,14 @@ class CmPayload:
 
     def train(self, spec: MultitaskSpec, rng: np.random.Generator,
               **schedule):
-        """(trained model, fitness, or None to score its validation
-        accuracy); `schedule` goes to `train_network`."""
+        """(trained model, per-task validation accuracy, fitness): the
+        validation score `train_network` took of the weights it left, the
+        mean being the fitness; `schedule` goes to `train_network`."""
         net = build_payload_network(self, spec, rng)
-        train_network(net, spec, self.train_iters, self.hyper.learning_rate,
-                      rng, **schedule)
-        return net, None
+        per_task, fitness = train_network(
+            net, spec, self.train_iters, self.hyper.learning_rate, rng,
+            **schedule)
+        return net, per_task, fitness
 
     def lengthened(self, cfg: ExperimentConfig):
         """This evaluation with the long training `cfg` sets. The seed is
@@ -183,9 +185,9 @@ class CmtrPayload(CmPayload):
         modules = [realize_module(self.modules[k % len(self.modules)], h,
                                   rng, f"m{k}") for k in range(h.k_modules)]
         final, best, _ = run_ctr(modules, spec, c.meta_iters, c.m_iters,
-                                 c.alpha, c.lr or h.learning_rate, rng,
+                                 c.alpha, h.learning_rate, rng,
                                  eval_subsample=c.eval_subsample)
-        return final, best
+        return final, {}, best
 
     def lengthened(self, cfg: ExperimentConfig):
         return replace(self, ctr=replace(self.ctr,
@@ -276,18 +278,16 @@ def build_payload_network(payload: Payload, spec, rng: np.random.Generator):
 
 def evaluate_payload(payload: Payload, **schedule):
     """Build and train the model a payload describes, seeded by it;
-    returns (fitness, per_task validation accuracies, model, spec). A
-    payload that brings its own fitness (cmtr's best checkpointed mean)
-    is not scored again, so its per_task is empty; any other scores
-    validation and its fitness is the mean. `schedule` (lr_decay,
-    snapshot_every) goes to a cm/cmsr network's `train_network`."""
+    returns (fitness, per_task validation accuracies, model, spec), the
+    scores its training took; nothing is scored again. A cm/cmsr fitness
+    is the mean validation accuracy of the weights `train_network` left;
+    cmtr's is its best checkpointed mean, with per_task empty. `schedule`
+    (lr_decay, snapshot_every) goes to a cm/cmsr network's
+    `train_network`."""
     spec = build_dataset(payload.dataset)
-    model, fitness = payload.train(spec, np.random.default_rng(payload.seed),
-                                   **schedule)
-    if fitness is not None:
-        return fitness, {}, model, spec
-    per_task, mean = evaluate_accuracy(model, spec, "val")
-    return mean, per_task, model, spec
+    model, per_task, fitness = payload.train(
+        spec, np.random.default_rng(payload.seed), **schedule)
+    return fitness, per_task, model, spec
 
 
 def evaluate_local(job: Job, worker_id: str = "local") -> JobResult:

@@ -33,21 +33,20 @@ def epoch_iters(spec: MultitaskSpec) -> int:
 def train_network(net, spec: MultitaskSpec, iters: int, lr: float,
                   rng: np.random.Generator, *, lr_decay: bool = False,
                   snapshot_every: int | None = None):
-    """Train `net` in place; returns (lr_trace, best_val_acc or None).
+    """Train `net` in place; returns the (per_task, mean) validation
+    accuracy of the weights it leaves, the one score its caller reads.
 
     With lr_decay, the rate drops by 10x after 10 and again after 20
-    epochs (see `epoch_iters`). With snapshot_every, validation accuracy
-    is scored after every `snapshot_every`-th iteration and after the
-    last, and the weights of the first strictly best score are restored
-    at the end (peak-validation snapshot); with no iterations nothing is
-    scored and the second value is None.
+    epochs (see `epoch_iters`). Validation is scored after the last
+    iteration and, with snapshot_every, after every `snapshot_every`-th
+    one; the weights of the first strictly best score are restored at the
+    end (peak-validation snapshot). With no iterations the untrained
+    weights are scored once.
     """
     block = ParamBlock(net.params())
     zero_grads(block)
     epoch_len = epoch_iters(spec)
-    lr_points = []
-    best_acc = None
-    best_values = None
+    best = None  # (per_task, mean) of the best score so far
 
     def current_lr(it):
         if not lr_decay:
@@ -66,20 +65,20 @@ def train_network(net, spec: MultitaskSpec, iters: int, lr: float,
             logits = net.forward(g, ti, g.leaf(img))
             loss = g.cross_entropy(logits, label)
             backward(g, loss)
-        step_lr = current_lr(it)
-        if not lr_points or lr_points[-1] != step_lr:
-            lr_points.append(step_lr)
-        adam_step(block, step_lr)
-        if snapshot_every and ((it + 1) % snapshot_every == 0
-                               or it + 1 == iters):
-            _, acc = evaluate_accuracy(net, spec, "val")
-            if best_acc is None or acc > best_acc:
-                best_acc = acc
-                best_values = block.value.copy()
+        adam_step(block, current_lr(it))
+        if it + 1 == iters or (snapshot_every
+                               and (it + 1) % snapshot_every == 0):
+            # free the last pass's tape while scoring; freed after every
+            # iteration instead, it slowed training (allocator churn)
+            del g, logits, loss
+            score = evaluate_accuracy(net, spec, "val")
+            if best is None or score[1] > best[1]:
+                best, best_values = score, block.value.copy()
 
-    if best_values is not None:
-        block.value[...] = best_values
-    return lr_points, best_acc
+    if best is None:
+        return evaluate_accuracy(net, spec, "val")
+    block.value[...] = best_values
+    return best
 
 
 def batched_forward(forward, images) -> np.ndarray:

@@ -38,7 +38,7 @@ from evomtl.routing import (
     check_routing_graph, default_ctr_modules, evaluate_individual, init_ctr,
     mutate_challenger, new_edge_logit, run_ctr,
 )
-from evomtl.training import evaluate_accuracy, train_network
+from evomtl.training import train_network
 from helpers import grad_check, naming_payload, output_divergence
 
 
@@ -399,8 +399,7 @@ def test_criterion_11_multitask_direction():
                           ("single", SingleTaskNet)):
             r = rng(seed)
             net = asm(genes, tids, cls, 8, h, r)
-            train_network(net, spec, 900, 3e-3, r)
-            _, accs[kind] = evaluate_accuracy(net, spec, "val")
+            _, accs[kind] = train_network(net, spec, 900, 3e-3, r)
         wins += accs["soft"] >= accs["single"]
         pairs.append(f"{accs['soft']:.3f}/{accs['single']:.3f}")
     _report(11, "depth-merged sharing >= separate nets on 2 of 3 seeds",

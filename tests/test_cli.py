@@ -78,7 +78,23 @@ def test_report_single_and_multi(tmp_path, capsys):
     assert code == 0
     assert out[0] == "run_id,step,best,mean"
     assert len(out) == 5
-    assert out[-1].startswith("b,1,")
+    assert out[-1].startswith(f"{h2},1,")
+
+
+def test_report_tells_apart_runs_whose_histories_share_a_name(tmp_path,
+                                                             capsys):
+    # every run writes history.jsonl: the run id is the path as given
+    paths = []
+    for run, best in (("a", 0.5), ("b", 0.7)):
+        (tmp_path / run).mkdir()
+        path = tmp_path / run / "history.jsonl"
+        path.write_text(json.dumps({"generation": 1, "best_fitness": best,
+                                    "mean_fitness": 0.4}) + "\n")
+        paths.append(str(path))
+    assert main(["report", *paths]) == 0
+    out = capsys.readouterr().out.strip().split("\n")
+    assert out == ["run_id,step,best,mean", f"{paths[0]},1,0.5,0.4",
+                   f"{paths[1]},1,0.7,0.4"]
 
 
 def test_report_empty_file(tmp_path, capsys):

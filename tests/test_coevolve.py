@@ -287,11 +287,11 @@ def test_retrain_top_trains_each_candidate_once_and_reports_the_best(
     assert "selected_val_accuracy" not in report
 
 
-def test_lr_decay_sequence():
+def test_lr_decay_sequence(monkeypatch):
+    from evomtl import training
     from evomtl.dataset import split_fixed, synth_generate
     from evomtl.assembly import SoftOrderingNet
     from evomtl.genome import GlobalHyper, LayerGene
-    from evomtl.training import epoch_iters, train_network
     spec = split_fixed(synth_generate(33, 1, 2, 6, 0.0, examples_per_class=10),
                        0)
     gene = LayerGene(2, "conv2d", "relu", 3, 8, 1e-6, 0.0)
@@ -299,9 +299,14 @@ def test_lr_decay_sequence():
     net = SoftOrderingNet([gene], ["synth0"], [2], 6, h, rng(34))
     # one task, train split of 10: an epoch is 10 iterations, so the rate
     # decays at 100 and 200
-    assert epoch_iters(spec) == 10
-    lr_points, _ = train_network(net, spec, 210, 1e-3, rng(35), lr_decay=True)
-    assert lr_points == [1e-3, 1e-4, 1e-5]
+    assert training.epoch_iters(spec) == 10
+    rates = []  # the rate each Adam step receives
+    real_step = training.adam_step
+    monkeypatch.setattr(training, "adam_step",
+                        lambda block, lr: rates.append(lr) or
+                        real_step(block, lr))
+    training.train_network(net, spec, 210, 1e-3, rng(35), lr_decay=True)
+    assert rates == [1e-3] * 100 + [1e-4] * 100 + [1e-5] * 10
 
 
 def test_snapshot_restores_peak_validation_weights(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import socket
 import struct
 import subprocess
@@ -111,6 +112,43 @@ def test_each_payload_kind_round_trips_through_its_json():
     obj["algorithm"] = "cm"  # a blueprint has no place in a cm payload
     with pytest.raises(ParseError, match="blueprint"):
         from_obj(Payload, obj, "payload")
+
+
+def test_a_cmtr_payload_with_the_retired_lr_key_decodes():
+    # older job frames and best_network.json files carry "lr": null
+    from evomtl.harness import BestNetwork, Payload
+    from evomtl.serialize import from_obj
+    cmtr = CmtrPayload(**vars(make_payload()), ctr=CtrSettings(1, 2, 0.1))
+    obj = to_obj(cmtr)
+    assert "lr" not in obj["ctr"]
+    obj["ctr"]["lr"] = None
+    assert from_obj(Payload, obj, "payload") == cmtr
+    best = {"kind": "best_network", "payload": obj, "report": {}}
+    assert from_obj(BestNetwork, best, "best").payload == cmtr
+
+
+@pytest.mark.parametrize("iters, schedule, points", [
+    (6, {"lr_decay": True, "snapshot_every": 3}, 2),  # after 3 and 6
+    (7, {"lr_decay": True, "snapshot_every": 3}, 3),  # after 3, 6 and 7
+    (5, {}, 1),  # a short job: after its last iteration
+    (0, {}, 1),  # an untrained one
+])
+def test_evaluate_payload_takes_its_scores_from_training(monkeypatch, iters,
+                                                         schedule, points):
+    # each snapshot point is scored once, and nothing scores the model
+    # again; `training.accuracy` scores one task's split, whichever module
+    # named `evaluate_accuracy`
+    from evomtl import training
+    calls = []
+    real = training.accuracy
+    monkeypatch.setattr(training, "accuracy",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    fitness, per_task, model, spec = harness.evaluate_payload(
+        make_payload(train_iters=iters), **schedule)
+    monkeypatch.undo()
+    assert len(calls) == points * len(spec.tasks)
+    assert training.evaluate_accuracy(model, spec, "val") == (per_task,
+                                                              fitness)
 
 
 def test_local_deterministic():
@@ -284,25 +322,28 @@ def test_global_timeout_counts_from_the_last_progress(heartbeat_s):
         assert "results" not in box and "error" in box
 
 
+def make_cmtr_payload():
+    """A side-8 cmtr payload whose routing evolution trains at 0.01."""
+    cm = make_payload(side=8)
+    return CmtrPayload(**{**vars(cm), "hyper": dataclasses.replace(
+        cm.hyper, learning_rate=0.01)}, ctr=CtrSettings(1, 2, 0.1))
+
+
 def test_cmtr_payload_at_side_8_with_kernel_3_modules():
     # the initial routing chain must leave the second module a map its
     # kernel-3 genes fit: no adapter where the rest would not assemble
-    payload = CmtrPayload(**vars(make_payload(side=8)),
-                          ctr=CtrSettings(1, 2, 0.1, lr=0.01))
-    result = evaluate_local(Job(0, payload))
+    result = evaluate_local(Job(0, make_cmtr_payload()))
     assert result.status == "ok", result.message
 
 
 def test_a_cmtr_job_scores_no_validation_it_does_not_read(monkeypatch):
     # its fitness is the routing evolution's own best checkpointed mean
-    from evomtl import harness
+    from evomtl import training
     calls = []
-    real = harness.evaluate_accuracy
-    monkeypatch.setattr(harness, "evaluate_accuracy",
+    real = training.evaluate_accuracy
+    monkeypatch.setattr(training, "evaluate_accuracy",
                         lambda *a, **k: calls.append(a) or real(*a, **k))
-    payload = CmtrPayload(**vars(make_payload(side=8)),
-                          ctr=CtrSettings(1, 2, 0.1, lr=0.01))
-    result = evaluate_local(Job(0, payload))
+    result = evaluate_local(Job(0, make_cmtr_payload()))
     assert result.status == "ok", result.message
     assert calls == [] and result.per_task == {}
     assert 0.0 <= result.fitness <= 1.0

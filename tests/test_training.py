@@ -147,6 +147,38 @@ def test_one_nan_row_in_a_batch_raises():
                                      "dense"), list(zip(images, [0] * 6)))
 
 
+@pytest.mark.parametrize("iters, snapshot_every", [
+    (12, None),  # scored once, after the last iteration
+    (30, 3),     # snapshots whose peak comes before the last
+    (0, None),   # the untrained weights, scored once
+])
+def test_train_network_returns_the_score_of_the_weights_it_leaves(
+        monkeypatch, iters, snapshot_every):
+    spec = split_fixed(synth_generate(36, 2, 3, 6, 0.3, examples_per_class=10),
+                       36)
+    net = SoftOrderingNet([LayerGene(2, "conv2d", "relu", 3, 8, 0.0, 0.0)],
+                          [t.task_id for t in spec.tasks], [3, 3], 6,
+                          GlobalHyper(), np.random.default_rng(1))
+    scores = []  # every mean validation score train_network takes
+    real_eval = training.evaluate_accuracy
+
+    def recording_eval(*args, **kwargs):
+        per_task, mean = real_eval(*args, **kwargs)
+        scores.append(mean)
+        return per_task, mean
+
+    monkeypatch.setattr(training, "evaluate_accuracy", recording_eval)
+    per_task, mean = training.train_network(
+        net, spec, iters, 0.05, np.random.default_rng(11),
+        snapshot_every=snapshot_every)
+    monkeypatch.undo()
+    assert len(scores) == (iters // snapshot_every if snapshot_every else 1)
+    if snapshot_every:
+        assert scores[-1] < mean  # the weights left are an earlier peak's
+    assert evaluate_accuracy(net, spec, "val") == (per_task, mean)
+    assert set(per_task) == {t.task_id for t in spec.tasks}
+
+
 def test_final_weights_are_scored_once(monkeypatch):
     spec = split_fixed(synth_generate(3, 2, 3, 8, 0.1), 3)
     net = SoftOrderingNet([_gene(2)], [t.task_id for t in spec.tasks], [3, 3],
