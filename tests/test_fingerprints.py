@@ -1,7 +1,12 @@
 """Committed fingerprints of tiny seeded runs of all six algorithms.
 
 Each run's history records and per-task accuracies must equal the values
-in `fingerprints.json` exactly. Where a run writes weights (the ctr
+in `fingerprints.json` exactly. So must, for the cm, cmsr and cmtr
+searches, every genome's fitness after each generation's attribution and
+the size of every species it was evaluated in: three generations of
+these, taken by wrapping `coevolve.attribute_fitness`, show a change in
+how the search attributes fitness or reproduces that the history alone
+does not. Where a run writes weights (the ctr
 checkpoint), every Param value array must match within a relative
 tolerance of 1e-8 of the array's largest magnitude: a change that only
 reorders float operations moves weights by rounding (about 1e-10) without
@@ -21,10 +26,12 @@ import json
 import os
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from evomtl import coevolve
 from evomtl.cli import main
 from evomtl.serialize import array_from_obj
 
@@ -38,17 +45,17 @@ COMMANDS = {
            "--m-iters 10 --k-modules 2 --filters 8",
     "cm": "--algorithm cm --synth 2x3x8 --seed 11 --profile desk "
           "--stagnation 1000 --n-top 1 --networks-per-gen 4 --train-iters 4 "
-          "--generations 2 --long-iters 4",
+          "--generations 3 --long-iters 4",
     "baseline-soft": "--algorithm baseline-soft --synth 2x3x8 --seed 3 "
                      "--train-iters 20",
     "baseline-single": "--algorithm baseline-single --synth 2x3x8 --seed 3 "
                        "--train-iters 20",
     "cmsr": "--algorithm cmsr --synth 2x3x12 --seed 5 --profile desk "
             "--stagnation 1000 --n-top 1 --networks-per-gen 4 "
-            "--train-iters 4 --generations 2 --long-iters 4",
+            "--train-iters 4 --generations 3 --long-iters 4",
     "cmtr": "--algorithm cmtr --synth 2x3x8 --seed 11 --profile desk "
             "--stagnation 1000 --n-top 1 --networks-per-gen 2 "
-            "--train-iters 4 --generations 1 --meta-iters 1 --m-iters 4 "
+            "--train-iters 4 --generations 3 --meta-iters 1 --m-iters 4 "
             "--retrain-meta-iters 1",
 }
 
@@ -67,8 +74,29 @@ def _weights(obj, path=""):
     return out
 
 
+def _recording_attribution(generations: list):
+    """`coevolve.attribute_fitness`, appending to `generations`, per
+    population kind, each species' id, size and members' (id, fitness)."""
+    attribute_fitness = coevolve.attribute_fitness
+
+    def attribute(jobs, results, module_pop, blueprint_pop=None,
+                  hyper_pop=None):
+        attribute_fitness(jobs, results, module_pop, blueprint_pop, hyper_pop)
+        generations.append({
+            pop.kind: [{"species_id": sp.species_id,
+                        "size": len(sp.members),
+                        "fitness": [[g.genome_id, g.fitness]
+                                    for g in sp.members]}
+                       for sp in pop.species]
+            for pop in (module_pop, blueprint_pop) if pop is not None})
+    return attribute
+
+
 def fingerprint(name: str, out_dir: str) -> dict:
-    with contextlib.redirect_stdout(io.StringIO()):
+    generations = []
+    with contextlib.redirect_stdout(io.StringIO()), mock.patch.object(
+            coevolve, "attribute_fitness",
+            _recording_attribution(generations)):
         code = main(["run", *COMMANDS[name].split(), "--out", out_dir])
     assert code == 0, name
     with open(os.path.join(out_dir, "history.jsonl")) as f:
@@ -78,6 +106,8 @@ def fingerprint(name: str, out_dir: str) -> dict:
     fp = {"history": history,
           "val_per_task": report["val_per_task"],
           "test_per_task": report["test_per_task"]}
+    if generations:
+        fp["search"] = generations
     ckpt = os.path.join(out_dir, "ctr_checkpoint.json")
     if os.path.exists(ckpt):
         with open(ckpt) as f:
@@ -92,8 +122,8 @@ def test_seeded_run_matches_its_fingerprint(name, tmp_path):
     assert committed["commands"] == COMMANDS
     expected = committed["runs"][name]
     actual = fingerprint(name, str(tmp_path / name))
-    for key in ("history", "val_per_task", "test_per_task"):
-        assert actual[key] == expected[key], key
+    for key in ("history", "val_per_task", "test_per_task", "search"):
+        assert actual.get(key) == expected.get(key), key
     assert actual.keys() == expected.keys()
     for path, values in expected.get("weights", {}).items():
         want = np.array(values)
