@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import os
@@ -32,7 +33,7 @@ from .genome import (
 )
 from .harness import (
     BestNetwork, Coordinator, build_dataset, dataset_scope,
-    distributed_evaluator, local_evaluator, run_worker,
+    distributed_evaluator, local_evaluator, run_worker, set_allocator_policy,
 )
 from .routing import CtrCheckpoint, default_ctr_modules, run_ctr
 from .serialize import (
@@ -44,6 +45,7 @@ from .training import epoch_iters, final_report, score_test, train_network
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    set_allocator_policy()
     try:
         return args.func(args)
     except ConfigError as e:
@@ -320,11 +322,10 @@ def cmd_report(args) -> int:
                 print(f"error: {path}: record missing fields", file=sys.stderr)
                 return 1
             rows.append((path, step, best, mean))
-    header = "run_id,step,best,mean" if multi else "step,best,mean"
-    print(header)
-    for run_id, step, best, mean in rows:
-        prefix = f"{run_id}," if multi else ""
-        print(f"{prefix}{step},{best},{mean}")
+    skip = 0 if multi else 1  # one history's rows carry no run_id
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(("run_id", "step", "best", "mean")[skip:])
+    writer.writerows(row[skip:] for row in rows)
     return 0
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -95,6 +97,21 @@ def test_report_tells_apart_runs_whose_histories_share_a_name(tmp_path,
     out = capsys.readouterr().out.strip().split("\n")
     assert out == ["run_id,step,best,mean", f"{paths[0]},1,0.5,0.4",
                    f"{paths[1]},1,0.7,0.4"]
+
+
+def test_report_quotes_a_run_id_with_a_comma(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    paths = ["r,1/history.jsonl", "r2/history.jsonl"]
+    for path in paths:
+        os.mkdir(os.path.dirname(path))
+        with open(path, "w") as f:
+            f.write(json.dumps({"generation": 1, "best_fitness": 0.5,
+                                "mean_fitness": 0.4}) + "\n")
+    assert main(["report", *paths]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["run_id", "step", "best", "mean"]
+    assert [len(row) for row in rows] == [4, 4, 4]
+    assert [row[0] for row in rows[1:]] == paths
 
 
 def test_report_empty_file(tmp_path, capsys):

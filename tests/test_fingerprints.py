@@ -6,11 +6,11 @@ searches, every genome's fitness after each generation's attribution and
 the size of every species it was evaluated in: three generations of
 these, taken by wrapping `coevolve.attribute_fitness`, show a change in
 how the search attributes fitness or reproduces that the history alone
-does not. Where a run writes weights (the ctr
-checkpoint), every Param value array must match within a relative
-tolerance of 1e-8 of the array's largest magnitude: a change that only
-reorders float operations moves weights by rounding (about 1e-10) without
-changing a discrete outcome, and that is allowed; anything else is not.
+does not. Where a run writes weights (the ctr checkpoint), every Param
+value array must match within a relative tolerance of 1e-8 of the
+array's largest magnitude: a change that only reorders float operations
+moves weights by rounding (about 1e-10) without changing a discrete
+outcome, and that is allowed; anything else is not.
 
 A change that moves a fingerprint regenerates the file with
 
