@@ -75,11 +75,11 @@ def merge_aligned(g: CompGraph, scales: Param | None,
     return g.softmerge(scales, aligned)
 
 
-def _gene_param_shapes(gene: LayerGene, cin: int):
+def _gene_param_shapes(gene: LayerGene, cin: int, filters: int):
     if gene.kind == "conv2d":
         k = gene.kernel_size
-        return (k, k, cin, gene.filters), k * k * cin, k * k * gene.filters
-    return (cin, gene.filters), cin, gene.filters
+        return (k, k, cin, filters), k * k * cin, k * k * filters
+    return (cin, filters), cin, filters
 
 
 def _apply_gene(g: CompGraph, gene: LayerGene, x: CGNode, w: Param, b: Param,
@@ -96,9 +96,7 @@ def _apply_gene(g: CompGraph, gene: LayerGene, x: CGNode, w: Param, b: Param,
                 f"kernel {gene.kernel_size}")
         out = g.conv2d(x, w, b)
     else:
-        while x.shape[0] > 1:
-            x = g.maxpool2x2(x)
-        x = g.pad_channels(x, w.value.shape[0])
+        x = g.pad_channels(_pool_to(g, x, 1), w.value.shape[0])
         out = g.dense(x, w, b)
         out = g.reshape(out, (1, 1, gene.filters))
     if activate:
@@ -181,14 +179,11 @@ class ModuleInstance:
                     else _saved_param(saved.scales, n, (len(parents),)))
             gene = genome.final_layer if n == SINK else genome.nodes[n]
             if n == SINK:
-                shape = (gene.kernel_size, gene.kernel_size, cin, width)
-                fan_in = gene.kernel_size ** 2 * cin
-                fan_out = gene.kernel_size ** 2 * width
                 wkey, bkey, filters = "tail.w", "tail.b", width
             else:
-                shape, fan_in, fan_out = _gene_param_shapes(gene, cin)
                 wkey, bkey, filters = f"n{n}.w", f"n{n}.b", gene.filters
                 out_width[n] = filters
+            shape, fan_in, fan_out = _gene_param_shapes(gene, cin, filters)
             if saved is None:
                 w = Param(f"{label}.{wkey}",
                           init_weight(rng, shape, fan_in, fan_out, init),
@@ -251,7 +246,7 @@ class LayerInstance:
             raise AssemblyError(
                 f"layer {label}: filters {gene.filters} != shared width {width}")
         self.gene = gene
-        shape, fan_in, fan_out = _gene_param_shapes(gene, width)
+        shape, fan_in, fan_out = _gene_param_shapes(gene, width, width)
         self.w = Param(f"{label}.w",
                        init_weight(rng, shape, fan_in, fan_out, ghyper.weight_init),
                        l2_strength=gene.l2_strength)

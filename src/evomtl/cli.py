@@ -162,8 +162,7 @@ def _hash_inputs(cfg: ExperimentConfig) -> str:
     bytes."""
     h = hashlib.sha256(canon_dumps(to_obj(cfg)).encode())
     if cfg.data_dir and os.path.isdir(cfg.data_dir):
-        for root, dirs, files in sorted(os.walk(cfg.data_dir)):
-            dirs.sort()
+        for root, _, files in sorted(os.walk(cfg.data_dir)):
             for f in sorted(files):
                 path = os.path.join(root, f)
                 h.update(os.path.relpath(path, cfg.data_dir).encode())

@@ -18,6 +18,7 @@ and the best by validation is the one model the run tests and reports.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,7 @@ def plan_generation(cfg: ExperimentConfig, module_pop: SpeciesPopulation,
                     hyper_pop: HyperPopulation, rng: np.random.Generator,
                     first_job_id: int = 0) -> list[Job]:
     """Build the generation's evaluation jobs. Payloads are self-contained:
-    they hold copies of the genomes, which evolve in place later."""
+    they hold deep copies of their genomes, which evolve in place later."""
     species = module_pop.species
     if any(not sp.members for sp in species):
         raise StateError("a module species is empty")
@@ -122,13 +123,13 @@ def plan_generation(cfg: ExperimentConfig, module_pop: SpeciesPopulation,
     for j in range(n_jobs):
         hid, hyper = hypers[j % len(hypers)]
         ordered = [picks[j][sp.species_id] for sp in species]
-        fields = dict(modules=[g.copy() for g in ordered],
+        fields = dict(modules=copy.deepcopy(ordered),
                       module_ids=[g.genome_id for g in ordered],
                       hyper=hyper, hyper_id=hid, dataset=dataset_ref,
                       seed=int(rng.integers(2 ** 62)),
                       train_iters=cfg.train_iters)
-        blueprint = blueprints[j % len(blueprints)].copy() if blueprints \
-            else None
+        blueprint = copy.deepcopy(blueprints[j % len(blueprints)]) \
+            if blueprints else None
         payload = PAYLOADS[cfg.algorithm].planned(
             fields, blueprint, [sp.species_id for sp in species], ctr)
         jobs.append(Job(first_job_id + j, payload, cfg.deadline_s))

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, StateError
+from .serialize import atomic_write_text
 
 SPLITS = ("train", "val", "test")
 VAL_FRACTION = 0.2
@@ -299,5 +300,4 @@ def write_split_manifest(spec: MultitaskSpec, path: str) -> None:
         for split in SPLITS:
             idx = " ".join(str(i) for i in task.split.indices(split))
             lines.append(f"{task.task_id}\t{split}\t{idx}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -116,13 +116,6 @@ class Param:
         self.step_count = step_count
         self.l2_strength = l2_strength
 
-    def copy(self) -> "Param":
-        """Deep copy with fresh storage (training state included)."""
-        p = Param(self.name, self.value.copy(), self.l2_strength,
-                  self.adam_m.copy(), self.adam_v.copy(), self.step_count)
-        p.grad = self.grad.copy()
-        return p
-
     def __repr__(self):
         return f"Param({self.name!r}, shape={self.value.shape})"
 

@@ -19,6 +19,7 @@ range.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -119,17 +120,6 @@ class ModuleGenome:
     def node_ids(self) -> set[int]:
         return {SOURCE, SINK} | set(self.nodes)
 
-    def copy(self, genome_id: int | None = None) -> "ModuleGenome":
-        return ModuleGenome(
-            genome_id=self.genome_id if genome_id is None else genome_id,
-            nodes={i: replace(g) for i, g in self.nodes.items()},
-            edges=dict(self.edges),
-            share_flag=self.share_flag,
-            final_layer=replace(self.final_layer),
-            cmtr_mode=self.cmtr_mode,
-            species_id=self.species_id,
-        )
-
     def check(self) -> list[str]:
         """All invariant violations (empty list means valid)."""
         errs = dag_errors(self.node_ids(), self.edges, SOURCE, SINK)
@@ -160,14 +150,6 @@ class BlueprintGenome:
 
     def sink(self) -> int:
         return _only_end(graph_maps(self.nodes, self.edges)[0], "sinks")
-
-    def copy(self, genome_id: int | None = None) -> "BlueprintGenome":
-        return BlueprintGenome(
-            genome_id=self.genome_id if genome_id is None else genome_id,
-            nodes={i: replace(n) for i, n in self.nodes.items()},
-            edges=dict(self.edges),
-            species_id=self.species_id,
-        )
 
     def check(self) -> list[str]:
         """All invariant violations (empty list means valid)."""
@@ -455,16 +437,24 @@ def _perturb_gene(gene: LayerGene, rng) -> None:
         gene.kernel_size = KERNEL_SIZES[min(max(idx, 0), len(KERNEL_SIZES) - 1)]
 
 
+def _offspring(genome, tracker: InnovationTracker):
+    """A deep copy of `genome` under the tracker's next genome id."""
+    child = copy.deepcopy(genome)
+    child.genome_id = tracker.next_genome_id()
+    return child
+
+
 def mutate(genome, tracker: InnovationTracker, rng: np.random.Generator,
            rates: MutationRates | None = None, species_ids=None):
-    """Apply the configured mutations to a copy of `genome`.
+    """Apply the configured mutations to a deep copy of `genome`, under
+    the tracker's next genome id; the parent is left as it was.
 
     add-node splits an edge, add-edge preserves acyclicity (skipped when
     impossible), perturb nudges one hyperparameter in normalized/log
     space, and a sharing flag flips only under sharing_mode="evolved".
     """
     rates = rates or MutationRates()
-    g = genome.copy(genome_id=tracker.next_genome_id())
+    g = _offspring(genome, tracker)
     if rng.random() < rates.add_node:
         _mutate_add_node(g, tracker, rng, species_ids)
     if rng.random() < rates.add_edge:
@@ -502,7 +492,7 @@ def crossover(a, b, rng: np.random.Generator, tracker: InnovationTracker):
         raise ConfigError(f"cannot cross {a.kind} with {b.kind}")
     fit, other = (a, b) if a.fitness >= b.fitness else (b, a)
 
-    child = fit.copy(genome_id=tracker.next_genome_id())
+    child = _offspring(fit, tracker)
     for node_id in child.nodes:
         if node_id in other.nodes and rng.random() < 0.5:
             child.nodes[node_id] = replace(other.nodes[node_id])

@@ -315,12 +315,8 @@ def local_evaluator(jobs: list[Job]) -> list[JobResult]:
 
 def send_frame(sock: socket.socket, obj: dict, lock=None) -> None:
     data = canon_dumps(obj).encode("utf-8")
-    frame = struct.pack(">I", len(data)) + data
-    if lock:
-        with lock:
-            sock.sendall(frame)
-    else:
-        sock.sendall(frame)
+    with lock or contextlib.nullcontext():
+        sock.sendall(struct.pack(">I", len(data)) + data)
 
 
 def recv_frame(sock: socket.socket):
@@ -384,19 +380,19 @@ class _CoordinatorState:
     def heard_from(self, worker_id: str) -> None:
         self.worker_seen[worker_id] = self.last_progress = time.monotonic()
 
-    def next_job(self, worker_id: str) -> Job | None:
-        """Wait for a queued job that has no result yet and mark it in
-        flight; None once the coordinator closes. A requeued copy of a job
-        answered since is dropped here. Wakes the waiting batch, which
-        times its next wakeup to the new job's deadline."""
+    def next_job(self, worker_id: str) -> tuple[Job, str, float] | None:
+        """Wait for a queued job that has no result yet, mark it in flight
+        and return that record (job, worker id, start); None once the
+        coordinator closes. A requeued copy of a job answered since is
+        dropped here. Wakes the waiting batch to time its next wakeup."""
         while not self.closed:
             while self.pending:
                 job = self.pending.popleft()
                 if job.job_id not in self.results:
-                    self.inflight[job.job_id] = (job, worker_id,
-                                                 time.monotonic())
+                    dispatch = (job, worker_id, time.monotonic())
+                    self.inflight[job.job_id] = dispatch
                     self.lock.notify_all()
-                    return job
+                    return dispatch
             self.lock.wait()
         return None
 
@@ -406,9 +402,11 @@ class _CoordinatorState:
         self.last_progress = time.monotonic()
         self.lock.notify_all()
 
-    def requeue(self, job: Job) -> None:
-        self.inflight.pop(job.job_id, None)
-        if job.job_id not in self.results:
+    def requeue(self, dispatch: tuple[Job, str, float]) -> None:
+        """Queue the job again if `dispatch` is still its in-flight record."""
+        job = dispatch[0]
+        if self.inflight.get(job.job_id) is dispatch:
+            del self.inflight[job.job_id]
             self.pending.append(job)
             self.lock.notify_all()
 
@@ -417,11 +415,12 @@ class _CoordinatorState:
         has been silent for LIVENESS_TIMEOUT_S; returns when the next of
         the others would expire."""
         soonest = math.inf
-        for job, wid, started in list(self.inflight.values()):
+        for dispatch in list(self.inflight.values()):
+            job, wid, started = dispatch
             heard = max(self.worker_seen.get(wid, 0.0), started)
             expires = min(started + job.deadline_s, heard + LIVENESS_TIMEOUT_S)
             if now >= expires:
-                self.requeue(job)
+                self.requeue(dispatch)
             else:
                 soonest = min(soonest, expires)
         return soonest
@@ -501,10 +500,11 @@ class Coordinator:
 
     def _serve_worker(self, conn: socket.socket) -> None:
         """Feed one worker jobs until the coordinator closes. A job whose
-        worker disconnects or sends a bad result goes back in the queue."""
+        worker disconnects or sends a bad result goes back in the queue,
+        unless it expired and was requeued already."""
         st = self.state
         conn.settimeout(LIVENESS_TIMEOUT_S)
-        job = None
+        dispatch = None
         try:
             hello = recv_frame(conn)
             if not hello or hello.get("kind") != "hello":
@@ -515,21 +515,22 @@ class Coordinator:
             while True:
                 with st.lock:
                     self.idle.add(conn)
-                    job = st.next_job(worker_id)
+                    dispatch = st.next_job(worker_id)
                     self.idle.discard(conn)
-                if job is None:
+                if dispatch is None:
                     break
+                job = dispatch[0]
                 send_frame(conn, {"kind": "job", **to_obj(job)})
                 result = self._await_result(conn, worker_id, job)
                 with st.lock:
                     st.record(result)
-                job = None
+                dispatch = None
         except (ConnectionError, OSError):
             pass
         finally:
             with st.lock:
-                if job is not None:
-                    st.requeue(job)
+                if dispatch is not None:
+                    st.requeue(dispatch)
                 self.conns.discard(conn)
                 closing = st.closed
             if closing:

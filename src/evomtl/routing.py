@@ -89,13 +89,6 @@ class RoutingGraph:
     def ancestors(self, node: int) -> set[int]:
         return reachable(node, self.inbound) - {node}
 
-    def copy(self) -> "RoutingGraph":
-        g = copy.copy(self)
-        g.nodes = {n: RNode(r.kind, r.module_index) for n, r in self.nodes.items()}
-        g.inbound = {n: list(srcs) for n, srcs in self.inbound.items()}
-        g.scale_groups = {n: p.copy() for n, p in self.scale_groups.items()}
-        return g
-
 
 def check_routing_graph(graph: RoutingGraph, n_modules: int) -> list[str]:
     if graph.inbound.keys() != graph.nodes.keys():
@@ -154,10 +147,6 @@ class RoutingIndividual:
         self.decoder_w = decoder_w
         self.decoder_b = decoder_b
         self.mutation_failed = False
-
-    def copy(self) -> "RoutingIndividual":
-        return RoutingIndividual(self.graph.copy(), self.decoder_w.copy(),
-                                 self.decoder_b.copy())
 
     def params(self) -> list[Param]:
         out = [self.decoder_w, self.decoder_b]
@@ -271,11 +260,8 @@ def _extend_scale_group(graph: RoutingGraph, v: int, alpha: float) -> None:
     """Give node v's newest inbound edge post-softmax weight alpha,
     creating its scales (incumbent weight 1 - alpha) if v just became a
     merge point."""
-    old = graph.scale_groups.get(v)
-    if old is None:
-        logits = np.array([0.0, new_edge_logit(np.zeros(1), alpha)])
-        graph.scale_groups[v] = Param(f"{graph.task_id}.n{v}.scales", logits)
-        return
+    old = graph.scale_groups.get(v) or Param(f"{graph.task_id}.n{v}.scales",
+                                             np.zeros(1))
     logits = np.append(old.value, new_edge_logit(old.value, alpha))
     graph.scale_groups[v] = Param(
         old.name, logits, adam_m=np.append(old.adam_m, 0.0),
@@ -285,11 +271,11 @@ def _extend_scale_group(graph: RoutingGraph, v: int, alpha: float) -> None:
 def mutate_challenger(champion: RoutingIndividual, modules, alpha: float,
                       rng: np.random.Generator,
                       image_side: int) -> RoutingIndividual:
-    """Copy the champion (learned weights included) and splice one random
-    module between an ancestor pair (u, v), entering v's merge with
-    post-softmax weight alpha. Falls back to a plain copy (flagged)
-    when 30 draws find no feasible insertion."""
-    challenger = champion.copy()
+    """Deep-copy the champion (learned weights, but no module: modules stay
+    shared) and splice one random module between an ancestor pair (u, v),
+    entering v's merge with post-softmax weight alpha. Falls back to a
+    plain copy (flagged) when 30 draws find no feasible insertion."""
+    challenger = copy.deepcopy(champion)
     graph = challenger.graph
     f = BatchForward()
     vals = route(f, graph, modules, empty_input(image_side))

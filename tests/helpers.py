@@ -1,8 +1,8 @@
 """Test references that the package itself never calls: a finite-
 difference gradient check, a PGM writer and a small PGM tree for
 image-directory fixtures, the output divergence of two routing
-individuals, the side of every routing node, and a payload that only
-names genomes."""
+individuals, the side of every routing node, a payload that only names
+genomes, and the mutable state two objects share."""
 
 from __future__ import annotations
 
@@ -150,3 +150,40 @@ def naming_payload(module_ids: list[int], blueprint_id: int | None = None):
         return cm
     return CmsrPayload(**vars(cm), blueprint=None, blueprint_id=blueprint_id,
                        species_map={})
+
+
+def mutables(obj) -> list:
+    """Every mutable object reachable from `obj` through instance
+    attributes and slots, dict keys and values, and list, set and tuple
+    items. A tuple cannot change, so it is walked but not listed."""
+    out, seen, stack = [], set(), [obj]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, (str, bytes, int, float, type(None), np.generic)) \
+                or id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, tuple):
+            stack.extend(o)
+            continue
+        out.append(o)
+        if isinstance(o, dict):
+            stack.extend([*o.keys(), *o.values()])
+        elif isinstance(o, (list, set)):
+            stack.extend(o)
+        elif not isinstance(o, np.ndarray):
+            stack.extend(vars(o).values() if hasattr(o, "__dict__") else ())
+            stack.extend(getattr(o, s) for s in getattr(o, "__slots__", ())
+                         if hasattr(o, s))
+    return out
+
+
+def shared_mutables(a, b) -> list:
+    """The mutable objects reachable from both `a` and `b`: the same
+    object, or arrays whose memory overlaps."""
+    ours = mutables(a)
+    ids = {id(o) for o in ours}
+    arrays = [o for o in ours if isinstance(o, np.ndarray)]
+    return [o for o in mutables(b) if id(o) in ids or (
+        isinstance(o, np.ndarray)
+        and any(np.shares_memory(o, x) for x in arrays))]

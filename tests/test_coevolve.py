@@ -11,7 +11,7 @@ from evomtl.errors import ConfigError, StateError
 from evomtl.genome import init_blueprint_population, init_module_population
 from evomtl.harness import Job, JobResult
 from evomtl.serialize import canon_dumps, to_obj
-from helpers import naming_payload
+from helpers import naming_payload, shared_mutables
 
 
 def rng(seed=0):
@@ -72,6 +72,21 @@ def test_plan_generation_cmsr_includes_blueprints():
     assert bids == {g.genome_id for g in bpop.all_members()}
     for job in jobs:
         assert set(job.payload.species_map) == set(pop.species_ids())
+
+
+def test_plan_generation_payloads_share_nothing_with_the_populations():
+    # a payload holds deep copies, so the populations can evolve in place
+    # while its job is queued or running
+    pop = init_module_population(6, 2, rng(13))
+    bpop = init_blueprint_population(3, pop.species_ids(), rng(14))
+    jobs = plan_generation(make_plan(algorithm="cmsr"), pop, bpop,
+                           HyperPopulation(2, rng(15)), rng(16))
+    members = pop.all_members() + bpop.all_members()
+    for job in jobs:
+        genomes = [*job.payload.modules, job.payload.blueprint]
+        assert shared_mutables(genomes, members) == []
+        assert {(g.kind, g.genome_id) for g in genomes} <= {
+            (g.kind, g.genome_id) for g in members}
 
 
 def test_plan_empty_species_raises():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,23 @@ def test_split_manifest(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 6  # 2 tasks x 3 splits
     assert lines[0].startswith("synth0\ttrain\t")
+
+
+def test_split_manifest_is_replaced_whole_or_not_at_all(tmp_path,
+                                                        monkeypatch):
+    # a rewrite that fails at the rename leaves the previous manifest as
+    # it was and no temporary file beside it
+    path = tmp_path / "manifest.txt"
+    write_split_manifest(split_fixed(synth_generate(13, 2, 2, 6, 0.0), 0),
+                         str(path))
+    before = path.read_text()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_split_manifest(split_fixed(synth_generate(14, 3, 2, 6, 0.0),
+                                         1), str(path))
+    assert path.read_text() == before
+    assert os.listdir(tmp_path) == ["manifest.txt"]

@@ -1,4 +1,6 @@
-"""Committed fingerprints of tiny seeded runs of all six algorithms.
+"""Committed fingerprints of tiny seeded runs of all six algorithms, and
+of a ctr run at the quick-start scale whose challengers also add inputs
+to existing merges (the tiny ctr run only creates merges).
 
 Each run's history records and per-task accuracies must equal the values
 in `fingerprints.json` exactly. So must, for the cm, cmsr and cmtr
@@ -57,6 +59,10 @@ COMMANDS = {
             "--stagnation 1000 --n-top 1 --networks-per-gen 2 "
             "--train-iters 4 --generations 3 --meta-iters 1 --m-iters 4 "
             "--retrain-meta-iters 1",
+    # mutate_challenger extends an existing merge's scales in this run
+    "ctr-quickstart": "--algorithm ctr --synth 5x4x8 --synth-seed 1001 "
+                      "--seed 1 --meta-iters 4 --m-iters 50 --k-modules 4 "
+                      "--filters 16 --lr 0.01",
 }
 
 

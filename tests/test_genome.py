@@ -1,3 +1,4 @@
+import copy
 import hashlib
 
 import numpy as np
@@ -15,6 +16,7 @@ from evomtl.genome import (
 from evomtl.harness import Job, JobResult
 from evomtl.routing import RNode
 from evomtl.serialize import canon_dumps, canon_loads, from_obj, to_obj
+from helpers import shared_mutables
 
 
 def rng(seed=0):
@@ -162,6 +164,27 @@ def test_crossover_fuzz_valid():
         b = genomes[r.integers(len(genomes))]
         child = crossover(a, b, r, pop.tracker)
         assert child.check() == [], (i, child.check())
+
+
+@pytest.mark.parametrize("kind", ["module", "blueprint"])
+def test_offspring_share_nothing_with_their_parents(kind):
+    # mutate and crossover each start from a deep copy under a new id, so
+    # evolving a child in place never reaches a parent
+    if kind == "module":
+        pop, species_ids = init_module_population(4, 1, rng(25)), None
+    else:
+        species_ids = [1, 2, 3]
+        pop = init_blueprint_population(4, species_ids, rng(26))
+    a, b = pop.all_members()[:2]
+    a.fitness, b.fitness = 0.7, 0.3
+    none = MutationRates(add_node=0, add_edge=0, perturb=0, flip_flag=0)
+    child = mutate(a, pop.tracker, rng(27), none, species_ids)
+    assert shared_mutables(child, a) == []
+    assert child.genome_id not in (a.genome_id, b.genome_id)
+    assert to_obj(child) == {**to_obj(a), "genome_id": child.genome_id}
+    cross = crossover(a, b, rng(28), pop.tracker)
+    assert shared_mutables(cross, a) == shared_mutables(cross, b) == []
+    assert cross.genome_id != child.genome_id
 
 
 def test_crossover_kind_mismatch():
@@ -394,7 +417,7 @@ def test_compatibility_zero_for_identical():
     pop = init_module_population(2, 1, rng(34))
     a = pop.all_members()[0]
     assert compatibility(a, a) == 0.0
-    b = a.copy(genome_id=99)
+    b = copy.deepcopy(a)
     b.nodes[next(iter(b.nodes))].filters = 64
     assert compatibility(a, b) > 0.0
 

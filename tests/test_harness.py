@@ -734,6 +734,59 @@ def test_job_requeued_at_its_deadline_goes_to_an_idle_worker():
     assert [k for k, _ in idle_log if k != "sent"] == ["job", "shutdown"]
 
 
+def test_requeued_job_is_not_dispatched_again_when_its_first_worker_leaves():
+    # A takes job 0 and blows its 1.5 s deadline; B, idle, takes the
+    # requeued job and answers within its own deadline; C connects while
+    # B works on it, then A hangs up. A's handler no longer holds job 0's
+    # dispatch, so it must not queue job 0 again: C is never sent it, and
+    # B's result is the one recorded.
+    port = free_port()
+    addr = f"127.0.0.1:{port}"
+    a_log, b_log, c_log = [], [], []
+
+    def first_worker():
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as s:
+            send_frame(s, {"kind": "hello", "worker_id": "A"})
+            msg = recv_frame(s)
+            a_log.append((msg["kind"], msg["job_id"]))
+            time.sleep(2.2)  # no result; hang up while B works on the job
+
+    a = threading.Thread(target=first_worker)
+    b = threading.Thread(target=_scripted_worker, args=(port, b_log, 1.1, "B"))
+    c = threading.Thread(target=_scripted_worker, args=(port, c_log, 0.0, "C"))
+    with Coordinator(addr) as coordinator:
+        a.start()
+        threading.Timer(0.1, b.start).start()
+        threading.Timer(1.8, c.start).start()
+        (result,) = serve_coordinator(coordinator,
+                                      [Job(0, {}, deadline_s=1.5)])
+    for t in (a, b, c):
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert a_log == [("job", 0)]
+    assert [k for k, _ in b_log if k != "sent"] == ["job", "shutdown"]
+    assert c_log == [("shutdown", None)]
+    assert result.worker_id == "B"
+
+
+def test_silent_workers_job_is_queued_once():
+    # the batch expires a silent worker's job, and later the worker's
+    # handler gives up on it at its socket timeout: one copy is queued
+    from evomtl.harness import _CoordinatorState
+    state = _CoordinatorState([Job(0, {})])
+    with state.lock:
+        dispatch = state.next_job("silent")
+        state.expire(time.monotonic() + harness.LIVENESS_TIMEOUT_S)
+        state.requeue(dispatch)
+        assert [job.job_id for job in state.pending] == [0]
+        assert state.inflight == {}
+        # the requeued job goes out again, to one worker
+        redispatch = state.next_job("other")
+        state.requeue(dispatch)
+        assert list(state.pending) == []
+        assert state.inflight == {0: redispatch}
+
+
 def test_worker_killed_between_batches_is_replaced():
     port = free_port()
     addr = f"127.0.0.1:{port}"

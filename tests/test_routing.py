@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from evomtl.routing import (
     init_ctr, joint_train, mutate_challenger, new_edge_logit,
     restore_ctr_state, run_ctr, select_and_checkpoint, serialize_ctr_state,
 )
-from helpers import node_sides, output_divergence
+from helpers import node_sides, output_divergence, shared_mutables
 
 
 def rng(seed=0):
@@ -100,13 +101,24 @@ def test_challenger_preserves_behaviour():
 
 
 def test_challenger_copies_not_aliases():
+    # trained first, so the champion's arrays are views of a ParamBlock
+    # and its Adam state is set; the challenger carries all of it, in
+    # storage of its own, and runs on the same shared modules
     spec = make_spec()
     modules = default_ctr_modules(2, 8, rng(9))
     state = init_ctr(modules, spec, rng(10))
+    joint_train(state, spec, 3, 3e-3, rng(15))
     champ = state.champions[spec.tasks[0].task_id]
-    chal = mutate_challenger(champ, modules, 0.1, rng(11), 8)
-    assert chal.decoder_w is not champ.decoder_w
-    assert np.array_equal(chal.decoder_w.value, champ.decoder_w.value)
+    chal = mutate_challenger(champ, state.modules, 0.1, rng(11), 8)
+    assert not chal.mutation_failed
+    assert shared_mutables(chal, champ) == []
+    assert shared_mutables(chal, state.modules) == []
+    assert state.modules == modules
+    for mine, theirs in ((chal.decoder_w, champ.decoder_w),
+                         (chal.decoder_b, champ.decoder_b)):
+        assert mine.step_count == theirs.step_count == 3
+        for f in ("value", "adam_m", "adam_v"):
+            assert np.array_equal(getattr(mine, f), getattr(theirs, f))
 
 
 def test_mutation_fuzz_routing_graphs():
@@ -205,7 +217,8 @@ def test_selection_strict_and_checkpoint_monotone():
     modules = default_ctr_modules(2, 8, rng(26))
     state = init_ctr(modules, spec, rng(27))
     tids = [t.task_id for t in spec.tasks]
-    state.challengers = {tid: state.champions[tid].copy() for tid in tids}
+    state.challengers = {tid: copy.deepcopy(state.champions[tid])
+                         for tid in tids}
     chal0 = state.challengers[tids[0]]
     accs = {tids[0]: {"champion": 0.7, "challenger": 0.8},
             tids[1]: {"champion": 0.5, "challenger": 0.5}}
@@ -216,7 +229,8 @@ def test_selection_strict_and_checkpoint_monotone():
     assert state.best_avg_val == pytest.approx(0.65)
     assert state.checkpoint_bytes is not None
     # lower later mean must not move best_avg_val
-    state.challengers = {tid: state.champions[tid].copy() for tid in tids}
+    state.challengers = {tid: copy.deepcopy(state.champions[tid])
+                         for tid in tids}
     assert select_and_checkpoint(
         state, {tids[0]: {"champion": 0.1, "challenger": 0.0},
                 tids[1]: {"champion": 0.1, "challenger": 0.0}}
