@@ -38,6 +38,7 @@ depth) or by CM's evolved modules (`CmGridNet`); the per-task
 from __future__ import annotations
 
 import math
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -137,33 +138,39 @@ def _saved_param(saved: dict, key, shape) -> Param:
     return p
 
 
+@dataclass(eq=False)
 class ModuleInstance:
     """A realized module: its parameters, internal merge scales, and the
     forward recipe. The same instance object may occupy several network
-    locations; that is what weight sharing means here.
+    locations; that is what weight sharing means here. Its fields are its
+    checkpoint form: `params` by gene key ("n2.w", "tail.b", ...),
+    `scales` by merge node.
 
-    Weights are drawn from `rng`, or, with `saved` (a checkpoint's
-    `routing.SavedModule`: `params` keyed as in `self.params`, `scales`
-    by merge node), taken as they are, with no draw. Either way the forward
-    recipe is resolved once, into `plan`: one (node, parent ids, merge
-    scales Param or None, gene, w, b) row per non-source node in
-    topological order."""
+    Weights are drawn from `rng`, or, without one, the given `params` and
+    `scales` are taken as they are, each checked for its shape. Either way
+    the forward recipe is resolved once, into `plan`: one (node, parent
+    ids, merge scales Param or None, gene, w, b) row per non-source node
+    in topological order."""
 
-    def __init__(self, genome: ModuleGenome, ghyper: GlobalHyper,
-                 rng: np.random.Generator | None, label: str,
-                 saved=None):
-        errs = genome.check()
+    retired_keys = ("storage_id",)
+    genome: ModuleGenome
+    ghyper: GlobalHyper
+    label: str
+    params: dict[str, Param] = field(default_factory=dict)
+    scales: dict[int, Param] = field(default_factory=dict)
+    rng: InitVar[np.random.Generator | None] = None
+
+    def __post_init__(self, rng):
+        errs = self.genome.check()
         if errs:
             raise AssemblyError(f"invalid module genome: {errs[0]}")
-        self.genome = genome
-        self.ghyper = ghyper
-        self.label = label
-        width = ghyper.final_layer_filters
+        genome, label = self.genome, self.label
+        width = self.ghyper.final_layer_filters
+        saved_params, saved_scales = self.params, self.scales
+        self.params, self.scales = {}, {}
 
         out_width = {SOURCE: width}
-        self.params: dict[str, Param] = {}
-        self.scale_groups: dict[int, Param] = {}
-        init = ghyper.weight_init
+        init = self.ghyper.weight_init
         plan = []
         _, node_parents = graph_maps(genome.node_ids(), genome.edges)
 
@@ -173,10 +180,10 @@ class ModuleInstance:
             parents = node_parents[n]
             cin = max(out_width[p] for p in parents)
             if len(parents) > 1:
-                self.scale_groups[n] = (
+                self.scales[n] = (
                     merge_scales(f"{label}.merge{n}", len(parents))
-                    if saved is None
-                    else _saved_param(saved.scales, n, (len(parents),)))
+                    if rng is not None
+                    else _saved_param(saved_scales, n, (len(parents),)))
             gene = genome.final_layer if n == SINK else genome.nodes[n]
             if n == SINK:
                 wkey, bkey, filters = "tail.w", "tail.b", width
@@ -184,22 +191,21 @@ class ModuleInstance:
                 wkey, bkey, filters = f"n{n}.w", f"n{n}.b", gene.filters
                 out_width[n] = filters
             shape, fan_in, fan_out = _gene_param_shapes(gene, cin, filters)
-            if saved is None:
+            if rng is not None:
                 w = Param(f"{label}.{wkey}",
                           init_weight(rng, shape, fan_in, fan_out, init),
                           l2_strength=gene.l2_strength)
                 b = Param(f"{label}.{bkey}", np.zeros(filters))
             else:
-                w = _saved_param(saved.params, wkey, shape)
-                b = _saved_param(saved.params, bkey, (filters,))
+                w = _saved_param(saved_params, wkey, shape)
+                b = _saved_param(saved_params, bkey, (filters,))
             self.params[wkey], self.params[bkey] = w, b
-            plan.append((n, tuple(parents), self.scale_groups.get(n), gene,
-                         w, b))
+            plan.append((n, tuple(parents), self.scales.get(n), gene, w, b))
         self.plan = tuple(plan)
 
     def all_params(self) -> list[Param]:
         out = list(self.params.values())
-        out.extend(self.scale_groups.values())
+        out.extend(self.scales.values())
         return out
 
     def apply(self, g: CompGraph, x: CGNode) -> CGNode:
@@ -231,9 +237,9 @@ def realize_module(genome: ModuleGenome, ghyper: GlobalHyper,
     `shared` dict and a share_key, the first realization is stored under
     the key and later ones alias it (same Param objects)."""
     if shared is None or share_key is None:
-        return ModuleInstance(genome, ghyper, rng, label)
+        return ModuleInstance(genome, ghyper, label, rng=rng)
     if share_key not in shared:
-        shared[share_key] = ModuleInstance(genome, ghyper, rng, label)
+        shared[share_key] = ModuleInstance(genome, ghyper, label, rng=rng)
     return shared[share_key]
 
 

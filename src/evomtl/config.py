@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .dataset import DatasetRef, DirRef, SynthParams, SynthRef
 from .errors import ConfigError, ParseError
-from .serialize import canon_loads, field_types, from_obj
+from .serialize import canon_loads, from_obj
 
 # Seconds a job may run before the coordinator requeues it.
 DEFAULT_DEADLINE_S = 600.0
@@ -148,8 +148,8 @@ def parse_addr(addr: str) -> tuple[str, int]:
 
 def resolve_config(profile: str | None = None, config_file: str | None = None,
                    overrides: dict | None = None) -> ExperimentConfig:
-    """profile defaults < config-file values < explicit overrides."""
-    cfg = ExperimentConfig()
+    """profile defaults < config-file values < explicit overrides, decoded
+    and checked by `from_obj`."""
     values = {}
     if config_file:
         try:
@@ -163,21 +163,14 @@ def resolve_config(profile: str | None = None, config_file: str | None = None,
             raise ConfigError(f"config file {config_file} is not a JSON object")
     # an explicit --profile beats the file's; the file's beats the default
     prof = (profile or (overrides or {}).get("profile")
-            or values.get("profile") or cfg.profile)
+            or values.get("profile") or ExperimentConfig.profile)
     merged = dict(PROFILES.get(prof, {}))
     merged.update(values)
     merged["profile"] = prof
     for key, val in (overrides or {}).items():
         if val is not None:
             merged[key] = val
-    hints = field_types(ExperimentConfig)
-    unknown = set(merged) - set(hints)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, val in merged.items():
-        try:
-            setattr(cfg, key, from_obj(hints[key], val, f"config key {key!r}"))
-        except ParseError as e:
-            raise ConfigError(str(e)) from e
-    cfg.check()
-    return cfg
+    try:
+        return from_obj(ExperimentConfig, merged, "config")
+    except ParseError as e:
+        raise ConfigError(str(e)) from e

@@ -427,18 +427,6 @@ def run_ctr(modules, spec: MultitaskSpec, meta_iters: int, m_iters: int,
 
 
 @dataclass
-class SavedModule:
-    """A shared module as a checkpoint holds it."""
-
-    retired_keys = ("storage_id",)
-    genome: ModuleGenome
-    ghyper: GlobalHyper
-    label: str
-    params: dict[str, Param]
-    scales: dict[int, Param]
-
-
-@dataclass
 class SavedRouting:
     """A champion as a checkpoint holds it: its routing graph's fields and
     its decoder."""
@@ -472,7 +460,7 @@ class CtrCheckpoint:
     retired_keys = ("meta_iteration", "image_side", "class_counts")
     best_avg_val: float
     task_ids: list[str]
-    modules: list[SavedModule]
+    modules: list[ModuleInstance]
     champions: dict[str, SavedRouting]
     history: list[dict] | None = None
     rng_state: dict | None = None
@@ -487,9 +475,7 @@ class CtrCheckpoint:
                                                len(self.modules))]
 
     def state(self) -> CtrState:
-        modules = [ModuleInstance(m.genome, m.ghyper, None, m.label, saved=m)
-                   for m in self.modules]
-        return CtrState(modules=modules, task_ids=self.task_ids,
+        return CtrState(modules=self.modules, task_ids=self.task_ids,
                         champions={tid: saved.individual() for tid, saved
                                    in self.champions.items()},
                         best_avg_val=self.best_avg_val)
@@ -501,9 +487,7 @@ def serialize_ctr_state(state: CtrState, history: list | None = None,
     """The checkpoint bytes of `state`, with the extras a run's file holds
     when given; an extra not given writes no key."""
     ckpt = CtrCheckpoint(
-        state.best_avg_val, state.task_ids,
-        [SavedModule(m.genome, m.ghyper, m.label, m.params, m.scale_groups)
-         for m in state.modules],
+        state.best_avg_val, state.task_ids, state.modules,
         {tid: SavedRouting(ind.graph.task_id, ind.graph.nodes,
                            ind.graph.inbound, ind.graph._next,
                            ind.graph.source_id, ind.graph.sink_id,

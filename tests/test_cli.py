@@ -445,7 +445,19 @@ def test_config_file_value_of_the_wrong_type_is_a_usage_error(
     code = main(["run", "--algorithm", algorithm, "--config", str(cfile),
                  "--synth", "2x3x8", "--out", str(tmp_path / "run")])
     assert code == 2
-    assert repr(next(iter(values))) in capsys.readouterr().err
+    assert f"config.{next(iter(values))}" in capsys.readouterr().err
+
+
+def test_config_file_with_an_unknown_key_is_a_usage_error(tmp_path, capsys):
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps({"meta_iters": 1, "meta_iterz": 2}))
+    out = tmp_path / "run"
+    assert main(["run", "--algorithm", "ctr", "--config", str(cfile),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "meta_iterz" in err
+    assert not out.exists()
 
 
 def test_config_file_accepts_an_int_for_a_float_and_null_where_allowed(

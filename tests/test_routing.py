@@ -587,4 +587,4 @@ def test_restore_builds_modules_from_saved_params(monkeypatch):
         used = {id(p) for row in inst.plan for p in row[4:]}
         used |= {id(row[2]) for row in inst.plan if row[2] is not None}
         assert used == {id(p) for p in inst.all_params()}
-    assert restored.modules[2].scale_groups
+    assert restored.modules[2].scales
