@@ -267,12 +267,8 @@ def _run_coevolution(cfg: ExperimentConfig, out_dir: str) -> dict:
     if cfg.algorithm == "cmsr":
         blueprint_pop = init_blueprint_population(
             cfg.blueprints, module_pop.species_ids(), rng)
-    base_hyper = GlobalHyper(
-        learning_rate=cfg.lr, final_layer_filters=cfg.filters,
-        k_modules=cfg.k_modules, depth=cfg.depth,
-        depth_flags=tuple([True] * cfg.depth), sharing_mode=cfg.sharing_mode)
     hyper_pop = HyperPopulation(cfg.hyper_pool, rng, cfg.sharing_mode,
-                                base=base_hyper)
+                                base=cfg.base_hyper())
     # one coordinator for the whole search: workers stay connected across
     # generations and are released when the loop ends
     with (Coordinator(cfg.serve) if cfg.serve

@@ -11,10 +11,12 @@ for 30000 iterations).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dataset import DatasetRef, DirRef, SynthParams, SynthRef
 from .errors import ConfigError, ParseError
+from .genome import FILTER_RANGE, SHARING_MODES, GlobalHyper
 from .serialize import canon_loads, from_obj
 
 # Seconds a job may run before the coordinator requeues it.
@@ -90,7 +92,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}")
-        if self.sharing_mode not in ("enabled", "disabled", "evolved"):
+        if self.sharing_mode not in SHARING_MODES:
             raise ConfigError(f"unknown sharing mode {self.sharing_mode!r}")
         # the least value of each count; each species needs a module
         pre = "cmtr_" if self.algorithm == "cmtr" else ""
@@ -98,14 +100,29 @@ class ExperimentConfig:
         floors = {"networks_per_generation": 1, "train_iters": 0, "n_top": 1,
                   "long_iters": 0, "stagnation_limit": 1, "hyper_pool": 1,
                   "meta_iters": 1, "retrain_meta_iters": 1, "k_modules": 1,
+                  "depth": 1, "filters": 1,
                   "blueprints": 1, f"{pre}species": 1, f"{pre}modules": n_sp}
         for name, least in floors.items():
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}, "
                                   f"got {getattr(self, name)}")
         check_alpha(self.alpha)
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be a positive number, got {self.lr}")
+        if not self.algorithm.startswith("baseline") and not (
+                FILTER_RANGE[0] <= self.filters <= FILTER_RANGE[1]):
+            raise ConfigError(f"filters must be in {list(FILTER_RANGE)}, "
+                              f"got {self.filters}")
+        if self.algorithm in ("cm", "cmsr", "cmtr"):
+            errs = self.base_hyper().check()
+            if errs:  # the hyperparameters' learning_rate is the config's lr
+                raise ConfigError(errs[0].replace("learning_rate", "lr")
+                                  + " is outside the search's range")
         if self.data_dir is None and self.synth_tasks < 1:
             raise ConfigError("need a data directory or synth parameters")
+        if self.data_dir is None and not 0.0 <= self.synth_noise < 0.5:
+            raise ConfigError(f"synth_noise must be in [0, 0.5), "
+                              f"got {self.synth_noise}")
         if self.effective_image_side() < 1:
             raise ConfigError("the image side must be at least 1")
         if self.eval_subsample is not None and self.eval_subsample < 1:
@@ -121,6 +138,14 @@ class ExperimentConfig:
             self.seed if self.synth_seed is None else self.synth_seed,
             self.synth_tasks, self.synth_classes, self.synth_side,
             self.synth_noise, self.examples_per_class), self.seed)
+
+    def base_hyper(self) -> GlobalHyper:
+        """The hyperparameter candidate a cm, cmsr or cmtr search starts
+        from."""
+        return GlobalHyper(
+            learning_rate=self.lr, final_layer_filters=self.filters,
+            k_modules=self.k_modules, depth=self.depth,
+            depth_flags=(True,) * self.depth, sharing_mode=self.sharing_mode)
 
     def effective_image_side(self) -> int:
         return self.image_side if self.data_dir is not None else self.synth_side

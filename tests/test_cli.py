@@ -580,9 +580,23 @@ _CM_SHORT = [*_CM, "--generations", "1", "--long-iters", "1"]
     (["run", "--algorithm", "cmsr", "--synth", "2x2x8", "--blueprints", "0"],
      None, "blueprints"),
     ([*_CMTR], {"cmtr_species": 0}, "cmtr_species"),
+    # values a later step of the run would reject, after writing files
+    ([*_CTR, "--synth", "2x3x8", "--lr", "0"], None, "lr"),
+    ([*_CTR, "--synth", "2x3x8"], {"lr": float("nan")}, "lr"),
+    ([*_CTR, "--synth", "2x3x8", "--noise", "0.7"], None, "synth_noise"),
+    ([*_CTR, "--synth", "2x3x8", "--filters", "4"], None, "filters"),
+    ([*_CM_SHORT, "--lr", "0.05"], None, "lr"),
+    ([*_CM_SHORT, "--depth", "7"], None, "depth"),
+    (["run", "--algorithm", "baseline-soft", "--synth", "2x3x8",
+      "--filters", "0"], None, "filters"),
+    (["run", "--algorithm", "baseline-single", "--synth", "2x3x8",
+      "--depth", "0"], None, "depth"),
 ], ids=["zero-hyper-pool", "zero-k-modules", "zero-species",
         "fewer-modules-than-species", "zero-n-top", "negative-long-iters",
-        "zero-stagnation", "zero-blueprints", "zero-cmtr-species"])
+        "zero-stagnation", "zero-blueprints", "zero-cmtr-species",
+        "zero-lr", "nan-lr", "noise-past-half", "ctr-filters-below-range",
+        "cm-lr-above-range", "cm-depth-above-range", "zero-baseline-filters",
+        "zero-baseline-depth"])
 def test_a_bad_search_count_is_rejected_before_the_run_writes_anything(
         tmp_path, capsys, argv, config, field):
     if config is not None:
