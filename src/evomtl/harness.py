@@ -73,12 +73,21 @@ class Job:
 @dataclass
 class JobResult:
     job_id: int
-    status: str  # ok | failed | timeout
+    status: str  # ok | failed
     fitness: float | None = None
     per_task: dict[str, float] = field(default_factory=dict)
     wall_time_s: float = 0.0
     worker_id: str = ""
     message: str = ""
+
+    def check(self) -> list[str]:
+        """An ok result carries a fitness the search can rank."""
+        if self.status not in ("ok", "failed"):
+            return [f"status {self.status!r}"]
+        if self.status == "ok" and not (self.fitness is not None
+                                        and 0.0 <= self.fitness <= 1.0):
+            return [f"an ok result with fitness {self.fitness}"]
+        return []
 
     def to_obj(self) -> dict:
         return to_obj(self)
@@ -119,6 +128,9 @@ class CmPayload:
         """A planned job's payload: `fields` plus what this class adds."""
         return cls(**fields)
 
+    def check(self) -> list[str]:
+        return [] if self.modules else ["no module design"]
+
     def genome_ids(self) -> list[tuple[str, int]]:
         return [(ModuleGenome.kind, gid) for gid in self.module_ids]
 
@@ -157,6 +169,13 @@ class CmsrPayload(CmPayload):
         return cls(**fields, blueprint=blueprint,
                    blueprint_id=blueprint.genome_id,
                    species_map={s: i for i, s in enumerate(species_ids)})
+
+    def check(self) -> list[str]:
+        return super().check() + [
+            f"species_map: species {s} maps to design {i} of "
+            f"{len(self.modules)}"
+            for s, i in self.species_map.items()
+            if not 0 <= i < len(self.modules)]
 
     def genome_ids(self) -> list[tuple[str, int]]:
         return [*super().genome_ids(),

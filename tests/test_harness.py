@@ -519,7 +519,14 @@ def test_worker_drops_a_malformed_job_frame_and_reconnects(job):
      "result": JobResult(999, "ok", fitness=1.0).to_obj()},
     {"kind": "result",  # a fitness the driver could not average
      "result": {**JobResult(1, "ok").to_obj(), "fitness": "0.5"}},
-], ids=["missing", "other-job", "text-fitness"])
+    {"kind": "result",  # ok, but with nothing to rank
+     "result": {"job_id": 1, "status": "ok"}},
+    {"kind": "result",  # ok, with a fitness no ranking can place
+     "result": JobResult(1, "ok", fitness=float("nan")).to_obj()},
+    {"kind": "result",  # a status the package never writes
+     "result": JobResult(1, "done", fitness=0.5).to_obj()},
+], ids=["missing", "other-job", "text-fitness", "ok-without-fitness",
+        "nan-fitness", "unknown-status"])
 def test_coordinator_drops_a_worker_with_a_bad_result(bad_result):
     # a fake worker answers its job with a bad result frame: the
     # coordinator drops it and requeues the job, and an honest worker
@@ -554,10 +561,29 @@ def test_coordinator_drops_a_worker_with_a_bad_result(bad_result):
         (1, "ok", "honest")]
 
 
+def _cmtr_without_modules():
+    obj = to_obj(CmtrPayload(**vars(make_payload()),
+                             ctr=CtrSettings(1, 2, 0.1)))
+    obj["modules"] = []
+    return obj
+
+
+def _cmsr_mapping_past_its_modules():
+    from evomtl.genome import init_blueprint_population
+    from evomtl.harness import CmsrPayload
+    bp = init_blueprint_population(1, [1, 2], np.random.default_rng(4))
+    return to_obj(CmsrPayload(**vars(make_payload()),
+                              blueprint=bp.all_members()[0], blueprint_id=0,
+                              species_map={1: 0, 2: 2}))
+
+
 @pytest.mark.parametrize("bad", [
     lambda: _mistyped("seed", "9"),
     lambda: [1],
-], ids=["mistyped-seed", "not-an-object"])
+    _cmtr_without_modules,
+    _cmsr_mapping_past_its_modules,
+], ids=["mistyped-seed", "not-an-object", "cmtr-without-modules",
+        "cmsr-mapping-past-its-modules"])
 def test_an_undecodable_payload_fails_and_the_connection_goes_on(
         monkeypatch, bad):
     # the worker answers a payload it cannot decode with a failed result
