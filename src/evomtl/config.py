@@ -189,7 +189,8 @@ def resolve_config(profile: str | None = None, config_file: str | None = None,
     # an explicit --profile beats the file's; the file's beats the default
     prof = (profile or (overrides or {}).get("profile")
             or values.get("profile") or ExperimentConfig.profile)
-    merged = dict(PROFILES.get(prof, {}))
+    # a profile that is not a string loads nothing; from_obj rejects it
+    merged = dict(PROFILES.get(str(prof), {}))
     merged.update(values)
     merged["profile"] = prof
     for key, val in (overrides or {}).items():

@@ -135,11 +135,14 @@ def _dataclass(cls, obj: dict, where: str):
         if obj.get(k) != v:
             raise ParseError(f"{where}.{k}: want {v!r}, got {obj.get(k)!r:.80}")
     skip = {*consts, *getattr(cls, "retired_keys", ())}
-    values = {k: from_obj(hints[k], v, f"{where}.{k}") if k in hints else v
+    for k in obj:  # not left to cls(): it takes an InitVar's name too
+        if k not in hints and k not in skip:
+            raise ParseError(f"{where}.{k!s:.80}: unknown key")
+    values = {k: from_obj(hints[k], v, f"{where}.{k}")
               for k, v in obj.items() if k not in skip}
     try:
         value = cls(**values)
-    except TypeError as e:  # an unknown field, or a missing one
+    except TypeError as e:  # a missing field
         raise ParseError(f"{where}: {e}") from e
     errs = value.check() if hasattr(cls, "check") else None
     if errs:

@@ -371,7 +371,7 @@ def test_job_result_decoder_refuses_a_text_fitness():
 
 
 def test_round_trip_job_result_routing_node_and_config():
-    cfg = ExperimentConfig(algorithm="cm", lr=0.5, max_generations=None)
+    cfg = ExperimentConfig(algorithm="cm", lr=0.005, max_generations=None)
     for hint, value in [
             (Job, Job(4, {"algorithm": "cm", "seed": 2}, deadline_s=7.5)),
             (JobResult, JobResult(4, "ok", 0.25, {"t0": 0.5, "t1": 0.0},

@@ -377,6 +377,11 @@ def _inferred_decoder_shape(obj, tid):
     obj["champions"][tid]["decoder_w"]["value"]["shape"] = [-1]
 
 
+def _module_with_an_rng_key(obj, tid):
+    # a module's rng is an InitVar: a key of that name is not a field
+    obj["modules"][0]["rng"] = 1
+
+
 def _text_number_best_avg_val(obj, tid):
     obj["best_avg_val"] = "0.5"
 
@@ -419,7 +424,8 @@ def _inner_node_of_sink_kind(obj, tid):
                                     _misspelt_adapter_kind,
                                     _module_without_an_index,
                                     _adapter_with_an_index,
-                                    _inner_node_of_sink_kind])
+                                    _inner_node_of_sink_kind,
+                                    _module_with_an_rng_key])
 def test_restore_reports_a_missing_or_bad_field_as_a_parse_error(damage):
     spec = make_spec()
     state = init_ctr(default_ctr_modules(2, 8, rng(54)), spec, rng(55))
