@@ -355,8 +355,7 @@ def cmd_export_dot(args) -> int:
         print(f"error: no task {args.routing!r} in checkpoint "
               f"(tasks: {sorted(ckpt.champions)})", file=sys.stderr)
         return 1
-    sys.stdout.write(routing_dot(ckpt.champions[args.routing].individual(),
-                                 "routing"))
+    sys.stdout.write(routing_dot(ckpt.champions[args.routing], "routing"))
     return 0
 
 

@@ -39,9 +39,8 @@ def module_dot(genome: ModuleGenome, name: str = "module") -> str:
     return "\n".join(lines) + "\n"
 
 
-def routing_dot(individual, name: str = "routing") -> str:
+def routing_dot(graph, name: str = "routing") -> str:
     """Routing graph with post-softmax merge weights as edge labels."""
-    graph = individual.graph
     lines = [f"digraph {name} {{", "  rankdir=TB;"]
     for nid, node in sorted(graph.nodes.items()):
         if node.kind == "source":
@@ -57,7 +56,7 @@ def routing_dot(individual, name: str = "routing") -> str:
         srcs = graph.inbound[dst]
         weights = None
         if len(srcs) > 1:
-            weights = softmax(graph.scale_groups[dst].value)
+            weights = softmax(graph.scales[dst].value)
         for i, src in enumerate(srcs):
             if weights is None:
                 lines.append(f"  {_q(src)} -> {_q(dst)};")

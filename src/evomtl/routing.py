@@ -47,25 +47,34 @@ class RNode:
     module_index: int | None = None
 
 
+@dataclass(eq=False)
 class RoutingGraph:
-    """Task-routing DAG. Inbound edge order is stable per node; logit i of
-    a merge node's scales belongs to its i-th inbound edge. Nodes and
-    edges are added only through `add_node`/`add_edge`, which drop the
-    cached topological order."""
+    """Task-routing DAG with its decoder, the dense layer the sink's value
+    feeds; its fields are its checkpoint form. Inbound edge order is
+    stable per node; logit i of a merge node's `scales` belongs to its
+    i-th inbound edge. Nodes and edges are added only through
+    `add_node`/`add_edge`, which drop the cached topological order; a
+    graph given no nodes starts with just its source and sink."""
 
-    def __init__(self, task_id: str):
-        self.task_id = task_id
-        self.nodes: dict[int, RNode] = {}
-        self.inbound: dict[int, list[int]] = {}
-        self.scale_groups: dict[int, Param] = {}
-        self._next = 0
+    task_id: str
+    decoder_w: Param
+    decoder_b: Param
+    nodes: dict[int, RNode] = field(default_factory=dict)
+    inbound: dict[int, list[int]] = field(default_factory=dict)
+    next: int = 0
+    source_id: int = 0
+    sink_id: int = 1
+    scales: dict[int, Param] = field(default_factory=dict)
+
+    def __post_init__(self):
         self._order: tuple[int, ...] | None = None
-        self.source_id = self.add_node("source")
-        self.sink_id = self.add_node("sink")
+        if not self.nodes:
+            self.source_id = self.add_node("source")
+            self.sink_id = self.add_node("sink")
 
     def add_node(self, kind: str, module_index: int | None = None) -> int:
-        nid = self._next
-        self._next += 1
+        nid = self.next
+        self.next += 1
         self.nodes[nid] = RNode(kind, module_index)
         self.inbound[nid] = []
         self._order = None
@@ -93,6 +102,8 @@ class RoutingGraph:
 def check_routing_graph(graph: RoutingGraph, n_modules: int) -> list[str]:
     if graph.inbound.keys() != graph.nodes.keys():
         return ["inbound lists do not match the nodes"]
+    if graph.next <= max(graph.nodes):  # add_node would reuse an id
+        return [f"next {graph.next} is not past every node id"]
     errs = dag_errors(graph.nodes.keys(), dict(enumerate(graph.edges())),
                       graph.source_id, graph.sink_id)
     ends = {graph.source_id: "source", graph.sink_id: "sink"}
@@ -109,10 +120,10 @@ def check_routing_graph(graph: RoutingGraph, n_modules: int) -> list[str]:
             errs.append(f"adapter {n} has in-degree {len(graph.inbound[n])}")
     for n, srcs in graph.inbound.items():
         if len(srcs) > 1:
-            scales = graph.scale_groups.get(n)
+            scales = graph.scales.get(n)
             if scales is None or scales.value.shape != (len(srcs),):
                 errs.append(f"node {n}: merge scales missing or wrong size")
-        elif n in graph.scale_groups:
+        elif n in graph.scales:
             errs.append(f"node {n}: spurious merge scales")
     return errs
 
@@ -128,7 +139,7 @@ def route(g, graph: RoutingGraph, modules, x) -> dict:
             vals[n] = x
             continue
         inputs = [vals[p] for p in graph.inbound[n]]
-        v = (g.softmerge(graph.scale_groups[n], inputs) if len(inputs) > 1
+        v = (g.softmerge(graph.scales[n], inputs) if len(inputs) > 1
              else inputs[0])
         if r.kind == "module":
             v = modules[r.module_index].apply(g, v)
@@ -138,24 +149,22 @@ def route(g, graph: RoutingGraph, modules, x) -> dict:
     return vals
 
 
+@dataclass(eq=False)
 class RoutingIndividual:
-    """(encoder, routing graph, decoder) with its own decoder and scale
-    weights; module weights live in the shared set."""
+    """A routing graph, which holds the individual's own decoder and scale
+    weights, and whether the mutation that made it found no splice;
+    module weights live in the shared set."""
 
-    def __init__(self, graph: RoutingGraph, decoder_w: Param, decoder_b: Param):
-        self.graph = graph
-        self.decoder_w = decoder_w
-        self.decoder_b = decoder_b
-        self.mutation_failed = False
+    graph: RoutingGraph
+    mutation_failed: bool = False
 
     def params(self) -> list[Param]:
-        out = [self.decoder_w, self.decoder_b]
-        out.extend(self.graph.scale_groups.values())
-        return out
+        return [self.graph.decoder_w, self.graph.decoder_b,
+                *self.graph.scales.values()]
 
     def forward(self, g: CompGraph, modules, x: CGNode) -> CGNode:
         v = route(g, self.graph, modules, x)[self.graph.sink_id]
-        return g.dense(v, self.decoder_w, self.decoder_b)
+        return g.dense(v, self.graph.decoder_w, self.graph.decoder_b)
 
 
 @dataclass
@@ -205,10 +214,10 @@ def default_ctr_modules(k: int, image_side: int, rng: np.random.Generator,
     return modules
 
 
-def _chain_fits(modules, side: int) -> bool:
+def _chain_fits(f: BatchForward, modules, x: CGNode) -> bool:
     try:
         for module in modules:
-            side = out_side(module, side)
+            x = module.apply(f, x)
     except AssemblyError:
         return False
     return True
@@ -218,34 +227,34 @@ def init_ctr(modules: list[ModuleInstance], spec: MultitaskSpec,
              rng: np.random.Generator) -> CtrState:
     """Champions start as the classical chain through every module, with
     an adapter after each module whose output is at least 4x4, unless the
-    modules after it would no longer fit the halved map."""
+    modules after it would no longer fit the halved map. The chain, run
+    on an empty batch as it is built, sizes every task's decoder."""
     if not modules:
         raise ConfigError("need at least one shared module")
-    chain, side = [], spec.image_side  # node kinds after the source
+    f, x = BatchForward(), empty_input(spec.image_side)
+    chain = []  # node kinds after the source
     for k, module in enumerate(modules):
         chain.append(("module", k))
-        side = out_side(module, side)
-        if side >= 4 and _chain_fits(modules[k + 1:], side // 2):
+        x = module.apply(f, x)
+        if x.shape[0] >= 4 and _chain_fits(f, modules[k + 1:],
+                                           f.maxpool2x2(x)):
             chain.append(("adapter", None))
-            side //= 2
-    graphs = {}
-    for task in spec.tasks:
-        graph = graphs[task.task_id] = RoutingGraph(task.task_id)
+            x = f.maxpool2x2(x)
+    decoders = make_decoders(x, [t.task_id for t in spec.tasks],
+                             [t.class_count for t in spec.tasks],
+                             modules[0].ghyper.weight_init, rng)
+    champions = {}
+    for tid, decoder in decoders.items():
+        graph = RoutingGraph(tid, *decoder)
         prev = graph.source_id
         for kind, index in chain:
             nid = graph.add_node(kind, index)
             graph.add_edge(prev, nid)
             prev = nid
         graph.add_edge(prev, graph.sink_id)
-    # every task starts on the same chain, so one route sizes every decoder
-    sink = route(BatchForward(), graph, modules,
-                 empty_input(spec.image_side))[graph.sink_id]
-    decoders = make_decoders(sink, list(graphs),
-                             [t.class_count for t in spec.tasks],
-                             modules[0].ghyper.weight_init, rng)
-    return CtrState(modules=modules, task_ids=list(graphs),
-                    champions={tid: RoutingIndividual(g, *decoders[tid])
-                               for tid, g in graphs.items()})
+        champions[tid] = RoutingIndividual(graph)
+    return CtrState(modules=modules, task_ids=list(champions),
+                    champions=champions)
 
 
 def new_edge_logit(existing: np.ndarray, alpha: float) -> float:
@@ -260,10 +269,10 @@ def _extend_scale_group(graph: RoutingGraph, v: int, alpha: float) -> None:
     """Give node v's newest inbound edge post-softmax weight alpha,
     creating its scales (incumbent weight 1 - alpha) if v just became a
     merge point."""
-    old = graph.scale_groups.get(v) or Param(f"{graph.task_id}.n{v}.scales",
+    old = graph.scales.get(v) or Param(f"{graph.task_id}.n{v}.scales",
                                              np.zeros(1))
     logits = np.append(old.value, new_edge_logit(old.value, alpha))
-    graph.scale_groups[v] = Param(
+    graph.scales[v] = Param(
         old.name, logits, adam_m=np.append(old.adam_m, 0.0),
         adam_v=np.append(old.adam_v, 0.0), step_count=old.step_count)
 
@@ -427,30 +436,6 @@ def run_ctr(modules, spec: MultitaskSpec, meta_iters: int, m_iters: int,
 
 
 @dataclass
-class SavedRouting:
-    """A champion as a checkpoint holds it: its routing graph's fields and
-    its decoder."""
-
-    task_id: str
-    nodes: dict[int, RNode]
-    inbound: dict[int, list[int]]
-    next: int
-    source_id: int
-    sink_id: int
-    scales: dict[int, Param]
-    decoder_w: Param
-    decoder_b: Param
-
-    def individual(self) -> RoutingIndividual:
-        graph = RoutingGraph.__new__(RoutingGraph)
-        vars(graph).update(
-            task_id=self.task_id, nodes=self.nodes, inbound=self.inbound,
-            _next=self.next, _order=None, source_id=self.source_id,
-            sink_id=self.sink_id, scale_groups=self.scales)
-        return RoutingIndividual(graph, self.decoder_w, self.decoder_b)
-
-
-@dataclass
 class CtrCheckpoint:
     """Shared modules, champions, the task order (champions come back in
     sorted-key order) and best mean validation accuracy; a run's file
@@ -461,7 +446,7 @@ class CtrCheckpoint:
     best_avg_val: float
     task_ids: list[str]
     modules: list[ModuleInstance]
-    champions: dict[str, SavedRouting]
+    champions: dict[str, RoutingGraph]
     history: list[dict] | None = None
     rng_state: dict | None = None
     dataset: DatasetRef | None = None
@@ -470,13 +455,12 @@ class CtrCheckpoint:
         if sorted(self.task_ids) != sorted(self.champions):
             return ["task_ids do not name the champions"]
         return [f"champions.{tid}: {err}"
-                for tid, saved in self.champions.items()
-                for err in check_routing_graph(saved.individual().graph,
-                                               len(self.modules))]
+                for tid, graph in self.champions.items()
+                for err in check_routing_graph(graph, len(self.modules))]
 
     def state(self) -> CtrState:
         return CtrState(modules=self.modules, task_ids=self.task_ids,
-                        champions={tid: saved.individual() for tid, saved
+                        champions={tid: RoutingIndividual(graph) for tid, graph
                                    in self.champions.items()},
                         best_avg_val=self.best_avg_val)
 
@@ -488,12 +472,7 @@ def serialize_ctr_state(state: CtrState, history: list | None = None,
     when given; an extra not given writes no key."""
     ckpt = CtrCheckpoint(
         state.best_avg_val, state.task_ids, state.modules,
-        {tid: SavedRouting(ind.graph.task_id, ind.graph.nodes,
-                           ind.graph.inbound, ind.graph._next,
-                           ind.graph.source_id, ind.graph.sink_id,
-                           ind.graph.scale_groups, ind.decoder_w,
-                           ind.decoder_b)
-         for tid, ind in state.champions.items()},
+        {tid: ind.graph for tid, ind in state.champions.items()},
         history, rng_state, dataset)
     obj = {k: v for k, v in to_obj(ckpt).items() if v is not None}
     return canon_dumps(obj).encode("utf-8")

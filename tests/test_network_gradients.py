@@ -114,7 +114,7 @@ def test_ctr_routing_individual_gradients_after_a_splice():
         chal = mutate_challenger(state.champions[tid], modules, 0.3,
                                  rng(10 + t), 6)
         assert not chal.mutation_failed
-        assert chal.graph.scale_groups  # the splice made a merge
+        assert chal.graph.scales  # the splice made a merge
         challengers.append(chal)
     params = [p for m in modules for p in m.all_params()]
     params += [p for chal in challengers for p in chal.params()]

@@ -114,8 +114,8 @@ def test_challenger_copies_not_aliases():
     assert shared_mutables(chal, champ) == []
     assert shared_mutables(chal, state.modules) == []
     assert state.modules == modules
-    for mine, theirs in ((chal.decoder_w, champ.decoder_w),
-                         (chal.decoder_b, champ.decoder_b)):
+    for mine, theirs in ((chal.graph.decoder_w, champ.graph.decoder_w),
+                         (chal.graph.decoder_b, champ.graph.decoder_b)):
         assert mine.step_count == theirs.step_count == 3
         for f in ("value", "adam_m", "adam_v"):
             assert np.array_equal(getattr(mine, f), getattr(theirs, f))
@@ -209,7 +209,8 @@ def test_scales_diverge_between_champion_and_challenger():
     tid = spec.tasks[0].task_id
     joint_train(state, spec, 30, 3e-3, rng(25))
     champ, chal = state.champions[tid], state.challengers[tid]
-    assert not np.array_equal(champ.decoder_w.value, chal.decoder_w.value)
+    assert not np.array_equal(champ.graph.decoder_w.value,
+                              chal.graph.decoder_w.value)
 
 
 def test_selection_strict_and_checkpoint_monotone():
@@ -390,6 +391,11 @@ def _fractional_next(obj, tid):
     obj["champions"][tid]["next"] = 7.9
 
 
+def _next_on_a_node_id(obj, tid):
+    # a spliced node would take the id of the source
+    obj["champions"][tid]["next"] = 0
+
+
 def _float_step_count(obj, tid):
     pobj = next(iter(obj["modules"][0]["params"].values()))
     pobj["step_count"] = float(pobj["step_count"])
@@ -420,7 +426,8 @@ def _inner_node_of_sink_kind(obj, tid):
                                     _string_best_avg_val, _text_module_index,
                                     _inferred_decoder_shape,
                                     _text_number_best_avg_val,
-                                    _fractional_next, _float_step_count,
+                                    _fractional_next, _next_on_a_node_id,
+                                    _float_step_count,
                                     _misspelt_adapter_kind,
                                     _module_without_an_index,
                                     _adapter_with_an_index,
@@ -462,13 +469,14 @@ def _adapter_with_two_in_edges(graph, m):
         graph.add_edge(src, dst)
     # both merges carry well-formed scales: the adapter is the only fault
     for n in (a, graph.sink_id):
-        graph.scale_groups[n] = Param(f"t.n{n}.scales", np.zeros(2))
+        graph.scales[n] = Param(f"t.n{n}.scales", np.zeros(2))
 
 
 @pytest.mark.parametrize("edit", [_cut_off_from_sink,
                                   _adapter_with_two_in_edges])
 def test_check_routing_graph_rejects_malformed_graphs(edit):
-    graph = RoutingGraph("t")
+    graph = RoutingGraph("t", Param("dec.t.w", np.zeros((8, 3))),
+                         Param("dec.t.b", np.zeros(3)))
     m = graph.add_node("module", 0)
     graph.add_edge(graph.source_id, m)
     graph.add_edge(m, graph.sink_id)
