@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(required=True)
 
     run_p = sub.add_parser("run", help="run an experiment end to end")
-    run_p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
+    run_p.add_argument("--algorithm", choices=ALGORITHMS,
+                       help="required unless the config file names one")
     run_p.add_argument("--config", help="JSON config file (flat keys)")
     run_p.add_argument("--profile", choices=("desk", "paper"))
     run_p.add_argument("--seed", type=int)
@@ -158,9 +159,12 @@ def _echo_plan(cfg: ExperimentConfig) -> None:
 
 
 def _hash_inputs(cfg: ExperimentConfig) -> str:
-    """sha256 of the config and of every data file's relative path and
-    bytes."""
-    h = hashlib.sha256(canon_dumps(to_obj(cfg)).encode())
+    """sha256 of the config without the fields that say where and how it
+    runs (out, serve, plan_only), and of every data file's relative path
+    and bytes."""
+    values = {k: v for k, v in to_obj(cfg).items()
+              if k not in ("out", "serve", "plan_only")}
+    h = hashlib.sha256(canon_dumps(values).encode())
     if cfg.data_dir and os.path.isdir(cfg.data_dir):
         for root, _, files in sorted(os.walk(cfg.data_dir)):
             for f in sorted(files):

@@ -174,7 +174,8 @@ def parse_addr(addr: str) -> tuple[str, int]:
 def resolve_config(profile: str | None = None, config_file: str | None = None,
                    overrides: dict | None = None) -> ExperimentConfig:
     """profile defaults < config-file values < explicit overrides, decoded
-    and checked by `from_obj`."""
+    and checked by `from_obj`; the file or the overrides must name the
+    algorithm."""
     values = {}
     if config_file:
         try:
@@ -196,6 +197,9 @@ def resolve_config(profile: str | None = None, config_file: str | None = None,
     for key, val in (overrides or {}).items():
         if val is not None:
             merged[key] = val
+    if "algorithm" not in merged:
+        raise ConfigError("no algorithm: give --algorithm or a config file "
+                          "that names one")
     try:
         return from_obj(ExperimentConfig, merged, "config")
     except ParseError as e:

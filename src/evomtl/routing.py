@@ -270,7 +270,7 @@ def _extend_scale_group(graph: RoutingGraph, v: int, alpha: float) -> None:
     creating its scales (incumbent weight 1 - alpha) if v just became a
     merge point."""
     old = graph.scales.get(v) or Param(f"{graph.task_id}.n{v}.scales",
-                                             np.zeros(1))
+                                       np.zeros(1))
     logits = np.append(old.value, new_edge_logit(old.value, alpha))
     graph.scales[v] = Param(
         old.name, logits, adam_m=np.append(old.adam_m, 0.0),

@@ -5,6 +5,7 @@ pass/fail line. Tolerances are fixed here, not configurable. Run with
 
 import itertools
 import math
+import os
 import socket
 import subprocess
 import sys
@@ -515,14 +516,30 @@ def test_criterion_13_harness():
 # -- 14. reproducibility ------------------------------------------------------------------------
 
 def test_criterion_14_reproducibility(tmp_path):
+    # the two runs share nothing, so they run side by side, one BLAS
+    # thread each; each one's output goes to its own log file
+    names = ("r1", "r2")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    procs = []
+    try:
+        for name in names:
+            with open(tmp_path / f"{name}.log", "w") as log:
+                procs.append(subprocess.Popen(
+                    [sys.executable, "-m", "evomtl.cli", "run", "--algorithm",
+                     "cmtr", "--profile", "desk", "--seed", "11",
+                     "--out", str(tmp_path / name)],
+                    stdout=log, stderr=subprocess.STDOUT, env=env))
+        for proc in procs:
+            proc.wait(timeout=1200)
+    finally:
+        for proc in procs:
+            proc.kill()  # no-op for a process that has ended
+            proc.wait(timeout=60)
     logs = []
-    for name in ("r1", "r2"):
+    for name, proc in zip(names, procs):
         out = tmp_path / name
-        res = subprocess.run(
-            [sys.executable, "-m", "evomtl.cli", "run", "--algorithm", "cmtr",
-             "--profile", "desk", "--seed", "11", "--out", str(out)],
-            capture_output=True, text=True, timeout=1200)
-        assert res.returncode == 0, res.stderr[-2000:]
+        assert proc.returncode == 0, \
+            (tmp_path / f"{name}.log").read_text()[-2000:]
         logs.append({file: (out / file).read_bytes() for file in (
             "history.jsonl", "report.json", "best_network.json")})
     _report(14, "desk runs with one seed are bit-identical",

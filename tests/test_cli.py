@@ -385,15 +385,16 @@ def test_run_reproducible_history(tmp_path):
     ("ctr", "ctr_checkpoint.json"), ("cm", "best_network.json")])
 def test_a_run_reproduces_from_its_own_config_file(tmp_path, capsys, name,
                                                    checkpoint):
-    # the config.json a run writes, passed back with --config, decodes to
-    # the same run
+    # the config.json a run writes, passed back with --config and nothing
+    # else but a new --out, decodes to the same run with the same inputs
     from test_fingerprints import COMMANDS
     first, second = tmp_path / "first", tmp_path / "second"
     assert main(["run", *COMMANDS[name].split(), "--out", str(first)]) == 0
-    assert main(["run", "--algorithm", name, "--config",
-                 str(first / "config.json"), "--out", str(second)]) == 0
+    assert main(["run", "--config", str(first / "config.json"),
+                 "--out", str(second)]) == 0
     capsys.readouterr()
-    for f in ("history.jsonl", "report.json", checkpoint):
+    for f in ("history.jsonl", "report.json", checkpoint,
+              "split_manifest.txt", "inputs_hash.txt"):
         assert (first / f).read_bytes() == (second / f).read_bytes(), f
 
 
@@ -473,7 +474,8 @@ def test_config_file_accepts_an_int_for_a_float_and_null_where_allowed(
     cfile = tmp_path / "c.json"
     cfile.write_text(json.dumps({"lr": 1, "max_generations": None,
                                  "eval_subsample": None}))
-    cfg = resolve_config(config_file=str(cfile))
+    cfg = resolve_config(config_file=str(cfile),
+                         overrides={"algorithm": "ctr"})
     assert cfg.lr == 1 and cfg.max_generations is None
     assert type(cfg.lr) is float  # recorded in config.json as 1.0
 
@@ -495,6 +497,18 @@ def test_inputs_hash_covers_file_content(tmp_path):
     raw[-1] ^= 0xFF  # same size, one pixel changed
     pgm.write_bytes(bytes(raw))
     assert _hash_inputs(cfg) != before
+
+
+def test_inputs_hash_leaves_out_where_and_how_the_run_executes():
+    import dataclasses
+    from evomtl.cli import _hash_inputs
+    from evomtl.config import resolve_config
+    cfg = resolve_config(overrides={"algorithm": "ctr"})
+    before = _hash_inputs(cfg)
+    for key, value in (("out", "elsewhere"), ("serve", "127.0.0.1:5000"),
+                       ("plan_only", True)):
+        assert _hash_inputs(dataclasses.replace(cfg, **{key: value})) == before
+    assert _hash_inputs(dataclasses.replace(cfg, seed=1)) != before
 
 
 @pytest.mark.parametrize("argv", [
@@ -598,12 +612,15 @@ _CM_SHORT = [*_CM, "--generations", "1", "--long-iters", "1"]
       "--filters", "0"], None, "filters"),
     (["run", "--algorithm", "baseline-single", "--synth", "2x3x8",
       "--depth", "0"], None, "depth"),
+    (["run", "--synth", "2x3x8"], None, "algorithm"),
+    (["run", "--synth", "2x3x8"], {"seed": 3}, "algorithm"),
 ], ids=["zero-hyper-pool", "zero-k-modules", "zero-species",
         "fewer-modules-than-species", "zero-n-top", "negative-long-iters",
         "zero-stagnation", "zero-blueprints", "zero-cmtr-species",
         "zero-lr", "nan-lr", "noise-past-half", "ctr-filters-below-range",
         "cm-lr-above-range", "cm-depth-above-range", "zero-baseline-filters",
-        "zero-baseline-depth"])
+        "zero-baseline-depth", "no-algorithm-anywhere",
+        "no-algorithm-in-the-config-file"])
 def test_a_bad_search_count_is_rejected_before_the_run_writes_anything(
         tmp_path, capsys, argv, config, field):
     if config is not None:
